@@ -12,19 +12,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .cuts import (
     CutReport,
+    ResidualFlow,
     c_min,
     c_min_bar,
     c_min_bar_witness,
+    feeding_sources,
     is_primary,
-    min_cut,
-    residual,
+    source_cut_reports,
     source_min_cuts,
 )
-from .errors import TooLarge
+from .errors import InvariantViolated, NegativeSecurityLevel, TooLarge
 from .network import Network, reach_sets
 
 ORACLE_EDGE_LIMIT = 16
@@ -62,23 +63,29 @@ class BoundReport:
 
 # -- the residual cut statistic ---------------------------------------------------
 
-def _omega_report(net: Network, wiretap: tuple[str, ...]) -> CutReport:
-    if not wiretap:
-        # no edges removed: the smallest cut over all sources
-        best = None
-        for s in net.sources:
-            report = min_cut(net, [s], net.sink)
-            if best is None or report.capacity < best.capacity:
-                best = report
-        assert best is not None
-        return best
-    feeding = reach_sets(net, wiretap).feeding
-    return min_cut(residual(net, wiretap), sorted(feeding), net.sink)
+def _omega_reports(net: Network, wiretaps: Iterable[tuple[str, ...]]) -> Iterator[CutReport]:
+    """The residual cut of each wiretap set.
+
+    Sets with the same feeding sources share one maximum flow on the intact
+    network; each set then costs at most |W| augmenting paths.
+    """
+    flows: dict[frozenset[str], ResidualFlow] = {}
+    for wiretap in wiretaps:
+        if not wiretap:
+            # no edges removed: the smallest cut over all sources
+            yield min(source_cut_reports(net), key=lambda report: report.capacity)
+            continue
+        feeding = feeding_sources(net, wiretap)
+        flow = flows.get(feeding)
+        if flow is None:
+            flow = flows[feeding] = ResidualFlow(net, sorted(feeding), net.sink)
+        yield flow.cut_without(wiretap)
 
 
 def omega(net: Network, wiretap: Iterable[str]) -> int:
     """Capacity left for the sources feeding the wiretap set once it is removed."""
-    return _omega_report(net, tuple(net.check_edges(wiretap))).capacity
+    (report,) = _omega_reports(net, [net.check_edges(wiretap)])
+    return report.capacity
 
 
 # -- wiretap-set enumeration --------------------------------------------------------
@@ -97,6 +104,7 @@ def primary_wiretap_sets(net: Network, r: int, exact_size: bool = False) -> list
     The empty set is the size-0 wiretap set and is included unless a positive
     exact size is requested.
     """
+    _check_level(r)
     sizes = [r] if exact_size else range(r + 1)
     out: list[tuple[str, ...]] = []
     for k in sizes:
@@ -107,7 +115,13 @@ def primary_wiretap_sets(net: Network, r: int, exact_size: bool = False) -> list
 
 # -- bounds ---------------------------------------------------------------------------
 
+def _check_level(r: int) -> None:
+    if r < 0:
+        raise NegativeSecurityLevel(f"security level {r} is negative")
+
+
 def lower_bound(net: Network, r: int) -> int:
+    _check_level(r)
     return max(c_min(net) - r, 0)
 
 
@@ -117,6 +131,7 @@ def zero_capacity(net: Network, r: int) -> bool:
 
 def exact_capacity(net: Network, r: int) -> ExactCapacity | None:
     """The exact secure computing rate when one of the closed-form cases applies."""
+    _check_level(r)
     cm = c_min(net)
     if r == 0:
         return ExactCapacity(cm, "r_zero")
@@ -157,6 +172,7 @@ def _cut_structure_holds(net: Network, r: int, cm: int) -> bool:
 
 def upper_bound(net: Network, r: int) -> BoundReport:
     """Best provable ceiling on the secure computing rate at security level r."""
+    _check_level(r)
     cm = c_min(net)
     cb = c_min_bar(net)
     if r >= cb:
@@ -164,20 +180,14 @@ def upper_bound(net: Network, r: int) -> BoundReport:
         upper = 0
         witness_cut: tuple[str, ...] = ()
     else:
-        upper = None
-        witness = ()
-        witness_cut = ()
-        for wset in primary_wiretap_sets(net, r):
-            report = _omega_report(net, wset)
-            if upper is None or report.capacity < upper:
-                upper = report.capacity
-                witness = wset
-                witness_cut = report.cut_edges
-        assert upper is not None
-    assert max(cm - r, 0) <= upper <= cm, "closed-form bracket violated"
+        family = primary_wiretap_sets(net, r)  # never empty: it holds the empty set
+        best, witness = min(zip(_omega_reports(net, family), family), key=lambda pair: pair[0].capacity)
+        upper, witness_cut = best.capacity, best.cut_edges
+    if not max(cm - r, 0) <= upper <= cm:
+        raise InvariantViolated(f"upper bound {upper} outside [max(c_min - r, 0), c_min] for c_min {cm}")
     exact = exact_capacity(net, r)
-    if exact is not None:
-        assert max(cm - r, 0) <= exact.value <= upper
+    if exact is not None and not max(cm - r, 0) <= exact.value <= upper:
+        raise InvariantViolated(f"exact capacity {exact.value} outside [max(c_min - r, 0), {upper}]")
     return BoundReport(
         r=r,
         upper=upper,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import EmptyTarget, TargetInU, UnknownEdge
-from .network import Network, reach_sets
+from .errors import EmptyTarget, InvariantViolated, TargetInU, UnknownEdge
+from .network import Network
 
 INF = 1 << 30
 
@@ -51,33 +51,34 @@ def residual(net: Network, edge_set: Iterable[str]) -> ResidualNetwork:
 
 # -- max flow -------------------------------------------------------------------
 
-def _max_flow(n_nodes: int, arcs: list[tuple[int, int, int]], sources: list[int], sinks: list[int]):
-    """BFS augmenting-path max flow.
+def _flow_graph(n_nodes: int, arcs: list[tuple[int, int, int]], sources: list[int], sinks: list[int]):
+    """Residual arc arrays with a super-source n_nodes and a super-sink n_nodes + 1.
 
-    Returns (value, residual-reachable node set, indices of saturated arcs that
-    cross from the reachable side to the unreachable side).
+    Input arc i is stored at index 2i and its reverse at 2i + 1, so an arc and
+    its partner differ in the lowest bit and the flow on a forward arc is the
+    residual capacity of its reverse.
     """
     s_star, t_star = n_nodes, n_nodes + 1
-    total = n_nodes + 2
-    adj: list[list[int]] = [[] for _ in range(total)]
+    every = arcs + [(s_star, s, INF) for s in sources] + [(t, t_star, INF) for t in sinks]
+    adj: list[list[int]] = [[] for _ in range(n_nodes + 2)]
     to: list[int] = []
     cap: list[int] = []
+    for i, (u, v, c) in enumerate(every):
+        adj[u].append(2 * i)
+        adj[v].append(2 * i + 1)
+        to += (v, u)
+        cap += (c, 0)
+    return adj, to, cap
 
-    def add(u: int, v: int, c: int) -> None:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
 
-    for u, v, c in arcs:
-        add(u, v, c)
-    for s in sources:
-        add(s_star, s, INF)
-    for t in sinks:
-        add(t, t_star, INF)
+def _augment(adj: list[list[int]], to: list[int], cap: list[int]) -> tuple[int, set[int]]:
+    """BFS augmenting paths from the super-source to the super-sink until none is left.
 
+    Updates cap in place.  Returns the flow added and the node set still
+    reachable from the super-source, which the final (failed) search visits.
+    """
+    total = len(adj)
+    s_star, t_star = total - 2, total - 1
     value = 0
     while True:
         parent_arc = [-1] * total
@@ -95,7 +96,7 @@ def _max_flow(n_nodes: int, arcs: list[tuple[int, int, int]], sources: list[int]
                 break
             queue = nxt
         if parent_arc[t_star] == -1:
-            break
+            return value, {v for v in range(total) if parent_arc[v] != -1}
         bottleneck = INF
         v = t_star
         while v != s_star:
@@ -110,14 +111,12 @@ def _max_flow(n_nodes: int, arcs: list[tuple[int, int, int]], sources: list[int]
             v = to[a ^ 1]
         value += bottleneck
 
-    reach = {s_star}
-    stack = [s_star]
-    while stack:
-        u = stack.pop()
-        for a in adj[u]:
-            if cap[a] > 0 and to[a] not in reach:
-                reach.add(to[a])
-                stack.append(to[a])
+
+def _max_flow(n_nodes: int, arcs: list[tuple[int, int, int]], sources: list[int], sinks: list[int]):
+    """Returns (value, residual-reachable node set, indices of saturated arcs that
+    cross from the reachable side to the unreachable side)."""
+    adj, to, cap = _flow_graph(n_nodes, arcs, sources, sinks)
+    value, reach = _augment(adj, to, cap)
     cut = [
         i
         for i, (u, v, c) in enumerate(arcs)
@@ -166,9 +165,78 @@ def min_cut(
         arcs.append((idx[e.tail], idx[e.head], 1 if caps is None else caps.get(eid, 1)))
         arc_ids.append(eid)
     value, reach, cut = _max_flow(len(base.nodes), arcs, [idx[n] for n in origin], [idx[target]])
-    assert len(cut) == value, "unit-capacity cut size must equal the flow value"
+    if len(cut) != value:
+        raise InvariantViolated(f"cut of {len(cut)} edges for a flow of value {value}")
     side = tuple(sorted(n for n in base.nodes if idx[n] in reach))
     return CutReport(value, tuple(sorted(arc_ids[i] for i in cut)), side)
+
+
+class ResidualFlow:
+    """A maximum flow from an origin node set to a target node on the intact
+    unit-capacity network, reused for minimum cuts with a small edge set deleted.
+
+    `cut_without(W)` cancels the at most |W| flow units that cross W, then
+    re-augments, so it needs at most |W| augmenting paths instead of a maximum
+    flow from scratch.  Its report equals
+    `min_cut(residual(net, W), origin, target)`.
+    """
+
+    def __init__(self, net: Network, origin: Iterable[str], target: str) -> None:
+        origin = net.check_nodes(origin)
+        (target,) = net.check_nodes([target])
+        if target in origin:
+            raise TargetInU(f"target {target!r} is in the origin set")
+        idx = _node_index(net)
+        self.net = net
+        self._arc_of = {eid: 2 * i for i, eid in enumerate(net.order)}
+        self._ends = [(idx[net.edge_by_id[eid].tail], idx[net.edge_by_id[eid].head]) for eid in net.order]
+        self._adj, self._to, self._cap = _flow_graph(
+            len(net.nodes), [(u, v, 1) for u, v in self._ends], [idx[n] for n in origin], [idx[target]]
+        )
+        self.value, _ = _augment(self._adj, self._to, self._cap)
+
+    def _drain(self, cap: list[int], x: int, parity: int) -> None:
+        """Take one unit of flow off a path from node x back to the super-source
+        (parity 1: along reverse arcs) or on to the super-sink (parity 0).
+
+        The network is acyclic, so the walk always ends there."""
+        adj, to = self._adj, self._to
+        end = len(adj) - 2 + (1 - parity)
+        while x != end:
+            for a in adj[x]:
+                if a & 1 == parity and cap[a | 1] > 0:
+                    break
+            else:
+                raise InvariantViolated(f"flow is not conserved at node {x}")
+            cap[a & ~1] += 1
+            cap[a | 1] -= 1
+            x = to[a]
+
+    def cut_without(self, edge_set: Iterable[str]) -> CutReport:
+        """The origin-side minimum cut once the given edges are deleted."""
+        removed = {self._arc_of[eid] for eid in self.net.check_edges(edge_set)}
+        cap = self._cap.copy()
+        value = self.value
+        for a in removed:
+            if cap[a | 1] > 0:  # the edge carries a unit of flow: cancel it end to end
+                cap[a] += 1
+                cap[a | 1] -= 1
+                self._drain(cap, self._to[a | 1], 1)
+                self._drain(cap, self._to[a], 0)
+                value -= 1
+            cap[a] = 0
+        added, reach = _augment(self._adj, self._to, cap)
+        value += added
+        order = self.net.order
+        cut = sorted(
+            order[i]
+            for i, (u, v) in enumerate(self._ends)
+            if u in reach and v not in reach and 2 * i not in removed
+        )
+        if len(cut) != value:
+            raise InvariantViolated(f"cut of {len(cut)} edges for a flow of value {value}")
+        side = tuple(sorted(n for i, n in enumerate(self.net.nodes) if i in reach))
+        return CutReport(value, tuple(cut), side)
 
 
 # -- edge-target cuts --------------------------------------------------------------
@@ -208,7 +276,8 @@ def min_cut_edge_target(
             arc_ids.append(eid)
     value, reach, cut = _max_flow(len(idx), arcs, [idx[n] for n in origin], list(mid.values()))
     ids = sorted({arc_ids[i] for i in cut})
-    assert len(ids) == value, "both halves of a split edge crossed the cut"
+    if len(ids) != value:
+        raise InvariantViolated("both halves of a split edge crossed the cut")
     side = tuple(sorted(n for n in base.nodes if idx[n] in reach))
     return CutReport(value, tuple(ids), side)
 
@@ -228,20 +297,36 @@ def is_primary(net: Network, edge_set: Iterable[str]) -> bool:
     ids = tuple(sorted(net.check_edges(edge_set)))
     if not ids:
         raise UnknownEdge("primality is defined for nonempty edge sets")
-    feeding = reach_sets(net, ids).feeding
-    return min_cut_edge_target(net, sorted(feeding), ids).cut_edges == ids
+    return min_cut_edge_target(net, sorted(feeding_sources(net, ids)), ids).cut_edges == ids
+
+
+@lru_cache(maxsize=None)
+def _source_reach(net: Network) -> tuple[tuple[str, frozenset[str]], ...]:
+    return tuple((s, frozenset(net.nodes_reachable_from([s]))) for s in net.sources)
+
+
+def feeding_sources(net: Network, edge_set: Iterable[str]) -> frozenset[str]:
+    """The sources with a path to some edge of the set."""
+    tails = {net.edge_by_id[eid].tail for eid in net.check_edges(edge_set)}
+    return frozenset(s for s, reach in _source_reach(net) if not tails.isdisjoint(reach))
 
 
 # -- the two cut statistics --------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def source_cut_reports(net: Network) -> tuple[CutReport, ...]:
+    """The minimum cut from each source to the sink, in source order."""
+    return tuple(min_cut(net, [s], net.sink) for s in net.sources)
+
+
+@lru_cache(maxsize=None)
 def c_min(net: Network) -> int:
     """Smallest over all sources of the minimum cut capacity to the sink."""
-    return min(min_cut(net, [s], net.sink).capacity for s in net.sources)
+    return min(report.capacity for report in source_cut_reports(net))
 
 
 def source_min_cuts(net: Network) -> dict[str, int]:
-    return {s: min_cut(net, [s], net.sink).capacity for s in net.sources}
+    return {s: report.capacity for s, report in zip(net.sources, source_cut_reports(net))}
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +344,8 @@ def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
         key = (report.capacity, report.cut_edges)
         if best is None or key < best:
             best = key
-    assert best is not None, "the full source set always admits a cut"
+    if best is None:
+        raise InvariantViolated("the full source set admits no finite cut")
     return best
 
 

@@ -103,6 +103,14 @@ class ShapeMismatch(SnfcError):
     pass
 
 
+class NegativeSecurityLevel(SnfcError):
+    pass
+
+
+class InvariantViolated(SnfcError):
+    """An internal consistency check failed; the result would be wrong."""
+
+
 # -- construction ------------------------------------------------------------
 
 class RateExceedsMinCut(SnfcError):

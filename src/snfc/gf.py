@@ -210,7 +210,8 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
     The modulus defaults to the lexicographically smallest monic irreducible
     polynomial of degree m over GF(p), coefficients compared low-to-high, so the
     same (p, m) always yields the same field across runs.  For m = 1 the modulus
-    is the polynomial x and arithmetic reduces mod p.
+    is the polynomial x and arithmetic reduces mod p; any monic degree-1 modulus
+    gives that same field.
     """
     if not _is_prime(p):
         raise NonPrime(f"{p} is not prime")
@@ -218,13 +219,13 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
         raise DegreeZero("extension degree must be >= 1")
     if p ** m > MAX_FIELD_SIZE:
         raise DimensionMismatch(f"field size {p}^{m} exceeds supported maximum {MAX_FIELD_SIZE}")
-    if m == 1:
-        return Field(p, 1, modulus=(0, 1) if modulus is None else modulus)
     if modulus is not None:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1 or not _irreducible(modulus, p):
             raise DegreeZero(f"modulus {modulus} is not monic irreducible of degree {m} over GF({p})")
-        return Field(p, m, modulus)
+        return make_field(p, 1) if m == 1 else Field(p, m, modulus)
+    if m == 1:
+        return Field(p, 1, modulus=(0, 1))
     for tail in itertools.product(range(p), repeat=m):
         candidate = tail + (1,)
         if _irreducible(candidate, p):

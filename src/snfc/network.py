@@ -9,6 +9,7 @@ tail nodes with input-file order breaking ties.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,14 @@ class Network:
 
     # -- derived structure (cached, deterministic) ---------------------------
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # per-network caches key on the network; hash its edges only once
+        return hash((self.nodes, self.edges, self.sources, self.sink))
+
     @cached_property
     def edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
@@ -57,16 +66,16 @@ class Network:
         for e in self.edges:
             indegree[e.head] += 1
             succ[e.tail].append(e.head)
-        ready = sorted((n for n in self.nodes if indegree[n] == 0), key=position.__getitem__)
+        ready = [position[n] for n in self.nodes if indegree[n] == 0]  # a heap of positions
+        heapq.heapify(ready)
         out: list[str] = []
         while ready:
-            n = ready.pop(0)
+            n = self.nodes[heapq.heappop(ready)]
             out.append(n)
             for h in succ[n]:
                 indegree[h] -= 1
                 if indegree[h] == 0:
-                    ready.append(h)
-            ready.sort(key=position.__getitem__)
+                    heapq.heappush(ready, position[h])
         if len(out) != len(self.nodes):
             raise Cycle("graph contains a directed cycle")
         return tuple(out)

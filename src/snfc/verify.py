@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bounds import primary_wiretap_sets, upper_bound
 from .codes import SecureCode, SumCode, as_secure, secure_vectors, sink_matrix
-from .errors import ShapeMismatch, TooLarge
+from .errors import MalformedInput, NegativeSecurityLevel, ShapeMismatch, TooLarge
 from .gf import Matrix
 from .network import Network
 
@@ -29,7 +29,15 @@ def state_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     raw = os.environ.get(ENV_STATE_CAP)
-    return int(raw) if raw else DEFAULT_STATE_CAP
+    if not raw:
+        return DEFAULT_STATE_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        raise MalformedInput(f"{ENV_STATE_CAP}={raw!r} is not an integer") from None
+    if value < 0:
+        raise MalformedInput(f"{ENV_STATE_CAP}={raw!r} is negative")
+    return value
 
 
 @dataclass(frozen=True)
@@ -332,6 +340,8 @@ def verify(
     cap: int | None = None,
 ) -> VerifyReport:
     """Run every applicable check and fold the outcomes into one report."""
+    if r is not None and r < 0:
+        raise NegativeSecurityLevel(f"security level {r} is negative")
     secure = as_secure(code, r)
     computable = check_computability(secure, net, "algebraic")
     secure_rank, failing = check_security_rank(secure, net, fast=fast)

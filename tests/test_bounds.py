@@ -9,17 +9,20 @@ from snfc import (
     exact_capacity,
     lower_bound,
     make_network,
+    min_cut,
     min_cut_edge_target,
     omega,
     primary_min_cut,
     primary_wiretap_sets,
     reach_sets,
+    residual,
     upper_bound,
     upper_bound_oracle,
     zero_capacity,
 )
-from snfc.corpus import random_network
-from snfc.errors import TooLarge
+from snfc.bounds import _omega_reports
+from snfc.corpus import corpus, random_network
+from snfc.errors import NegativeSecurityLevel, TooLarge
 
 
 # -- the residual cut statistic -----------------------------------------------------
@@ -37,6 +40,49 @@ def test_omega_n1_relay_edge(n1):
     # both sources feed e5; deleting it leaves only the direct edge e4
     assert reach_sets(n1, ["e5"]).feeding == frozenset({"s1", "s2"})
     assert omega(n1, ["e5"]) == 1
+
+
+def test_incremental_omega_matches_a_fresh_max_flow():
+    # every primary set of size <= 3 on the corpus: the shared-flow report must
+    # equal a maximum flow from scratch on the network with W deleted
+    checked = 0
+    for net in corpus(300):
+        family = [w for w in primary_wiretap_sets(net, 3) if w]
+        for wset, report in zip(family, _omega_reports(net, family)):
+            feeding = sorted(reach_sets(net, wset).feeding)
+            assert report == min_cut(residual(net, wset), feeding, net.sink), wset
+            checked += 1
+    assert checked > 1000
+
+
+def test_incremental_omega_on_parallel_and_serial_wiretaps():
+    # W holds both edges of a path and a parallel pair, so cancelling one unit
+    # of flow also drains another edge of W
+    net = make_network(
+        ["s1", "s2", "v", "w", "rho"],
+        [("e1", "s1", "v"), ("e2", "v", "w"), ("e3", "w", "rho"), ("e4", "s1", "w"),
+         ("e5", "s2", "w"), ("e6", "w", "rho"), ("e7", "s2", "rho"), ("e8", "s2", "rho")],
+        ["s1", "s2"],
+        "rho",
+    )
+    wsets = [("e1", "e2"), ("e2", "e3"), ("e3", "e6"), ("e7", "e8"), ("e1", "e3", "e4"), ("e2",)]
+    for wset, report in zip(wsets, _omega_reports(net, wsets)):
+        feeding = sorted(reach_sets(net, wset).feeding)
+        assert report == min_cut(residual(net, wset), feeding, net.sink), wset
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net: upper_bound(net, -1),
+        lambda net: lower_bound(net, -1),
+        lambda net: exact_capacity(net, -1),
+        lambda net: primary_wiretap_sets(net, -1),
+    ],
+)
+def test_negative_security_level_rejected(butterfly, call):
+    with pytest.raises(NegativeSecurityLevel):
+        call(butterfly)
 
 
 # -- wiretap-set enumeration -----------------------------------------------------------

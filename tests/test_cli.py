@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import snfc
 from snfc import fixtures
 from snfc.cli import main
 
@@ -154,6 +158,37 @@ def test_domain_error_exit_code(runner, n1_file, tmp_path):
 def test_usage_error_exit_code(runner, butterfly_file):
     result = runner.invoke(main, ["bound", "--network", butterfly_file])
     assert result.exit_code == 2
+
+
+def test_negative_security_level_is_a_domain_error(runner, butterfly_file):
+    result = runner.invoke(main, ["bound", "--network", butterfly_file, "--r", "-1", "--json"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"] == "NegativeSecurityLevel"
+
+
+def test_negative_security_level_is_rejected_without_asserts(butterfly_file):
+    # python -O strips assert statements; the check must not depend on them
+    src = os.path.dirname(os.path.dirname(snfc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "snfc.cli", "bound", "--network", butterfly_file, "--r", "-1", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "NegativeSecurityLevel"
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "-1"])
+def test_bad_state_cap_setting_is_a_domain_error(runner, monkeypatch, butterfly_file, tmp_path, raw):
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(fixtures.code_dict("butterfly")))
+    monkeypatch.setenv("SNFC_MAX_EXHAUSTIVE", raw)
+    result = runner.invoke(
+        main, ["verify", "--network", butterfly_file, "--code", str(code_path), "--r", "1", "--json"]
+    )
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"] == "MalformedInput"
 
 
 def test_verify_fails_on_broken_code(runner, butterfly_file, n1_code_file):

@@ -101,6 +101,19 @@ def test_degree_zero_rejected():
         make_field(2, 0)
 
 
+def test_prime_field_accepts_any_monic_degree_one_modulus():
+    # x + a gives GF(p) itself, the same field as the default modulus x
+    assert make_field(3, 1, (2, 1)) is make_field(3, 1)
+    assert make_field(3, 1, (0, 1)) == make_field(3, 1)
+    assert make_field(5, 1, (-1, 6)).modulus == (0, 1)
+
+
+@pytest.mark.parametrize("modulus", [(1, 2), (0, 0), (1,), (0, 1, 1), ()])
+def test_prime_field_rejects_other_moduli(modulus):
+    with pytest.raises(DegreeZero):
+        make_field(3, 1, modulus)
+
+
 def test_field_spec_string():
     assert GF4.spec_string() == "2^2"
     assert GF2.spec_string() == "2^1"

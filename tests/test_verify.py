@@ -16,8 +16,8 @@ from snfc import (
 )
 from snfc import fixtures
 from snfc.codes import SecureCode, SumCode, as_secure
-from snfc.errors import ShapeMismatch, TooLarge
-from snfc.verify import wiretap_family
+from snfc.errors import MalformedInput, NegativeSecurityLevel, ShapeMismatch, TooLarge
+from snfc.verify import state_cap, wiretap_family
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -83,6 +83,24 @@ def test_exhaustive_cap_guard(butterfly):
     code = fixtures.code("butterfly")
     with pytest.raises(TooLarge):
         check_computability(code, butterfly, method="exhaustive", cap=10)
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", "-3"])
+def test_bad_state_cap_setting_rejected(monkeypatch, raw):
+    monkeypatch.setenv("SNFC_MAX_EXHAUSTIVE", raw)
+    with pytest.raises(MalformedInput):
+        state_cap()
+    assert state_cap(7) == 7  # an explicit cap never reads the setting
+
+
+def test_state_cap_setting_is_read(monkeypatch):
+    monkeypatch.setenv("SNFC_MAX_EXHAUSTIVE", "0")
+    assert state_cap() == 0
+
+
+def test_negative_security_level_rejected(butterfly):
+    with pytest.raises(NegativeSecurityLevel):
+        verify(fixtures.code("butterfly"), butterfly, r=-1)
 
 
 # -- security: rank criterion ---------------------------------------------------------------
