@@ -126,6 +126,7 @@ def lower_bound(net: Network, r: int) -> int:
 
 
 def zero_capacity(net: Network, r: int) -> bool:
+    _check_level(r)
     return r >= c_min_bar(net)
 
 

@@ -146,10 +146,13 @@ def construct_cmd(network_path, r, rate, field_spec, seed, out_path, as_json) ->
         net = _load_network(network_path)
         fld = parse_field(field_spec) if field_spec else None
         code = construct(net, r, rate=rate, field=fld, seed=seed)
-        save_code(out_path, code, net)
     except SnfcError as exc:
         _fail(exc, as_json)
         return
+    try:
+        save_code(out_path, code, net)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {out_path}: {exc.strerror}") from None
     payload = {
         "field": code.field.spec_string(),
         "rate": code.rate,
@@ -225,15 +228,17 @@ def example_cmd(
     do_verify, exhaustive, fast, as_json,
 ) -> None:
     """Query a built-in fixture without any external files."""
+    code_key = code_name or name
     try:
         net = fixtures.network(name)
+        code_owner = fixtures.code_network_name(code_key) if show == "code" or do_verify else None
     except KeyError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise click.UsageError(exc.args[0]) from None
     try:
         if show == "network":
             _emit(net.to_dict(), as_json, [json.dumps(net.to_dict(), indent=2)])
         elif show == "code":
-            doc = fixtures.code_dict(code_name or name)
+            doc = fixtures.code_dict(code_key)
             _emit(doc, as_json, [json.dumps(doc, indent=2)])
         elif cut_kind == "primary":
             if not sources or not edges:
@@ -250,8 +255,11 @@ def example_cmd(
                 [f"capacity: {report.capacity}", f"cut: {list(report.cut_edges)}"],
             )
         elif do_verify:
-            key = code_name or name
-            code = fixtures.code(key)
+            if code_owner != name:
+                raise click.UsageError(
+                    f"code fixture {code_key!r} does not belong to network {name!r}"
+                )
+            code = fixtures.code(code_key)
             level = code.r if r is None else r
             report, lines = _verify_payload(net, code, level, exhaustive, fast)
             _emit(report.to_dict(), as_json, lines)

@@ -15,7 +15,6 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .bounds import primary_wiretap_sets
 from .cuts import c_min
@@ -23,6 +22,7 @@ from .errors import (
     ConstructionFailed,
     FieldTooSmall,
     FieldTooSmallForMulticast,
+    InvariantViolated,
     MalformedInput,
     PrimeFieldInput,
     RateExceedsMinCut,
@@ -32,7 +32,7 @@ from .errors import (
     Singular,
     SingularB,
 )
-from .gf import MAX_FIELD_SIZE, Field, Matrix, companion_expand, make_field, parse_field
+from .gf import MAX_FIELD_SIZE, Echelon, Field, Matrix, companion_expand, make_field, parse_field
 from .network import Network, reverse
 
 MULTICAST_ATTEMPTS = 64
@@ -81,16 +81,24 @@ class SecureCode:
     def mixing_inverse(self) -> Matrix:
         return self.mixing.inverse()
 
-    def message_dims(self, sources: Iterable[str]) -> dict[str, int]:
-        return {s: self.ell for s in sources}
-
-    def key_dims(self, sources: Iterable[str]) -> dict[str, int]:
-        return {s: self.r for s in sources}
-
     def effective_source_column(self, source: str, edge_id: str) -> tuple[int, ...]:
         """The column actually applied at the source: B^-1 times the raw column."""
         raw = self.base.source_column(source, edge_id)
         return self.mixing_inverse.mul(Matrix.column(self.field, raw)).col(0)
+
+
+def message_selector(code: SecureCode) -> Matrix:
+    """rate x ell selector keeping the message coordinates of one source."""
+    return Matrix.build(
+        code.field,
+        [[1 if i == j else 0 for j in range(code.ell)] for i in range(code.rate)],
+        ncols=code.ell,
+    )
+
+
+def message_decoder(code: SecureCode) -> Matrix:
+    """|in(sink)| x ell matrix taking received symbols straight to the message sums."""
+    return code.base.decoder.mul(code.mixing).mul(message_selector(code))
 
 
 def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
@@ -124,7 +132,8 @@ def global_vectors(code: SumCode | SecureCode, net: Network, *, mixed: bool = Fa
     """
     secure = as_secure(code) if mixed or isinstance(code, SecureCode) else None
     base = secure.base if secure else code
-    assert isinstance(base, SumCode)
+    if not isinstance(base, SumCode):
+        raise InvariantViolated(f"expected a sum or secure code, got {type(base).__name__}")
     field = base.field
     rate = base.rate
     s = net.num_sources
@@ -163,7 +172,10 @@ def transfer_global_vectors(code: SumCode, net: Network) -> dict[str, tuple[int,
     for eid, incoming in code.local_coeffs.items():
         for did, coeff in incoming.items():
             if coeff:
-                assert pos[did] < pos[eid], "local coefficients must follow the edge order"
+                if pos[did] >= pos[eid]:
+                    raise InvariantViolated(
+                        f"local coefficient {did!r} -> {eid!r} runs against the edge order"
+                    )
                 a_rows[pos[did]][pos[eid]] = coeff % field.q
     eye = Matrix.identity(field, n)
     i_minus_a = Matrix.build(field, [
@@ -256,7 +268,8 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
             right = {}
             for s, m in decode.items():
                 k = m.solve_right(eye)
-                assert k is not None, "full row rank guarantees a right inverse"
+                if k is None:
+                    raise InvariantViolated("a full-row-rank decode matrix has no right inverse")
                 right[s] = k
             return MulticastCode(field, rate, kernels, fe, decode, right)
     raise FieldTooSmallForMulticast(
@@ -307,66 +320,15 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
 SCAN_CAP = 1024
 
 
-class _Span:
-    """A subspace kept in row-echelon form; membership tests by reduction."""
-
-    __slots__ = ("field", "dim", "rows")
-
-    def __init__(self, field: Field, dim: int, vectors=()):
-        self.field = field
-        self.dim = dim
-        self.rows: dict[int, tuple[int, ...]] = {}
-        for v in vectors:
-            self.add(v)
-
-    def reduce(self, v) -> tuple[int, ...]:
-        f = self.field
-        v = list(v)
-        for pivot, row in self.rows.items():
-            c = v[pivot]
-            if c:
-                for i in range(pivot, self.dim):
-                    v[i] = f.sub(v[i], f.mul(c, row[i]))
-        return tuple(v)
-
-    def contains(self, v) -> bool:
-        return not any(self.reduce(v))
-
-    def add(self, v) -> bool:
-        reduced = self.reduce(v)
-        pivot = next((i for i, x in enumerate(reduced) if x), None)
-        if pivot is None:
-            return False
-        inv = self.field.inv(reduced[pivot])
-        self.rows[pivot] = tuple(self.field.mul(inv, x) for x in reduced)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def signature(self) -> frozenset:
-        # fully reduced form, canonical for span equality
-        f = self.field
-        pivots = sorted(self.rows)
-        rows = {p: list(self.rows[p]) for p in pivots}
-        for p in pivots:
-            for q_ in pivots:
-                if q_ < p and rows[q_][p]:
-                    c = rows[q_][p]
-                    rows[q_] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[q_], rows[p])]
-        return frozenset(tuple(rows[p]) for p in pivots)
-
-
-def _first_outside(field: Field, span: _Span, dim: int) -> tuple[int, ...]:
+def _first_outside(span: Echelon, dim: int) -> tuple[int, ...]:
     for i in range(dim):
         basis = tuple(1 if k == i else 0 for k in range(dim))
         if not span.contains(basis):
             return basis
-    raise AssertionError("a proper subspace misses some standard basis vector")
+    raise InvariantViolated("a proper subspace misses some standard basis vector")
 
 
-def _vector_avoiding(field: Field, spans: list[_Span], dim: int) -> tuple[int, ...] | None:
+def _vector_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int, ...] | None:
     """A vector outside every span, or None.
 
     Below the scan cap this is the lexicographically first such vector; beyond
@@ -380,11 +342,11 @@ def _vector_avoiding(field: Field, spans: list[_Span], dim: int) -> tuple[int, .
             if all(not s.contains(cand) for s in spans):
                 return cand
         return None
-    v = _first_outside(field, spans[0], dim)
+    v = _first_outside(spans[0], dim)
     passed = [spans[0]]
     for span in spans[1:]:
         if span.contains(v):
-            w = _first_outside(field, span, dim)
+            w = _first_outside(span, dim)
             for lam in range(1, field.q):
                 cand = tuple(field.add(a, field.mul(lam, b)) for a, b in zip(v, w))
                 if not span.contains(cand) and all(not p.contains(cand) for p in passed):
@@ -412,7 +374,8 @@ def choose_mixing_matrix(
     if not 0 <= r <= rate:
         raise ShapeMismatch(f"security level {r} out of range for rate {rate}")
     vectors = global_vectors(code, net)
-    obstacles: dict[frozenset, _Span] = {}
+    # one span per distinct RREF, in first-seen order: the walk beyond SCAN_CAP depends on it
+    obstacles: dict[tuple, Echelon] = {}
     for wset in family:
         for i in range(net.num_sources):
             cols = [
@@ -422,11 +385,11 @@ def choose_mixing_matrix(
             ]
             if not cols:
                 continue
-            span = _Span(field, rate, cols)
-            obstacles.setdefault(span.signature(), span)
+            span = Echelon(field, cols)
+            obstacles.setdefault(span.reduced(), span)
     observed = list(obstacles.values())
     chosen: list[tuple[int, ...]] = []
-    chosen_span = _Span(field, rate)
+    chosen_span = Echelon(field)
     for j in range(rate):
         active = (observed or [chosen_span]) if j < rate - r else [chosen_span]
         pick = _vector_avoiding(field, active, rate)
@@ -539,12 +502,6 @@ def lift_extension(code: SecureCode, net: Network) -> LiftedCode:
         }
         for eid, incoming in code.base.local_coeffs.items()
     }
-    selector = Matrix.build(
-        field,
-        [[1 if i == j else 0 for j in range(code.ell)] for i in range(code.rate)],
-        ncols=code.ell,
-    )
-    message_decoder = code.base.decoder.mul(code.mixing).mul(selector)
     return LiftedCode(
         base_prime=field.p,
         ell=code.ell * L,
@@ -552,7 +509,7 @@ def lift_extension(code: SecureCode, net: Network) -> LiftedCode:
         rate=code.ell,
         source_matrices=src_mats,
         local_matrices=local_mats,
-        decoder=companion_expand(message_decoder),
+        decoder=companion_expand(message_decoder(code)),
     )
 
 
@@ -592,7 +549,7 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
     if not isinstance(doc, dict):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise MalformedInput(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedInput("code document must be a JSON object")
@@ -668,5 +625,5 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
 
 
 def load_code_file(path: str, net: Network) -> SecureCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_code(json.load(fh), net)
+    with open(path, "rb") as fh:
+        return load_code(fh.read(), net)

@@ -177,19 +177,23 @@ def network_dict(name: str) -> dict:
     return dict(_NETWORKS[name])
 
 
-def code(name: str) -> SecureCode:
+def _code_entry(name: str) -> tuple[str, dict]:
     if name not in _CODES:
         raise KeyError(f"unknown code fixture {name!r}; have {code_names()}")
-    net_name, doc = _CODES[name]
+    return _CODES[name]
+
+
+def code(name: str) -> SecureCode:
+    net_name, doc = _code_entry(name)
     return load_code(doc, network(net_name))
 
 
 def code_dict(name: str) -> dict:
-    return dict(_CODES[name][1])
+    return dict(_code_entry(name)[1])
 
 
 def code_network_name(name: str) -> str:
-    return _CODES[name][0]
+    return _code_entry(name)[0]
 
 
 def butterfly_sum_code() -> SumCode:
@@ -208,8 +212,3 @@ def butterfly_sum_code_gf2() -> SumCode:
         base.local_coeffs,
         Matrix.build(gf2, base.decoder.data, ncols=base.decoder.ncols),
     )
-
-
-def butterfly_mixing_matrix() -> Matrix:
-    """The GF(4) mixing matrix shipped with the butterfly fixture."""
-    return code("butterfly").mixing

@@ -333,9 +333,6 @@ class Matrix:
             self.ncols,
         )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self.add(other)
-
     def mul(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.ncols != other.nrows:
@@ -353,13 +350,6 @@ class Matrix:
                 new_row.append(acc)
             out.append(tuple(new_row))
         return Matrix(f, tuple(out), cols)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
-
-    def scale(self, c: int) -> "Matrix":
-        f = self.field
-        return Matrix(f, tuple(tuple(f.mul(c, a) for a in row) for row in self.data), self.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(self.col(j) for j in range(self.ncols)), self.nrows)
@@ -380,46 +370,20 @@ class Matrix:
             raise DimensionMismatch(f"vstack {self.shape} / {other.shape}")
         return Matrix(self.field, self.data + other.data, self.ncols)
 
-    def submatrix_cols(self, cols) -> "Matrix":
-        idx = list(cols)
-        return Matrix(self.field, tuple(tuple(row[j] for j in idx) for row in self.data), len(idx))
-
     # -- elimination ---------------------------------------------------------
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices (deterministic)."""
-        f = self.field
-        rows = [list(r) for r in self.data]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    factor = rows[i][c]
-                    rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return Matrix(f, tuple(tuple(row) for row in rows), self.ncols), tuple(pivots)
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return Echelon(self.field, self.data).rank
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.nrows
-        reduced, pivots = self.hstack(Matrix.identity(self.field, n)).rref()
-        if len(pivots) < n or any(p >= n for p in pivots):
+        span = Echelon(self.field, self.hstack(Matrix.identity(self.field, n)).data)
+        # [A | I] always has rank n; its pivots are 0..n-1 exactly when A is invertible
+        if any(p >= n for p in span.rows):
             raise Singular("matrix is singular")
-        return Matrix(self.field, tuple(row[n:] for row in reduced.data), n)
+        return Matrix(self.field, tuple(row[n:] for row in span.reduced()), n)
 
     def solve_right(self, rhs: "Matrix") -> "Matrix | None":
         """Deterministic X with self @ X = rhs, or None when inconsistent.
@@ -431,16 +395,74 @@ class Matrix:
         if self.nrows != rhs.nrows:
             raise DimensionMismatch(f"solve {self.shape} with rhs {rhs.shape}")
         n = self.ncols
-        reduced, pivots = self.hstack(rhs).rref()
-        if any(p >= n for p in pivots):
+        span = Echelon(self.field, self.hstack(rhs).data)
+        if any(p >= n for p in span.rows):
             return None
-        out = [[0] * rhs.ncols for _ in range(n)]
-        for i, p in enumerate(pivots):
-            out[p] = list(reduced.data[i][n:])
-        return Matrix(self.field, tuple(tuple(r) for r in out), rhs.ncols)
+        out = [(0,) * rhs.ncols] * n
+        for p, row in zip(sorted(span.rows), span.reduced()):
+            out[p] = row[n:]
+        return Matrix(self.field, tuple(out), rhs.ncols)
 
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.data)
+
+class Echelon:
+    """The span of some vectors over one field, kept in row-echelon form.
+
+    Every elimination in the package runs through this class.  Each row is
+    scaled to a leading 1 and keyed by that pivot column; a row added later is
+    zero in every earlier pivot column, so reducing in insertion order clears
+    the pivots one by one (forward elimination, no back-substitution).
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: Field, vectors=()):
+        self.field = field
+        self.rows: dict[int, tuple[int, ...]] = {}
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v) -> list[int]:
+        """v minus its component along the rows; zero exactly when v is in the span."""
+        f = self.field
+        v = list(v)
+        for pivot, row in self.rows.items():
+            c = v[pivot]
+            if c:
+                c = f.neg(c)
+                for i in range(pivot, len(v)):
+                    if row[i]:
+                        v[i] = f.add(v[i], f.mul(c, row[i]))
+        return v
+
+    def contains(self, v) -> bool:
+        return not any(self.reduce(v))
+
+    def add(self, v) -> bool:
+        """Extend the span by v; True when the rank grew."""
+        v = self.reduce(v)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        f = self.field
+        inv = f.inv(v[pivot])
+        self.rows[pivot] = tuple(f.mul(inv, x) for x in v)
+        return True
+
+    def reduced(self) -> tuple[tuple[int, ...], ...]:
+        """The reduced row echelon form, rows in pivot order.
+
+        It is canonical for the span: two generating sets give equal results
+        exactly when they span the same space.
+        """
+        # back-substitution: reduce each row by the already reduced rows of larger pivot
+        done = Echelon(self.field)
+        for p in sorted(self.rows, reverse=True):
+            done.rows[p] = tuple(done.reduce(self.rows[p]))
+        return tuple(reversed(done.rows.values()))
 
 
 def intersects_trivially(u: Matrix, v: Matrix) -> bool:

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple
 from .errors import (
     AllZeroFunction,
     Cycle,
+    InvariantViolated,
     MalformedInput,
     SinkHasOutEdge,
     SourceHasInEdge,
@@ -242,7 +243,7 @@ def network_from_dict(doc: dict) -> Network:
 def parse_network(text: bytes | str) -> Network:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedInput("network document must be a JSON object")
@@ -267,7 +268,8 @@ def reach_sets(net: Network, edge_set: Iterable[str]) -> ReachSets:
     separated = frozenset(
         s for s in net.sources if net.sink not in net.nodes_reachable_from([s], removed)
     )
-    assert separated <= feeding, "separated sources must feed the deleted set"
+    if not separated <= feeding:
+        raise InvariantViolated("separated sources must feed the deleted set")
     return ReachSets(feeding, separated, frozenset(feeding - separated))
 
 

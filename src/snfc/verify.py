@@ -16,8 +16,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import primary_wiretap_sets, upper_bound
-from .codes import SecureCode, SumCode, as_secure, secure_vectors, sink_matrix
-from .errors import MalformedInput, NegativeSecurityLevel, ShapeMismatch, TooLarge
+from .codes import (
+    SecureCode,
+    SumCode,
+    as_secure,
+    message_decoder,
+    message_selector,
+    secure_vectors,
+    sink_matrix,
+)
+from .errors import (
+    InvariantViolated,
+    MalformedInput,
+    NegativeSecurityLevel,
+    ShapeMismatch,
+    TooLarge,
+)
 from .gf import Matrix
 from .network import Network
 
@@ -100,40 +114,17 @@ def _check_shapes(code: SecureCode, net: Network) -> None:
                 raise ShapeMismatch(f"source column for {eid!r} has length {len(col)}")
 
 
-def _message_selector(code: SecureCode) -> Matrix:
-    """rate x ell selector keeping the message coordinates of one source."""
-    return Matrix.build(
-        code.field,
-        [[1 if i == j else 0 for j in range(code.ell)] for i in range(code.rate)],
-        ncols=code.ell,
-    )
-
-
 def _stacked_selector(code: SecureCode, s: int) -> Matrix:
-    sel = _message_selector(code)
-    out = sel
-    for _ in range(s - 1):
-        out = out.vstack(sel)
-    return out
+    """The (rate*s) x ell message selector, one copy per source stacked."""
+    return Matrix(code.field, message_selector(code).data * s, code.ell)
 
 
 def _blockdiag_selector(code: SecureCode, s: int) -> Matrix:
     """The (rate*s) x (ell*s) block-diagonal message selector."""
-    field = code.field
-    rate, ell = code.rate, code.ell
-    rows = []
-    for i in range(rate * s):
-        block, inner = divmod(i, rate)
-        row = [0] * (ell * s)
-        if inner < ell:
-            row[block * ell + inner] = 1
-        rows.append(tuple(row))
-    return Matrix(field, tuple(rows), ell * s)
-
-
-def message_decoder(code: SecureCode) -> Matrix:
-    """|in(sink)| x ell matrix taking received symbols straight to the message sums."""
-    return code.base.decoder.mul(code.mixing).mul(_message_selector(code))
+    zero = (0,) * code.ell
+    sel = message_selector(code).data
+    rows = tuple(zero * block + row + zero * (s - 1 - block) for block in range(s) for row in sel)
+    return Matrix(code.field, rows, code.ell * s)
 
 
 # -- simulation ------------------------------------------------------------------------
@@ -278,7 +269,8 @@ def check_security_rank(
     vectors = secure_vectors(secure, net)
     gamma = _blockdiag_selector(secure, s)
     gamma_rank = gamma.rank()
-    assert gamma_rank == secure.ell * s
+    if gamma_rank != secure.ell * s:
+        raise InvariantViolated(f"selector rank {gamma_rank}, expected {secure.ell * s}")
     for wset in wiretap_family(net, secure.r, fast):
         if not wset:
             continue

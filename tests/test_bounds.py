@@ -78,6 +78,7 @@ def test_incremental_omega_on_parallel_and_serial_wiretaps():
         lambda net: lower_bound(net, -1),
         lambda net: exact_capacity(net, -1),
         lambda net: primary_wiretap_sets(net, -1),
+        lambda net: zero_capacity(net, -1),
     ],
 )
 def test_negative_security_level_rejected(butterfly, call):

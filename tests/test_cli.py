@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snfc
 from snfc import fixtures
@@ -231,3 +234,93 @@ def test_construct_with_rate_and_field_flags(runner, butterfly_file, tmp_path):
         main, ["verify", "--network", butterfly_file, "--code", out, "--r", "1"]
     )
     assert checked.exit_code == 0, checked.output
+
+
+# -- malformed input never ends in a traceback ------------------------------------------
+
+def assert_clean_exit(result, expected=None):
+    """Exit 0, 1 or 2 through the CLI's own handling, never an escaped exception."""
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert result.exit_code in ({0, 1, 2} if expected is None else {expected}), result.output
+
+
+@pytest.mark.parametrize("which", ["network", "code"])
+@pytest.mark.parametrize(
+    "content", [b"not json", b"\xff\xfe\x7b", b"[" * 100_000], ids=["not-json", "not-utf8", "deep"]
+)
+def test_undecodable_file_is_a_domain_error(runner, butterfly_file, tmp_path, which, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    network, code = (str(bad), butterfly_file) if which == "network" else (butterfly_file, str(bad))
+    result = runner.invoke(main, ["verify", "--network", network, "--code", code, "--r", "1", "--json"])
+    assert_clean_exit(result, 1)
+    assert json.loads(result.stdout)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("mode", [["--verify"], ["--show", "code"]])
+def test_unknown_embedded_code_is_a_usage_error(runner, mode):
+    result = runner.invoke(main, ["example", "butterfly", *mode, "--code-name", "nope"])
+    assert_clean_exit(result, 2)
+    assert "unknown code fixture 'nope'" in result.output
+
+
+def test_embedded_code_of_another_network_is_a_usage_error(runner):
+    result = runner.invoke(main, ["example", "butterfly", "--verify", "--code-name", "n1"])
+    assert_clean_exit(result, 2)
+    assert "does not belong to network 'butterfly'" in result.output
+
+
+def test_unwritable_output_path_is_a_usage_error(runner, butterfly_file, tmp_path):
+    out = str(tmp_path / "missing_dir" / "x.json")
+    result = runner.invoke(main, ["construct", "--network", butterfly_file, "--r", "1", "--out", out, "--json"])
+    assert_clean_exit(result, 2)
+    assert "cannot write" in result.output
+
+
+def _mutated_document(data, doc: dict) -> bytes:
+    """A fixture document with one random defect, serialized to bytes."""
+    doc = json.loads(json.dumps(doc))
+    text = json.dumps(doc).encode()
+    mutation = data.draw(st.sampled_from(["none", "drop", "retype", "truncate", "bytes"]))
+    if mutation == "bytes":
+        return data.draw(st.binary(max_size=12))
+    if mutation == "truncate":
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    if mutation != "none":
+        key = data.draw(st.sampled_from(sorted(doc)))
+        if mutation == "drop":
+            del doc[key]
+        else:
+            doc[key] = data.draw(st.sampled_from([None, -1, "x", [], {}, [["x"]]]))
+    return json.dumps(doc).encode()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_cli_fuzz_exits_cleanly(data):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        network_path = os.path.join(tmp, "net.json")
+        code_path = os.path.join(tmp, "code.json")
+        with open(network_path, "wb") as fh:
+            fh.write(_mutated_document(data, fixtures.network_dict("butterfly")))
+        with open(code_path, "wb") as fh:
+            fh.write(_mutated_document(data, fixtures.code_dict("butterfly")))
+        r = str(data.draw(st.integers(-2, 3)))
+        names = st.sampled_from(["s1", "s2", "rho", "e1", "e6", "e9", "nope", ""])
+        args = data.draw(st.sampled_from([
+            ["bound", "--network", network_path, "--r", r],
+            ["verify", "--network", network_path, "--code", code_path, "--r", r],
+            ["construct", "--network", network_path, "--r", r,
+             "--field", data.draw(st.sampled_from(["2", "2^2", "4", "x", "2^0", "1^1"])),
+             "--out", os.path.join(tmp, data.draw(st.sampled_from(["out.json", "missing/out.json", ""])))],
+            ["cuts", "mincut", "--network", network_path, "--from", data.draw(names), "--to", data.draw(names)],
+            ["cuts", "primary", "--network", network_path, "--sources", data.draw(names), "--edges", data.draw(names)],
+            ["example", data.draw(st.sampled_from(["butterfly", "n1", "fig2", "nope"])),
+             "--code-name", data.draw(st.sampled_from(["butterfly", "butterfly_gf2", "n1", "nope"])),
+             *data.draw(st.sampled_from([["--verify"], ["--show", "code"], ["--r", r], []]))],
+        ]))
+        if data.draw(st.booleans()):
+            args.append("--json")
+        assert_clean_exit(runner.invoke(main, args))

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from snfc import (
     sum_code_from_multicast,
     verify,
 )
+import snfc
 from snfc import fixtures
 from snfc.codes import MulticastCode, sink_matrix, transfer_global_vectors
 from snfc.corpus import random_network
@@ -377,3 +381,30 @@ def test_constructed_secure_vectors_factor_through_mixing(data):
         for i in range(net.num_sources):
             block = Matrix.column(code.field, raw[eid][i * rate : (i + 1) * rate])
             assert binv.mul(block).col(0) == mixed[eid][i * rate : (i + 1) * rate]
+
+
+INVARIANT_SCRIPT = """
+from snfc import fixtures
+from snfc.codes import SumCode, global_vectors, transfer_global_vectors
+from snfc.errors import InvariantViolated
+
+net = fixtures.network("butterfly")
+base = fixtures.code("butterfly").base
+backwards = SumCode(base.field, base.rate, base.source_matrices, {"e5": {"e8": 1}}, base.decoder)
+for call in (lambda: transfer_global_vectors(backwards, net), lambda: global_vectors("not a code", net)):
+    try:
+        call()
+    except InvariantViolated:
+        continue
+    raise SystemExit("an invariant check did not raise")
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    # python -O strips assert statements; the invariant checks must not depend on them
+    src = os.path.dirname(os.path.dirname(snfc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANT_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

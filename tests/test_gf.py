@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snfc import Matrix, companion_expand, intersects_trivially, make_field
+from snfc.gf import Echelon
 from snfc.errors import (
     DegreeZero,
     DimensionMismatch,
@@ -292,6 +294,76 @@ def test_rank_subadditivity_iff_trivial_intersection(data):
     joint = u.hstack(v).rank()
     assert joint <= u.rank() + v.rank()
     assert (joint == u.rank() + v.rank()) == intersects_trivially(u, v)
+
+
+# -- the echelon engine against brute-force enumeration ---------------------------------
+
+ENGINE_FIELDS = [GF2, make_field(3, 1), GF4, make_field(5, 1)]
+
+
+def enumerated_span(field, rows, n):
+    """Every linear combination of the rows, by enumerating all coefficient tuples."""
+    out = set()
+    for coeffs in itertools.product(field.elements(), repeat=len(rows)):
+        v = [0] * n
+        for c, row in zip(coeffs, rows):
+            v = [field.add(a, field.mul(c, b)) for a, b in zip(v, row)]
+        out.add(tuple(v))
+    return out
+
+
+def draw_rows(data, field, count, n):
+    return [tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(n)) for _ in range(count)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_echelon_matches_enumerated_span(data):
+    field = data.draw(st.sampled_from(ENGINE_FIELDS))
+    n = data.draw(st.integers(1, 3))
+    rows = draw_rows(data, field, data.draw(st.integers(0, 4)), n)
+    span = enumerated_span(field, rows, n)
+    engine = Echelon(field, rows)
+    assert len(span) == field.q ** engine.rank
+    assert Matrix.build(field, rows, ncols=n).rank() == engine.rank
+    for v in itertools.product(field.elements(), repeat=n):
+        assert engine.contains(v) == (v in span)
+    # a second generating set: combinations of the first (often the same span) or fresh rows
+    if data.draw(st.booleans()):
+        combos = draw_rows(data, field, data.draw(st.integers(0, 4)), len(rows))
+        other = [
+            tuple(
+                functools.reduce(field.add, (field.mul(c, row[i]) for c, row in zip(combo, rows)), 0)
+                for i in range(n)
+            )
+            for combo in combos
+        ]
+    else:
+        other = draw_rows(data, field, data.draw(st.integers(0, 4)), n)
+    same_span = enumerated_span(field, other, n) == span
+    assert (Echelon(field, other).reduced() == engine.reduced()) == same_span
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_inverse_and_solve_right_satisfy_the_system(data):
+    field = data.draw(st.sampled_from(ENGINE_FIELDS))
+    n = data.draw(st.integers(1, 3))
+    square = Matrix.build(field, draw_rows(data, field, n, n), ncols=n)
+    if square.rank() == n:
+        assert square.mul(square.inverse()).data == Matrix.identity(field, n).data
+    else:
+        with pytest.raises(Singular):
+            square.inverse()
+    m, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    a = Matrix.build(field, draw_rows(data, field, m, n), ncols=n)
+    rhs = Matrix.build(field, draw_rows(data, field, m, k), ncols=k)
+    x = a.solve_right(rhs)
+    column_span = enumerated_span(field, a.columns(), m)
+    if x is None:
+        assert not all(c in column_span for c in rhs.columns())
+    else:
+        assert a.mul(x).data == rhs.data
 
 
 # -- companion expansion ---------------------------------------------------------------
