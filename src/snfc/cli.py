@@ -8,6 +8,7 @@ Exit status: 0 on success (for verify: only when every requested check passes),
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -41,6 +42,17 @@ def _fail(exc: SnfcError, as_json: bool) -> None:
 def _load_network(path: str):
     with open(path, "rb") as fh:
         return parse_network(fh.read())
+
+
+def _writable_out(ctx, param, path: str) -> str:
+    """Refuse an output path in a missing or read-only directory before any
+    work is done, without creating the file (click.Path checks the file)."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise click.BadParameter(f"cannot write {path}: No such file or directory", ctx, param)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise click.BadParameter(f"cannot write {path}: Permission denied", ctx, param)
+    return path
 
 
 def _split(value: str) -> list[str]:
@@ -138,7 +150,13 @@ def cuts_primary(network_path: str, sources: str, edges: str, as_json: bool) -> 
 @click.option("--rate", type=int, default=None)
 @click.option("--field", "field_spec", default=None, help='starting field, e.g. "2^2"')
 @click.option("--seed", type=int, default=0)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option(
+    "--out",
+    "out_path",
+    required=True,
+    type=click.Path(dir_okay=False, writable=True),
+    callback=_writable_out,
+)
 @click.option("--json", "as_json", is_flag=True)
 def construct_cmd(network_path, r, rate, field_spec, seed, out_path, as_json) -> None:
     """Build a secure code and write it as a JSON code file."""

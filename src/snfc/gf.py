@@ -154,6 +154,13 @@ class Field:
             return table[a][b]
         return self._mul_slow(a, b)
 
+    def mul_row(self, a: int) -> list[int]:
+        """The products a*x for every element x, indexed by x."""
+        table = self._mul_table
+        if table is not None:
+            return table[a]
+        return [self._mul_slow(a, x) for x in range(self.q)]
+
     def _mul_slow(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

@@ -6,12 +6,23 @@ and an exhaustive one (simulate every input and compare).  Security likewise has
 a rank criterion (what a wiretap set sees must be linearly independent of the
 message coordinates) and an exhaustive tabulation of the conditional message
 distribution.  The two routes must agree wherever both run.
+
+The exhaustive routes simulate the local rules of the code, never its global
+vectors.  They push all q^(rate * s) states through the network at once, one
+symbol column per edge, then tabulate one wiretap set at a time.  Time is
+O(states * (|E| + |family|)); memory is O(states * |E|) bytes (two bytes per
+symbol once q > 256) plus the table of one wiretap set.  `simulate` is the
+per-state reference.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import os
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,34 +182,130 @@ def simulate(code: SecureCode, net: Network, inputs: tuple[tuple[int, ...], ...]
     return {eid: y[i] for i, eid in enumerate(net.order)}
 
 
-def decode(code: SecureCode, net: Network, symbols: dict[str, int]) -> tuple[int, ...]:
-    """Apply the decoder to the sink's received symbols; returns the ell message sums."""
-    field = code.field
-    received = [symbols[e.id] for e in net.in_edges[net.sink]]
-    dec = message_decoder(code)
-    return tuple(
-        _dot(field, received, dec.col(j)) for j in range(dec.ncols)
-    )
+def _state_count(code: SecureCode, net: Network) -> int:
+    return code.field.q ** (code.rate * net.num_sources)
 
 
-def _dot(field, xs, ys) -> int:
-    acc = 0
-    for a, b in zip(xs, ys):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
+def _check_state_count(code: SecureCode, net: Network, cap: int | None) -> int:
+    total = _state_count(code, net)
+    limit = state_cap(cap)
+    if total > limit:
+        raise TooLarge(f"{total} states exceed the cap {limit}")
+    return total
+
+
+# -- column simulation -----------------------------------------------------------------
+#
+# The exhaustive routes push every state through the network at once.  Each input
+# coordinate is one column over all states and each edge one column of symbols,
+# built from its inputs by the same local rules, in the same order, as `_run_plan`.
+# State t holds, at input coordinate k of the rate * s flattened source rows, the
+# base-q digit k of t, most significant first: the order of itertools.product.
+
+def _column_ops(field, n: int):
+    """(pack, combination) for symbol columns of n states over `field`.
+
+    Columns are `bytes` when q <= 256 and `array("H")` otherwise.  `combination`
+    sums c * col over (c, col) terms: scaling maps a column through the field's
+    product-table row, and addition XORs whole columns when p = 2 and applies
+    `field.add` entry by entry otherwise.
+    """
+    rows: dict[int, object] = {}
+    if field.q <= 256:
+        pack = bytes
+        pad = bytes(256 - field.q)
+
+        def scale(c, col):
+            row = rows.get(c)
+            if row is None:
+                row = rows[c] = bytes(field.mul_row(c)) + pad
+            return col.translate(row)
+
+    else:
+        pack = functools.partial(array, "H")
+
+        def scale(c, col):
+            row = rows.get(c)
+            if row is None:
+                row = rows[c] = field.mul_row(c)
+            return pack(map(row.__getitem__, col))
+
+    if field.p == 2:
+
+        def add(a, b):
+            x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+            return pack(x.to_bytes(memoryview(a).nbytes, "little"))
+
+    else:
+
+        def add(a, b):
+            return pack(map(field.add, a, b))
+
+    def combination(terms):
+        acc = None
+        for c, col in terms:
+            if c:
+                term = col if c == 1 else scale(c, col)
+                acc = term if acc is None else add(acc, term)
+        return pack((0,)) * n if acc is None else acc
+
+    return pack, combination
+
+
+def _simulate_columns(code: SecureCode, net: Network):
+    """Simulate every state at once.
+
+    Returns the `combination` helper of `_column_ops`, the input columns of each
+    source (rate columns per source) and the symbol column of each edge, in
+    `net.order`.
+    """
+    q = code.field.q
+    n_coords = code.rate * net.num_sources
+    pack, combination = _column_ops(code.field, q**n_coords)
+    flat = []
+    for k in range(n_coords):
+        run = q ** (n_coords - 1 - k)
+        block = itertools.chain.from_iterable(itertools.repeat(v, run) for v in range(q))
+        flat.append(pack(block) * q**k)
+    inputs = [flat[i * code.rate : (i + 1) * code.rate] for i in range(net.num_sources)]
+    cols: list = []
+    for step in _propagation_plan(code, net):
+        if step[0] == "src":
+            _, i, col = step
+            cols.append(combination(zip(col, inputs[i])))
+        else:
+            cols.append(combination((coeff, cols[idx]) for idx, coeff in step[1]))
+    return combination, inputs, cols
+
+
+def _digits_to_ints(cols: list, q: int, n: int):
+    """Iterate one integer per state: the given columns read as base-q digits."""
+    if not cols:
+        return itertools.repeat(0, n)
+    acc = iter(cols[0])
+    for col in cols[1:]:
+        acc = map(operator.add, map(operator.mul, acc, itertools.repeat(q)), col)
     return acc
 
 
-def _all_states(code: SecureCode, net: Network):
-    """Every (message, key) assignment, yielded with its per-source input rows."""
-    field = code.field
-    s = net.num_sources
-    for flat in itertools.product(field.elements(), repeat=code.rate * s):
-        yield tuple(flat[i * code.rate : (i + 1) * code.rate] for i in range(s))
+def _uniform_given_key(keys, messages, n_messages: int) -> bool:
+    """Is every message equally likely given each observed key?
 
-
-def _state_count(code: SecureCode, net: Network) -> int:
-    return code.field.q ** (code.rate * net.num_sources)
+    `keys` yields one integer per state, read once; `messages` holds one
+    integer in range(n_messages) per state.  Passes fast when every (key,
+    message) pair occurs, all equally often.  Otherwise each pair's count times
+    n_messages must equal its key's count, which holds exactly when every key
+    sees all n_messages messages with one count.
+    """
+    scaled = map(operator.mul, keys, itertools.repeat(n_messages))
+    pairs = Counter(map(operator.add, scaled, messages))
+    n_keys = len(set(map(operator.floordiv, pairs, itertools.repeat(n_messages))))
+    if len(pairs) == n_keys * n_messages and len(set(pairs.values())) == 1:
+        return True
+    key_counts: Counter = Counter()
+    for pair, count in pairs.items():
+        key_counts[pair // n_messages] += count
+    return all(count * n_messages == key_counts[pair // n_messages] for pair, count in pairs.items())
 
 
 # -- computability -----------------------------------------------------------------------
@@ -223,32 +330,15 @@ def check_computability(
         achieved = h_rho.mul(message_decoder(secure))
         return achieved.data == _stacked_selector(secure, s).data
     if method == "exhaustive":
-        if _state_count(secure, net) > state_cap(cap):
-            raise TooLarge(
-                f"{_state_count(secure, net)} states exceed the cap {state_cap(cap)}"
-            )
-        field = secure.field
-        ell = secure.ell
-        plan = _propagation_plan(secure, net)
-        dec_cols = message_decoder(secure).columns()
-        sink_pos = [net.order_index[e.id] for e in net.in_edges[net.sink]]
-        for inputs in _all_states(secure, net):
-            y = _run_plan(field, plan, inputs)
-            received = [y[i] for i in sink_pos]
-            expected = tuple(
-                _sum_over(field, (inputs[i][j] for i in range(s))) for j in range(ell)
-            )
-            if tuple(_dot(field, received, col) for col in dec_cols) != expected:
+        _check_state_count(secure, net, cap)
+        combination, inputs, cols = _simulate_columns(secure, net)
+        received = [cols[net.order_index[e.id]] for e in net.in_edges[net.sink]]
+        for j, dec_col in enumerate(message_decoder(secure).columns()):
+            decoded = combination(zip(dec_col, received))
+            if decoded != combination((1, inputs[i][j]) for i in range(s)):
                 return False
         return True
     raise ValueError(f"unknown method {method!r}")
-
-
-def _sum_over(field, values) -> int:
-    acc = 0
-    for v in values:
-        acc = field.add(acc, v)
-    return acc
 
 
 # -- security ------------------------------------------------------------------------------
@@ -293,31 +383,24 @@ def check_security_exhaustive(
 
     Secure means: given any observable symbol tuple, every message vector is
     still equally likely.  Exact but exponential; guarded by the state cap.
+    Every state is simulated once, column-wise; the wiretap sets are then
+    tabulated one at a time, in family order.
     """
     secure = as_secure(code, r)
     _check_shapes(secure, net)
-    total = _state_count(secure, net)
-    if total > state_cap(cap):
-        raise TooLarge(f"{total} states exceed the cap {state_cap(cap)}")
-    s = net.num_sources
+    total = _check_state_count(secure, net, cap)
+    q = secure.field.q
     ell = secure.ell
-    family = [w for w in wiretap_family(net, secure.r, fast) if w]
+    _, inputs, cols = _simulate_columns(secure, net)
+    messages = array("q", _digits_to_ints([row[j] for row in inputs for j in range(ell)], q, total))
+    n_messages = q ** (ell * net.num_sources)
     pos = net.order_index
-    plan = _propagation_plan(secure, net)
-    positions = [[pos[eid] for eid in wset] for wset in family]
-    tables: list[dict[tuple[int, ...], dict[tuple[int, ...], int]]] = [{} for _ in family]
-    for inputs in _all_states(secure, net):
-        ordered = _run_plan(secure.field, plan, inputs)
-        message = tuple(inputs[i][j] for i in range(s) for j in range(ell))
-        for table, wpos in zip(tables, positions):
-            key = tuple(ordered[p] for p in wpos)
-            bucket = table.setdefault(key, {})
-            bucket[message] = bucket.get(message, 0) + 1
-    n_messages = secure.field.q ** (ell * s)
-    for wset, table in zip(family, tables):
-        for bucket in table.values():
-            if len(bucket) != n_messages or len(set(bucket.values())) != 1:
-                return False, wset
+    for wset in wiretap_family(net, secure.r, fast):
+        if not wset:
+            continue
+        keys = _digits_to_ints([cols[pos[eid]] for eid in wset], q, total)
+        if not _uniform_given_key(keys, messages, n_messages):
+            return False, wset
     return True, None
 
 

@@ -278,6 +278,21 @@ def test_unwritable_output_path_is_a_usage_error(runner, butterfly_file, tmp_pat
     assert "cannot write" in result.output
 
 
+@pytest.mark.parametrize("target", ["missing_dir/x.json", "a_dir"])
+def test_unwritable_output_path_is_refused_before_construction(runner, butterfly_file, tmp_path, monkeypatch, target):
+    def construct(*args, **kwargs):
+        raise AssertionError("construct ran before --out was checked")
+
+    monkeypatch.setattr("snfc.cli.construct", construct)
+    (tmp_path / "a_dir").mkdir()
+    out = tmp_path / target
+    result = runner.invoke(main, ["construct", "--network", butterfly_file, "--r", "1", "--out", str(out), "--json"])
+    assert_clean_exit(result, 2)
+    assert "--out" in result.output
+    assert not (tmp_path / "missing_dir").exists()
+    assert (tmp_path / "a_dir").is_dir()
+
+
 def _mutated_document(data, doc: dict) -> bytes:
     """A fixture document with one random defect, serialized to bytes."""
     doc = json.loads(json.dumps(doc))

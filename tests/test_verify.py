@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -17,7 +19,8 @@ from snfc import (
 from snfc import fixtures
 from snfc.codes import SecureCode, SumCode, as_secure
 from snfc.errors import MalformedInput, NegativeSecurityLevel, ShapeMismatch, TooLarge
-from snfc.verify import state_cap, wiretap_family
+from snfc.corpus import random_network
+from snfc.verify import _simulate_columns, _uniform_given_key, simulate, state_cap, wiretap_family
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -186,15 +189,8 @@ def test_fast_flag_restricts_to_primary_sets(butterfly):
     assert ok
 
 
-@given(st.data())
-@settings(max_examples=30, deadline=None)
-def test_rank_and_exhaustive_criteria_agree(data):
-    """Random (mostly insecure) codes over tiny fields: both routes must agree."""
-    field = data.draw(st.sampled_from([GF2, GF3]))
-    net = data.draw(st.sampled_from(["n1", "butterfly"]))
-    net = fixtures.network(net)
-    rate, r = 2, 1
-    rng = random.Random(data.draw(st.integers(0, 10_000)))
+def random_code(field, net, rate, r, rng):
+    """A code with uniformly random local rules, decoder and invertible mixing."""
     source_matrices = {
         s: {e.id: tuple(rng.randrange(field.q) for _ in range(rate)) for e in net.out_edges[s]}
         for s in net.sources
@@ -215,11 +211,135 @@ def test_rank_and_exhaustive_criteria_agree(data):
         mixing = Matrix.build(field, rows)
         if mixing.rank() == rate:
             break
-    code = secure_code(SumCode(field, rate, source_matrices, local_coeffs, decoder), mixing, r)
+    return secure_code(SumCode(field, rate, source_matrices, local_coeffs, decoder), mixing, r)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_rank_and_exhaustive_criteria_agree(data):
+    """Random (mostly insecure) codes over tiny fields: both routes must agree."""
+    field = data.draw(st.sampled_from([GF2, GF3]))
+    net = data.draw(st.sampled_from(["n1", "butterfly"]))
+    net = fixtures.network(net)
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    code = random_code(field, net, 2, 1, rng)
     rank_ok, rank_w = check_security_rank(code, net)
     ex_ok, ex_w = check_security_exhaustive(code, net)
     assert rank_ok == ex_ok
     assert rank_w == ex_w
+
+
+# -- column simulation and the per-set uniformity test ------------------------------------------
+
+GF257 = make_field(257, 1)
+GF512 = make_field(2, 9)
+
+
+def _column_cases():
+    for name, net in [("butterfly", "butterfly"), ("butterfly_gf2", "butterfly"), ("n1", "n1")]:
+        yield pytest.param(fixtures.code(name), fixtures.network(net), id=name)
+    for field in (GF2, GF3, GF4):
+        for name in ("n1", "butterfly"):
+            for seed in range(3):
+                net = fixtures.network(name)
+                code = random_code(field, net, 2, 1, random.Random(f"{field!r}:{name}:{seed}"))
+                yield pytest.param(code, net, id=f"{field!r}-{name}-{seed}")
+    # no product table beyond 256 elements: the columns are arrays
+    for field in (GF257, GF512):
+        net = fixtures.network("fig2")
+        code = random_code(field, net, 1, 0, random.Random(f"{field!r}:fig2"))
+        yield pytest.param(code, net, id=f"{field!r}-fig2")
+
+
+@pytest.mark.parametrize("code,net", list(_column_cases()))
+def test_column_simulation_matches_simulate(code, net):
+    _, inputs, cols = _simulate_columns(code, net)
+    assert len(cols) == len(net.order)
+    q, rate, s = code.field.q, code.rate, net.num_sources
+    for t, flat in enumerate(itertools.product(range(q), repeat=rate * s)):
+        rows = tuple(flat[i * rate : (i + 1) * rate] for i in range(s))
+        assert tuple(inputs[i][j][t] for i in range(s) for j in range(rate)) == flat
+        symbols = simulate(code, net, rows)
+        assert [col[t] for col in cols] == [symbols[eid] for eid in net.order], t
+
+
+def _old_rule(keys, messages, n_messages):
+    """Every key's bucket holds all n_messages messages, with one count."""
+    table = {}
+    for key, message in zip(keys, messages):
+        bucket = table.setdefault(key, {})
+        bucket[message] = bucket.get(message, 0) + 1
+    return all(len(b) == n_messages and len(set(b.values())) == 1 for b in table.values())
+
+
+@pytest.mark.parametrize(
+    "keys,messages,n_messages,expected",
+    [
+        # every (key, message) pair once: the fast path
+        ([0, 0, 1, 1], [0, 1, 0, 1], 2, True),
+        # key 1 never sees message 0
+        ([0, 0, 1, 1], [0, 1, 1, 1], 2, False),
+        # uneven key fibres, uniform within each key: the exact fallback passes
+        ([0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 0, 1], 2, True),
+        ([5, 5, 5, 5, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 9, 9, 9, 9], [0, 1, 2, 3] * 5, 4, True),
+        # uneven fibres with one bucket skewed
+        ([0, 0, 1, 1, 1, 1], [0, 1, 0, 0, 0, 1], 2, False),
+        # a bucket missing a message while its other counts sum correctly
+        ([0, 0, 0, 0], [0, 0, 1, 1], 3, False),
+        # one key, every message equally often; zero messages to hide
+        ([3] * 6, [0, 1, 2] * 2, 3, True),
+        ([0, 1, 2], [0, 0, 0], 1, True),
+    ],
+)
+def test_uniform_given_key_on_hand_made_columns(keys, messages, n_messages, expected):
+    assert _old_rule(keys, messages, n_messages) is expected
+    assert _uniform_given_key(iter(keys), messages, n_messages) is expected
+
+
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 2), min_size=1, max_size=30), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_uniform_given_key_matches_the_bucket_rule(seed, keys, n_messages):
+    rng = random.Random(seed)
+    messages = [rng.randrange(n_messages) for _ in keys]
+    assert _uniform_given_key(iter(keys), messages, n_messages) == _old_rule(keys, messages, n_messages)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_corpus_codes():
+    """Constructed codes with r in {1, 2} and at most 2^12 states, corpus seeds 0..199."""
+    out = []
+    for seed in range(200):
+        net = random_network(seed)
+        for r in (1, 2):
+            if r >= c_min_of(net):
+                continue
+            code = construct(net, r, seed=seed)
+            if code.field.q ** (code.rate * net.num_sources) <= 4096:
+                out.append((net, code))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_routes_agree_with_algebraic_on_corpus(data):
+    """Constructed codes, with local coefficients corrupted and the mixing
+    matrix dropped at random: each exhaustive route agrees with its algebraic
+    twin, down to the first failing wiretap set."""
+    net, code = data.draw(st.sampled_from(_small_corpus_codes()))
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    local = {eid: dict(taps) for eid, taps in code.base.local_coeffs.items()}
+    slots = [(eid, d) for eid, taps in sorted(local.items()) for d in sorted(taps)]
+    for _ in range(data.draw(st.integers(0, 2)) if slots else 0):
+        eid, d = rng.choice(slots)
+        local[eid][d] = rng.randrange(code.field.q)
+    base = code.base
+    # without its mixing matrix a constructed code usually leaks
+    mixing = code.mixing if data.draw(st.booleans()) else Matrix.identity(code.field, code.rate)
+    code = SecureCode(
+        SumCode(base.field, base.rate, base.source_matrices, local, base.decoder), code.r, mixing
+    )
+    assert check_computability(code, net) == check_computability(code, net, method="exhaustive")
+    assert check_security_rank(code, net) == check_security_exhaustive(code, net)
 
 
 # -- aggregate reports ---------------------------------------------------------------------------
