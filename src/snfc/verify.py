@@ -10,9 +10,12 @@ distribution.  The two routes must agree wherever both run.
 The exhaustive routes simulate the local rules of the code, never its global
 vectors.  They push all q^(rate * s) states through the network at once, one
 symbol column per edge, then tabulate one wiretap set at a time.  Time is
-O(states * (|E| + |family|)); memory is O(states * |E|) bytes (two bytes per
-symbol once q > 256) plus the table of one wiretap set.  `simulate` is the
-per-state reference.
+O(states * (|E| + |family|)).  A column holds one byte per state (two once
+q > 256) and lives until its last use: the computability route keeps the sink's
+in-edges and the propagation frontier, the security route every edge that some
+wiretap set reads, so its memory is O(states * |E|) bytes (at most the state cap
+times |E|) plus the table of one wiretap set.  `simulate` is the per-state
+reference.
 """
 
 from __future__ import annotations
@@ -252,12 +255,13 @@ def _column_ops(field, n: int):
     return pack, combination
 
 
-def _simulate_columns(code: SecureCode, net: Network):
+def _simulate_columns(code: SecureCode, net: Network, keep) -> tuple[list, dict]:
     """Simulate every state at once.
 
-    Returns the `combination` helper of `_column_ops`, the input columns of each
-    source (rate columns per source) and the symbol column of each edge, in
-    `net.order`.
+    Returns the input columns of each source (rate columns per source) and the
+    symbol column of each edge in `keep`.  Every other edge column is dropped
+    after its last use, so the live columns are those of `keep` plus the
+    current frontier of the propagation.
     """
     q = code.field.q
     n_coords = code.rate * net.num_sources
@@ -268,14 +272,22 @@ def _simulate_columns(code: SecureCode, net: Network):
         block = itertools.chain.from_iterable(itertools.repeat(v, run) for v in range(q))
         flat.append(pack(block) * q**k)
     inputs = [flat[i * code.rate : (i + 1) * code.rate] for i in range(net.num_sources)]
+    plan = _propagation_plan(code, net)
+    last_use = {idx: p for p, step in enumerate(plan) if step[0] == "mix" for idx, _ in step[1]}
+    kept = {net.order_index[eid] for eid in keep}
     cols: list = []
-    for step in _propagation_plan(code, net):
+    for p, step in enumerate(plan):
         if step[0] == "src":
             _, i, col = step
             cols.append(combination(zip(col, inputs[i])))
+            done = [p]
         else:
             cols.append(combination((coeff, cols[idx]) for idx, coeff in step[1]))
-    return combination, inputs, cols
+            done = [p] + [idx for idx, _ in step[1]]
+        for idx in done:
+            if idx not in kept and last_use.get(idx, p) <= p:
+                cols[idx] = None
+    return inputs, {eid: cols[net.order_index[eid]] for eid in keep}
 
 
 def _digits_to_ints(cols: list, q: int, n: int):
@@ -292,20 +304,20 @@ def _uniform_given_key(keys, messages, n_messages: int) -> bool:
     """Is every message equally likely given each observed key?
 
     `keys` yields one integer per state, read once; `messages` holds one
-    integer in range(n_messages) per state.  Passes fast when every (key,
-    message) pair occurs, all equally often.  Otherwise each pair's count times
-    n_messages must equal its key's count, which holds exactly when every key
-    sees all n_messages messages with one count.
+    integer in range(n_messages) per state.  True exactly when every key sees
+    all n_messages messages, each equally often: there are n_keys * n_messages
+    distinct (key, message) pairs and each key has one pair count.  The linear
+    codes simulated here give every pair one count, so the test on the counts
+    alone settles the common case; the per-key test, which builds one (key,
+    count) tuple per pair, runs only when the counts differ.
     """
     scaled = map(operator.mul, keys, itertools.repeat(n_messages))
     pairs = Counter(map(operator.add, scaled, messages))
     n_keys = len(set(map(operator.floordiv, pairs, itertools.repeat(n_messages))))
-    if len(pairs) == n_keys * n_messages and len(set(pairs.values())) == 1:
-        return True
-    key_counts: Counter = Counter()
-    for pair, count in pairs.items():
-        key_counts[pair // n_messages] += count
-    return all(count * n_messages == key_counts[pair // n_messages] for pair, count in pairs.items())
+    return len(pairs) == n_keys * n_messages and (
+        len(set(pairs.values())) == 1
+        or len(set(zip(map(operator.floordiv, pairs, itertools.repeat(n_messages)), pairs.values()))) == n_keys
+    )
 
 
 # -- computability -----------------------------------------------------------------------
@@ -330,9 +342,11 @@ def check_computability(
         achieved = h_rho.mul(message_decoder(secure))
         return achieved.data == _stacked_selector(secure, s).data
     if method == "exhaustive":
-        _check_state_count(secure, net, cap)
-        combination, inputs, cols = _simulate_columns(secure, net)
-        received = [cols[net.order_index[e.id]] for e in net.in_edges[net.sink]]
+        total = _check_state_count(secure, net, cap)
+        received_ids = [e.id for e in net.in_edges[net.sink]]
+        inputs, cols = _simulate_columns(secure, net, received_ids)
+        received = [cols[eid] for eid in received_ids]
+        _, combination = _column_ops(secure.field, total)
         for j, dec_col in enumerate(message_decoder(secure).columns()):
             decoded = combination(zip(dec_col, received))
             if decoded != combination((1, inputs[i][j]) for i in range(s)):
@@ -391,14 +405,14 @@ def check_security_exhaustive(
     total = _check_state_count(secure, net, cap)
     q = secure.field.q
     ell = secure.ell
-    _, inputs, cols = _simulate_columns(secure, net)
+    family = wiretap_family(net, secure.r, fast)
+    inputs, cols = _simulate_columns(secure, net, {eid for wset in family for eid in wset})
     messages = array("q", _digits_to_ints([row[j] for row in inputs for j in range(ell)], q, total))
     n_messages = q ** (ell * net.num_sources)
-    pos = net.order_index
-    for wset in wiretap_family(net, secure.r, fast):
+    for wset in family:
         if not wset:
             continue
-        keys = _digits_to_ints([cols[pos[eid]] for eid in wset], q, total)
+        keys = _digits_to_ints([cols[eid] for eid in wset], q, total)
         if not _uniform_given_key(keys, messages, n_messages):
             return False, wset
     return True, None

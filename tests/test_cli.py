@@ -271,24 +271,21 @@ def test_embedded_code_of_another_network_is_a_usage_error(runner):
     assert "does not belong to network 'butterfly'" in result.output
 
 
-def test_unwritable_output_path_is_a_usage_error(runner, butterfly_file, tmp_path):
-    out = str(tmp_path / "missing_dir" / "x.json")
-    result = runner.invoke(main, ["construct", "--network", butterfly_file, "--r", "1", "--out", out, "--json"])
-    assert_clean_exit(result, 2)
-    assert "cannot write" in result.output
+def test_unwritable_output_path_is_a_usage_error(runner, butterfly_file, tmp_path, monkeypatch):
+    """A missing directory, or a directory as the file, exits 2 before
+    construct runs and creates nothing."""
 
-
-@pytest.mark.parametrize("target", ["missing_dir/x.json", "a_dir"])
-def test_unwritable_output_path_is_refused_before_construction(runner, butterfly_file, tmp_path, monkeypatch, target):
     def construct(*args, **kwargs):
         raise AssertionError("construct ran before --out was checked")
 
     monkeypatch.setattr("snfc.cli.construct", construct)
     (tmp_path / "a_dir").mkdir()
-    out = tmp_path / target
-    result = runner.invoke(main, ["construct", "--network", butterfly_file, "--r", "1", "--out", str(out), "--json"])
-    assert_clean_exit(result, 2)
-    assert "--out" in result.output
+    for target, message in [("missing_dir/x.json", "cannot write"), ("a_dir", "is a directory")]:
+        out = str(tmp_path / target)
+        result = runner.invoke(main, ["construct", "--network", butterfly_file, "--r", "1", "--out", out, "--json"])
+        assert_clean_exit(result, 2)
+        assert message in result.output
+        assert "--out" in result.output
     assert not (tmp_path / "missing_dir").exists()
     assert (tmp_path / "a_dir").is_dir()
 

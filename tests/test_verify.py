@@ -253,14 +253,23 @@ def _column_cases():
 
 @pytest.mark.parametrize("code,net", list(_column_cases()))
 def test_column_simulation_matches_simulate(code, net):
-    _, inputs, cols = _simulate_columns(code, net)
-    assert len(cols) == len(net.order)
+    inputs, cols = _simulate_columns(code, net, net.order)
+    assert list(cols) == list(net.order)
     q, rate, s = code.field.q, code.rate, net.num_sources
     for t, flat in enumerate(itertools.product(range(q), repeat=rate * s)):
         rows = tuple(flat[i * rate : (i + 1) * rate] for i in range(s))
         assert tuple(inputs[i][j][t] for i in range(s) for j in range(rate)) == flat
         symbols = simulate(code, net, rows)
-        assert [col[t] for col in cols] == [symbols[eid] for eid in net.order], t
+        assert {eid: col[t] for eid, col in cols.items()} == symbols, t
+
+
+@pytest.mark.parametrize("code,net", list(_column_cases())[:6])
+def test_column_simulation_keeps_only_the_requested_edges(code, net):
+    """Dropping the other columns after their last use changes no kept column."""
+    _, full = _simulate_columns(code, net, net.order)
+    for keep in ([e.id for e in net.in_edges[net.sink]], net.order[:1], net.order[-1:], []):
+        _, cols = _simulate_columns(code, net, keep)
+        assert cols == {eid: full[eid] for eid in keep}
 
 
 def _old_rule(keys, messages, n_messages):
@@ -275,11 +284,11 @@ def _old_rule(keys, messages, n_messages):
 @pytest.mark.parametrize(
     "keys,messages,n_messages,expected",
     [
-        # every (key, message) pair once: the fast path
+        # every (key, message) pair once
         ([0, 0, 1, 1], [0, 1, 0, 1], 2, True),
         # key 1 never sees message 0
         ([0, 0, 1, 1], [0, 1, 1, 1], 2, False),
-        # uneven key fibres, uniform within each key: the exact fallback passes
+        # uneven key fibres, uniform within each key
         ([0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 0, 1], 2, True),
         ([5, 5, 5, 5, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 9, 9, 9, 9], [0, 1, 2, 3] * 5, 4, True),
         # uneven fibres with one bucket skewed
