@@ -10,9 +10,11 @@ and r on uniform one-time keys.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +35,7 @@ from .errors import (
     SingularB,
 )
 from .gf import MAX_FIELD_SIZE, Echelon, Field, Matrix, companion_expand, make_field, parse_field
-from .network import Network, reverse
+from .network import Network
 
 MULTICAST_ATTEMPTS = 64
 
@@ -52,9 +54,6 @@ class SumCode:
 
     def source_column(self, source: str, edge_id: str) -> tuple[int, ...]:
         return self.source_matrices.get(source, {}).get(edge_id, (0,) * self.rate)
-
-    def coefficient(self, from_edge: str, to_edge: str) -> int:
-        return self.local_coeffs.get(to_edge, {}).get(from_edge, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,48 +114,158 @@ def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
     return SecureCode(code, r, Matrix.identity(code.field, code.rate))
 
 
+# -- propagation ---------------------------------------------------------------------
+#
+# Every walk over the local rules runs one plan over columns.  A plan holds, per
+# edge in walk order, the (index, coefficient) taps whose sum gives that edge's
+# column; indices below the number of input columns name inputs, the rest name
+# the edges before it.  The inputs decide what a column means: unit columns give
+# global vectors, one column per input coordinate over all states gives every
+# state's symbols at once.
+
+def _column_ops(field: Field, n: int):
+    """(pack, combination) for symbol columns of length n over `field`.
+
+    Columns are `bytes` when q <= 256 and `array("H")` otherwise.  `combination`
+    sums c * col over (c, col) terms.  A column shorter than q is scaled entry by
+    entry, since a product row costs q products; a longer one maps through the
+    product row of c (a `bytes.translate` table when q <= 256).  Addition XORs
+    whole columns when p = 2 and applies `field.add` entry by entry otherwise.
+    """
+    pack = bytes if field.q <= 256 else functools.partial(array, "H")
+    rows: dict[int, object] = {}
+    if n < field.q:
+
+        def scale(c, col):
+            return pack(map(field.mul, itertools.repeat(c), col))
+
+    elif field.q <= 256:
+        pad = bytes(256 - field.q)
+
+        def scale(c, col):
+            row = rows.get(c)
+            if row is None:
+                row = rows[c] = bytes(field.mul_row(c)) + pad
+            return col.translate(row)
+
+    else:
+
+        def scale(c, col):
+            row = rows.get(c)
+            if row is None:
+                row = rows[c] = field.mul_row(c)
+            return pack(map(row.__getitem__, col))
+
+    if field.p == 2:
+        nbytes = n if field.q <= 256 else 2 * n
+
+        def add(a, b):
+            return pack((int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(nbytes, "little"))
+
+    else:
+
+        def add(a, b):
+            return pack(map(field.add, a, b))
+
+    def combination(terms):
+        acc = None
+        for c, col in terms:
+            if c:
+                term = col if c == 1 else scale(c, col)
+                acc = term if acc is None else add(acc, term)
+        return pack((0,)) * n if acc is None else acc
+
+    return pack, combination
+
+
+def _propagate(field: Field, plan: list, inputs: list, keep=None) -> list:
+    """Run `plan` over the equal-length `inputs`: one column per plan step.
+
+    With `keep` (a set of plan positions), every other column, inputs included,
+    is dropped to None after its last use, so the live columns are the kept ones
+    plus the frontier of the walk.  Without it every column is returned.
+    """
+    _, combination = _column_ops(field, len(inputs[0]))
+    n_in = len(inputs)
+    cols = list(inputs)
+    retire = itertools.repeat(())
+    if keep is not None:
+        retire = [[] for _ in plan]
+        last = {n_in + p: p for p in range(len(plan))}
+        for p, taps in enumerate(plan):
+            last.update((idx, p) for idx, _ in taps)
+        for idx, p in last.items():
+            if idx - n_in not in keep:
+                retire[p].append(idx)
+    for taps, done in zip(plan, retire):
+        cols.append(combination([(c, cols[idx]) for idx, c in taps]))
+        for idx in done:
+            cols[idx] = None
+    return cols[n_in:]
+
+
+def _propagation_plan(code: SumCode, net: Network) -> list[list[tuple[int, int]]]:
+    """The sum code's local rules in `net.order`, over the raw source columns.
+
+    Input i * rate + k is coordinate k of source i; edge p of the order is
+    index s * rate + p.  The mixing matrix is not in the plan: see `_mix_inputs`.
+    """
+    rate = code.rate
+    n_in = rate * net.num_sources
+    src_index = {name: i for i, name in enumerate(net.sources)}
+    pos = net.order_index
+    plan = []
+    for eid in net.order:
+        tail = net.edge_by_id[eid].tail
+        if tail in src_index:
+            first = src_index[tail] * rate
+            taps = [(first + k, c) for k, c in enumerate(code.source_column(tail, eid)) if c]
+        else:
+            coeffs = code.local_coeffs.get(eid, {})
+            taps = [(n_in + pos[d.id], coeffs[d.id]) for d in net.in_edges[tail] if coeffs.get(d.id)]
+        plan.append(taps)
+    return plan
+
+
+def _mix_inputs(code: SecureCode, inputs: list) -> list:
+    """The input columns with B^-1 applied once per source.
+
+    The secure code sends <x, B^-1 c> on a source edge with raw column c, which
+    is <(B^-1)^T x, c>: transforming the inputs replaces a matrix product per
+    source edge.
+    """
+    _, combination = _column_ops(code.field, len(inputs[0]))
+    rate = code.rate
+    binv = code.mixing_inverse.columns()
+    return [
+        combination(zip(col, inputs[first : first + rate]))
+        for first in range(0, len(inputs), rate)
+        for col in binv
+    ]
+
+
+def _unit_columns(field: Field, n: int) -> list:
+    pack, _ = _column_ops(field, n)
+    return [pack(int(t == k) for t in range(n)) for k in range(n)]
+
+
+def _edge_vectors(code: SumCode, net: Network, inputs: list) -> dict[str, tuple[int, ...]]:
+    cols = _propagate(code.field, _propagation_plan(code, net), inputs)
+    return dict(zip(net.order, map(tuple, cols)))
+
+
 # -- global encoding vectors ---------------------------------------------------------
 
-def _embed_block(vec: tuple[int, ...], block: int, blocks: int, size: int) -> tuple[int, ...]:
-    out = [0] * (blocks * size)
-    out[block * size : (block + 1) * size] = vec
-    return tuple(out)
-
-
-def global_vectors(code: SumCode | SecureCode, net: Network, *, mixed: bool = False) -> dict[str, tuple[int, ...]]:
+def global_vectors(code: SumCode | SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
     """Per-edge stacked column vectors mapping all source inputs to edge symbols.
 
-    Computed by walking the edges in topological order and applying the local
-    rules; with mixed=True the source columns are the B^-1-transformed ones, so
-    the result describes what actually flows in the secure code.
+    Computed by propagating the s * rate unit columns through the local rules of
+    the sum code (of a secure code's base: the raw source columns, without B).
     """
-    secure = as_secure(code) if mixed or isinstance(code, SecureCode) else None
-    base = secure.base if secure else code
+    base = code.base if isinstance(code, SecureCode) else code
     if not isinstance(base, SumCode):
         raise InvariantViolated(f"expected a sum or secure code, got {type(base).__name__}")
-    field = base.field
-    rate = base.rate
-    s = net.num_sources
-    src_index = {name: i for i, name in enumerate(net.sources)}
-    out: dict[str, tuple[int, ...]] = {}
-    for eid in net.order:
-        e = net.edge_by_id[eid]
-        if e.tail in src_index:
-            col = (
-                secure.effective_source_column(e.tail, eid)
-                if mixed and secure
-                else base.source_column(e.tail, eid)
-            )
-            out[eid] = _embed_block(col, src_index[e.tail], s, rate)
-        else:
-            acc = [0] * (s * rate)
-            for d in net.in_edges[e.tail]:
-                coeff = base.coefficient(d.id, eid)
-                if coeff:
-                    prev = out[d.id]
-                    acc = [field.add(a, field.mul(coeff, b)) for a, b in zip(acc, prev)]
-            out[eid] = tuple(acc)
-    return out
+    return _edge_vectors(base, net, _unit_columns(base.field, base.rate * net.num_sources))
 
 
 def transfer_global_vectors(code: SumCode, net: Network) -> dict[str, tuple[int, ...]]:
@@ -203,7 +312,9 @@ def sink_matrix(vectors: dict[str, tuple[int, ...]], net: Network, field: Field,
 
 
 def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
-    return global_vectors(code, net, mixed=True)
+    """The global vectors of what actually flows: B^-1 enters through the inputs."""
+    units = _unit_columns(code.field, code.rate * net.num_sources)
+    return _edge_vectors(code.base, net, _mix_inputs(code, units))
 
 
 # -- multicast on the reversed network ---------------------------------------------
@@ -231,9 +342,18 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
         raise RateExceedsMinCut(f"rate {rate} exceeds the smallest source min-cut {c_min(net)}")
     if rate < 1:
         raise RateInfeasible("multicast rate must be positive")
-    rev = reverse(net)
     rng = random.Random(f"{seed}|{field.p}^{field.m}|{rate}")
     eye = Matrix.identity(field, rate)
+    # walk the reversed network: reversed edge order, inputs the sink's rate unit columns
+    walk = tuple(reversed(net.order))
+    step = {eid: rate + p for p, eid in enumerate(walk)}
+    col_pos = {e.id: j for v in net.nodes for j, e in enumerate(net.in_edges[v])}
+    shape = []  # per walked edge: its reversed tail, the steps feeding it, its kernel column
+    for eid in walk:
+        v = net.edge_by_id[eid].head
+        feeds = range(rate) if v == net.sink else [step[d.id] for d in net.out_edges[v]]
+        shape.append((v, feeds, col_pos[eid]))
+    units = _unit_columns(field, rate)
     for _ in range(MULTICAST_ATTEMPTS):
         kernels: dict[str, Matrix] = {}
         for v in net.nodes:
@@ -246,20 +366,8 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
                 [[rng.randrange(field.q) for _ in range(n_out)] for _ in range(n_in)],
                 ncols=n_out,
             )
-        fe: dict[str, tuple[int, ...]] = {}
-        for eid in rev.order:
-            e = net.edge_by_id[eid]
-            v = e.head  # tail on the reversed graph
-            col_pos = [x.id for x in net.in_edges[v]].index(eid)
-            if v == net.sink:
-                fe[eid] = kernels[v].col(col_pos)
-            else:
-                acc = [0] * rate
-                for row_pos, d in enumerate(net.out_edges[v]):
-                    coeff = kernels[v].data[row_pos][col_pos]
-                    if coeff:
-                        acc = [field.add(a, field.mul(coeff, b)) for a, b in zip(acc, fe[d.id])]
-                fe[eid] = tuple(acc)
+        plan = [[(idx, row[j]) for idx, row in zip(feeds, kernels[v].data)] for v, feeds, j in shape]
+        fe = dict(zip(walk, map(tuple, _propagate(field, plan, units))))
         decode = {
             s: Matrix.from_columns(field, [fe[e.id] for e in net.out_edges[s]], nrows=rate)
             for s in net.sources

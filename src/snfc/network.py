@@ -117,9 +117,6 @@ class Network:
     def num_sources(self) -> int:
         return len(self.sources)
 
-    def edge_ids(self) -> tuple[str, ...]:
-        return self.order
-
     def check_edges(self, ids: Iterable[str]) -> tuple[str, ...]:
         ids = tuple(ids)
         for eid in ids:
@@ -286,58 +283,6 @@ def is_cut_set(net: Network, edge_set: Iterable[str]) -> CutSetFlags:
     """Whether deleting the set disconnects at least one source (all of them: global)."""
     rs = reach_sets(net, edge_set)
     return CutSetFlags(bool(rs.separated), rs.separated == frozenset(net.sources))
-
-
-# -- reversal ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReversedNetwork:
-    """The edge-reversed view: the sink becomes a multicast source, sources become sinks."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    source: str
-    sinks: tuple[str, ...]
-    order: tuple[str, ...]  # topological edge order of the reversed graph
-
-    @cached_property
-    def edge_by_id(self) -> dict[str, Edge]:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
-    def out_edges(self) -> dict[str, tuple[Edge, ...]]:
-        out: dict[str, list[Edge]] = {n: [] for n in self.nodes}
-        for eid in self.order:
-            e = self.edge_by_id[eid]
-            out[e.tail].append(e)
-        return {n: tuple(v) for n, v in out.items()}
-
-    @cached_property
-    def in_edges(self) -> dict[str, tuple[Edge, ...]]:
-        out: dict[str, list[Edge]] = {n: [] for n in self.nodes}
-        for eid in self.order:
-            e = self.edge_by_id[eid]
-            out[e.head].append(e)
-        return {n: tuple(v) for n, v in out.items()}
-
-
-def reverse(net: Network) -> ReversedNetwork:
-    flipped = tuple(Edge(e.id, e.head, e.tail) for e in net.edges)
-    return ReversedNetwork(
-        nodes=net.nodes,
-        edges=flipped,
-        source=net.sink,
-        sinks=net.sources,
-        order=tuple(reversed(net.order)),
-    )
-
-
-def unreverse(rev: ReversedNetwork) -> Network:
-    """Flip a reversed view back into a validated Network (reverse is an involution)."""
-    edges = tuple(Edge(e.id, e.head, e.tail) for e in rev.edges)
-    by_id = {e.id: e for e in edges}
-    file_order = tuple(by_id[eid] for eid in reversed(rev.order))
-    return make_network(rev.nodes, file_order, rev.sinks, rev.source)
 
 
 # -- linear-function preprocessing ---------------------------------------------

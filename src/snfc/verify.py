@@ -9,7 +9,10 @@ distribution.  The two routes must agree wherever both run.
 
 The exhaustive routes simulate the local rules of the code, never its global
 vectors.  They push all q^(rate * s) states through the network at once, one
-symbol column per edge, then tabulate one wiretap set at a time.  Time is
+symbol column per edge, with the walker `codes._propagate` (which also gives the
+global vectors, from unit inputs), then tabulate one wiretap set at a time.  The
+mixing matrix enters through the input columns: each source's state columns are
+mixed by (B^-1)^T before the walk, and the plan holds the raw local rules.  Time is
 O(states * (|E| + |family|)).  A column holds one byte per state (two once
 q > 256) and lives until its last use: the computability route keeps the sink's
 in-edges and the propagation frontier, the security route every edge that some
@@ -20,7 +23,6 @@ reference.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import os
@@ -33,6 +35,10 @@ from .bounds import primary_wiretap_sets, upper_bound
 from .codes import (
     SecureCode,
     SumCode,
+    _column_ops,
+    _mix_inputs,
+    _propagate,
+    _propagation_plan,
     as_secure,
     message_decoder,
     message_selector,
@@ -143,45 +149,23 @@ def _blockdiag_selector(code: SecureCode, s: int) -> Matrix:
 
 # -- simulation ------------------------------------------------------------------------
 
-def _propagation_plan(code: SecureCode, net: Network):
-    """Per-edge instructions for simulating one input through the local rules."""
-    src_index = {s: i for i, s in enumerate(net.sources)}
-    pos = net.order_index
-    plan = []
-    for eid in net.order:
-        e = net.edge_by_id[eid]
-        if e.tail in src_index:
-            plan.append(("src", src_index[e.tail], code.effective_source_column(e.tail, eid)))
-        else:
-            taps = [
-                (pos[d.id], code.base.coefficient(d.id, eid))
-                for d in net.in_edges[e.tail]
-                if code.base.coefficient(d.id, eid)
-            ]
-            plan.append(("mix", taps))
-    return plan
-
-
 def _run_plan(field, plan, inputs) -> list[int]:
-    y: list[int] = []
-    for step in plan:
+    """One state through the plan, symbol by symbol: the reference for `_propagate`."""
+    y = list(inputs)
+    for taps in plan:
         acc = 0
-        if step[0] == "src":
-            _, i, col = step
-            for a, b in zip(inputs[i], col):
-                if a and b:
-                    acc = field.add(acc, field.mul(a, b))
-        else:
-            for idx, coeff in step[1]:
-                if y[idx]:
-                    acc = field.add(acc, field.mul(coeff, y[idx]))
+        for idx, coeff in taps:
+            if y[idx]:
+                acc = field.add(acc, field.mul(coeff, y[idx]))
         y.append(acc)
-    return y
+    return y[len(inputs):]
 
 
 def simulate(code: SecureCode, net: Network, inputs: tuple[tuple[int, ...], ...]) -> dict[str, int]:
     """Propagate one full source input (message and key coordinates) edge by edge."""
-    y = _run_plan(code.field, _propagation_plan(code, net), inputs)
+    binv = code.mixing_inverse
+    mixed = [Matrix.build(code.field, [row], ncols=code.rate).mul(binv).row(0) for row in inputs]
+    y = _run_plan(code.field, _propagation_plan(code.base, net), [x for row in mixed for x in row])
     return {eid: y[i] for i, eid in enumerate(net.order)}
 
 
@@ -199,61 +183,11 @@ def _check_state_count(code: SecureCode, net: Network, cap: int | None) -> int:
 
 # -- column simulation -----------------------------------------------------------------
 #
-# The exhaustive routes push every state through the network at once.  Each input
-# coordinate is one column over all states and each edge one column of symbols,
-# built from its inputs by the same local rules, in the same order, as `_run_plan`.
-# State t holds, at input coordinate k of the rate * s flattened source rows, the
-# base-q digit k of t, most significant first: the order of itertools.product.
-
-def _column_ops(field, n: int):
-    """(pack, combination) for symbol columns of n states over `field`.
-
-    Columns are `bytes` when q <= 256 and `array("H")` otherwise.  `combination`
-    sums c * col over (c, col) terms: scaling maps a column through the field's
-    product-table row, and addition XORs whole columns when p = 2 and applies
-    `field.add` entry by entry otherwise.
-    """
-    rows: dict[int, object] = {}
-    if field.q <= 256:
-        pack = bytes
-        pad = bytes(256 - field.q)
-
-        def scale(c, col):
-            row = rows.get(c)
-            if row is None:
-                row = rows[c] = bytes(field.mul_row(c)) + pad
-            return col.translate(row)
-
-    else:
-        pack = functools.partial(array, "H")
-
-        def scale(c, col):
-            row = rows.get(c)
-            if row is None:
-                row = rows[c] = field.mul_row(c)
-            return pack(map(row.__getitem__, col))
-
-    if field.p == 2:
-
-        def add(a, b):
-            x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-            return pack(x.to_bytes(memoryview(a).nbytes, "little"))
-
-    else:
-
-        def add(a, b):
-            return pack(map(field.add, a, b))
-
-    def combination(terms):
-        acc = None
-        for c, col in terms:
-            if c:
-                term = col if c == 1 else scale(c, col)
-                acc = term if acc is None else add(acc, term)
-        return pack((0,)) * n if acc is None else acc
-
-    return pack, combination
-
+# The exhaustive routes push every state through the network at once: each input
+# coordinate is one column over all states, and `codes._propagate` turns the
+# B^-1-mixed input columns into one symbol column per edge.  State t holds, at
+# input coordinate k of the rate * s flattened source rows, the base-q digit k of
+# t, most significant first: the order of itertools.product.
 
 def _simulate_columns(code: SecureCode, net: Network, keep) -> tuple[list, dict]:
     """Simulate every state at once.
@@ -265,29 +199,17 @@ def _simulate_columns(code: SecureCode, net: Network, keep) -> tuple[list, dict]
     """
     q = code.field.q
     n_coords = code.rate * net.num_sources
-    pack, combination = _column_ops(code.field, q**n_coords)
+    pack, _ = _column_ops(code.field, q**n_coords)
     flat = []
     for k in range(n_coords):
         run = q ** (n_coords - 1 - k)
         block = itertools.chain.from_iterable(itertools.repeat(v, run) for v in range(q))
         flat.append(pack(block) * q**k)
     inputs = [flat[i * code.rate : (i + 1) * code.rate] for i in range(net.num_sources)]
-    plan = _propagation_plan(code, net)
-    last_use = {idx: p for p, step in enumerate(plan) if step[0] == "mix" for idx, _ in step[1]}
-    kept = {net.order_index[eid] for eid in keep}
-    cols: list = []
-    for p, step in enumerate(plan):
-        if step[0] == "src":
-            _, i, col = step
-            cols.append(combination(zip(col, inputs[i])))
-            done = [p]
-        else:
-            cols.append(combination((coeff, cols[idx]) for idx, coeff in step[1]))
-            done = [p] + [idx for idx, _ in step[1]]
-        for idx in done:
-            if idx not in kept and last_use.get(idx, p) <= p:
-                cols[idx] = None
-    return inputs, {eid: cols[net.order_index[eid]] for eid in keep}
+    pos = net.order_index
+    plan = _propagation_plan(code.base, net)
+    cols = _propagate(code.field, plan, _mix_inputs(code, flat), {pos[eid] for eid in keep})
+    return inputs, {eid: cols[pos[eid]] for eid in keep}
 
 
 def _digits_to_ints(cols: list, q: int, n: int):

@@ -40,7 +40,9 @@ from snfc.errors import (
     ShapeMismatch,
     SingularB,
 )
+from snfc.gf import Field
 from snfc.verify import simulate
+from test_verify import _column_cases, random_code
 
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
@@ -190,16 +192,32 @@ def test_butterfly_secure_vectors_regression(butterfly):
     }
 
 
-def test_mixing_block_identity(butterfly):
-    # per-source blocks of the secure vectors are the inverse mixing applied to the raw ones
-    code = fixtures.code("butterfly")
-    g = global_vectors(code.base, butterfly)
-    h = secure_vectors(code, butterfly)
-    binv = code.mixing_inverse
-    for eid in butterfly.order:
-        for i in range(2):
-            block = Matrix.column(GF4, g[eid][2 * i : 2 * i + 2])
-            assert binv.mul(block).col(0) == h[eid][2 * i : 2 * i + 2]
+def test_mixing_block_identity(monkeypatch):
+    # per-source blocks of the secure vectors are the inverse mixing applied to the raw
+    # ones, and the raw ones equal the closed-form transfer route; beyond GF(256) there
+    # is no product table, and a column shorter than q is scaled product by product
+    # rather than through a q-entry product row
+    mul_row = Field.mul_row
+
+    def small_field_row(field, c):
+        if field.q > 256:
+            pytest.fail(f"a product row over {field!r} for columns shorter than q")
+        return mul_row(field, c)
+
+    monkeypatch.setattr(Field, "mul_row", small_field_row)
+    gf65536 = make_field(2, 16)
+    fig2 = fixtures.network("fig2")
+    cases = [param.values for param in _column_cases()]
+    cases.append((random_code(gf65536, fig2, 1, 0, random.Random(f"{gf65536!r}:fig2")), fig2))
+    for code, net in cases:
+        g = global_vectors(code.base, net)
+        assert g == transfer_global_vectors(code.base, net)
+        h = secure_vectors(code, net)
+        rate = code.rate
+        for eid in net.order:
+            for i in range(net.num_sources):
+                block = Matrix.column(code.field, g[eid][i * rate : (i + 1) * rate])
+                assert code.mixing_inverse.mul(block).col(0) == h[eid][i * rate : (i + 1) * rate]
 
 
 # -- end-to-end construction -----------------------------------------------------------------

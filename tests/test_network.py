@@ -12,8 +12,6 @@ from snfc import (
     parse_network,
     reach_sets,
     reduce_linear_to_sum,
-    reverse,
-    unreverse,
 )
 from snfc.corpus import random_network
 from snfc.errors import (
@@ -233,25 +231,6 @@ def test_sink_in_edges_form_a_global_cut(butterfly):
 
 def test_single_middle_edge_is_not_a_cut(butterfly):
     assert not is_cut_set(butterfly, ["e5"])
-
-
-# -- reversal -------------------------------------------------------------------------------
-
-def test_reverse_line(line):
-    rev = reverse(line)
-    assert rev.source == "rho"
-    assert rev.sinks == ("s1",)
-    assert {(e.id, e.tail, e.head) for e in rev.edges} == {("e1", "v", "s1"), ("e2", "rho", "v")}
-
-
-def test_reverse_is_an_involution(butterfly):
-    assert unreverse(reverse(butterfly)) == butterfly
-
-
-def test_reverse_swaps_adjacency(butterfly):
-    rev = reverse(butterfly)
-    assert rev.in_edges["rho"] == ()
-    assert {e.id for e in rev.out_edges["rho"]} == {"e8", "e9"}
 
 
 # -- linear-function reduction -----------------------------------------------------------------
