@@ -414,7 +414,7 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
                 local_coeffs[e_out.id] = entry
     decoder = mc.kernels[net.sink].transpose()  # |in(sink)| x R
     code = SumCode(field, rate, source_matrices, local_coeffs, decoder)
-    vectors = transfer_global_vectors(code, net)
+    vectors = global_vectors(code, net)
     stacked = Matrix.build(
         field, [Matrix.identity(field, rate).data[i % rate] for i in range(rate * net.num_sources)]
     )

@@ -1,10 +1,12 @@
 """Unit-capacity cut machinery: minimum cuts, source-side (primary) cuts, residual
 graphs, and the two cut statistics that drive every capacity bound.
 
-All cuts are computed by augmenting-path max-flow.  The returned cut is always
-the unique minimum cut closest to the origin set: after a maximum flow, it
-consists of the edges leaving the set of nodes still reachable from the origin
-in the residual graph.
+Every cut comes from one augmenting-path max-flow, `ResidualFlow`.  Its target
+is a node or an edge set; each target edge's arc runs from its tail straight
+into the super-sink, and a node target stands for its in-edges.  The returned
+cut is always the unique minimum cut closest to the origin set: after a maximum
+flow, it consists of the edges leaving the set of nodes still reachable from
+the origin in the residual graph.
 """
 
 from __future__ import annotations
@@ -51,26 +53,6 @@ def residual(net: Network, edge_set: Iterable[str]) -> ResidualNetwork:
 
 # -- max flow -------------------------------------------------------------------
 
-def _flow_graph(n_nodes: int, arcs: list[tuple[int, int, int]], sources: list[int], sinks: list[int]):
-    """Residual arc arrays with a super-source n_nodes and a super-sink n_nodes + 1.
-
-    Input arc i is stored at index 2i and its reverse at 2i + 1, so an arc and
-    its partner differ in the lowest bit and the flow on a forward arc is the
-    residual capacity of its reverse.
-    """
-    s_star, t_star = n_nodes, n_nodes + 1
-    every = arcs + [(s_star, s, INF) for s in sources] + [(t, t_star, INF) for t in sinks]
-    adj: list[list[int]] = [[] for _ in range(n_nodes + 2)]
-    to: list[int] = []
-    cap: list[int] = []
-    for i, (u, v, c) in enumerate(every):
-        adj[u].append(2 * i)
-        adj[v].append(2 * i + 1)
-        to += (v, u)
-        cap += (c, 0)
-    return adj, to, cap
-
-
 def _augment(adj: list[list[int]], to: list[int], cap: list[int]) -> tuple[int, set[int]]:
     """BFS augmenting paths from the super-source to the super-sink until none is left.
 
@@ -112,88 +94,52 @@ def _augment(adj: list[list[int]], to: list[int], cap: list[int]) -> tuple[int, 
         value += bottleneck
 
 
-def _max_flow(n_nodes: int, arcs: list[tuple[int, int, int]], sources: list[int], sinks: list[int]):
-    """Returns (value, residual-reachable node set, indices of saturated arcs that
-    cross from the reachable side to the unreachable side)."""
-    adj, to, cap = _flow_graph(n_nodes, arcs, sources, sinks)
-    value, reach = _augment(adj, to, cap)
-    cut = [
-        i
-        for i, (u, v, c) in enumerate(arcs)
-        if c < INF and u in reach and v not in reach
-    ]
-    return value, reach, cut
-
-
-def _node_index(net: Network) -> dict[str, int]:
-    return {n: i for i, n in enumerate(net.nodes)}
-
-
-def _normalize(net: Network | ResidualNetwork) -> tuple[Network, frozenset[str]]:
-    if isinstance(net, ResidualNetwork):
-        return net.base, net.removed
-    return net, frozenset()
-
-
-# -- node-target cuts -------------------------------------------------------------
-
-def min_cut(
-    net: Network | ResidualNetwork,
-    origin: Iterable[str],
-    target: str,
-    *,
-    caps: dict[str, int] | None = None,
-) -> CutReport:
-    """Minimum-capacity edge cut separating a target node from an origin node set.
-
-    The reported cut is the origin-side one (edges leaving the residual-reachable
-    set), which is the unique minimum cut that separates every other minimum cut
-    from the origin.
-    """
-    base, removed = _normalize(net)
-    origin = base.check_nodes(origin)
-    (target,) = base.check_nodes([target])
-    if target in origin:
-        raise TargetInU(f"target {target!r} is in the origin set")
-    idx = _node_index(base)
-    arcs = []
-    arc_ids = []
-    for eid in base.order:
-        if eid in removed:
-            continue
-        e = base.edge_by_id[eid]
-        arcs.append((idx[e.tail], idx[e.head], 1 if caps is None else caps.get(eid, 1)))
-        arc_ids.append(eid)
-    value, reach, cut = _max_flow(len(base.nodes), arcs, [idx[n] for n in origin], [idx[target]])
-    if len(cut) != value:
-        raise InvariantViolated(f"cut of {len(cut)} edges for a flow of value {value}")
-    side = tuple(sorted(n for n in base.nodes if idx[n] in reach))
-    return CutReport(value, tuple(sorted(arc_ids[i] for i in cut)), side)
-
-
 class ResidualFlow:
-    """A maximum flow from an origin node set to a target node on the intact
-    unit-capacity network, reused for minimum cuts with a small edge set deleted.
+    """A maximum flow from an origin node set to a target on a unit-capacity
+    network, reused for minimum cuts with a small edge set deleted.
+
+    The target is a node or a nonempty set of edge ids.  Each target edge's arc
+    runs from its tail straight into the super-sink, so no finite cut puts the
+    super-sink on the origin side: the finite cuts and their source sides are
+    those of the edge set.  A node target stands for its in-edges.  Edge i of
+    `net.order` is arc 2i and its reverse is arc 2i + 1, so the flow on an edge
+    is the residual capacity of its reverse; the edges a `ResidualNetwork`
+    deletes get no capacity.
 
     `cut_without(W)` cancels the at most |W| flow units that cross W, then
     re-augments, so it needs at most |W| augmenting paths instead of a maximum
-    flow from scratch.  Its report equals
-    `min_cut(residual(net, W), origin, target)`.
+    flow from scratch.  Its report equals that of a flow built from scratch on
+    `residual(net, W)` with the same origin and target; `cut_without()` is
+    the plain minimum cut.
     """
 
-    def __init__(self, net: Network, origin: Iterable[str], target: str) -> None:
-        origin = net.check_nodes(origin)
-        (target,) = net.check_nodes([target])
-        if target in origin:
-            raise TargetInU(f"target {target!r} is in the origin set")
-        idx = _node_index(net)
-        self.net = net
-        self._arc_of = {eid: 2 * i for i, eid in enumerate(net.order)}
-        self._ends = [(idx[net.edge_by_id[eid].tail], idx[net.edge_by_id[eid].head]) for eid in net.order]
-        self._adj, self._to, self._cap = _flow_graph(
-            len(net.nodes), [(u, v, 1) for u, v in self._ends], [idx[n] for n in origin], [idx[target]]
-        )
-        self.value, _ = _augment(self._adj, self._to, self._cap)
+    def __init__(self, net: Network | ResidualNetwork, origin: Iterable[str], target) -> None:
+        base, removed = (net.base, net.removed) if isinstance(net, ResidualNetwork) else (net, frozenset())
+        origin = base.check_nodes(origin)
+        if isinstance(target, str):
+            (target,) = base.check_nodes([target])
+            if target in origin:
+                raise TargetInU(f"target {target!r} is in the origin set")
+            targets = {e.id for e in base.in_edges[target]}
+        else:
+            targets = set(base.check_edges(target))
+            if not targets:
+                raise EmptyTarget("the target edge set is empty")
+        idx = {n: i for i, n in enumerate(base.nodes)}
+        s_star, t_star = len(idx), len(idx) + 1
+        arcs = [
+            (idx[e.tail], t_star if e.id in targets else idx[e.head], 0 if e.id in removed else 1)
+            for e in map(base.edge_by_id.__getitem__, base.order)
+        ]
+        arcs += [(s_star, idx[n], INF) for n in origin]
+        self.net = base
+        self._adj: list[list[int]] = [[] for _ in range(len(idx) + 2)]
+        for i, (u, v, _) in enumerate(arcs):
+            self._adj[u].append(2 * i)
+            self._adj[v].append(2 * i + 1)
+        self._to = [x for u, v, _ in arcs for x in (v, u)]
+        self._cap = [x for _, _, c in arcs for x in (c, 0)]
+        self.value, self._reach = _augment(self._adj, self._to, self._cap)
 
     def _drain(self, cap: list[int], x: int, parity: int) -> None:
         """Take one unit of flow off a path from node x back to the super-source
@@ -212,26 +158,29 @@ class ResidualFlow:
             cap[a | 1] -= 1
             x = to[a]
 
-    def cut_without(self, edge_set: Iterable[str]) -> CutReport:
+    def cut_without(self, edge_set: Iterable[str] = ()) -> CutReport:
         """The origin-side minimum cut once the given edges are deleted."""
-        removed = {self._arc_of[eid] for eid in self.net.check_edges(edge_set)}
-        cap = self._cap.copy()
-        value = self.value
-        for a in removed:
-            if cap[a | 1] > 0:  # the edge carries a unit of flow: cancel it end to end
-                cap[a] += 1
-                cap[a | 1] -= 1
-                self._drain(cap, self._to[a | 1], 1)
-                self._drain(cap, self._to[a], 0)
-                value -= 1
-            cap[a] = 0
-        added, reach = _augment(self._adj, self._to, cap)
-        value += added
-        order = self.net.order
+        cap, value, reach = self._cap, self.value, self._reach
+        removed = self.net.check_edges(edge_set)
+        if removed:
+            cap = cap.copy()
+            for eid in removed:
+                a = 2 * self.net.order_index[eid]
+                if cap[a | 1] > 0:  # the edge carries a unit of flow: cancel it end to end
+                    cap[a] += 1
+                    cap[a | 1] -= 1
+                    self._drain(cap, self._to[a | 1], 1)
+                    self._drain(cap, self._to[a], 0)
+                    value -= 1
+                cap[a] = 0
+            added, reach = _augment(self._adj, self._to, cap)
+            value += added
+        # an edge is cut when it carries flow out of the reachable set
+        to = self._to
         cut = sorted(
-            order[i]
-            for i, (u, v) in enumerate(self._ends)
-            if u in reach and v not in reach and 2 * i not in removed
+            eid
+            for eid, u, v, flow in zip(self.net.order, to[1::2], to[::2], cap[1::2])
+            if u in reach and v not in reach and flow
         )
         if len(cut) != value:
             raise InvariantViolated(f"cut of {len(cut)} edges for a flow of value {value}")
@@ -239,56 +188,34 @@ class ResidualFlow:
         return CutReport(value, tuple(cut), side)
 
 
-# -- edge-target cuts --------------------------------------------------------------
+# -- cut queries --------------------------------------------------------------------
+
+def min_cut(net: Network | ResidualNetwork, origin: Iterable[str], target: str) -> CutReport:
+    """Minimum-capacity edge cut separating a target node from an origin node set.
+
+    The reported cut is the origin-side one (edges leaving the residual-reachable
+    set), which is the unique minimum cut that separates every other minimum cut
+    from the origin.
+    """
+    return ResidualFlow(net, origin, target).cut_without()
+
 
 def min_cut_edge_target(
     net: Network | ResidualNetwork, origin: Iterable[str], edge_set: Iterable[str]
 ) -> CutReport:
-    """Minimum cut separating an edge set from an origin node set.
+    """Minimum cut separating a nonempty edge set from an origin node set.
 
-    Each target edge is split in two through a fresh node so that cutting either
-    half counts as cutting the edge; halves map back to the original edge id.
+    Cutting a target edge counts as separating it: in the flow, its arc runs
+    from its tail into the super-sink.
     """
-    base, removed = _normalize(net)
-    origin = base.check_nodes(origin)
-    targets = base.check_edges(edge_set)
-    if not targets:
-        raise EmptyTarget("the target edge set is empty")
-    target_set = set(targets)
-    idx = dict(_node_index(base))
-    mid = {}
-    for eid in targets:
-        mid[eid] = len(idx)
-        idx[f"sub::{eid}"] = len(idx)
-    arcs = []
-    arc_ids = []
-    for eid in base.order:
-        if eid in removed:
-            continue
-        e = base.edge_by_id[eid]
-        if eid in target_set:
-            arcs.append((idx[e.tail], mid[eid], 1))
-            arc_ids.append(eid)
-            arcs.append((mid[eid], idx[e.head], 1))
-            arc_ids.append(eid)
-        else:
-            arcs.append((idx[e.tail], idx[e.head], 1))
-            arc_ids.append(eid)
-    value, reach, cut = _max_flow(len(idx), arcs, [idx[n] for n in origin], list(mid.values()))
-    ids = sorted({arc_ids[i] for i in cut})
-    if len(ids) != value:
-        raise InvariantViolated("both halves of a split edge crossed the cut")
-    side = tuple(sorted(n for n in base.nodes if idx[n] in reach))
-    return CutReport(value, tuple(ids), side)
+    return ResidualFlow(net, origin, tuple(edge_set)).cut_without()
 
 
 def primary_min_cut(
     net: Network | ResidualNetwork, origin: Iterable[str], target
 ) -> tuple[str, ...]:
     """The unique origin-side minimum cut; target is a node id or an edge id set."""
-    if isinstance(target, str):
-        return min_cut(net, origin, target).cut_edges
-    return min_cut_edge_target(net, origin, target).cut_edges
+    return ResidualFlow(net, origin, target).cut_without().cut_edges
 
 
 def is_primary(net: Network, edge_set: Iterable[str]) -> bool:
@@ -331,30 +258,27 @@ def source_min_cuts(net: Network) -> dict[str, int]:
 
 @lru_cache(maxsize=None)
 def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
-    best: tuple[int, tuple[str, ...]] | None = None
-    srcs = net.sources
-    for mask in range(1, 1 << len(srcs)):
-        chosen = [s for i, s in enumerate(srcs) if mask >> i & 1]
-        others = [s for i, s in enumerate(srcs) if not mask >> i & 1]
-        poisoned = net.edges_reachable_from(others) if others else set()
-        caps = {eid: INF for eid in poisoned}
-        report = min_cut(net, chosen, net.sink, caps=caps)
-        if report.capacity > len(net.edges):
-            continue  # no cut avoiding edges fed by the other sources
-        key = (report.capacity, report.cut_edges)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise InvariantViolated("the full source set admits no finite cut")
-    return best
+    reports = []
+    for mask in range(1, 1 << len(net.sources)):
+        chosen = [s for i, s in enumerate(net.sources) if mask >> i & 1]
+        others = [s for i, s in enumerate(net.sources) if not mask >> i & 1]
+        inside = net.nodes_reachable_from([*others, net.sink])
+        frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
+        report = min_cut_edge_target(net, chosen, frontier)
+        reports.append((report.capacity, report.cut_edges))
+    return min(reports)
 
 
 def c_min_bar(net: Network) -> int:
     """Size of the smallest cut whose feeding sources are exactly the separated ones.
 
-    Found by sweeping source subsets T: edges fed by sources outside T get
-    infinite capacity, so a finite minimum cut separating the sink from T is
-    exactly a cut with feeding = separated = T.
+    Found by sweeping nonempty source subsets T.  A cut has feeding = separated
+    = T exactly when it separates T from the node set that the other sources
+    and the sink reach, and cuts no edge leaving a node of that set.  So for
+    each T the smallest one is the edge-target cut of the frontier edges, whose
+    tail lies outside the set and whose head lies inside.  Sources have no
+    in-edges, so T lies outside the set and the frontier edges themselves are a
+    finite cut.
     """
     return _c_min_bar_report(net)[0]
 

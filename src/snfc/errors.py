@@ -89,10 +89,6 @@ class EmptyTarget(SnfcError):
     pass
 
 
-class NoFeasibleCut(SnfcError):
-    pass
-
-
 # -- bounds / verification ---------------------------------------------------
 
 class TooLarge(SnfcError):

@@ -82,6 +82,38 @@ def test_example_mincut(runner):
     assert json.loads(result.output)["capacity"] == 1
 
 
+# Recorded before the cut layer moved to one max-flow engine; source_side,
+# witness_cut and the c_min_bar witness printed once r >= c_min_bar all come
+# from that engine, so these pins guard every byte of it that the CLI shows.
+PINNED_EXAMPLE_OUTPUTS = {
+    "n1 --r 0": '{"c_min":1,"c_min_bar":2,"exact":{"reason":"r_zero","value":1},"lower":1,"r":0,"upper":1,"witness_W":[],"witness_cut":["e5"]}',
+    "n1 --r 1": '{"c_min":1,"c_min_bar":2,"exact":null,"lower":0,"r":1,"upper":1,"witness_W":[],"witness_cut":["e5"]}',
+    "n1 --r 2": '{"c_min":1,"c_min_bar":2,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":2,"upper":0,"witness_W":["e1","e2"],"witness_cut":[]}',
+    "n1 --r 3": '{"c_min":1,"c_min_bar":2,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":3,"upper":0,"witness_W":["e1","e2"],"witness_cut":[]}',
+    "n1 --cuts mincut --sources s1 --to rho": '{"capacity":1,"cut":["e5"],"source_side":["s1","v3"]}',
+    "n1 --cuts mincut --sources s2 --to rho": '{"capacity":2,"cut":["e3","e4"],"source_side":["s2"]}',
+    "butterfly --r 0": '{"c_min":2,"c_min_bar":2,"exact":{"reason":"r_zero","value":2},"lower":2,"r":0,"upper":2,"witness_W":[],"witness_cut":["e1","e2"]}',
+    "butterfly --r 1": '{"c_min":2,"c_min_bar":2,"exact":{"reason":"cmin_equals_cminbar","value":1},"lower":1,"r":1,"upper":1,"witness_W":["e1"],"witness_cut":["e2"]}',
+    "butterfly --r 2": '{"c_min":2,"c_min_bar":2,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":2,"upper":0,"witness_W":["e1","e2"],"witness_cut":[]}',
+    "butterfly --r 3": '{"c_min":2,"c_min_bar":2,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":3,"upper":0,"witness_W":["e1","e2"],"witness_cut":[]}',
+    "butterfly --cuts mincut --sources s1 --to rho": '{"capacity":2,"cut":["e1","e2"],"source_side":["s1"]}',
+    "butterfly --cuts mincut --sources s2 --to rho": '{"capacity":2,"cut":["e3","e4"],"source_side":["s2"]}',
+    "fig2 --r 0": '{"c_min":1,"c_min_bar":1,"exact":{"reason":"r_zero","value":1},"lower":1,"r":0,"upper":1,"witness_W":[],"witness_cut":["e5"]}',
+    "fig2 --r 1": '{"c_min":1,"c_min_bar":1,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":1,"upper":0,"witness_W":["e5"],"witness_cut":[]}',
+    "fig2 --r 2": '{"c_min":1,"c_min_bar":1,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":2,"upper":0,"witness_W":["e5"],"witness_cut":[]}',
+    "fig2 --r 3": '{"c_min":1,"c_min_bar":1,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":3,"upper":0,"witness_W":["e5"],"witness_cut":[]}',
+    "fig2 --cuts mincut --sources s --to v4": '{"capacity":1,"cut":["e5"],"source_side":["s","u1","u2","v3"]}',
+    "fig2 --cuts primary --sources u1,u2 --edges e7,e8": '{"cut":["e5"]}',
+}
+
+
+@pytest.mark.parametrize("query", sorted(PINNED_EXAMPLE_OUTPUTS))
+def test_example_json_is_pinned_byte_for_byte(runner, query):
+    result = runner.invoke(main, ["example", *query.split(), "--json"])
+    assert result.exit_code == 0, result.output
+    assert result.output == PINNED_EXAMPLE_OUTPUTS[query] + "\n"
+
+
 def test_example_summary(runner):
     result = runner.invoke(main, ["example", "butterfly", "--json"])
     payload = json.loads(result.output)

@@ -220,6 +220,28 @@ def test_minimum_cut_preserves_feeding_sources(data):
     assert reach_sets(net, cut).feeding == feeding
 
 
+def test_source_side_is_what_the_origin_reaches_around_the_cut():
+    # the reported source side is the residual-reachable node set of the final
+    # flow, which is exactly what the origin reaches once the cut edges (and a
+    # residual view's deleted edges) are blocked
+    def check(net, origin, report, removed=frozenset()):
+        blocked = frozenset(report.cut_edges) | removed
+        assert report.source_side == tuple(sorted(net.nodes_reachable_from(origin, blocked)))
+
+    for seed in range(800):
+        net = random_network(seed)
+        rng = random.Random(seed)
+        ids = sorted(net.edge_by_id)
+        for s in net.sources:
+            check(net, [s], min_cut(net, [s], net.sink))
+            wiretap = frozenset(rng.sample(ids, rng.randint(1, min(3, len(ids)))))
+            check(net, [s], min_cut(residual(net, wiretap), [s], net.sink), wiretap)
+        for _ in range(8):
+            targets = rng.sample(ids, rng.randint(1, min(3, len(ids))))
+            feeding = sorted(reach_sets(net, targets).feeding)
+            check(net, feeding, min_cut_edge_target(net, feeding, targets))
+
+
 # -- residual view ------------------------------------------------------------------------
 
 def test_residual_empty_removal(butterfly):
