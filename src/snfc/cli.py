@@ -192,7 +192,7 @@ def construct_cmd(network_path, r, rate, field_spec, seed, out_path, as_json) ->
 # -- verify ----------------------------------------------------------------------
 
 def _verify_payload(net, code, r, exhaustive: bool, fast: bool):
-    report = run_verify(code, net, r=r, exhaustive=True if exhaustive else "auto", fast=fast)
+    report = run_verify(code, net, r=r, exhaustive=exhaustive, fast=fast)
     lines = [
         f"computable: {report.computable}",
         f"secure (rank): {report.secure_rank}",

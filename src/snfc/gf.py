@@ -329,17 +329,6 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
-    def add(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        f = self.field
-        return Matrix(
-            self.field,
-            tuple(tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
-            self.ncols,
-        )
-
     def mul(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.ncols != other.nrows:
@@ -470,15 +459,6 @@ class Echelon:
         for p in sorted(self.rows, reverse=True):
             done.rows[p] = tuple(done.reduce(self.rows[p]))
         return tuple(reversed(done.rows.values()))
-
-
-def intersects_trivially(u: Matrix, v: Matrix) -> bool:
-    """True iff the column spans of u and v meet only in the zero vector."""
-    if u.field != v.field:
-        raise FieldMismatch(f"{u.field!r} vs {v.field!r}")
-    if u.nrows != v.nrows:
-        raise DimensionMismatch(f"column spaces of different dimension: {u.nrows} vs {v.nrows}")
-    return u.hstack(v).rank() == u.rank() + v.rank()
 
 
 def companion_matrix(field: Field, x: int) -> tuple[tuple[int, ...], ...]:

@@ -3,9 +3,16 @@
 Computability has an exact algebraic criterion (the composite map from source
 inputs through the network to the decoder must equal the message-sum selector)
 and an exhaustive one (simulate every input and compare).  Security likewise has
-a rank criterion (what a wiretap set sees must be linearly independent of the
-message coordinates) and an exhaustive tabulation of the conditional message
+a rank criterion and an exhaustive tabulation of the conditional message
 distribution.  The two routes must agree wherever both run.
+
+The rank criterion: a wiretap set W leaks exactly when some nonzero combination
+of the global vectors it sees is zero on every key coordinate, for that
+combination of its symbols is a function of the messages alone.  With each
+vector's r*s key coordinates first, this is a pivot at index >= r*s in the
+echelon form of W's vectors.  It is the test rank([H_W | Gamma]) =
+rank(H_W) + ell*s read directly: Gamma, the block-diagonal message selector,
+spans exactly the vectors that vanish on the keys.
 
 The exhaustive routes simulate the local rules of the code, never its global
 vectors.  They push all q^(rate * s) states through the network at once, one
@@ -46,13 +53,12 @@ from .codes import (
     sink_matrix,
 )
 from .errors import (
-    InvariantViolated,
     MalformedInput,
     NegativeSecurityLevel,
     ShapeMismatch,
     TooLarge,
 )
-from .gf import Matrix
+from .gf import Echelon, Matrix
 from .network import Network
 
 DEFAULT_STATE_CAP = 16_777_216
@@ -137,14 +143,6 @@ def _check_shapes(code: SecureCode, net: Network) -> None:
 def _stacked_selector(code: SecureCode, s: int) -> Matrix:
     """The (rate*s) x ell message selector, one copy per source stacked."""
     return Matrix(code.field, message_selector(code).data * s, code.ell)
-
-
-def _blockdiag_selector(code: SecureCode, s: int) -> Matrix:
-    """The (rate*s) x (ell*s) block-diagonal message selector."""
-    zero = (0,) * code.ell
-    sel = message_selector(code).data
-    rows = tuple(zero * block + row + zero * (s - 1 - block) for block in range(s) for row in sel)
-    return Matrix(code.field, rows, code.ell * s)
 
 
 # -- simulation ------------------------------------------------------------------------
@@ -285,25 +283,28 @@ def check_security_rank(
     r: int | None = None,
     fast: bool = False,
 ) -> tuple[bool, tuple[str, ...] | None]:
-    """Rank criterion: what each wiretap set observes must add full message rank.
+    """Rank criterion: no combination of what a wiretap set sees may be keyless.
 
-    Returns (ok, first failing wiretap set).
+    Each global vector is reordered so that the r*s key coordinates come first.
+    A wiretap set leaks exactly when the echelon form of its vectors has a
+    pivot at index >= r*s: that row combines the observed symbols into a
+    nonzero function of the messages alone.  This equals the test
+    rank([H_W | Gamma]) == rank(H_W) + ell*s with Gamma the block-diagonal
+    message selector, because Gamma's column span is exactly the vectors that
+    vanish on every key coordinate.
+
+    Returns (ok, first failing wiretap set in family order).
     """
     secure = as_secure(code, r)
     _check_shapes(secure, net)
-    s = net.num_sources
-    vectors = secure_vectors(secure, net)
-    gamma = _blockdiag_selector(secure, s)
-    gamma_rank = gamma.rank()
-    if gamma_rank != secure.ell * s:
-        raise InvariantViolated(f"selector rank {gamma_rank}, expected {secure.ell * s}")
+    rate, ell = secure.rate, secure.ell
+    blocks = range(net.num_sources)
+    keys = [b * rate + j for b in blocks for j in range(ell, rate)]
+    order = keys + [b * rate + j for b in blocks for j in range(ell)]
+    vectors = {eid: tuple(v[k] for k in order) for eid, v in secure_vectors(secure, net).items()}
     for wset in wiretap_family(net, secure.r, fast):
-        if not wset:
-            continue
-        h_w = Matrix.from_columns(
-            secure.field, [vectors[eid] for eid in wset], nrows=secure.rate * s
-        )
-        if h_w.hstack(gamma).rank() != h_w.rank() + gamma_rank:
+        span = Echelon(secure.field, (vectors[eid] for eid in wset))
+        if any(pivot >= len(keys) for pivot in span.rows):
             return False, wset
     return True, None
 
@@ -346,22 +347,22 @@ def verify(
     code: SecureCode | SumCode,
     net: Network,
     r: int | None = None,
-    exhaustive: bool | str = "auto",
+    exhaustive: bool = False,
     fast: bool = False,
     cap: int | None = None,
 ) -> VerifyReport:
-    """Run every applicable check and fold the outcomes into one report."""
+    """Run every applicable check and fold the outcomes into one report.
+
+    The exhaustive routes run when the states fit under the cap, or always
+    with `exhaustive` (then a state count over the cap raises TooLarge).
+    """
     if r is not None and r < 0:
         raise NegativeSecurityLevel(f"security level {r} is negative")
     secure = as_secure(code, r)
     computable = check_computability(secure, net, "algebraic")
     secure_rank, failing = check_security_rank(secure, net, fast=fast)
-    run_exhaustive = (
-        exhaustive is True
-        or (exhaustive == "auto" and _state_count(secure, net) <= state_cap(cap))
-    )
     sec_ex: bool | None = None
-    if run_exhaustive:
+    if exhaustive or _state_count(secure, net) <= state_cap(cap):
         computable = computable and check_computability(secure, net, "exhaustive", cap=cap)
         sec_ex, failing_ex = check_security_exhaustive(secure, net, fast=fast, cap=cap)
         if failing is None:

@@ -104,6 +104,11 @@ PINNED_EXAMPLE_OUTPUTS = {
     "fig2 --r 3": '{"c_min":1,"c_min_bar":1,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":3,"upper":0,"witness_W":["e5"],"witness_cut":[]}',
     "fig2 --cuts mincut --sources s --to v4": '{"capacity":1,"cut":["e5"],"source_side":["s","u1","u2","v3"]}',
     "fig2 --cuts primary --sources u1,u2 --edges e7,e8": '{"cut":["e5"]}',
+    "butterfly --verify": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
+    "butterfly --verify --exhaustive": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
+    "butterfly --verify --fast": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
+    "n1 --verify --exhaustive": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
+    "butterfly --code-name butterfly_gf2 --verify --exhaustive": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
 }
 
 
@@ -241,13 +246,17 @@ def test_verify_exit_one_when_insecure(runner, butterfly_file, tmp_path):
     doc["B"] = [[1, 0], [0, 1]]
     path = tmp_path / "unmixed.json"
     path.write_text(json.dumps(doc))
-    result = runner.invoke(
-        main,
-        ["verify", "--network", butterfly_file, "--code", str(path), "--r", "1", "--json"],
+    expected = (
+        '{"bound_consistent":true,"computable":true,"failing_W":["e3"],"rate":1,'
+        '"secure_exhaustive":false,"secure_rank":false}\n'
     )
-    assert result.exit_code == 1
-    payload = json.loads(result.output)
-    assert payload["computable"] and not payload["secure_rank"]
+    for extra in ([], ["--exhaustive"], ["--fast"], ["--exhaustive", "--fast"]):
+        result = runner.invoke(
+            main,
+            ["verify", "--network", butterfly_file, "--code", str(path), "--r", "1", "--json", *extra],
+        )
+        assert result.exit_code == 1, extra
+        assert result.output == expected, extra
 
 
 def test_construct_with_rate_and_field_flags(runner, butterfly_file, tmp_path):

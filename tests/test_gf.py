@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snfc import Matrix, companion_expand, intersects_trivially, make_field
+from snfc import Matrix, companion_expand, make_field
 from snfc.gf import Echelon
 from snfc.errors import (
     DegreeZero,
@@ -262,23 +262,6 @@ def test_dimension_mismatch_detected():
 
 # -- subspace intersection -----------------------------------------------------------
 
-def test_intersects_trivially_orthogonal_axes():
-    u = Matrix.from_columns(GF2, [(1, 0)], nrows=2)
-    v = Matrix.from_columns(GF2, [(0, 1)], nrows=2)
-    assert intersects_trivially(u, v)
-
-
-def test_intersects_trivially_equal_lines():
-    u = Matrix.from_columns(GF2, [(1, 1)], nrows=2)
-    assert not intersects_trivially(u, u)
-
-
-def test_intersects_trivially_mixing_column_vs_observed_column():
-    b1 = Matrix.from_columns(GF4, [(1, 2)], nrows=2)
-    g = Matrix.from_columns(GF4, [(1, 1)], nrows=2)
-    assert intersects_trivially(b1, g)
-
-
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_rank_subadditivity_iff_trivial_intersection(data):
@@ -293,7 +276,8 @@ def test_rank_subadditivity_iff_trivial_intersection(data):
     u, v = draw_mat(cols_u), draw_mat(cols_v)
     joint = u.hstack(v).rank()
     assert joint <= u.rank() + v.rank()
-    assert (joint == u.rank() + v.rank()) == intersects_trivially(u, v)
+    common = enumerated_span(field, u.columns(), rows) & enumerated_span(field, v.columns(), rows)
+    assert (joint == u.rank() + v.rank()) == (common == {(0,) * rows})
 
 
 # -- the echelon engine against brute-force enumeration ---------------------------------
@@ -398,7 +382,15 @@ def test_companion_is_a_ring_homomorphism(data):
     )
     a, b = draw_mat(), draw_mat()
     assert companion_expand(a.mul(b)).data == companion_expand(a).mul(companion_expand(b)).data
-    assert companion_expand(a.add(b)).data == companion_expand(a).add(companion_expand(b)).data
+    assert companion_expand(entrywise_sum(a, b)).data == entrywise_sum(
+        companion_expand(a), companion_expand(b)
+    ).data
+
+
+def entrywise_sum(a, b):
+    f = a.field
+    rows = tuple(tuple(f.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.data, b.data))
+    return Matrix(f, rows, a.ncols)
 
 
 def test_solve_right_dimension_mismatch():

@@ -17,7 +17,7 @@ from snfc import (
     verify,
 )
 from snfc import fixtures
-from snfc.codes import SecureCode, SumCode, as_secure
+from snfc.codes import SecureCode, SumCode, as_secure, secure_vectors
 from snfc.errors import MalformedInput, NegativeSecurityLevel, ShapeMismatch, TooLarge
 from snfc.corpus import random_network
 from snfc.verify import _simulate_columns, _uniform_given_key, simulate, state_cap, wiretap_family
@@ -131,13 +131,34 @@ def test_unmixed_sum_code_leaks(butterfly):
     assert not ex_ok and ex_failing == ("e3",)
 
 
+def gamma_selector(code, s):
+    """The (rate*s) x (ell*s) block-diagonal selector of every source's messages."""
+    rate, ell = code.rate, code.ell
+    rows = [
+        [1 if i < ell and j == b * ell + i else 0 for j in range(ell * s)]
+        for b in range(s)
+        for i in range(rate)
+    ]
+    return Matrix.build(code.field, rows, ncols=ell * s)
+
+
+def gamma_criterion(code, net, fast=False):
+    """The reference rank test: rank([H_W | Gamma]) == rank(H_W) + rank(Gamma) for each W."""
+    s = net.num_sources
+    vectors = secure_vectors(code, net)
+    gamma = gamma_selector(code, s)
+    for wset in wiretap_family(net, code.r, fast):
+        h_w = Matrix.from_columns(code.field, [vectors[eid] for eid in wset], nrows=code.rate * s)
+        if h_w.hstack(gamma).rank() != h_w.rank() + gamma.rank():
+            return False, wset
+    return True, None
+
+
 def test_unmixed_sum_code_edges_case_by_case(butterfly):
     code = as_secure(fixtures.butterfly_sum_code(), 1)
-    from snfc.codes import secure_vectors
-    from snfc.verify import _blockdiag_selector
-
     vectors = secure_vectors(code, butterfly)
-    gamma = _blockdiag_selector(code, 2)
+    gamma = gamma_selector(code, 2)
+    assert gamma.rank() == 2
 
     def edge_safe(eid):
         h_w = Matrix.from_columns(GF4, [vectors[eid]], nrows=4)
@@ -146,6 +167,7 @@ def test_unmixed_sum_code_edges_case_by_case(butterfly):
     assert edge_safe("e2")  # carries only the key coordinate of source 1
     assert not edge_safe("e3")  # carries the message coordinate of source 2
     assert not edge_safe("e8")  # carries the message sum
+    assert gamma_criterion(code, butterfly) == check_security_rank(code, butterfly) == (False, ("e3",))
 
 
 def test_fig_codes_secure(n1, butterfly):
@@ -157,8 +179,6 @@ def test_fig_codes_secure(n1, butterfly):
 def test_zero_edge_is_always_safe(butterfly):
     # edge e7 of the binary hand code carries the constant zero
     code = fixtures.code("butterfly_gf2")
-    from snfc.codes import secure_vectors
-
     assert secure_vectors(code, butterfly)["e7"] == (0, 0, 0, 0)
     ok, _ = check_security_rank(code, butterfly)
     assert ok
@@ -214,19 +234,30 @@ def random_code(field, net, rate, r, rng):
     return secure_code(SumCode(field, rate, source_matrices, local_coeffs, decoder), mixing, r)
 
 
+AGREE_STATE_CAP = 4096
+
+
 @given(st.data())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_rank_and_exhaustive_criteria_agree(data):
-    """Random (mostly insecure) codes over tiny fields: both routes must agree."""
-    field = data.draw(st.sampled_from([GF2, GF3]))
-    net = data.draw(st.sampled_from(["n1", "butterfly"]))
-    net = fixtures.network(net)
+    """Random (mostly insecure) codes over tiny fields on the fixtures and corpus
+    networks with up to three sources, rate 2-4 and every 0 < r < rate: the pivot
+    test, the exhaustive tabulation and the Gamma rank formula give the same
+    verdict and the same first failing wiretap set, with and without `fast`."""
+    field = data.draw(st.sampled_from([GF2, GF3, GF4]))
+    seed = data.draw(st.sampled_from(["n1", "butterfly", *range(60)]))
+    net = fixtures.network(seed) if isinstance(seed, str) else random_network(seed)
+    max_rate = max(
+        rate for rate in range(2, 5) if field.q ** (rate * net.num_sources) <= AGREE_STATE_CAP
+    )
+    rate = data.draw(st.integers(2, max_rate))
+    r = data.draw(st.integers(1, rate - 1))
+    fast = data.draw(st.booleans())
     rng = random.Random(data.draw(st.integers(0, 10_000)))
-    code = random_code(field, net, 2, 1, rng)
-    rank_ok, rank_w = check_security_rank(code, net)
-    ex_ok, ex_w = check_security_exhaustive(code, net)
-    assert rank_ok == ex_ok
-    assert rank_w == ex_w
+    code = random_code(field, net, rate, r, rng)
+    expected = gamma_criterion(code, net, fast)
+    assert check_security_rank(code, net, fast=fast) == expected
+    assert check_security_exhaustive(code, net, fast=fast) == expected
 
 
 # -- column simulation and the per-set uniformity test ------------------------------------------
@@ -380,10 +411,20 @@ def test_verify_reports_first_failure(butterfly):
     assert report.failing_W == ("e3",)
 
 
+@pytest.mark.parametrize("flag", [False, True, "yes", "no", "auto", None, 0])
+def test_no_exhaustive_value_skips_the_check_under_the_cap(butterfly, flag):
+    report = verify(as_secure(fixtures.butterfly_sum_code(), 1), butterfly, exhaustive=flag)
+    assert report.secure_exhaustive is False
+    assert report.failing_W == ("e3",)
+
+
 def test_verify_skips_exhaustive_beyond_cap(butterfly):
     report = verify(fixtures.code("butterfly"), butterfly, cap=10)
     assert report.secure_exhaustive is None
     assert report.computable and report.secure_rank
+    assert verify(fixtures.code("butterfly"), butterfly, cap=0).secure_exhaustive is None
+    with pytest.raises(TooLarge):
+        verify(fixtures.code("butterfly"), butterfly, exhaustive=True, cap=10)
 
 
 def test_verify_constructed_codes_all_pass(butterfly, n1, fig2):
