@@ -168,16 +168,6 @@ class Network:
             "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in self.edges],
         }
 
-    def to_dot(self) -> str:
-        lines = ["digraph network {"]
-        for n in self.nodes:
-            shape = "doublecircle" if n in self.sources or n == self.sink else "circle"
-            lines.append(f'  "{n}" [shape={shape}];')
-        for e in self.edges:
-            lines.append(f'  "{e.tail}" -> "{e.head}" [label="{e.id}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def make_network(nodes, edges, sources, sink) -> Network:
     """Validate and build a Network; edges may be Edge objects or (id, tail, head)."""
@@ -268,21 +258,6 @@ def reach_sets(net: Network, edge_set: Iterable[str]) -> ReachSets:
     if not separated <= feeding:
         raise InvariantViolated("separated sources must feed the deleted set")
     return ReachSets(feeding, separated, frozenset(feeding - separated))
-
-
-@dataclass(frozen=True)
-class CutSetFlags:
-    is_cut: bool
-    is_global: bool
-
-    def __bool__(self) -> bool:
-        return self.is_cut
-
-
-def is_cut_set(net: Network, edge_set: Iterable[str]) -> CutSetFlags:
-    """Whether deleting the set disconnects at least one source (all of them: global)."""
-    rs = reach_sets(net, edge_set)
-    return CutSetFlags(bool(rs.separated), rs.separated == frozenset(net.sources))
 
 
 # -- linear-function preprocessing ---------------------------------------------

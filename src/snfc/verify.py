@@ -14,18 +14,18 @@ echelon form of W's vectors.  It is the test rank([H_W | Gamma]) =
 rank(H_W) + ell*s read directly: Gamma, the block-diagonal message selector,
 spans exactly the vectors that vanish on the keys.
 
-The exhaustive routes simulate the local rules of the code, never its global
-vectors.  They push all q^(rate * s) states through the network at once, one
-symbol column per edge, with the walker `codes._propagate` (which also gives the
-global vectors, from unit inputs), then tabulate one wiretap set at a time.  The
-mixing matrix enters through the input columns: each source's state columns are
-mixed by (B^-1)^T before the walk, and the plan holds the raw local rules.  Time is
-O(states * (|E| + |family|)).  A column holds one byte per state (two once
-q > 256) and lives until its last use: the computability route keeps the sink's
-in-edges and the propagation frontier, the security route every edge that some
-wiretap set reads, so its memory is O(states * |E|) bytes (at most the state cap
-times |E|) plus the table of one wiretap set.  `simulate` is the per-state
-reference.
+The exhaustive route simulates the local rules of the code, never its global
+vectors.  One pass, `check_exhaustive`, pushes all q^(rate * s) states through the
+network at once, one symbol column per edge, with the walker `codes._propagate`
+(which also gives the global vectors, from unit inputs).  It then decodes the
+sink's columns against the message sums and tabulates one wiretap set at a time.
+The mixing matrix enters through the input columns: each source's state columns
+are mixed by (B^-1)^T before the walk, and the plan holds the raw local rules.
+Time is O(states * (|E| + |family|)).  A column holds one byte per state (two
+once q > 256) and lives until its last use: the pass keeps the sink's in-edges
+and every edge that some wiretap set reads, plus the propagation frontier, so
+its memory is O(states * |E|) bytes (at most the state cap times |E|) plus the
+table of one wiretap set.  `simulate` is the per-state reference.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def _check_state_count(code: SecureCode, net: Network, cap: int | None) -> int:
 
 # -- column simulation -----------------------------------------------------------------
 #
-# The exhaustive routes push every state through the network at once: each input
+# The exhaustive pass pushes every state through the network at once: each input
 # coordinate is one column over all states, and `codes._propagate` turns the
 # B^-1-mixed input columns into one symbol column per edge.  State t holds, at
 # input coordinate k of the rate * s flattened source rows, the base-q digit k of
@@ -242,37 +242,19 @@ def _uniform_given_key(keys, messages, n_messages: int) -> bool:
 
 # -- computability -----------------------------------------------------------------------
 
-def check_computability(
-    code: SecureCode | SumCode,
-    net: Network,
-    method: str = "algebraic",
-    cap: int | None = None,
-) -> bool:
+def check_computability(code: SecureCode | SumCode, net: Network) -> bool:
     """Does the sink always recover the coordinate-wise message sum?
 
-    The algebraic route compares the end-to-end linear map against the stacked
-    message selector; the exhaustive route simulates every input.
+    The end-to-end linear map from the source inputs to the decoder output must
+    equal the stacked message selector.
     """
     secure = as_secure(code)
     _check_shapes(secure, net)
     s = net.num_sources
-    if method == "algebraic":
-        vectors = secure_vectors(secure, net)
-        h_rho = sink_matrix(vectors, net, secure.field, secure.rate * s)
-        achieved = h_rho.mul(message_decoder(secure))
-        return achieved.data == _stacked_selector(secure, s).data
-    if method == "exhaustive":
-        total = _check_state_count(secure, net, cap)
-        received_ids = [e.id for e in net.in_edges[net.sink]]
-        inputs, cols = _simulate_columns(secure, net, received_ids)
-        received = [cols[eid] for eid in received_ids]
-        _, combination = _column_ops(secure.field, total)
-        for j, dec_col in enumerate(message_decoder(secure).columns()):
-            decoded = combination(zip(dec_col, received))
-            if decoded != combination((1, inputs[i][j]) for i in range(s)):
-                return False
-        return True
-    raise ValueError(f"unknown method {method!r}")
+    vectors = secure_vectors(secure, net)
+    h_rho = sink_matrix(vectors, net, secure.field, secure.rate * s)
+    achieved = h_rho.mul(message_decoder(secure))
+    return achieved.data == _stacked_selector(secure, s).data
 
 
 # -- security ------------------------------------------------------------------------------
@@ -309,36 +291,48 @@ def check_security_rank(
     return True, None
 
 
-def check_security_exhaustive(
+# -- exhaustive ----------------------------------------------------------------------------
+
+def check_exhaustive(
     code: SecureCode | SumCode,
     net: Network,
     r: int | None = None,
     fast: bool = False,
     cap: int | None = None,
-) -> tuple[bool, tuple[str, ...] | None]:
-    """Tabulate the conditional message distribution for every wiretap set.
+) -> tuple[bool, bool, tuple[str, ...] | None]:
+    """Simulate every state once and check both properties on the same columns.
 
-    Secure means: given any observable symbol tuple, every message vector is
-    still equally likely.  Exact but exponential; guarded by the state cap.
-    Every state is simulated once, column-wise; the wiretap sets are then
-    tabulated one at a time, in family order.
+    Computable means the decoded sink columns equal the column sums of the
+    messages.  Secure means: given any observable symbol tuple, every message
+    vector is still equally likely; the wiretap sets are tabulated one at a
+    time, in family order.  Exact but exponential; guarded by the state cap.
+
+    Returns (computable, secure, first failing wiretap set in family order).
     """
     secure = as_secure(code, r)
     _check_shapes(secure, net)
     total = _check_state_count(secure, net, cap)
-    q = secure.field.q
-    ell = secure.ell
+    q, ell, s = secure.field.q, secure.ell, net.num_sources
     family = wiretap_family(net, secure.r, fast)
-    inputs, cols = _simulate_columns(secure, net, {eid for wset in family for eid in wset})
+    received_ids = [e.id for e in net.in_edges[net.sink]]
+    inputs, cols = _simulate_columns(
+        secure, net, {*received_ids, *(eid for wset in family for eid in wset)}
+    )
+    _, combination = _column_ops(secure.field, total)
+    received = [cols[eid] for eid in received_ids]
+    computable = all(
+        combination(zip(dec_col, received)) == combination((1, inputs[i][j]) for i in range(s))
+        for j, dec_col in enumerate(message_decoder(secure).columns())
+    )
     messages = array("q", _digits_to_ints([row[j] for row in inputs for j in range(ell)], q, total))
-    n_messages = q ** (ell * net.num_sources)
+    n_messages = q ** (ell * s)
     for wset in family:
         if not wset:
             continue
         keys = _digits_to_ints([cols[eid] for eid in wset], q, total)
         if not _uniform_given_key(keys, messages, n_messages):
-            return False, wset
-    return True, None
+            return computable, False, wset
+    return computable, True, None
 
 
 # -- aggregate -----------------------------------------------------------------------------
@@ -353,18 +347,18 @@ def verify(
 ) -> VerifyReport:
     """Run every applicable check and fold the outcomes into one report.
 
-    The exhaustive routes run when the states fit under the cap, or always
+    The exhaustive pass runs when the states fit under the cap, or always
     with `exhaustive` (then a state count over the cap raises TooLarge).
     """
     if r is not None and r < 0:
         raise NegativeSecurityLevel(f"security level {r} is negative")
     secure = as_secure(code, r)
-    computable = check_computability(secure, net, "algebraic")
+    computable = check_computability(secure, net)
     secure_rank, failing = check_security_rank(secure, net, fast=fast)
     sec_ex: bool | None = None
     if exhaustive or _state_count(secure, net) <= state_cap(cap):
-        computable = computable and check_computability(secure, net, "exhaustive", cap=cap)
-        sec_ex, failing_ex = check_security_exhaustive(secure, net, fast=fast, cap=cap)
+        computable_ex, sec_ex, failing_ex = check_exhaustive(secure, net, fast=fast, cap=cap)
+        computable = computable and computable_ex
         if failing is None:
             failing = failing_ex
     rate = Fraction(secure.ell, 1)

@@ -12,7 +12,7 @@ from snfc import (
     c_min,
     c_min_bar,
     check_computability,
-    check_security_exhaustive,
+    check_exhaustive,
     check_security_rank,
     choose_mixing_matrix,
     construct,
@@ -188,7 +188,6 @@ def test_hand_checks_on_fig_codes(n1, butterfly):
     for name, net in [("n1", n1), ("butterfly_gf2", butterfly), ("butterfly", butterfly)]:
         code = fixtures.code(name)
         assert check_computability(code, net)
-        assert check_computability(code, net, method="exhaustive")
         ok_rank, _ = check_security_rank(code, net)
-        ok_ex, _ = check_security_exhaustive(code, net)
-        assert ok_rank and ok_ex
+        assert ok_rank
+        assert check_exhaustive(code, net) == (True, True, None)

@@ -259,6 +259,33 @@ def test_verify_exit_one_when_insecure(runner, butterfly_file, tmp_path):
         assert result.output == expected, extra
 
 
+@pytest.mark.parametrize(
+    "mixing,expected",
+    [
+        # the zeroed decoder alone: secure, but the sink recovers nothing
+        (None, '{"bound_consistent":true,"computable":false,"failing_W":null,"rate":1,'
+               '"secure_exhaustive":true,"secure_rank":true}'),
+        # without the mixing matrix as well: e3 leaks the message of source 2
+        ([[1, 0], [0, 1]], '{"bound_consistent":true,"computable":false,"failing_W":["e3"],"rate":1,'
+                           '"secure_exhaustive":false,"secure_rank":false}'),
+    ],
+)
+def test_verify_exit_one_when_not_computable(runner, butterfly_file, tmp_path, mixing, expected):
+    doc = json.loads(json.dumps(fixtures.code_dict("butterfly")))
+    doc["decoder_D"] = [[0] * len(row) for row in doc["decoder_D"]]
+    if mixing is not None:
+        doc["B"] = mixing
+    path = tmp_path / "zeroed.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--exhaustive"], ["--fast"]):
+        result = runner.invoke(
+            main,
+            ["verify", "--network", butterfly_file, "--code", str(path), "--r", "1", "--json", *extra],
+        )
+        assert result.exit_code == 1, extra
+        assert result.output == expected + "\n", extra
+
+
 def test_construct_with_rate_and_field_flags(runner, butterfly_file, tmp_path):
     out = str(tmp_path / "code.json")
     result = runner.invoke(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from snfc import (
     network_from_dict,
-    is_cut_set,
     make_field,
     make_network,
     parse_network,
@@ -149,12 +148,6 @@ def test_multi_edges_are_allowed(n1):
     assert n1.edge_by_id["e1"].head == n1.edge_by_id["e2"].head
 
 
-def test_dot_export_mentions_every_edge(butterfly):
-    dot = butterfly.to_dot()
-    for e in butterfly.edges:
-        assert e.id in dot
-
-
 # -- the edge order -------------------------------------------------------------------
 
 def test_order_puts_source_edges_first_grouped(butterfly):
@@ -216,21 +209,6 @@ def test_reach_sets_agree_with_path_enumeration(data):
     assert rs.feeding == feeding
     assert rs.separated == separated
     assert rs.separated <= rs.feeding
-
-
-# -- cut-set flags ------------------------------------------------------------------------
-
-def test_empty_set_is_not_a_cut(butterfly):
-    assert not is_cut_set(butterfly, [])
-
-
-def test_sink_in_edges_form_a_global_cut(butterfly):
-    flags = is_cut_set(butterfly, ["e8", "e9"])
-    assert flags.is_cut and flags.is_global
-
-
-def test_single_middle_edge_is_not_a_cut(butterfly):
-    assert not is_cut_set(butterfly, ["e5"])
 
 
 # -- linear-function reduction -----------------------------------------------------------------

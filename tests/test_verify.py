@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import random
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from snfc import (
     Matrix,
     check_computability,
-    check_security_exhaustive,
+    check_exhaustive,
     check_security_rank,
     construct,
     make_field,
@@ -32,20 +33,20 @@ GF4 = make_field(2, 2)
 def test_butterfly_fixture_computable(butterfly):
     code = fixtures.code("butterfly")
     assert check_computability(code, butterfly)
-    assert check_computability(code, butterfly, method="exhaustive")
+    assert check_exhaustive(code, butterfly)[0]
 
 
 def test_binary_butterfly_hand_code_computable(butterfly):
     # the sink adds its two in-edges: (m1 + k2) + (m2 + k2) = m1 + m2
     code = fixtures.code("butterfly_gf2")
     assert check_computability(code, butterfly)
-    assert check_computability(code, butterfly, method="exhaustive")
+    assert check_exhaustive(code, butterfly)[0]
 
 
 def test_n1_hand_code_computable(n1):
     code = fixtures.code("n1")
     assert check_computability(code, n1)
-    assert check_computability(code, n1, method="exhaustive")
+    assert check_exhaustive(code, n1)[0]
 
 
 def test_zeroed_decoder_not_computable(butterfly):
@@ -62,7 +63,7 @@ def test_zeroed_decoder_not_computable(butterfly):
         code.mixing,
     )
     assert not check_computability(broken, butterfly)
-    assert not check_computability(broken, butterfly, method="exhaustive")
+    assert check_exhaustive(broken, butterfly) == (False, True, None)
 
 
 def test_computability_shape_guard(butterfly):
@@ -85,7 +86,7 @@ def test_computability_shape_guard(butterfly):
 def test_exhaustive_cap_guard(butterfly):
     code = fixtures.code("butterfly")
     with pytest.raises(TooLarge):
-        check_computability(code, butterfly, method="exhaustive", cap=10)
+        check_exhaustive(code, butterfly, cap=10)
 
 
 @pytest.mark.parametrize("raw", ["abc", "2.5", "-3"])
@@ -127,8 +128,7 @@ def test_unmixed_sum_code_leaks(butterfly):
     ok, failing = check_security_rank(code, butterfly)
     assert not ok
     assert failing == ("e3",)
-    ex_ok, ex_failing = check_security_exhaustive(code, butterfly)
-    assert not ex_ok and ex_failing == ("e3",)
+    assert check_exhaustive(code, butterfly) == (True, False, ("e3",))
 
 
 def gamma_selector(code, s):
@@ -187,17 +187,16 @@ def test_zero_edge_is_always_safe(butterfly):
 # -- security: exhaustive criterion ------------------------------------------------------------
 
 def test_fig_codes_secure_exhaustively(n1, butterfly):
-    ok, _ = check_security_exhaustive(fixtures.code("n1"), n1)
-    assert ok
-    ok, _ = check_security_exhaustive(fixtures.code("butterfly_gf2"), butterfly)
-    assert ok
-    ok, _ = check_security_exhaustive(fixtures.code("butterfly"), butterfly)
-    assert ok
+    assert check_exhaustive(fixtures.code("n1"), n1) == (True, True, None)
+    assert check_exhaustive(fixtures.code("butterfly_gf2"), butterfly) == (True, True, None)
+    assert check_exhaustive(fixtures.code("butterfly"), butterfly) == (True, True, None)
 
 
 def test_exhaustive_cap_guard_security(butterfly):
+    # the butterfly fixture has 4^(2 * 2) = 256 states
     with pytest.raises(TooLarge):
-        check_security_exhaustive(fixtures.code("butterfly"), butterfly, cap=100)
+        check_exhaustive(fixtures.code("butterfly"), butterfly, cap=255)
+    assert check_exhaustive(fixtures.code("butterfly"), butterfly, cap=256) == (True, True, None)
 
 
 def test_fast_flag_restricts_to_primary_sets(butterfly):
@@ -257,7 +256,10 @@ def test_rank_and_exhaustive_criteria_agree(data):
     code = random_code(field, net, rate, r, rng)
     expected = gamma_criterion(code, net, fast)
     assert check_security_rank(code, net, fast=fast) == expected
-    assert check_security_exhaustive(code, net, fast=fast) == expected
+    assert check_exhaustive(code, net, fast=fast) == (
+        check_computability(code, net),
+        *check_security_rank(code, net, fast=fast),
+    )
 
 
 # -- column simulation and the per-set uniformity test ------------------------------------------
@@ -378,8 +380,7 @@ def test_exhaustive_routes_agree_with_algebraic_on_corpus(data):
     code = SecureCode(
         SumCode(base.field, base.rate, base.source_matrices, local, base.decoder), code.r, mixing
     )
-    assert check_computability(code, net) == check_computability(code, net, method="exhaustive")
-    assert check_security_rank(code, net) == check_security_exhaustive(code, net)
+    assert check_exhaustive(code, net) == (check_computability(code, net), *check_security_rank(code, net))
 
 
 # -- aggregate reports ---------------------------------------------------------------------------
@@ -416,6 +417,22 @@ def test_no_exhaustive_value_skips_the_check_under_the_cap(butterfly, flag):
     report = verify(as_secure(fixtures.butterfly_sum_code(), 1), butterfly, exhaustive=flag)
     assert report.secure_exhaustive is False
     assert report.failing_W == ("e3",)
+
+
+def test_verify_simulates_every_state_once(butterfly, monkeypatch):
+    # the package attribute `snfc.verify` is the function, not the module
+    module = importlib.import_module("snfc.verify")
+    simulate_columns = module._simulate_columns
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simulate_columns(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_simulate_columns", counting)
+    report = verify(fixtures.code("butterfly"), butterfly, exhaustive=True)
+    assert report.computable and report.secure_exhaustive
+    assert len(calls) == 1
 
 
 def test_verify_skips_exhaustive_beyond_cap(butterfly):
