@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Compare the graph-theoretic upper bound against the exhaustive oracle on a
-corpus of random networks, and report timing.
+"""Compare the graph-theoretic upper bound, and any exact capacity it reports,
+against the exhaustive oracle on a corpus of random networks, and report timing
+and the number of reports for each exactness reason.
 
 Usage: python scripts/oracle_equivalence.py [--count 200] [--seed 20000] [--rmax 2]
 """
 
 import argparse
 import time
+from collections import Counter
 
 from snfc import upper_bound, upper_bound_oracle
 from snfc.corpus import corpus
@@ -22,19 +24,25 @@ def main() -> None:
 
     t0 = time.monotonic()
     checked = mismatches = 0
-    for net in corpus(args.count, base_seed=args.seed, max_edges=args.max_edges):
+    reasons = Counter()
+    for offset, net in enumerate(corpus(args.count, base_seed=args.seed, max_edges=args.max_edges)):
         for r in range(args.rmax + 1):
-            fast = upper_bound(net, r).upper
+            report = upper_bound(net, r)
             slow = upper_bound_oracle(net, r)
             checked += 1
-            if fast != slow:
+            reasons[report.exact.reason if report.exact else "none"] += 1
+            if report.upper != slow or (report.exact is not None and report.exact.value != slow):
                 mismatches += 1
-                print(f"MISMATCH seed-offset={checked} r={r}: bound={fast} oracle={slow}")
+                print(
+                    f"MISMATCH seed={args.seed + offset} r={r}: "
+                    f"bound={report.upper} exact={report.exact} oracle={slow}"
+                )
     dt = time.monotonic() - t0
     print(
         f"{checked} comparisons over {args.count} networks: "
         f"{mismatches} mismatches in {dt:.1f}s"
     )
+    print("exactness reasons: " + ", ".join(f"{k} {v}" for k, v in sorted(reasons.items())))
     raise SystemExit(1 if mismatches else 0)
 
 

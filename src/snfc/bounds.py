@@ -5,11 +5,27 @@ The upper bound minimizes, over wiretap sets W of size at most r, the capacity
 of the origin-side minimum cut separating the sink from the sources feeding W
 once W is deleted.  Restricting the sweep to primary wiretap sets (sets equal to
 their own origin-side minimum cut) loses nothing and keeps the enumeration small.
+
+The lower bound max(c_min - r, 0) is the exact rate in four cases: r = 0,
+r >= c_min_bar (rate 0), c_min = c_min_bar, and the cut structure case.  The
+last one asks for a minimum cut C of some source with min cut c_min, having r
+edges that only sources separated by C can reach.  When
+1 <= r < c_min_bar and c_min < c_min_bar, it holds exactly when the upper bound
+equals c_min - r, so it is read off the sweep:
+
+- given such a C, let W be those r edges.  The sources feeding W are separated
+  by C, and C minus W still separates them once W is deleted, so W leaves at
+  most c_min - r and the bound, being at least c_min - r, equals it;
+- given a nonempty primary W leaving c_min - r, let D be its residual cut.
+  C = D + W separates the sources feeding W with at most c_min edges, and every
+  source has min cut at least c_min, so |W| = r, |C| = c_min, each feeding
+  source is tight and separated by C, and only those sources reach W.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
@@ -23,12 +39,14 @@ from .cuts import (
     feeding_sources,
     is_primary,
     source_cut_reports,
-    source_min_cuts,
 )
 from .errors import InvariantViolated, NegativeSecurityLevel, TooLarge
-from .network import Network, reach_sets
+from .network import Network
 
 ORACLE_EDGE_LIMIT = 16
+# the cut structure case is reported only while C(|E|, c_min) is at most this;
+# lifting the limit would change `exact` on large networks such as the 200-edge
+# benchmark stars, whose recorded outputs have it null
 CUT_SCAN_LIMIT = 200_000
 
 
@@ -131,44 +149,14 @@ def zero_capacity(net: Network, r: int) -> bool:
 
 
 def exact_capacity(net: Network, r: int) -> ExactCapacity | None:
-    """The exact secure computing rate when one of the closed-form cases applies."""
-    _check_level(r)
-    cm = c_min(net)
-    if r == 0:
-        return ExactCapacity(cm, "r_zero")
-    cb = c_min_bar(net)
-    if r >= cb:
-        return ExactCapacity(0, "zero_capacity")
-    if cm == cb:
-        # r < cb = cm here, so the rate is positive
-        return ExactCapacity(cm - r, "cmin_equals_cminbar")
-    if r <= cm and _cut_structure_holds(net, r, cm):
-        return ExactCapacity(cm - r, "cut_structure")
-    return None
+    """The exact secure computing rate when one of the closed-form cases applies.
 
-
-def _cut_structure_holds(net: Network, r: int, cm: int) -> bool:
-    """Look for a smallest-capacity source whose minimum cut has r edges that no
-    outside source can reach."""
-    per_source = source_min_cuts(net)
-    tight = {s for s, v in per_source.items() if v == cm}
-    if not tight:
-        return False
-    ids = sorted(net.edge_by_id)
-    total = 1
-    for i in range(cm):
-        total = total * (len(ids) - i) // (i + 1)
-    if total > CUT_SCAN_LIMIT:
-        return False  # give up conservatively; the caller falls back to bounds only
-    for combo in itertools.combinations(ids, cm):
-        rs = reach_sets(net, combo)
-        if not (rs.separated & tight):
-            continue
-        outside = [s for s in net.sources if s not in rs.separated]
-        poisoned = net.edges_reachable_from(outside) if outside else set()
-        if sum(1 for eid in combo if eid not in poisoned) >= r:
-            return True
-    return False
+    The first three cases follow from c_min, c_min_bar and r alone.  The cut
+    structure case holds exactly when the upper bound equals c_min - r (see the
+    module docstring), so it comes from `upper_bound`'s sweep, and only while
+    C(|E|, c_min) <= CUT_SCAN_LIMIT.
+    """
+    return upper_bound(net, r).exact
 
 
 def upper_bound(net: Network, r: int) -> BoundReport:
@@ -186,7 +174,17 @@ def upper_bound(net: Network, r: int) -> BoundReport:
         upper, witness_cut = best.capacity, best.cut_edges
     if not max(cm - r, 0) <= upper <= cm:
         raise InvariantViolated(f"upper bound {upper} outside [max(c_min - r, 0), c_min] for c_min {cm}")
-    exact = exact_capacity(net, r)
+    if r == 0:
+        exact: ExactCapacity | None = ExactCapacity(cm, "r_zero")
+    elif r >= cb:
+        exact = ExactCapacity(0, "zero_capacity")
+    elif cm == cb:
+        # r < cb = cm here, so the rate is positive
+        exact = ExactCapacity(cm - r, "cmin_equals_cminbar")
+    elif r <= cm and upper == cm - r and math.comb(len(net.edges), cm) <= CUT_SCAN_LIMIT:
+        exact = ExactCapacity(cm - r, "cut_structure")
+    else:
+        exact = None
     if exact is not None and not max(cm - r, 0) <= exact.value <= upper:
         raise InvariantViolated(f"exact capacity {exact.value} outside [max(c_min - r, 0), {upper}]")
     return BoundReport(

@@ -101,6 +101,16 @@ def bound(network_path: str, r: int, oracle: bool, as_json: bool) -> None:
 
 # -- cuts -----------------------------------------------------------------------
 
+def _mincut_payload(net, origin: str, target: str) -> tuple[dict, list[str]]:
+    report = cuts_mod.min_cut(net, _split(origin), target)
+    return report.to_dict(), [f"capacity: {report.capacity}", f"cut: {list(report.cut_edges)}"]
+
+
+def _primary_payload(net, sources: str, edges: str) -> tuple[dict, list[str]]:
+    cut = cuts_mod.primary_min_cut(net, _split(sources), _split(edges))
+    return {"cut": list(cut)}, [f"cut: {list(cut)}"]
+
+
 @main.group()
 def cuts() -> None:
     """Minimum-cut queries."""
@@ -115,15 +125,11 @@ def cuts_mincut(network_path: str, origin: str, target: str, as_json: bool) -> N
     """Origin-side minimum cut separating a node from a node set."""
     try:
         net = _load_network(network_path)
-        report = cuts_mod.min_cut(net, _split(origin), target)
+        payload, lines = _mincut_payload(net, origin, target)
     except SnfcError as exc:
         _fail(exc, as_json)
         return
-    _emit(
-        report.to_dict(),
-        as_json,
-        [f"capacity: {report.capacity}", f"cut: {list(report.cut_edges)}"],
-    )
+    _emit(payload, as_json, lines)
 
 
 @cuts.command("primary")
@@ -135,11 +141,11 @@ def cuts_primary(network_path: str, sources: str, edges: str, as_json: bool) -> 
     """Origin-side minimum cut separating an edge set from a node set."""
     try:
         net = _load_network(network_path)
-        cut = cuts_mod.primary_min_cut(net, _split(sources), _split(edges))
+        payload, lines = _primary_payload(net, sources, edges)
     except SnfcError as exc:
         _fail(exc, as_json)
         return
-    _emit({"cut": list(cut)}, as_json, [f"cut: {list(cut)}"])
+    _emit(payload, as_json, lines)
 
 
 # -- construct ------------------------------------------------------------------
@@ -261,17 +267,13 @@ def example_cmd(
         elif cut_kind == "primary":
             if not sources or not edges:
                 raise click.UsageError("primary cut queries need --sources and --edges")
-            cut = cuts_mod.primary_min_cut(net, _split(sources), _split(edges))
-            _emit({"cut": list(cut)}, as_json, [f"cut: {list(cut)}"])
+            payload, lines = _primary_payload(net, sources, edges)
+            _emit(payload, as_json, lines)
         elif cut_kind == "mincut":
             if not sources or not target:
                 raise click.UsageError("mincut queries need --sources and --to")
-            report = cuts_mod.min_cut(net, _split(sources), target)
-            _emit(
-                report.to_dict(),
-                as_json,
-                [f"capacity: {report.capacity}", f"cut: {list(report.cut_edges)}"],
-            )
+            payload, lines = _mincut_payload(net, sources, target)
+            _emit(payload, as_json, lines)
         elif do_verify:
             if code_owner != name:
                 raise click.UsageError(

@@ -252,10 +252,6 @@ def c_min(net: Network) -> int:
     return min(report.capacity for report in source_cut_reports(net))
 
 
-def source_min_cuts(net: Network) -> dict[str, int]:
-    return {s: report.capacity for s, report in zip(net.sources, source_cut_reports(net))}
-
-
 @lru_cache(maxsize=None)
 def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
     reports = []

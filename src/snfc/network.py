@@ -145,20 +145,16 @@ class Network:
                     stack.append(e.head)
         return seen
 
-    def nodes_reaching(self, targets: Iterable[str], removed: frozenset[str] = frozenset()) -> set[str]:
+    def nodes_reaching(self, targets: Iterable[str]) -> set[str]:
         seen = set(targets)
         stack = list(seen)
         while stack:
             n = stack.pop()
             for e in self.in_edges[n]:
-                if e.id not in removed and e.tail not in seen:
+                if e.tail not in seen:
                     seen.add(e.tail)
                     stack.append(e.tail)
         return seen
-
-    def edges_reachable_from(self, starts: Iterable[str]) -> set[str]:
-        reach = self.nodes_reachable_from(starts)
-        return {e.id for e in self.edges if e.tail in reach}
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,7 @@
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,7 @@ from snfc import (
     upper_bound_oracle,
     zero_capacity,
 )
-from snfc.bounds import _omega_reports
+from snfc.bounds import CUT_SCAN_LIMIT, _omega_reports
 from snfc.corpus import corpus, random_network
 from snfc.errors import NegativeSecurityLevel, TooLarge
 
@@ -196,31 +199,44 @@ def test_exact_capacity_n1_is_open(n1):
     assert exact_capacity(n1, 1) is None
 
 
-def test_exact_capacity_cut_structure():
-    # s1 is the tight source (min cut 2 through shared relays, out-degree 3);
-    # the minimum cut {e3, e7} has one edge (e3) that s2 cannot reach, so the
-    # isolation condition fires even though c_min < c_min_bar
-    net = make_network(
-        ["s1", "s2", "w1", "w2", "w3", "rho"],
-        [
-            ("e1", "s1", "w1"),
-            ("e2", "s1", "w1"),
-            ("e3", "s1", "w2"),
-            ("e4", "s2", "w1"),
-            ("e5", "s2", "w2"),
-            ("e6", "s2", "w3"),
-            ("e7", "w1", "rho"),
-            ("e8", "w2", "rho"),
-            ("e9", "w3", "rho"),
-        ],
-        ["s1", "s2"],
-        "rho",
-    )
+def test_exact_capacity_cut_structure(cut_structure):
+    net = cut_structure
     assert c_min(net) == 2
     assert c_min_bar(net) == 3
     got = exact_capacity(net, 1)
     assert got == (1, "cut_structure")
     assert upper_bound(net, 1).upper == 1
+
+
+def _cut_structure_reference(net, r):
+    """The paper's condition by brute force: some c_min-edge set C separates a
+    source whose min cut is c_min and has r edges that only sources separated by
+    C can reach."""
+    cm = c_min(net)
+    tight = {s for s in net.sources if min_cut(net, [s], net.sink).capacity == cm}
+    for cut in itertools.combinations(sorted(net.edge_by_id), cm):
+        separated = reach_sets(net, cut).separated
+        if not separated & tight:
+            continue
+        isolated = [eid for eid in cut if reach_sets(net, [eid]).feeding <= separated]
+        if len(isolated) >= r:
+            return True
+    return False
+
+
+def test_cut_structure_matches_the_brute_force_condition():
+    # every case where only the cut structure condition can decide exactness
+    checked = held = 0
+    for net in corpus(6000):
+        cm, cb = c_min(net), c_min_bar(net)
+        if cm >= cb:
+            continue
+        for r in range(1, cb):
+            holds = _cut_structure_reference(net, r)
+            assert (exact_capacity(net, r) == (cm - r, "cut_structure")) == holds, (net, r)
+            checked += 1
+            held += holds
+    assert (checked, held) == (76, 18)
 
 
 # -- the closed-form bracket and monotonicity -----------------------------------------------------
@@ -242,6 +258,8 @@ def test_bracket(data):
     if report.exact is not None:
         assert report.lower <= report.exact.value <= report.upper
         assert report.exact.value == report.upper
+    if math.comb(len(net.edges), report.c_min) <= CUT_SCAN_LIMIT:
+        assert (report.exact is not None) == (report.upper == report.lower)
 
 
 @given(st.integers(0, 3000))

@@ -65,6 +65,23 @@ def test_bound_json_is_byte_stable(runner, butterfly_file):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "r, expected",
+    [
+        (1, '{"c_min":2,"c_min_bar":3,"exact":{"reason":"cut_structure","value":1},"lower":1,"r":1,'
+            '"upper":1,"witness_W":["e3"],"witness_cut":["e7"]}'),
+        (2, '{"c_min":2,"c_min_bar":3,"exact":null,"lower":0,"r":2,'
+            '"upper":1,"witness_W":["e1","e2"],"witness_cut":["e3"]}'),
+    ],
+)
+def test_bound_json_cut_structure_is_pinned(runner, cut_structure, tmp_path, r, expected):
+    path = tmp_path / "cut_structure.json"
+    path.write_text(json.dumps(cut_structure.to_dict()))
+    result = runner.invoke(main, ["bound", "--network", str(path), "--r", str(r), "--json"])
+    assert result.exit_code == 0, result.output
+    assert result.output == expected + "\n"
+
+
 def test_example_fig2_primary_cut(runner):
     result = runner.invoke(
         main,
