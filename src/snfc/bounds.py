@@ -4,7 +4,20 @@ an exhaustive brute-force oracle for cross-checking the graph-theoretic path.
 The upper bound minimizes, over wiretap sets W of size at most r, the capacity
 of the origin-side minimum cut separating the sink from the sources feeding W
 once W is deleted.  Restricting the sweep to primary wiretap sets (sets equal to
-their own origin-side minimum cut) loses nothing and keeps the enumeration small.
+their own origin-side minimum cut) loses nothing.
+
+A single edge e is a primary set exactly when no other edge lies on every path
+from the sources to e (dominates e); one pass in topological order finds these
+edges (`cuts._primary_edges`).  Every edge of a primary set W is itself a primary
+single edge.  Suppose another edge e' dominates some e in W:
+
+- if e' is not in W, swapping e for e' gives a cut of W with as many edges,
+  nearer the sources, so W is not the origin-side minimum cut;
+- if e' is in W, every flow path to e crosses e', where it already ends, so
+  the maximum flow into W is below |W| and W is not a minimum cut.
+
+So the sets of two or more edges are drawn from the primary single edges only,
+and each is still confirmed with one max-flow (`is_primary`).
 
 The lower bound max(c_min - r, 0) is the exact rate in four cases: r = 0,
 r >= c_min_bar (rate 0), c_min = c_min_bar, and the cut structure case.  The
@@ -33,6 +46,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .cuts import (
     CutReport,
     ResidualFlow,
+    _primary_edges,
     c_min,
     c_min_bar,
     c_min_bar_witness,
@@ -110,10 +124,10 @@ def omega(net: Network, wiretap: Iterable[str]) -> int:
 
 @lru_cache(maxsize=None)
 def _primary_sets_of_size(net: Network, k: int) -> tuple[tuple[str, ...], ...]:
-    if k == 0:
-        return ((),)
-    ids = sorted(net.edge_by_id)
-    return tuple(c for c in itertools.combinations(ids, k) if is_primary(net, c))
+    # every edge of a primary set is a primary singleton (module docstring);
+    # sets of size 0 and 1 need no max-flow
+    candidates = itertools.combinations(sorted(_primary_edges(net)), k)
+    return tuple(c for c in candidates if k <= 1 or is_primary(net, c))
 
 
 def primary_wiretap_sets(net: Network, r: int, exact_size: bool = False) -> list[tuple[str, ...]]:

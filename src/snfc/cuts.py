@@ -220,11 +220,35 @@ def primary_min_cut(
 
 def is_primary(net: Network, edge_set: Iterable[str]) -> bool:
     """An edge set is primary when it equals the origin-side minimum cut
-    separating itself from the sources that feed it."""
+    separating itself from the sources that feed it.
+
+    One max-flow per call.  Primary-set enumeration calls it only to confirm
+    candidates of two or more edges; `_primary_edges` finds the primary single
+    edges in one pass with no max-flow.
+    """
     ids = tuple(sorted(net.check_edges(edge_set)))
     if not ids:
         raise UnknownEdge("primality is defined for nonempty edge sets")
     return min_cut_edge_target(net, sorted(feeding_sources(net, ids)), ids).cut_edges == ids
+
+
+@lru_cache(maxsize=None)
+def _primary_edges(net: Network) -> frozenset[str]:
+    """The edges e with {e} primary: those that no other edge dominates.
+
+    {e} is primary exactly when no other edge lies on every path from the
+    sources to e, since such an edge would be a one-edge cut nearer the
+    sources.  One pass in topological order finds them: dom[v] is the set of
+    edges on every source path to v, the intersection over v's in-edges e of
+    dom[tail(e)] plus e (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
+    Algorithm", 2001).  Sources have no in-edges and every other node has one,
+    so each intersection has a term.
+    """
+    dom = {s: frozenset() for s in net.sources}
+    for v in net.node_order:
+        if v not in dom:
+            dom[v] = frozenset.intersection(*(dom[e.tail] | {e.id} for e in net.in_edges[v]))
+    return frozenset(e.id for e in net.edges if not dom[e.tail])
 
 
 @lru_cache(maxsize=None)

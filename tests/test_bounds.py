@@ -1,6 +1,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from snfc import (
     c_min,
     c_min_bar,
     exact_capacity,
+    fixtures,
+    is_primary,
     lower_bound,
     make_network,
     min_cut,
@@ -26,6 +29,7 @@ from snfc import (
 from snfc.bounds import CUT_SCAN_LIMIT, _omega_reports
 from snfc.corpus import corpus, random_network
 from snfc.errors import NegativeSecurityLevel, TooLarge
+from snfc.network import Network
 
 
 # -- the residual cut statistic -----------------------------------------------------
@@ -111,6 +115,65 @@ def test_size_bounded_family_includes_empty_set(butterfly):
 def test_fig2_pair_excluded(fig2):
     family = primary_wiretap_sets(fig2, 2)
     assert ("e7", "e8") not in family
+
+
+def two_source_star(seed: int, n_edges: int) -> Network:
+    """Two sources, one layer of hubs and a sink.  Every hub has an edge in and
+    an edge out; the other edges, parallel ones included, run from a random
+    source to a random hub or from a random hub to the sink."""
+    rng = random.Random(f"star:{seed}")
+    sources = ["s1", "s2"]
+    hubs = [f"v{i + 1}" for i in range(n_edges // 6)]
+    pairs = [(rng.choice(sources), hub) for hub in hubs] + [(hub, "rho") for hub in hubs]
+    while len(pairs) < n_edges:
+        hub = rng.choice(hubs)
+        pairs.append((rng.choice(sources), hub) if rng.random() < 0.5 else (hub, "rho"))
+    edges = [(f"e{i + 1}", tail, head) for i, (tail, head) in enumerate(pairs)]
+    return make_network([*sources, *hubs, "rho"], edges, sources, "rho")
+
+
+def parallel_network(n_edges: int) -> Network:
+    return make_network(
+        ["s1", "rho"], [(f"e{i + 1}", "s1", "rho") for i in range(n_edges)], ["s1"], "rho"
+    )
+
+
+def brute_force_primary_sets(net, r):
+    """Every edge set of size <= r that `is_primary` accepts, and the empty set."""
+    ids = sorted(net.edge_by_id)
+    return [
+        c
+        for k in range(r + 1)
+        for c in itertools.combinations(ids, k)
+        if not c or is_primary(net, c)
+    ]
+
+
+def _enumeration_cases():
+    yield pytest.param([(random_network(seed), 3) for seed in range(300)], id="corpus-0-299")
+    for n in range(1, 10):
+        yield pytest.param([(parallel_network(n), n)], id=f"parallel-{n}")
+    for seed, n_edges in [(0, 40), (1, 50), (2, 60), (3, 60)]:
+        yield pytest.param([(two_source_star(seed, n_edges), 2)], id=f"star-{seed}-{n_edges}")
+    for name in ("butterfly", "fig2", "n1"):
+        net = fixtures.network(name)
+        yield pytest.param([(net, len(net.edges))], id=name)
+
+
+@pytest.mark.parametrize("cases", _enumeration_cases())
+def test_primary_sets_match_the_brute_force(cases):
+    for net, rmax in cases:
+        brute = brute_force_primary_sets(net, rmax)  # by size, then lexicographic
+        for r in range(rmax + 1):
+            assert primary_wiretap_sets(net, r) == sorted(c for c in brute if len(c) <= r)
+            exact = [c for c in brute if len(c) == r]
+            assert primary_wiretap_sets(net, r, exact_size=True) == exact
+        # the lemma behind the candidate restriction, checked on the brute force:
+        # every edge of a primary set of size >= 2 is a primary singleton
+        singles = {c[0] for c in brute if len(c) == 1}
+        for wset in brute:
+            if len(wset) >= 2:
+                assert singles.issuperset(wset), wset
 
 
 # -- upper bound -------------------------------------------------------------------------

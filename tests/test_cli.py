@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import snfc
 from snfc import fixtures
 from snfc.cli import main
+from test_bounds import two_source_star
 
 
 @pytest.fixture
@@ -80,6 +81,19 @@ def test_bound_json_cut_structure_is_pinned(runner, cut_structure, tmp_path, r, 
     result = runner.invoke(main, ["bound", "--network", str(path), "--r", str(r), "--json"])
     assert result.exit_code == 0, result.output
     assert result.output == expected + "\n"
+
+
+def test_bound_json_on_a_large_star_is_pinned(runner, tmp_path):
+    # 60 edges, 54 of them primary singletons; recorded before primary sets
+    # came from edge dominators
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(two_source_star(2, 60).to_dict()))
+    result = runner.invoke(main, ["bound", "--network", str(path), "--r", "1", "--json"])
+    assert result.exit_code == 0, result.output
+    assert result.output == (
+        '{"c_min":10,"c_min_bar":12,"exact":null,"lower":9,"r":1,"upper":9,"witness_W":["e29"],'
+        '"witness_cut":["e13","e38","e4","e40","e5","e57","e6","e8","e9"]}\n'
+    )
 
 
 def test_example_fig2_primary_cut(runner):
