@@ -10,11 +10,9 @@ and r on uniform one-time keys.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import random
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,62 +119,8 @@ def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
 # column; indices below the number of input columns name inputs, the rest name
 # the edges before it.  The inputs decide what a column means: unit columns give
 # global vectors, one column per input coordinate over all states gives every
-# state's symbols at once.
-
-def _column_ops(field: Field, n: int):
-    """(pack, combination) for symbol columns of length n over `field`.
-
-    Columns are `bytes` when q <= 256 and `array("H")` otherwise.  `combination`
-    sums c * col over (c, col) terms.  A column shorter than q is scaled entry by
-    entry, since a product row costs q products; a longer one maps through the
-    product row of c (a `bytes.translate` table when q <= 256).  Addition XORs
-    whole columns when p = 2 and applies `field.add` entry by entry otherwise.
-    """
-    pack = bytes if field.q <= 256 else functools.partial(array, "H")
-    rows: dict[int, object] = {}
-    if n < field.q:
-
-        def scale(c, col):
-            return pack(map(field.mul, itertools.repeat(c), col))
-
-    elif field.q <= 256:
-        pad = bytes(256 - field.q)
-
-        def scale(c, col):
-            row = rows.get(c)
-            if row is None:
-                row = rows[c] = bytes(field.mul_row(c)) + pad
-            return col.translate(row)
-
-    else:
-
-        def scale(c, col):
-            row = rows.get(c)
-            if row is None:
-                row = rows[c] = field.mul_row(c)
-            return pack(map(row.__getitem__, col))
-
-    if field.p == 2:
-        nbytes = n if field.q <= 256 else 2 * n
-
-        def add(a, b):
-            return pack((int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(nbytes, "little"))
-
-    else:
-
-        def add(a, b):
-            return pack(map(field.add, a, b))
-
-    def combination(terms):
-        acc = None
-        for c, col in terms:
-            if c:
-                term = col if c == 1 else scale(c, col)
-                acc = term if acc is None else add(acc, term)
-        return pack((0,)) * n if acc is None else acc
-
-    return pack, combination
-
+# state's symbols at once.  Columns are the field's packed columns (`Field.pack`),
+# and each step is one `Field.combination`.
 
 def _propagate(field: Field, plan: list, inputs: list, keep=None) -> list:
     """Run `plan` over the equal-length `inputs`: one column per plan step.
@@ -185,8 +129,7 @@ def _propagate(field: Field, plan: list, inputs: list, keep=None) -> list:
     is dropped to None after its last use, so the live columns are the kept ones
     plus the frontier of the walk.  Without it every column is returned.
     """
-    _, combination = _column_ops(field, len(inputs[0]))
-    n_in = len(inputs)
+    n, n_in = len(inputs[0]), len(inputs)
     cols = list(inputs)
     retire = itertools.repeat(())
     if keep is not None:
@@ -198,7 +141,7 @@ def _propagate(field: Field, plan: list, inputs: list, keep=None) -> list:
             if idx - n_in not in keep:
                 retire[p].append(idx)
     for taps, done in zip(plan, retire):
-        cols.append(combination([(c, cols[idx]) for idx, c in taps]))
+        cols.append(field.combination([(c, cols[idx]) for idx, c in taps], n))
         for idx in done:
             cols[idx] = None
     return cols[n_in:]
@@ -234,19 +177,17 @@ def _mix_inputs(code: SecureCode, inputs: list) -> list:
     is <(B^-1)^T x, c>: transforming the inputs replaces a matrix product per
     source edge.
     """
-    _, combination = _column_ops(code.field, len(inputs[0]))
-    rate = code.rate
+    field, n, rate = code.field, len(inputs[0]), code.rate
     binv = code.mixing_inverse.columns()
     return [
-        combination(zip(col, inputs[first : first + rate]))
+        field.combination(zip(col, inputs[first : first + rate]), n)
         for first in range(0, len(inputs), rate)
         for col in binv
     ]
 
 
 def _unit_columns(field: Field, n: int) -> list:
-    pack, _ = _column_ops(field, n)
-    return [pack(int(t == k) for t in range(n)) for k in range(n)]
+    return [field.pack(int(t == k) for t in range(n)) for k in range(n)]
 
 
 def _edge_vectors(code: SumCode, net: Network, inputs: list) -> dict[str, tuple[int, ...]]:
@@ -317,6 +258,14 @@ def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]
     return _edge_vectors(code.base, net, _mix_inputs(code, units))
 
 
+def decodes_message_sum(code: SecureCode, net: Network) -> bool:
+    """The computability criterion: the sink matrix of the secure global vectors
+    times the message decoder equals the message selector stacked once per source."""
+    s = net.num_sources
+    sink = sink_matrix(secure_vectors(code, net), net, code.field, code.rate * s)
+    return sink.mul(message_decoder(code)).data == message_selector(code).data * s
+
+
 # -- multicast on the reversed network ---------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -368,17 +317,14 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
             )
         plan = [[(idx, row[j]) for idx, row in zip(feeds, kernels[v].data)] for v, feeds, j in shape]
         fe = dict(zip(walk, map(tuple, _propagate(field, plan, units))))
-        decode = {
-            s: Matrix.from_columns(field, [fe[e.id] for e in net.out_edges[s]], nrows=rate)
-            for s in net.sources
-        }
-        if all(m.rank() == rate for m in decode.values()):
-            right = {}
-            for s, m in decode.items():
-                k = m.solve_right(eye)
-                if k is None:
-                    raise InvariantViolated("a full-row-rank decode matrix has no right inverse")
-                right[s] = k
+        # a source decodes exactly when its rate x |out(s)| decode matrix has a right inverse
+        decode, right = {}, {}
+        for s in net.sources:
+            decode[s] = Matrix.from_columns(field, [fe[e.id] for e in net.out_edges[s]], nrows=rate)
+            right[s] = decode[s].solve_right(eye)
+            if right[s] is None:
+                break
+        else:
             return MulticastCode(field, rate, kernels, fe, decode, right)
     raise FieldTooSmallForMulticast(
         f"no decodable rate-{rate} multicast code found over {field!r} in {MULTICAST_ATTEMPTS} attempts"
@@ -414,11 +360,7 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
                 local_coeffs[e_out.id] = entry
     decoder = mc.kernels[net.sink].transpose()  # |in(sink)| x R
     code = SumCode(field, rate, source_matrices, local_coeffs, decoder)
-    vectors = global_vectors(code, net)
-    stacked = Matrix.build(
-        field, [Matrix.identity(field, rate).data[i % rate] for i in range(rate * net.num_sources)]
-    )
-    if sink_matrix(vectors, net, field, rate * net.num_sources).mul(decoder).data != stacked.data:
+    if not decodes_message_sum(as_secure(code), net):
         raise ReversalInconsistent("reversed code does not decode the stacked identity")
     return code
 
@@ -519,11 +461,12 @@ def secure_code(code: SumCode, mixing: Matrix, r: int) -> SecureCode:
         raise ShapeMismatch(f"security level {r} out of range for rate {code.rate}")
     if mixing.field != code.field:
         raise ShapeMismatch("mixing matrix over the wrong field")
+    secure = SecureCode(code, r, mixing)
     try:
-        mixing.inverse()
+        secure.mixing_inverse  # inverted once here; every later use reads the cached inverse
     except Singular:
         raise SingularB("mixing matrix is singular") from None
-    return SecureCode(code, r, mixing)
+    return secure
 
 
 # -- end-to-end construction ----------------------------------------------------------

@@ -9,6 +9,7 @@ anywhere in this module.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -142,11 +143,14 @@ class Field:
         return self.add(a, self.neg(b))
 
     @cached_property
-    def _mul_table(self) -> list[list[int]] | None:
-        # small fields get a dense table; multiplication dominates simulation loops
+    def _mul_table(self) -> tuple[bytes, ...] | None:
+        # small fields get a dense table; multiplication dominates simulation loops.
+        # Row a, padded to 256 entries, is also the bytes.translate table scaling a
+        # packed column by a.
         if self.q > 256:
             return None
-        return [[self._mul_slow(a, b) for b in range(self.q)] for a in range(self.q)]
+        pad = bytes(256 - self.q)
+        return tuple(bytes(self._mul_slow(a, b) for b in range(self.q)) + pad for a in range(self.q))
 
     def mul(self, a: int, b: int) -> int:
         table = self._mul_table
@@ -156,10 +160,52 @@ class Field:
 
     def mul_row(self, a: int) -> list[int]:
         """The products a*x for every element x, indexed by x."""
-        table = self._mul_table
-        if table is not None:
-            return table[a]
-        return [self._mul_slow(a, x) for x in range(self.q)]
+        return [self.mul(a, x) for x in range(self.q)]
+
+    # -- packed columns ----------------------------------------------------
+    #
+    # A column of field elements (a vector of symbols, one per state or per
+    # coordinate) is stored packed: `bytes` while q <= 256, `array("H")` beyond.
+
+    def pack(self, values) -> bytes | array:
+        """The packed column holding `values`, an iterable of elements."""
+        return bytes(values) if self.q <= 256 else array("H", values)
+
+    def combination(self, terms, n: int) -> bytes | array:
+        """The packed column sum of c * col over (c, col) terms, each of length n.
+
+        While q <= 256 a column is scaled by `bytes.translate` through product
+        row c; beyond that `_scale_wide` scales it.  Addition XORs whole columns
+        when p = 2 and adds entry by entry otherwise.  With no nonzero term the
+        result is n zero entries.
+        """
+        table, rows = self._mul_table, {}
+        add = self._xor if self.p == 2 else self._add_entrywise
+        acc = None
+        for c, col in terms:
+            if c:
+                if c != 1:
+                    col = col.translate(table[c]) if table is not None else self._scale_wide(c, col, rows)
+                acc = col if acc is None else add(acc, col)
+        return self.pack((0,)) * n if acc is None else acc
+
+    def _scale_wide(self, c: int, col: array, rows: dict) -> array:
+        # beyond 256 elements a column shorter than q is scaled entry by entry, since a
+        # product row costs q products; a longer one maps through mul_row(c), kept in
+        # `rows` for the rest of one combination
+        if len(col) < self.q:
+            return array("H", map(self._mul_slow, itertools.repeat(c), col))
+        row = rows.get(c)
+        if row is None:
+            row = rows[c] = self.mul_row(c)
+        return array("H", map(row.__getitem__, col))
+
+    def _xor(self, a, b) -> bytes | array:
+        raw = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(memoryview(a).nbytes, "little")
+        return raw if self.q <= 256 else array("H", raw)  # raw memory: two bytes per entry
+
+    def _add_entrywise(self, a, b) -> bytes | array:
+        return self.pack(map(self.add, a, b))
 
     def _mul_slow(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -334,18 +380,17 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} x {other.shape}")
         f = self.field
-        cols = other.ncols
         out = []
         for row in self.data:
-            new_row = []
-            for j in range(cols):
-                acc = 0
-                for k, a in enumerate(row):
-                    if a:
-                        acc = f.add(acc, f.mul(a, other.data[k][j]))
-                new_row.append(acc)
-            out.append(tuple(new_row))
-        return Matrix(f, tuple(out), cols)
+            # row times other as a sum of other's rows, skipping zeros on both sides
+            acc = [0] * other.ncols
+            for a, other_row in zip(row, other.data):
+                if a:
+                    for j, b in enumerate(other_row):
+                        if b:
+                            acc[j] = f.add(acc[j], f.mul(a, b))
+            out.append(tuple(acc))
+        return Matrix(f, tuple(out), other.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(self.col(j) for j in range(self.ncols)), self.nrows)

@@ -1,10 +1,11 @@
 """Independent checking of constructed and hand-authored codes.
 
 Computability has an exact algebraic criterion (the composite map from source
-inputs through the network to the decoder must equal the message-sum selector)
-and an exhaustive one (simulate every input and compare).  Security likewise has
-a rank criterion and an exhaustive tabulation of the conditional message
-distribution.  The two routes must agree wherever both run.
+inputs through the network to the decoder must equal the message-sum selector,
+`codes.decodes_message_sum`) and an exhaustive one (simulate every input and
+compare).  Security likewise has a rank criterion and an exhaustive tabulation
+of the conditional message distribution.  The two routes must agree wherever
+both run.
 
 The rank criterion: a wiretap set W leaks exactly when some nonzero combination
 of the global vectors it sees is zero on every key coordinate, for that
@@ -21,11 +22,13 @@ network at once, one symbol column per edge, with the walker `codes._propagate`
 sink's columns against the message sums and tabulates one wiretap set at a time.
 The mixing matrix enters through the input columns: each source's state columns
 are mixed by (B^-1)^T before the walk, and the plan holds the raw local rules.
-Time is O(states * (|E| + |family|)).  A column holds one byte per state (two
-once q > 256) and lives until its last use: the pass keeps the sink's in-edges
-and every edge that some wiretap set reads, plus the propagation frontier, so
-its memory is O(states * |E|) bytes (at most the state cap times |E|) plus the
-table of one wiretap set.  `simulate` is the per-state reference.
+Time is O(states * (|E| + |family|)).  A column is the field's packed column
+(`Field.pack`: one byte per state, two once q > 256), each sum of scaled
+columns is one `Field.combination`, and a column lives until its last use: the
+pass keeps the sink's in-edges and every edge that some wiretap set reads, plus
+the propagation frontier, so its memory is O(states * |E|) bytes (at most the
+state cap times |E|) plus the table of one wiretap set.  `simulate` is the
+per-state reference.
 """
 
 from __future__ import annotations
@@ -42,15 +45,13 @@ from .bounds import primary_wiretap_sets, upper_bound
 from .codes import (
     SecureCode,
     SumCode,
-    _column_ops,
     _mix_inputs,
     _propagate,
     _propagation_plan,
     as_secure,
+    decodes_message_sum,
     message_decoder,
-    message_selector,
     secure_vectors,
-    sink_matrix,
 )
 from .errors import (
     MalformedInput,
@@ -140,11 +141,6 @@ def _check_shapes(code: SecureCode, net: Network) -> None:
                 raise ShapeMismatch(f"source column for {eid!r} has length {len(col)}")
 
 
-def _stacked_selector(code: SecureCode, s: int) -> Matrix:
-    """The (rate*s) x ell message selector, one copy per source stacked."""
-    return Matrix(code.field, message_selector(code).data * s, code.ell)
-
-
 # -- simulation ------------------------------------------------------------------------
 
 def _run_plan(field, plan, inputs) -> list[int]:
@@ -195,14 +191,13 @@ def _simulate_columns(code: SecureCode, net: Network, keep) -> tuple[list, dict]
     after its last use, so the live columns are those of `keep` plus the
     current frontier of the propagation.
     """
-    q = code.field.q
-    n_coords = code.rate * net.num_sources
-    pack, _ = _column_ops(code.field, q**n_coords)
+    field = code.field
+    q, n_coords = field.q, code.rate * net.num_sources
     flat = []
     for k in range(n_coords):
         run = q ** (n_coords - 1 - k)
         block = itertools.chain.from_iterable(itertools.repeat(v, run) for v in range(q))
-        flat.append(pack(block) * q**k)
+        flat.append(field.pack(block) * q**k)
     inputs = [flat[i * code.rate : (i + 1) * code.rate] for i in range(net.num_sources)]
     pos = net.order_index
     plan = _propagation_plan(code.base, net)
@@ -246,15 +241,11 @@ def check_computability(code: SecureCode | SumCode, net: Network) -> bool:
     """Does the sink always recover the coordinate-wise message sum?
 
     The end-to-end linear map from the source inputs to the decoder output must
-    equal the stacked message selector.
+    equal the stacked message selector (`codes.decodes_message_sum`).
     """
     secure = as_secure(code)
     _check_shapes(secure, net)
-    s = net.num_sources
-    vectors = secure_vectors(secure, net)
-    h_rho = sink_matrix(vectors, net, secure.field, secure.rate * s)
-    achieved = h_rho.mul(message_decoder(secure))
-    return achieved.data == _stacked_selector(secure, s).data
+    return decodes_message_sum(secure, net)
 
 
 # -- security ------------------------------------------------------------------------------
@@ -318,10 +309,10 @@ def check_exhaustive(
     inputs, cols = _simulate_columns(
         secure, net, {*received_ids, *(eid for wset in family for eid in wset)}
     )
-    _, combination = _column_ops(secure.field, total)
+    combination = secure.field.combination
     received = [cols[eid] for eid in received_ids]
     computable = all(
-        combination(zip(dec_col, received)) == combination((1, inputs[i][j]) for i in range(s))
+        combination(zip(dec_col, received), total) == combination(((1, inputs[i][j]) for i in range(s)), total)
         for j, dec_col in enumerate(message_decoder(secure).columns())
     )
     messages = array("q", _digits_to_ints([row[j] for row in inputs for j in range(ell)], q, total))

@@ -4,6 +4,8 @@ Each test prints a single pass/fail line (visible with `pytest -s`); a failed
 assertion marks the criterion red.  Criteria 7-10 share one 200-network corpus.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from snfc import (
     check_exhaustive,
     check_security_rank,
     choose_mixing_matrix,
+    code_to_dict,
     construct,
     exact_capacity,
     lift_extension,
@@ -34,6 +37,9 @@ from snfc.errors import FieldTooSmall, RateInfeasible
 
 CORPUS_SIZE = 200
 CORPUS_SEED = 20_000
+# sha256 over the criterion-8 loop's codes and reports, in loop order: a change to
+# any chosen field, kernel, mixing matrix, global vector or report changes it
+CONSTRUCTION_DIGEST = "6f91535453abd9dd38136de8209f70539ca507eaf3d3d9840960b7160cc74ea2"
 
 
 def announce(number: int, text: str) -> None:
@@ -139,6 +145,7 @@ def test_criterion_7_oracle_equivalence(random_corpus):
 
 def test_criterion_8_construction_soundness(random_corpus):
     built = zero_rate = exhaustive_runs = 0
+    digest = hashlib.sha256()
     for net in random_corpus:
         cm = c_min(net)
         for r in range(cm + 1):
@@ -151,10 +158,13 @@ def test_criterion_8_construction_soundness(random_corpus):
             built += 1
             report = verify(code, net, cap=2048, fast=r >= 3)
             assert report.all_passed, (net.to_dict(), r, report.to_dict())
+            doc = json.dumps([code_to_dict(code, net), report.to_dict()], sort_keys=True)
+            digest.update(hashlib.sha256(doc.encode()).digest())
             if report.secure_exhaustive is not None:
                 exhaustive_runs += 1
                 assert report.secure_exhaustive == report.secure_rank
     assert exhaustive_runs > 100
+    assert digest.hexdigest() == CONSTRUCTION_DIGEST
     announce(8, f"{built} constructed codes all verify (computable, rank- and "
                 f"tabulation-secure within bound); the exhaustive route ran "
                 f"{exhaustive_runs} times and always agreed; the only refusals "

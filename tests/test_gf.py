@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -174,6 +175,46 @@ def test_element_encoding_round_trip():
     for field in SAMPLE_FIELDS:
         for x in field.elements():
             assert field.encode(field.coeffs(x)) == x
+
+
+# -- packed columns ------------------------------------------------------------------
+
+COLUMN_FIELDS = [make_field(*pm) for pm in [(2, 1), (3, 1), (3, 2), (2, 8), (257, 1), (2, 9)]]
+
+
+def entrywise_combination(field, terms, n):
+    out = [0] * n
+    for c, col in terms:
+        for i, x in enumerate(col):
+            out[i] = field.add(out[i], field.mul(c, x))
+    return out
+
+
+@pytest.mark.parametrize("field", COLUMN_FIELDS, ids=repr)
+def test_column_combination_matches_entrywise_arithmetic(field):
+    # bytes up to 256 elements, arrays beyond; columns shorter than q and at least q long
+    rng = random.Random(repr(field))
+    q = field.q
+    coefficients = [0, 1] + sorted({c for c in (2, q - 1, rng.randrange(q)) if 1 < c < q})
+    for n in sorted({1, q - 1, q, q + 3} - {0}):
+        values = [[rng.randrange(q) for _ in range(n)] for _ in range(3)]
+        cols = [field.pack(v) for v in values]
+        assert [list(col) for col in cols] == values
+        assert all(type(col) is type(field.pack([])) for col in cols)
+        # no nonzero term: n zero entries, whatever the column format
+        for terms in ([], [(0, v) for v in values]):
+            zero = field.combination([(c, field.pack(v)) for c, v in terms], n)
+            assert len(zero) == n and list(zero) == [0] * n
+            assert type(zero) is type(field.pack([]))
+        for c in coefficients:
+            assert list(field.combination([(c, cols[0])], n)) == entrywise_combination(field, [(c, values[0])], n)
+        for _ in range(8):
+            cs = [rng.choice(coefficients) for _ in values]
+            got = field.combination(list(zip(cs, cols)), n)
+            assert type(got) is type(field.pack([]))
+            assert list(got) == entrywise_combination(field, list(zip(cs, values)), n), (n, cs)
+    # the column work caches nothing that would stop a field (and a code over it) pickling
+    assert pickle.loads(pickle.dumps(field)) == field
 
 
 # -- matrices ----------------------------------------------------------------------

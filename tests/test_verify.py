@@ -264,6 +264,8 @@ def test_rank_and_exhaustive_criteria_agree(data):
 
 # -- column simulation and the per-set uniformity test ------------------------------------------
 
+GF9 = make_field(3, 2)
+GF256 = make_field(2, 8)
 GF257 = make_field(257, 1)
 GF512 = make_field(2, 9)
 
@@ -271,14 +273,15 @@ GF512 = make_field(2, 9)
 def _column_cases():
     for name, net in [("butterfly", "butterfly"), ("butterfly_gf2", "butterfly"), ("n1", "n1")]:
         yield pytest.param(fixtures.code(name), fixtures.network(net), id=name)
-    for field in (GF2, GF3, GF4):
+    for field in (GF2, GF3, GF4, GF9):
         for name in ("n1", "butterfly"):
             for seed in range(3):
                 net = fixtures.network(name)
                 code = random_code(field, net, 2, 1, random.Random(f"{field!r}:{name}:{seed}"))
                 yield pytest.param(code, net, id=f"{field!r}-{name}-{seed}")
-    # no product table beyond 256 elements: the columns are arrays
-    for field in (GF257, GF512):
+    # GF(256) fills its translate tables with no padding; beyond 256 elements there
+    # is no product table and the columns are arrays
+    for field in (GF256, GF257, GF512):
         net = fixtures.network("fig2")
         code = random_code(field, net, 1, 0, random.Random(f"{field!r}:fig2"))
         yield pytest.param(code, net, id=f"{field!r}-fig2")
