@@ -93,7 +93,7 @@ class Field:
     m: int
     modulus: tuple[int, ...]
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.p ** self.m
 
@@ -151,6 +151,14 @@ class Field:
             return None
         pad = bytes(256 - self.q)
         return tuple(bytes(self._mul_slow(a, b) for b in range(self.q)) + pad for a in range(self.q))
+
+    @cached_property
+    def _inv_table(self) -> bytes | None:
+        # entry a is the inverse of a (entry 0 is unused), read off product row a
+        table = self._mul_table
+        if table is None:
+            return None
+        return bytes([0]) + bytes(row.index(1) for row in table[1:])
 
     def mul(self, a: int, b: int) -> int:
         table = self._mul_table
@@ -232,6 +240,9 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivideByZero(f"no inverse of 0 in {self!r}")
+        table = self._inv_table
+        if table is not None:
+            return table[a]
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
         out, acc, e = 1, a, self.q - 2
@@ -452,13 +463,24 @@ class Echelon:
     scaled to a leading 1 and keyed by that pivot column; a row added later is
     zero in every earlier pivot column, so reducing in insertion order clears
     the pivots one by one (forward elimination, no back-substitution).
+
+    Over GF(2^m) with m <= 8 a row is one int holding a byte per coordinate,
+    little-endian (the field's packed column read by `int.from_bytes`): the
+    pivot is the lowest nonzero byte, and subtracting c times a row is one XOR
+    with that row's c-multiple, made by `bytes.translate` through product row c
+    and kept per (pivot, c).  Every other field keeps tuple rows and works entry
+    by entry.  Either way `reduce` and `reduced` return plain element lists and
+    tuples, and every vector must have the length of the rows already held.
     """
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_width", "_table", "_multiples")
 
     def __init__(self, field: Field, vectors=()):
         self.field = field
-        self.rows: dict[int, tuple[int, ...]] = {}
+        self.rows: dict[int, int | tuple[int, ...]] = {}
+        self._width: int | None = None
+        self._table = field._mul_table if field.p == 2 else None  # None: tuple rows
+        self._multiples: dict[int, int] = {}
         for v in vectors:
             self.add(v)
 
@@ -466,31 +488,68 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v) -> list[int]:
-        """v minus its component along the rows; zero exactly when v is in the span."""
+    def _eliminate(self, v) -> tuple[int | list[int], int]:
+        """v minus its component along the rows, in row form (an int or a list), and its length."""
+        v = list(v) if self._table is None else bytes(v)
+        n = len(v)
+        if self.rows and n != self._width:
+            raise DimensionMismatch(f"vector of length {n} against rows of length {self._width}")
+        if self._table is not None:
+            return self._reduce_packed(int.from_bytes(v, "little")), n
         f = self.field
-        v = list(v)
         for pivot, row in self.rows.items():
             c = v[pivot]
             if c:
                 c = f.neg(c)
-                for i in range(pivot, len(v)):
+                for i in range(pivot, n):
                     if row[i]:
                         v[i] = f.add(v[i], f.mul(c, row[i]))
-        return v
+        return v, n
+
+    def _reduce_packed(self, x: int) -> int:
+        table, multiples = self._table, self._multiples
+        for pivot, row in self.rows.items():
+            c = x >> (pivot << 3) & 255
+            if c == 1:
+                x ^= row
+            elif c:
+                key = pivot << 8 | c
+                multiple = multiples.get(key)
+                if multiple is None:
+                    multiple = multiples[key] = self._scaled(row, table[c])
+                x ^= multiple
+        return x
+
+    def _scaled(self, x: int, product_row: bytes) -> int:
+        return int.from_bytes(x.to_bytes(self._width, "little").translate(product_row), "little")
+
+    def reduce(self, v) -> list[int]:
+        """v minus its component along the rows; zero exactly when v is in the span."""
+        x, n = self._eliminate(v)
+        return x if self._table is None else list(x.to_bytes(n, "little"))
 
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        x = self._eliminate(v)[0]
+        return not (x if self._table is not None else any(x))
 
     def add(self, v) -> bool:
         """Extend the span by v; True when the rank grew."""
-        v = self.reduce(v)
-        pivot = next((i for i, x in enumerate(v) if x), None)
+        x, n = self._eliminate(v)
+        f = self.field
+        if self._table is not None:
+            if not x:
+                return False
+            pivot = ((x & -x).bit_length() - 1) >> 3
+            self._width = n
+            c = x >> (pivot << 3) & 255
+            self.rows[pivot] = x if c == 1 else self._scaled(x, self._table[f.inv(c)])
+            return True
+        pivot = next((i for i, a in enumerate(x) if a), None)
         if pivot is None:
             return False
-        f = self.field
-        inv = f.inv(v[pivot])
-        self.rows[pivot] = tuple(f.mul(inv, x) for x in v)
+        self._width = n
+        inv = f.inv(x[pivot])
+        self.rows[pivot] = tuple(f.mul(inv, a) for a in x)
         return True
 
     def reduced(self) -> tuple[tuple[int, ...], ...]:
@@ -501,9 +560,13 @@ class Echelon:
         """
         # back-substitution: reduce each row by the already reduced rows of larger pivot
         done = Echelon(self.field)
+        done._width = self._width
+        packed = self._table is not None
         for p in sorted(self.rows, reverse=True):
-            done.rows[p] = tuple(done.reduce(self.rows[p]))
-        return tuple(reversed(done.rows.values()))
+            row = self.rows[p]
+            done.rows[p] = done._reduce_packed(row) if packed else tuple(done._eliminate(row)[0])
+        rows = reversed(done.rows.values())
+        return tuple(tuple(x.to_bytes(self._width, "little")) for x in rows) if packed else tuple(rows)
 
 
 def companion_matrix(field: Field, x: int) -> tuple[tuple[int, ...], ...]:

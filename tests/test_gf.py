@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snfc import Matrix, companion_expand, make_field
-from snfc.gf import Echelon
+from snfc.gf import Echelon, Field
 from snfc.errors import (
     DegreeZero,
     DimensionMismatch,
@@ -161,6 +161,34 @@ def test_field_axioms_sampled(field):
         assert field.add(a, field.neg(a)) == 0
         if a:
             assert field.mul(a, field.inv(a)) == 1
+
+
+# every field of at most 256 elements: the ones with a product and an inverse table
+TABLE_FIELDS = [
+    make_field(p, m)
+    for p in range(2, 257)
+    if all(p % d for d in range(2, p))
+    for m in range(1, 9)
+    if p**m <= 256
+]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_inverse_table_matches_slow_products(field):
+    assert field._inv_table is not None
+    for a in range(1, field.q):
+        assert field._mul_slow(a, field.inv(a)) == 1
+
+
+@pytest.mark.parametrize("field", [GF2, make_field(3, 2), make_field(2, 8), make_field(2, 9)], ids=repr)
+def test_field_pickles_and_compares_equal_with_cached_values(field):
+    fresh = Field(field.p, field.m, field.modulus)
+    assert field.q == field.p**field.m
+    assert (field._mul_table is None) == (field._inv_table is None) == (field.q > 256)
+    for other in (fresh, pickle.loads(pickle.dumps(field))):
+        assert other == field and hash(other) == hash(field)
+        assert other.q == field.q
+        assert [other.mul(3 % other.q, x) for x in other.elements()] == field.mul_row(3 % field.q)
 
 
 def test_mul_matches_polynomial_oracle_on_gf9():
@@ -367,6 +395,95 @@ def test_echelon_matches_enumerated_span(data):
         other = draw_rows(data, field, data.draw(st.integers(0, 4)), n)
     same_span = enumerated_span(field, other, n) == span
     assert (Echelon(field, other).reduced() == engine.reduced()) == same_span
+
+
+class TupleEchelon:
+    """Tuple-row elimination entry by entry, the reference for both row forms of Echelon."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+
+    def reduce(self, v):
+        f = self.field
+        v = list(v)
+        for pivot, row in self.rows.items():
+            c = v[pivot]
+            if c:
+                c = f.neg(c)
+                for i in range(pivot, len(v)):
+                    if row[i]:
+                        v[i] = f.add(v[i], f.mul(c, row[i]))
+        return v
+
+    def add(self, v):
+        v = self.reduce(v)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        inv = self.field.inv(v[pivot])
+        self.rows[pivot] = tuple(self.field.mul(inv, x) for x in v)
+        return True
+
+    def reduced(self):
+        done = TupleEchelon(self.field)
+        for p in sorted(self.rows, reverse=True):
+            done.rows[p] = tuple(done.reduce(self.rows[p]))
+        return tuple(reversed(done.rows.values()))
+
+
+PACKED_FIELDS = [GF2, GF4, make_field(2, 4), make_field(2, 8)]
+TUPLE_FIELDS = [make_field(3, 1), make_field(3, 2), make_field(2, 9)]
+
+
+def random_vectors(rng, field, n, count):
+    """Dense, sparse and zero vectors, repeats, and combinations of earlier vectors."""
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(6)
+        if kind == 0 or not out:
+            v = [rng.randrange(field.q) for _ in range(n)]
+        elif kind == 1:
+            v = [rng.randrange(field.q) if rng.random() < 0.2 else 0 for _ in range(n)]
+        elif kind == 2:
+            v = [0] * n
+        elif kind == 3:
+            v = list(rng.choice(out))
+        else:
+            v = [0] * n
+            for row in rng.sample(out, min(len(out), 3)):
+                c = rng.randrange(field.q)
+                v = [field.add(a, field.mul(c, b)) for a, b in zip(v, row)]
+        out.append(tuple(v))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 40])
+@pytest.mark.parametrize("field", PACKED_FIELDS + TUPLE_FIELDS, ids=repr)
+def test_echelon_matches_tuple_row_reference(field, n):
+    rng = random.Random(f"{field!r}:{n}")
+    for _ in range(6):
+        vectors = random_vectors(rng, field, n, rng.randrange(1, n + 4))
+        engine, reference = Echelon(field), TupleEchelon(field)
+        for v in vectors:
+            assert engine.add(v) == reference.add(v)
+        assert all(isinstance(row, int) == (field in PACKED_FIELDS) for row in engine.rows.values())
+        assert list(engine.rows) == list(reference.rows)
+        assert engine.rank == len(reference.rows)
+        assert engine.reduced() == reference.reduced()
+        for v in random_vectors(rng, field, n, 12) + vectors:
+            assert engine.reduce(v) == reference.reduce(v)
+            assert engine.contains(v) == (not any(reference.reduce(v)))
+
+
+@pytest.mark.parametrize("field", [GF4, make_field(3, 2), make_field(2, 9)], ids=repr)
+def test_echelon_rejects_vectors_of_another_length(field):
+    engine = Echelon(field, [(0, 1, 2)])
+    for v in [(1, 1), (0, 1, 1, 0)]:
+        for method in (engine.add, engine.reduce, engine.contains):
+            with pytest.raises(DimensionMismatch):
+                method(v)
+    assert engine.rank == 1 and engine.contains((0, 1, 2)) and not engine.contains((1, 0, 0))
 
 
 @given(st.data())
