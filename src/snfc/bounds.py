@@ -114,12 +114,6 @@ def _omega_reports(net: Network, wiretaps: Iterable[tuple[str, ...]]) -> Iterato
         yield flow.cut_without(wiretap)
 
 
-def omega(net: Network, wiretap: Iterable[str]) -> int:
-    """Capacity left for the sources feeding the wiretap set once it is removed."""
-    (report,) = _omega_reports(net, [net.check_edges(wiretap)])
-    return report.capacity
-
-
 # -- wiretap-set enumeration --------------------------------------------------------
 
 @lru_cache(maxsize=None)

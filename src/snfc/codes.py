@@ -209,43 +209,6 @@ def global_vectors(code: SumCode | SecureCode, net: Network) -> dict[str, tuple[
     return _edge_vectors(base, net, _unit_columns(base.field, base.rate * net.num_sources))
 
 
-def transfer_global_vectors(code: SumCode, net: Network) -> dict[str, tuple[int, ...]]:
-    """The same vectors via the closed-form transfer matrix (I - A)^-1.
-
-    Kept as an independent route: the propagation in global_vectors and this
-    inversion must agree on every edge.
-    """
-    field = code.field
-    n = len(net.order)
-    pos = net.order_index
-    a_rows = [[0] * n for _ in range(n)]
-    for eid, incoming in code.local_coeffs.items():
-        for did, coeff in incoming.items():
-            if coeff:
-                if pos[did] >= pos[eid]:
-                    raise InvariantViolated(
-                        f"local coefficient {did!r} -> {eid!r} runs against the edge order"
-                    )
-                a_rows[pos[did]][pos[eid]] = coeff % field.q
-    eye = Matrix.identity(field, n)
-    i_minus_a = Matrix.build(field, [
-        [field.sub(eye.data[i][j], a_rows[i][j]) for j in range(n)] for i in range(n)
-    ])
-    transfer = i_minus_a.inverse()
-    blocks: list[Matrix] = []
-    for source in net.sources:
-        rows = [[0] * n for _ in range(code.rate)]
-        for e in net.out_edges[source]:
-            col = code.source_column(source, e.id)
-            for i in range(code.rate):
-                rows[i][pos[e.id]] = col[i]
-        blocks.append(Matrix.build(field, rows, n).mul(transfer))
-    return {
-        eid: tuple(itertools.chain.from_iterable(b.col(pos[eid]) for b in blocks))
-        for eid in net.order
-    }
-
-
 def sink_matrix(vectors: dict[str, tuple[int, ...]], net: Network, field: Field, dim: int) -> Matrix:
     """Columns of the sink's in-edges, in topological order."""
     cols = [vectors[e.id] for e in net.in_edges[net.sink]]

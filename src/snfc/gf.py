@@ -26,18 +26,32 @@ from .errors import (
 MAX_FIELD_SIZE = 1 << 16
 
 
+# Miller-Rabin with these bases is exact below 3.3 * 10^24 (Sorenson and Webster,
+# 2015); above that a strong probable prime passes, and is rejected as oversize
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin over `_MR_BASES`: a composite verdict is always exact."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -138,9 +152,6 @@ class Field:
         if self.m == 1:
             return (-a) % self.p
         return self.encode(tuple(-c for c in self.coeffs(a)))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     @cached_property
     def _mul_table(self) -> tuple[bytes, ...] | None:
@@ -281,7 +292,8 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
         raise NonPrime(f"{p} is not prime")
     if m < 1:
         raise DegreeZero("extension degree must be >= 1")
-    if p ** m > MAX_FIELD_SIZE:
+    # 2^m > MAX_FIELD_SIZE once m reaches its bit length: bound m before the power
+    if m >= MAX_FIELD_SIZE.bit_length() or p ** m > MAX_FIELD_SIZE:
         raise DimensionMismatch(f"field size {p}^{m} exceeds supported maximum {MAX_FIELD_SIZE}")
     if modulus is not None:
         modulus = tuple(c % p for c in modulus)
@@ -430,12 +442,10 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.nrows
-        span = Echelon(self.field, self.hstack(Matrix.identity(self.field, n)).data)
-        # [A | I] always has rank n; its pivots are 0..n-1 exactly when A is invertible
-        if any(p >= n for p in span.rows):
+        inverse = self.solve_right(Matrix.identity(self.field, self.nrows))
+        if inverse is None:
             raise Singular("matrix is singular")
-        return Matrix(self.field, tuple(row[n:] for row in span.reduced()), n)
+        return inverse
 
     def solve_right(self, rhs: "Matrix") -> "Matrix | None":
         """Deterministic X with self @ X = rhs, or None when inconsistent.

@@ -13,12 +13,11 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import (
     AllZeroFunction,
     Cycle,
-    InvariantViolated,
     MalformedInput,
     SinkHasOutEdge,
     SourceHasInEdge,
@@ -134,13 +133,13 @@ class Network:
 
     # -- traversal -------------------------------------------------------------
 
-    def nodes_reachable_from(self, starts: Iterable[str], removed: frozenset[str] = frozenset()) -> set[str]:
+    def nodes_reachable_from(self, starts: Iterable[str]) -> set[str]:
         seen = set(starts)
         stack = list(seen)
         while stack:
             n = stack.pop()
             for e in self.out_edges[n]:
-                if e.id not in removed and e.head not in seen:
+                if e.head not in seen:
                     seen.add(e.head)
                     stack.append(e.head)
         return seen
@@ -231,29 +230,6 @@ def parse_network(text: bytes | str) -> Network:
     if not isinstance(doc, dict):
         raise MalformedInput("network document must be a JSON object")
     return network_from_dict(doc)
-
-
-# -- source reach / separation sets -------------------------------------------
-
-class ReachSets(NamedTuple):
-    feeding: frozenset[str]      # sources with a path to some edge of the set
-    separated: frozenset[str]    # sources disconnected from the sink once the set is deleted
-    leaking: frozenset[str]      # feeding minus separated
-
-
-def reach_sets(net: Network, edge_set: Iterable[str]) -> ReachSets:
-    """The three source partitions induced by an edge set."""
-    ids = net.check_edges(edge_set)
-    tails = {net.edge_by_id[eid].tail for eid in ids}
-    upstream = net.nodes_reaching(tails) if tails else set()
-    feeding = frozenset(s for s in net.sources if s in upstream)
-    removed = frozenset(ids)
-    separated = frozenset(
-        s for s in net.sources if net.sink not in net.nodes_reachable_from([s], removed)
-    )
-    if not separated <= feeding:
-        raise InvariantViolated("separated sources must feed the deleted set")
-    return ReachSets(feeding, separated, frozenset(feeding - separated))
 
 
 # -- linear-function preprocessing ---------------------------------------------

@@ -27,8 +27,8 @@ Time is O(states * (|E| + |family|)).  A column is the field's packed column
 columns is one `Field.combination`, and a column lives until its last use: the
 pass keeps the sink's in-edges and every edge that some wiretap set reads, plus
 the propagation frontier, so its memory is O(states * |E|) bytes (at most the
-state cap times |E|) plus the table of one wiretap set.  `simulate` is the
-per-state reference.
+state cap times |E|) plus the table of one wiretap set.  The per-state
+reference, `simulate`, lives with the tests in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .gf import Echelon, Matrix
+from .gf import Echelon
 from .network import Network
 
 DEFAULT_STATE_CAP = 16_777_216
@@ -141,27 +141,7 @@ def _check_shapes(code: SecureCode, net: Network) -> None:
                 raise ShapeMismatch(f"source column for {eid!r} has length {len(col)}")
 
 
-# -- simulation ------------------------------------------------------------------------
-
-def _run_plan(field, plan, inputs) -> list[int]:
-    """One state through the plan, symbol by symbol: the reference for `_propagate`."""
-    y = list(inputs)
-    for taps in plan:
-        acc = 0
-        for idx, coeff in taps:
-            if y[idx]:
-                acc = field.add(acc, field.mul(coeff, y[idx]))
-        y.append(acc)
-    return y[len(inputs):]
-
-
-def simulate(code: SecureCode, net: Network, inputs: tuple[tuple[int, ...], ...]) -> dict[str, int]:
-    """Propagate one full source input (message and key coordinates) edge by edge."""
-    binv = code.mixing_inverse
-    mixed = [Matrix.build(code.field, [row], ncols=code.rate).mul(binv).row(0) for row in inputs]
-    y = _run_plan(code.field, _propagation_plan(code.base, net), [x for row in mixed for x in row])
-    return {eid: y[i] for i, eid in enumerate(net.order)}
-
+# -- state count -----------------------------------------------------------------------
 
 def _state_count(code: SecureCode, net: Network) -> int:
     return code.field.q ** (code.rate * net.num_sources)

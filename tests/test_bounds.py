@@ -17,10 +17,8 @@ from snfc import (
     make_network,
     min_cut,
     min_cut_edge_target,
-    omega,
     primary_min_cut,
     primary_wiretap_sets,
-    reach_sets,
     residual,
     upper_bound,
     upper_bound_oracle,
@@ -30,6 +28,7 @@ from snfc.bounds import CUT_SCAN_LIMIT, _omega_reports
 from snfc.corpus import corpus, random_network
 from snfc.errors import NegativeSecurityLevel, TooLarge
 from snfc.network import Network
+from reference import omega, reach_sets
 
 
 # -- the residual cut statistic -----------------------------------------------------

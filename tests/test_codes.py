@@ -27,7 +27,7 @@ from snfc import (
 )
 import snfc
 from snfc import fixtures
-from snfc.codes import MulticastCode, sink_matrix, transfer_global_vectors
+from snfc.codes import MulticastCode, sink_matrix
 from snfc.corpus import random_network
 from snfc.errors import (
     ConstructionFailed,
@@ -41,7 +41,7 @@ from snfc.errors import (
     SingularB,
 )
 from snfc.gf import Field
-from snfc.verify import simulate
+from reference import simulate, transfer_global_vectors
 from test_verify import _column_cases, random_code
 
 GF2 = make_field(2, 1)
@@ -403,7 +403,8 @@ def test_constructed_secure_vectors_factor_through_mixing(data):
 
 INVARIANT_SCRIPT = """
 from snfc import fixtures
-from snfc.codes import SumCode, global_vectors, transfer_global_vectors
+from snfc.codes import SumCode, global_vectors
+from reference import transfer_global_vectors
 from snfc.errors import InvariantViolated
 
 net = fixtures.network("butterfly")
@@ -421,7 +422,8 @@ for call in (lambda: transfer_global_vectors(backwards, net), lambda: global_vec
 def test_invariant_checks_survive_python_O():
     # python -O strips assert statements; the invariant checks must not depend on them
     src = os.path.dirname(os.path.dirname(snfc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", INVARIANT_SCRIPT], capture_output=True, text=True, env=env, timeout=120
     )

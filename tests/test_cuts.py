@@ -12,18 +12,18 @@ from snfc import (
     min_cut,
     min_cut_edge_target,
     primary_min_cut,
-    reach_sets,
     residual,
 )
 from snfc.corpus import random_network
 from snfc.errors import EmptyTarget, TargetInU, UnknownEdge, UnknownNode
+from reference import reach_sets, reachable
 
 
 # -- exhaustive oracles ------------------------------------------------------------
 
 def separates_node(net, cut, origins, target, removed=frozenset()):
     blocked = set(cut) | set(removed)
-    return target not in net.nodes_reachable_from(origins, frozenset(blocked))
+    return target not in reachable(net, origins, frozenset(blocked))
 
 
 def separates_edges(net, cut, origins, targets, removed=frozenset()):
@@ -31,7 +31,7 @@ def separates_edges(net, cut, origins, targets, removed=frozenset()):
     where reaching an edge means reaching its tail without using cut edges
     and the edge itself is not cut."""
     blocked = frozenset(set(cut) | set(removed))
-    reach = net.nodes_reachable_from(origins, blocked)
+    reach = reachable(net, origins, blocked)
     for eid in targets:
         e = net.edge_by_id[eid]
         if eid not in blocked and e.tail in reach:
@@ -226,7 +226,7 @@ def test_source_side_is_what_the_origin_reaches_around_the_cut():
     # residual view's deleted edges) are blocked
     def check(net, origin, report, removed=frozenset()):
         blocked = frozenset(report.cut_edges) | removed
-        assert report.source_side == tuple(sorted(net.nodes_reachable_from(origin, blocked)))
+        assert report.source_side == tuple(sorted(reachable(net, origin, blocked)))
 
     for seed in range(800):
         net = random_network(seed)

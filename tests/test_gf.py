@@ -1,14 +1,19 @@
 import functools
 import itertools
+import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snfc
 from snfc import Matrix, companion_expand, make_field
-from snfc.gf import Echelon, Field
+from snfc.gf import Echelon, Field, _is_prime
 from snfc.errors import (
     DegreeZero,
     DimensionMismatch,
@@ -102,6 +107,53 @@ def test_non_prime_rejected():
 def test_degree_zero_rejected():
     with pytest.raises(DegreeZero):
         make_field(2, 0)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    for n in range(1 << 17):
+        assert _is_prime(n) == trial(n), n
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3215031751, False),              # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),     # strong pseudoprime to bases 2 .. 23
+    (318665857834031151167461, False),  # strong pseudoprime to bases 2 .. 37
+    (2**61 - 1, True),
+    (2**89 - 1, True),
+    (2**67 - 1, False),
+])
+def test_is_prime_on_strong_pseudoprimes_and_mersenne_numbers(n, prime):
+    assert _is_prime(n) == prime
+
+
+OVERSIZE_SCRIPT = """
+from snfc.errors import DimensionMismatch
+from snfc.gf import make_field, parse_field
+
+for call in (
+    lambda: make_field(3, 10**9),
+    lambda: parse_field("2305843009213693951"),
+    lambda: parse_field("618970019642690137449562111"),
+):
+    try:
+        call()
+    except DimensionMismatch:
+        continue
+    raise SystemExit("an oversize field was not rejected")
+"""
+
+
+def test_oversize_fields_are_rejected_before_any_slow_step():
+    # a subprocess, so that trial division or a huge power times out rather than hangs
+    src = os.path.dirname(os.path.dirname(snfc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", OVERSIZE_SCRIPT], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_prime_field_accepts_any_monic_degree_one_modulus():

@@ -9,7 +9,6 @@ from snfc import (
     make_field,
     make_network,
     parse_network,
-    reach_sets,
     reduce_linear_to_sum,
 )
 from snfc.corpus import random_network
@@ -23,6 +22,7 @@ from snfc.errors import (
     UnreachableSink,
     ValidationFailure,
 )
+from reference import reach_sets
 
 GF2 = make_field(2, 1)
 
