@@ -27,16 +27,25 @@ Time is O(states * (|E| + |family|)).  A column is the field's packed column
 columns is one `Field.combination`, and a column lives until its last use: the
 pass keeps the sink's in-edges and every edge that some wiretap set reads, plus
 the propagation frontier, so its memory is O(states * |E|) bytes (at most the
-state cap times |E|) plus the table of one wiretap set.  The per-state
-reference, `simulate`, lives with the tests in `tests/reference.py`.
+state cap times |E|).  A wiretap set is tabulated from its pair column, one
+value key * q^(ell*s) + message per state, built with int arithmetic on
+fixed-width lanes (see `_lanes`) and counted by `Counter`: one lane of at most
+8 bytes per state, plus one count per distinct pair.  The per-state reference,
+`simulate`, lives with the tests in `tests/reference.py`.
+
+Both security checks test the inclusion-maximal wiretap sets first
+(`_first_leak`): a set that leaks nothing has no leaking subset, so when no
+maximal set leaks the code is secure, and only on a leak is the family scanned
+in order for the first failing set it reports.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
-from array import array
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +73,7 @@ from .network import Network
 
 DEFAULT_STATE_CAP = 16_777_216
 ENV_STATE_CAP = "SNFC_MAX_EXHAUSTIVE"
+WIRETAP_FAMILY_LIMIT = 1_000_000
 
 
 def state_cap(cap: int | None = None) -> int:
@@ -118,15 +128,55 @@ class VerifyReport:
 # -- shared plumbing -----------------------------------------------------------------
 
 def wiretap_family(net: Network, r: int, fast: bool = False) -> list[tuple[str, ...]]:
-    """All wiretap sets of size <= r, or only the primary ones with the fast flag."""
+    """All wiretap sets of size <= r, or only the primary ones with the fast flag.
+
+    The sets of size <= r are counted before any is listed, and more than
+    WIRETAP_FAMILY_LIMIT of them raise TooLarge.
+    """
     if fast:
         return primary_wiretap_sets(net, r)
     ids = sorted(net.edge_by_id)
+    sizes = range(min(r, len(ids)) + 1)
+    count = sum(math.comb(len(ids), k) for k in sizes)
+    if count > WIRETAP_FAMILY_LIMIT:
+        raise TooLarge(f"{count} wiretap sets exceed the cap {WIRETAP_FAMILY_LIMIT}")
     out: list[tuple[str, ...]] = []
-    for k in range(r + 1):
+    for k in sizes:
         out.extend(itertools.combinations(ids, k))
     out.sort()
     return out
+
+
+def _maximal_sets(family: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """The nonempty inclusion-maximal members of a wiretap family."""
+    maximal: list[tuple[str, ...]] = []
+    containing: dict[str, list[frozenset[str]]] = {}  # maximal sets found so far, by edge
+    ordered = sorted(family, key=len, reverse=True)
+    for wset in ordered:
+        if not wset:
+            break
+        members = frozenset(wset)
+        # a set of the largest size is maximal; a smaller one is not when some
+        # maximal set holds it, and such a set holds its first edge
+        if len(wset) < len(ordered[0]) and any(members < big for big in containing.get(wset[0], ())):
+            continue
+        maximal.append(wset)
+        for eid in wset:
+            containing.setdefault(eid, []).append(members)
+    return maximal
+
+
+def _first_leak(family: list[tuple[str, ...]], leaks) -> tuple[bool, tuple[str, ...] | None]:
+    """(True, None) when no set of `family` leaks, else (False, the first one that does).
+
+    What a set sees determines what each of its subsets sees, so a set that
+    leaks nothing has no leaking subset: the maximal sets settle whether any
+    set leaks, and only then is the family scanned in order for the first.
+    The empty set sees nothing and is never tested.
+    """
+    if not any(map(leaks, _maximal_sets(family))):
+        return True, None
+    return False, next(wset for wset in family if wset and leaks(wset))
 
 
 def _check_shapes(code: SecureCode, net: Network) -> None:
@@ -185,33 +235,68 @@ def _simulate_columns(code: SecureCode, net: Network, keep) -> tuple[list, dict]
     return inputs, {eid: cols[pos[eid]] for eid in keep}
 
 
-def _digits_to_ints(cols: list, q: int, n: int):
-    """Iterate one integer per state: the given columns read as base-q digits."""
-    if not cols:
-        return itertools.repeat(0, n)
-    acc = iter(cols[0])
-    for col in cols[1:]:
-        acc = map(operator.add, map(operator.mul, acc, itertools.repeat(q)), col)
+# A wiretap set's pair column holds, for each state, key * n_messages + message:
+# the key is the set's symbols read as base-q digits, the message the message
+# coordinates.  Every pair is below q^(|W| + ell*s) <= q^(rate*s) = total, as
+# |W| <= r, so one fixed-width lane per state holds it, and the column is built
+# as one int: each packed column is widened into the lanes of an int, and the
+# digits are combined Horner-style on whole ints, which never carries from one
+# lane into the next.  Lanes are in native byte order, so the int's bytes cast
+# back into one machine integer per state.
+
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _lane_width(total: int) -> int:
+    """The fewest bytes, 1, 2, 4 or 8, in a lane that holds every value below total."""
+    for width in (1, 2, 4):
+        if total <= 1 << (8 * width):
+            return width
+    return 8
+
+
+def _lanes(col, width: int) -> int:
+    """A packed column widened to `width`-byte lanes, read as one int."""
+    view = memoryview(col)
+    raw, size = view.cast("B"), view.itemsize
+    lanes = bytearray(width * len(view))
+    low = 0 if sys.byteorder == "little" else width - size
+    for j in range(size):
+        lanes[low + j :: width] = raw[j::size]
+    return int.from_bytes(lanes, sys.byteorder)
+
+
+def _base_q(cols: list, q: int, width: int) -> int:
+    """The lanes of the columns read as base-q digits, most significant first."""
+    acc = 0
+    for col in cols:
+        acc = acc * q + _lanes(col, width)
     return acc
 
 
-def _uniform_given_key(keys, messages, n_messages: int) -> bool:
+def _unlanes(value: int, width: int, n: int) -> memoryview:
+    """The n lane values of an int, one machine integer each."""
+    return memoryview(value.to_bytes(width * n, sys.byteorder)).cast(_LANE_FORMATS[width])
+
+
+def _uniform_given_key(pairs, n_messages: int) -> bool:
     """Is every message equally likely given each observed key?
 
-    `keys` yields one integer per state, read once; `messages` holds one
-    integer in range(n_messages) per state.  True exactly when every key sees
-    all n_messages messages, each equally often: there are n_keys * n_messages
-    distinct (key, message) pairs and each key has one pair count.  The linear
-    codes simulated here give every pair one count, so the test on the counts
-    alone settles the common case; the per-key test, which builds one (key,
-    count) tuple per pair, runs only when the counts differ.
+    `pairs` yields key * n_messages + message for each state, with message in
+    range(n_messages): a lane-built pair column.  True exactly when every key
+    sees all n_messages messages, each equally often: there are n_keys *
+    n_messages distinct (key, message) pairs and each key has one pair count.
+    `Counter` tabulates the pairs at C speed, so the memory is one lane of at
+    most 8 bytes per state plus one count per distinct pair.  The linear codes
+    simulated here give every pair one count, so the test on the counts alone
+    settles the common case; the per-key test, which builds one (key, count)
+    tuple per pair, runs only when the counts differ.
     """
-    scaled = map(operator.mul, keys, itertools.repeat(n_messages))
-    pairs = Counter(map(operator.add, scaled, messages))
-    n_keys = len(set(map(operator.floordiv, pairs, itertools.repeat(n_messages))))
-    return len(pairs) == n_keys * n_messages and (
-        len(set(pairs.values())) == 1
-        or len(set(zip(map(operator.floordiv, pairs, itertools.repeat(n_messages)), pairs.values()))) == n_keys
+    counts = Counter(pairs)
+    keys = list(map(operator.floordiv, counts, itertools.repeat(n_messages)))
+    n_keys = len(set(keys))
+    return len(counts) == n_keys * n_messages and (
+        len(set(counts.values())) == 1 or len(set(zip(keys, counts.values()))) == n_keys
     )
 
 
@@ -255,11 +340,12 @@ def check_security_rank(
     keys = [b * rate + j for b in blocks for j in range(ell, rate)]
     order = keys + [b * rate + j for b in blocks for j in range(ell)]
     vectors = {eid: tuple(v[k] for k in order) for eid, v in secure_vectors(secure, net).items()}
-    for wset in wiretap_family(net, secure.r, fast):
+
+    def leaks(wset):
         span = Echelon(secure.field, (vectors[eid] for eid in wset))
-        if any(pivot >= len(keys) for pivot in span.rows):
-            return False, wset
-    return True, None
+        return any(pivot >= len(keys) for pivot in span.rows)
+
+    return _first_leak(wiretap_family(net, secure.r, fast), leaks)
 
 
 # -- exhaustive ----------------------------------------------------------------------------
@@ -276,7 +362,7 @@ def check_exhaustive(
     Computable means the decoded sink columns equal the column sums of the
     messages.  Secure means: given any observable symbol tuple, every message
     vector is still equally likely; the wiretap sets are tabulated one at a
-    time, in family order.  Exact but exponential; guarded by the state cap.
+    time, maximal sets first.  Exact but exponential; guarded by the state cap.
 
     Returns (computable, secure, first failing wiretap set in family order).
     """
@@ -295,15 +381,15 @@ def check_exhaustive(
         combination(zip(dec_col, received), total) == combination(((1, inputs[i][j]) for i in range(s)), total)
         for j, dec_col in enumerate(message_decoder(secure).columns())
     )
-    messages = array("q", _digits_to_ints([row[j] for row in inputs for j in range(ell)], q, total))
+    width = _lane_width(total)
+    messages = _base_q([row[j] for row in inputs for j in range(ell)], q, width)
     n_messages = q ** (ell * s)
-    for wset in family:
-        if not wset:
-            continue
-        keys = _digits_to_ints([cols[eid] for eid in wset], q, total)
-        if not _uniform_given_key(keys, messages, n_messages):
-            return computable, False, wset
-    return computable, True, None
+
+    def leaks(wset):
+        keys = _base_q([cols[eid] for eid in wset], q, width)
+        return not _uniform_given_key(_unlanes(keys * n_messages + messages, width, total), n_messages)
+
+    return (computable, *_first_leak(family, leaks))
 
 
 # -- aggregate -----------------------------------------------------------------------------

@@ -262,6 +262,20 @@ def test_bad_state_cap_setting_is_a_domain_error(runner, monkeypatch, butterfly_
     assert json.loads(result.output)["error"] == "MalformedInput"
 
 
+def test_wiretap_family_over_the_cap_is_a_domain_error(runner, monkeypatch, butterfly_file, tmp_path):
+    # the butterfly's family at r = 1 is the empty set and nine singletons
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(fixtures.code_dict("butterfly")))
+    monkeypatch.setattr(sys.modules["snfc.verify"], "WIRETAP_FAMILY_LIMIT", 9)
+    result = runner.invoke(
+        main, ["verify", "--network", butterfly_file, "--code", str(code_path), "--r", "1", "--json"]
+    )
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"] == "TooLarge"
+
+
 def test_verify_fails_on_broken_code(runner, butterfly_file, n1_code_file):
     result = runner.invoke(
         main, ["verify", "--network", butterfly_file, "--code", n1_code_file, "--r", "1", "--json"]

@@ -1,7 +1,9 @@
 import functools
 import importlib
 import itertools
+import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from snfc import (
     check_security_rank,
     construct,
     make_field,
+    make_network,
     secure_code,
     verify,
 )
@@ -21,7 +24,17 @@ from snfc import fixtures
 from snfc.codes import SecureCode, SumCode, as_secure, secure_vectors
 from snfc.errors import MalformedInput, NegativeSecurityLevel, ShapeMismatch, TooLarge
 from snfc.corpus import random_network
-from snfc.verify import _simulate_columns, _uniform_given_key, state_cap, wiretap_family
+from snfc.verify import (
+    _base_q,
+    _first_leak,
+    _lane_width,
+    _maximal_sets,
+    _simulate_columns,
+    _uniform_given_key,
+    _unlanes,
+    state_cap,
+    wiretap_family,
+)
 from reference import simulate
 
 GF2 = make_field(2, 1)
@@ -209,6 +222,43 @@ def test_fast_flag_restricts_to_primary_sets(butterfly):
     assert ok
 
 
+def test_wiretap_family_is_counted_before_it_is_listed(butterfly, monkeypatch):
+    module = importlib.import_module("snfc.verify")  # `snfc.verify` is the function
+    monkeypatch.setattr(module, "WIRETAP_FAMILY_LIMIT", 10)
+    assert len(wiretap_family(butterfly, 1)) == 10  # the empty set plus nine singletons
+
+    def refuse(*args):
+        raise AssertionError("the wiretap family was listed")
+
+    monkeypatch.setattr(module, "WIRETAP_FAMILY_LIMIT", 9)
+    monkeypatch.setattr(itertools, "combinations", refuse)
+    with pytest.raises(TooLarge):
+        wiretap_family(butterfly, 1)
+    with pytest.raises(TooLarge):
+        check_security_rank(fixtures.code("butterfly"), butterfly)
+    with pytest.raises(TooLarge):
+        check_exhaustive(fixtures.code("butterfly"), butterfly)
+
+
+@pytest.mark.parametrize("seed", ["n1", "butterfly", *range(0, 200, 20)])
+def test_maximal_sets_are_the_inclusion_maximal_members(seed):
+    net = fixtures.network(seed) if isinstance(seed, str) else random_network(seed)
+    for r, fast in [(1, False), (2, False), (1, True), (2, True), (3, True)]:
+        family = wiretap_family(net, r, fast)
+        expected = [w for w in family if w and not any(set(w) < set(v) for v in family)]
+        assert sorted(_maximal_sets(family)) == expected
+
+
+def test_first_leak_tests_the_maximal_sets_then_scans_in_family_order(butterfly):
+    family = wiretap_family(butterfly, 2)
+    tested = []
+    assert _first_leak(family, lambda wset: tested.append(wset) or False) == (True, None)
+    assert tested == [w for w in family if len(w) == 2]
+    # every superset of a leaking set leaks; the first in family order is reported
+    assert _first_leak(family, lambda wset: "e3" in wset) == (False, ("e1", "e3"))
+    assert _first_leak([()], lambda wset: True) == (True, None)
+
+
 def random_code(field, net, rate, r, rng):
     """A code with uniformly random local rules, decoder and invertible mixing."""
     source_matrices = {
@@ -309,6 +359,10 @@ def test_column_simulation_keeps_only_the_requested_edges(code, net):
         assert cols == {eid: full[eid] for eid in keep}
 
 
+def _pairs(keys, messages, n_messages):
+    return iter([key * n_messages + message for key, message in zip(keys, messages)])
+
+
 def _old_rule(keys, messages, n_messages):
     """Every key's bucket holds all n_messages messages, with one count."""
     table = {}
@@ -339,7 +393,7 @@ def _old_rule(keys, messages, n_messages):
 )
 def test_uniform_given_key_on_hand_made_columns(keys, messages, n_messages, expected):
     assert _old_rule(keys, messages, n_messages) is expected
-    assert _uniform_given_key(iter(keys), messages, n_messages) is expected
+    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages) is expected
 
 
 @given(st.integers(0, 10_000), st.lists(st.integers(0, 2), min_size=1, max_size=30), st.integers(1, 3))
@@ -347,7 +401,100 @@ def test_uniform_given_key_on_hand_made_columns(keys, messages, n_messages, expe
 def test_uniform_given_key_matches_the_bucket_rule(seed, keys, n_messages):
     rng = random.Random(seed)
     messages = [rng.randrange(n_messages) for _ in keys]
-    assert _uniform_given_key(iter(keys), messages, n_messages) == _old_rule(keys, messages, n_messages)
+    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages) == _old_rule(keys, messages, n_messages)
+
+
+@st.composite
+def _lane_cases(draw):
+    """Key and message digit columns, packed as bytes or as array("H"), with a
+    lane width that holds every pair; small fields give cases uniform given the key."""
+    wide = draw(st.booleans())
+    width = draw(st.sampled_from([2, 4, 8] if wide else [1, 2, 4, 8]))
+    top = 1 << (8 * width)
+    q = draw(st.one_of(st.integers(2, 3), st.integers(2, min(1 << 16 if wide else 256, math.isqrt(top)))))
+    digits = max(d for d in range(2, 6) if q**d <= top)
+    n_key = draw(st.integers(0, digits - 1))
+    n_msg = draw(st.integers(1, digits - n_key))
+    n_messages = q**n_msg
+    if n_messages <= 8 and draw(st.booleans()):
+        # blocks of every message once under one key, one entry perhaps changed
+        blocks = draw(st.lists(st.integers(0, q**n_key - 1), min_size=1, max_size=4))
+        pairs = [(key, t) for key in blocks for t in range(n_messages)]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(pairs) - 1))
+            pairs[i] = (pairs[i][0], draw(st.integers(0, n_messages - 1)))
+    else:
+        n = draw(st.integers(1, 40))
+        value = st.tuples(st.integers(0, q**n_key - 1), st.integers(0, n_messages - 1))
+        pairs = draw(st.lists(value, min_size=n, max_size=n))
+    pack = (lambda values: array("H", values)) if wide else bytes
+
+    def columns(values, count):
+        return [pack([v // q ** (count - 1 - i) % q for v in values]) for i in range(count)]
+
+    keys, messages = [k for k, _ in pairs], [m for _, m in pairs]
+    return q, width, columns(keys, n_key), columns(messages, n_msg), keys, messages
+
+
+@given(_lane_cases())
+@settings(max_examples=300, deadline=None)
+def test_lane_built_pairs_match_the_bucket_rule(case):
+    q, width, key_cols, message_cols, keys, messages = case
+    n_messages = q ** len(message_cols)
+    value = _base_q(key_cols, q, width) * n_messages + _base_q(message_cols, q, width)
+    pairs = _unlanes(value, width, len(keys))
+    assert list(pairs) == [k * n_messages + m for k, m in zip(keys, messages)]
+    assert _uniform_given_key(pairs, n_messages) == _old_rule(keys, messages, n_messages)
+
+
+@pytest.mark.parametrize(
+    "total,width",
+    [(1, 1), (2**8, 1), (2**8 + 1, 2), (2**16, 2), (2**16 + 1, 4), (2**32, 4), (2**32 + 1, 8)],
+)
+def test_lane_width_boundaries(total, width):
+    assert _lane_width(total) == width
+
+
+def _parallel_network(n_edges):
+    """One source, no middle nodes and n parallel edges into the sink."""
+    edges = [(f"e{k}", "s1", "rho") for k in range(1, n_edges + 1)]
+    return make_network(["s1", "rho"], edges, ["s1"], "rho")
+
+
+@pytest.mark.parametrize("field", [GF257, GF512], ids=repr)
+def test_exhaustive_tabulates_wiretap_sets_beyond_256_elements(field):
+    """r = 1, rate 2 on two parallel edges: 257^2 and 512^2 states, two-byte
+    columns in four-byte lanes."""
+    net = _parallel_network(2)
+    routing = SumCode(field, 2, {"s1": {"e1": (1, 0), "e2": (0, 1)}}, {}, Matrix.identity(field, 2))
+    cases = [
+        (construct(net, 1, field=field, seed=0), (True, True, None)),
+        (secure_code(routing, Matrix.build(field, [[1, 1], [1, 2]]), 1), (True, True, None)),
+        # with B = I, e1 carries the message itself
+        (secure_code(routing, Matrix.identity(field, 2), 1), (True, False, ("e1",))),
+    ]
+    for code, expected in cases:
+        assert code.field == field
+        assert check_exhaustive(code, net) == (check_computability(code, net), *check_security_rank(code, net))
+        assert check_exhaustive(code, net) == expected
+
+
+@pytest.mark.parametrize("field", [GF3, GF9], ids=repr)
+@pytest.mark.parametrize(
+    "columns,failing",
+    [
+        # e1 carries the message: the singleton comes before every pair, all of
+        # which but (e2, e3) leak as well
+        ({"e1": (1, 0, 0), "e2": (0, 1, 0), "e3": (0, 0, 1)}, ("e1",)),
+        # e2 and e3 carry k1 and m + k1: no singleton leaks, their pair does
+        ({"e1": (0, 0, 1), "e2": (0, 1, 0), "e3": (1, 1, 0)}, ("e2", "e3")),
+    ],
+)
+def test_both_routes_report_the_first_failure_at_r2(field, columns, failing):
+    net = _parallel_network(3)
+    code = secure_code(SumCode(field, 3, {"s1": columns}, {}, Matrix.identity(field, 3)), Matrix.identity(field, 3), 2)
+    assert check_security_rank(code, net) == (False, failing)
+    assert check_exhaustive(code, net) == (check_computability(code, net), False, failing)
 
 
 @functools.lru_cache(maxsize=None)
