@@ -2,6 +2,11 @@
 """Build secure codes across a random-network corpus at every feasible security
 level, verify each one, and summarize field sizes and outcomes.
 
+Each code's copy without its mixing matrix (B = I), which usually leaks, is
+checked by the rank and the exhaustive route too, where its states fit under
+the cap; the two must report the same verdict and the same first failing
+wiretap set.  Exits 1 on a failed verification or a disagreement.
+
 Usage: python scripts/construction_sweep.py [--count 60] [--seed 20000]
 """
 
@@ -9,7 +14,8 @@ import argparse
 import collections
 import time
 
-from snfc import c_min, construct, verify
+from snfc import Matrix, c_min, check_exhaustive, check_security_rank, construct, verify
+from snfc.codes import SecureCode
 from snfc.corpus import corpus
 from snfc.errors import RateInfeasible
 
@@ -24,6 +30,7 @@ def main() -> None:
     t0 = time.monotonic()
     by_field = collections.Counter()
     built = infeasible = failures = exhaustive_runs = 0
+    unmixed_checked = unmixed_leaking = disagreements = 0
     for net in corpus(args.count, base_seed=args.seed):
         cm = c_min(net)
         for r in range(cm + 1):
@@ -40,11 +47,24 @@ def main() -> None:
             if not report.all_passed:
                 failures += 1
                 print(f"FAILURE at r={r}: {report.to_dict()}")
+            if code.field.q ** (code.rate * net.num_sources) <= args.cap:
+                unmixed = SecureCode(code.base, code.r, Matrix.identity(code.field, code.rate))
+                rank = check_security_rank(unmixed, net, fast=r >= 3)
+                exhaustive = check_exhaustive(unmixed, net, fast=r >= 3, cap=args.cap)[1:]
+                unmixed_checked += 1
+                unmixed_leaking += not rank[0]
+                if rank != exhaustive:
+                    disagreements += 1
+                    print(f"DISAGREEMENT at r={r} with B = I: rank {rank}, exhaustive {exhaustive}")
     dt = time.monotonic() - t0
     print(f"built {built} codes ({infeasible} zero-rate requests) in {dt:.1f}s")
     print(f"fields used: {dict(sorted(by_field.items()))}")
     print(f"verification failures: {failures}; exhaustive check ran {exhaustive_runs} times")
-    raise SystemExit(1 if failures else 0)
+    print(
+        f"B = I copies checked by both routes: {unmixed_checked} ({unmixed_leaking} leaking); "
+        f"route disagreements: {disagreements}"
+    )
+    raise SystemExit(1 if failures or disagreements else 0)
 
 
 if __name__ == "__main__":

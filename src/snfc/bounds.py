@@ -62,6 +62,9 @@ ORACLE_EDGE_LIMIT = 16
 # lifting the limit would change `exact` on large networks such as the 200-edge
 # benchmark stars, whose recorded outputs have it null
 CUT_SCAN_LIMIT = 200_000
+# candidate primary sets of one size, C(|primary edges|, k), each confirmed by a
+# max-flow; more raise TooLarge before any is listed
+PRIMARY_SET_LIMIT = 1_000_000
 
 
 class ExactCapacity(NamedTuple):
@@ -120,7 +123,11 @@ def _omega_reports(net: Network, wiretaps: Iterable[tuple[str, ...]]) -> Iterato
 def _primary_sets_of_size(net: Network, k: int) -> tuple[tuple[str, ...], ...]:
     # every edge of a primary set is a primary singleton (module docstring);
     # sets of size 0 and 1 need no max-flow
-    candidates = itertools.combinations(sorted(_primary_edges(net)), k)
+    edges = sorted(_primary_edges(net))
+    count = math.comb(len(edges), k)
+    if count > PRIMARY_SET_LIMIT:
+        raise TooLarge(f"{count} candidate primary sets of size {k} exceed the cap {PRIMARY_SET_LIMIT}")
+    candidates = itertools.combinations(edges, k)
     return tuple(c for c in candidates if k <= 1 or is_primary(net, c))
 
 

@@ -19,10 +19,10 @@ The exhaustive route simulates the local rules of the code, never its global
 vectors.  One pass, `check_exhaustive`, pushes all q^(rate * s) states through the
 network at once, one symbol column per edge, with the walker `codes._propagate`
 (which also gives the global vectors, from unit inputs).  It then decodes the
-sink's columns against the message sums and tabulates one wiretap set at a time.
+sink's columns against the message sums and tabulates one view at a time.
 The mixing matrix enters through the input columns: each source's state columns
 are mixed by (B^-1)^T before the walk, and the plan holds the raw local rules.
-Time is O(states * (|E| + |family|)).  A column is the field's packed column
+Time is O(states * (|E| + |views|)).  A column is the field's packed column
 (`Field.pack`: one byte per state, two once q > 256), each sum of scaled
 columns is one `Field.combination`, and a column lives until its last use: the
 pass keeps the sink's in-edges and every edge that some wiretap set reads, plus
@@ -33,10 +33,14 @@ fixed-width lanes (see `_lanes`) and counted by `Counter`: one lane of at most
 8 bytes per state, plus one count per distinct pair.  The per-state reference,
 `simulate`, lives with the tests in `tests/reference.py`.
 
-Both security checks test the inclusion-maximal wiretap sets first
-(`_first_leak`): a set that leaks nothing has no leaking subset, so when no
-maximal set leaks the code is secure, and only on a leak is the family scanned
-in order for the first failing set it reports.
+Both security checks test each distinct view once, maximal views first
+(`_first_leak`).  Edges whose columns (or global vectors) agree up to a nonzero
+scalar share a class (`_view_classes`), zero edges have none, and a wiretap
+set's view is the set of its edges' classes: sets with equal views see the
+same thing.  A view that leaks nothing has no leaking subview, so when no
+maximal view leaks the code is secure, and only on a leak is the family
+scanned in order, reading the verdicts already found, for the first failing
+set it reports.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import math
 import operator
 import os
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,7 +73,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .gf import Echelon
+from .gf import Echelon, Field
 from .network import Network
 
 DEFAULT_STATE_CAP = 16_777_216
@@ -147,17 +152,17 @@ def wiretap_family(net: Network, r: int, fast: bool = False) -> list[tuple[str, 
     return out
 
 
-def _maximal_sets(family: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
-    """The nonempty inclusion-maximal members of a wiretap family."""
-    maximal: list[tuple[str, ...]] = []
-    containing: dict[str, list[frozenset[str]]] = {}  # maximal sets found so far, by edge
+def _maximal_sets(family: list[tuple]) -> list[tuple]:
+    """The nonempty inclusion-maximal members of a family of wiretap sets or views."""
+    maximal: list[tuple] = []
+    containing: dict[object, list[frozenset]] = {}  # maximal sets found so far, by member
     ordered = sorted(family, key=len, reverse=True)
     for wset in ordered:
         if not wset:
             break
         members = frozenset(wset)
         # a set of the largest size is maximal; a smaller one is not when some
-        # maximal set holds it, and such a set holds its first edge
+        # maximal set holds it, and such a set holds its first member
         if len(wset) < len(ordered[0]) and any(members < big for big in containing.get(wset[0], ())):
             continue
         maximal.append(wset)
@@ -166,17 +171,51 @@ def _maximal_sets(family: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
     return maximal
 
 
-def _first_leak(family: list[tuple[str, ...]], leaks) -> tuple[bool, tuple[str, ...] | None]:
+def _view_classes(field: Field, cols: dict[str, bytes | array]) -> dict[str, int]:
+    """A class id for each edge whose packed column is not zero.
+
+    Two edges share a class when their columns agree up to a nonzero scalar:
+    each column is scaled by the inverse of its first nonzero entry.  Scaling
+    by a nonzero element is a bijection on symbols, so edges of one class split
+    the states alike, and a wiretap set's view, the set of its edges' classes,
+    fixes what it sees.  A zero column sees a constant and gets no class.
+    """
+    ids: dict[bytes, int] = {}
+    classes: dict[str, int] = {}
+    for eid, col in cols.items():
+        lead = next(filter(None, col), 0)
+        if lead:
+            scaled = bytes(field.combination([(field.inv(lead), col)], len(col)))
+            classes[eid] = ids.setdefault(scaled, len(ids))
+    return classes
+
+
+def _first_leak(family: list[tuple[str, ...]], classes: dict[str, int], leaks) -> tuple[bool, tuple[str, ...] | None]:
     """(True, None) when no set of `family` leaks, else (False, the first one that does).
 
-    What a set sees determines what each of its subsets sees, so a set that
-    leaks nothing has no leaking subset: the maximal sets settle whether any
-    set leaks, and only then is the family scanned in order for the first.
-    The empty set sees nothing and is never tested.
+    Each distinct view is tested once, maximal views first.  The view of a set
+    is the sorted tuple of the distinct `classes` of its edges, and sets with
+    equal views see the same thing, so `leaks` runs on the first member of the
+    family with each view and its verdict stands for the rest.  A view inside
+    another sees less, so a view that leaks nothing has no leaking subview:
+    the maximal views settle whether any set leaks, and only then is the
+    family scanned in order, reading the verdicts, for the first.  The empty
+    view sees a constant and never leaks.
     """
-    if not any(map(leaks, _maximal_sets(family))):
+    views = [tuple(sorted({classes[eid] for eid in wset if eid in classes})) for wset in family]
+    first: dict[tuple[int, ...], tuple[str, ...]] = {}
+    for view, wset in zip(views, family):
+        first.setdefault(view, wset)
+    verdicts: dict[tuple[int, ...], bool] = {(): False}
+
+    def view_leaks(view):
+        if view not in verdicts:
+            verdicts[view] = leaks(first[view])
+        return verdicts[view]
+
+    if not any(map(view_leaks, _maximal_sets(list(first)))):
         return True, None
-    return False, next(wset for wset in family if wset and leaks(wset))
+    return False, next(wset for wset, view in zip(family, views) if view_leaks(view))
 
 
 def _check_shapes(code: SecureCode, net: Network) -> None:
@@ -339,13 +378,15 @@ def check_security_rank(
     blocks = range(net.num_sources)
     keys = [b * rate + j for b in blocks for j in range(ell, rate)]
     order = keys + [b * rate + j for b in blocks for j in range(ell)]
+    field = secure.field
     vectors = {eid: tuple(v[k] for k in order) for eid, v in secure_vectors(secure, net).items()}
+    classes = _view_classes(field, {eid: field.pack(v) for eid, v in vectors.items()})
 
     def leaks(wset):
-        span = Echelon(secure.field, (vectors[eid] for eid in wset))
+        span = Echelon(field, (vectors[eid] for eid in wset))
         return any(pivot >= len(keys) for pivot in span.rows)
 
-    return _first_leak(wiretap_family(net, secure.r, fast), leaks)
+    return _first_leak(wiretap_family(net, secure.r, fast), classes, leaks)
 
 
 # -- exhaustive ----------------------------------------------------------------------------
@@ -372,9 +413,8 @@ def check_exhaustive(
     q, ell, s = secure.field.q, secure.ell, net.num_sources
     family = wiretap_family(net, secure.r, fast)
     received_ids = [e.id for e in net.in_edges[net.sink]]
-    inputs, cols = _simulate_columns(
-        secure, net, {*received_ids, *(eid for wset in family for eid in wset)}
-    )
+    tapped = {eid for wset in family for eid in wset}
+    inputs, cols = _simulate_columns(secure, net, {*received_ids, *tapped})
     combination = secure.field.combination
     received = [cols[eid] for eid in received_ids]
     computable = all(
@@ -389,7 +429,8 @@ def check_exhaustive(
         keys = _base_q([cols[eid] for eid in wset], q, width)
         return not _uniform_given_key(_unlanes(keys * n_messages + messages, width, total), n_messages)
 
-    return (computable, *_first_leak(family, leaks))
+    classes = _view_classes(secure.field, {eid: cols[eid] for eid in tapped})
+    return (computable, *_first_leak(family, classes, leaks))
 
 
 # -- aggregate -----------------------------------------------------------------------------

@@ -12,7 +12,10 @@ The package has one implementation of each object; these are the independent
 - `transfer_global_vectors`: global encoding vectors from the closed-form
   transfer matrix (I - A)^-1, against the propagation in `codes.global_vectors`;
 - `simulate`: one full source input pushed through the local rules edge by edge,
-  against the column pass in `verify.check_exhaustive`.
+  against the column pass in `verify.check_exhaustive`;
+- `first_leak`: every maximal wiretap set tested, then the family scanned in
+  order, with no sharing between sets that see alike, against
+  `verify._first_leak`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from snfc.codes import SecureCode, SumCode, _propagation_plan
 from snfc.errors import InvariantViolated
 from snfc.gf import Matrix
 from snfc.network import Network
+from snfc.verify import _maximal_sets
 
 
 # -- reachability ----------------------------------------------------------------
@@ -130,3 +134,17 @@ def simulate(code: SecureCode, net: Network, inputs: tuple[tuple[int, ...], ...]
     mixed = [Matrix.build(code.field, [row], ncols=code.rate).mul(binv).row(0) for row in inputs]
     y = _run_plan(code.field, _propagation_plan(code.base, net), [x for row in mixed for x in row])
     return {eid: y[i] for i, eid in enumerate(net.order)}
+
+
+# -- first leaking wiretap set -------------------------------------------------------
+
+def first_leak(family: list[tuple[str, ...]], leaks) -> tuple[bool, tuple[str, ...] | None]:
+    """(True, None) when no set of `family` leaks, else (False, the first one that does).
+
+    Every inclusion-maximal set is tested, and on a leak every nonempty set up
+    to the first failure, each on its own: the reference for the one test per
+    distinct view in `verify._first_leak`.
+    """
+    if not any(map(leaks, _maximal_sets(family))):
+        return True, None
+    return False, next(wset for wset in family if wset and leaks(wset))

@@ -1,4 +1,5 @@
 
+import importlib
 import itertools
 import math
 import random
@@ -24,7 +25,8 @@ from snfc import (
     upper_bound_oracle,
     zero_capacity,
 )
-from snfc.bounds import CUT_SCAN_LIMIT, _omega_reports
+from snfc.bounds import CUT_SCAN_LIMIT, _omega_reports, _primary_sets_of_size
+from snfc.cuts import _primary_edges
 from snfc.corpus import corpus, random_network
 from snfc.errors import NegativeSecurityLevel, TooLarge
 from snfc.network import Network
@@ -173,6 +175,28 @@ def test_primary_sets_match_the_brute_force(cases):
         for wset in brute:
             if len(wset) >= 2:
                 assert singles.issuperset(wset), wset
+
+
+def test_primary_sets_are_counted_before_they_are_listed(monkeypatch):
+    module = importlib.import_module("snfc.bounds")
+    net = two_source_star(2, 60)
+    n = len(_primary_edges(net))  # 54
+    _primary_sets_of_size.cache_clear()  # a cached size would be read, not counted
+    monkeypatch.setattr(module, "PRIMARY_SET_LIMIT", math.comb(n, 2))
+    assert len(primary_wiretap_sets(net, 1)) == n + 1  # sizes 0 and 1 stay cached
+
+    def refuse(*args):
+        raise AssertionError("the candidate primary sets were listed")
+
+    monkeypatch.setattr(module, "PRIMARY_SET_LIMIT", math.comb(n, 2) - 1)
+    monkeypatch.setattr(itertools, "combinations", refuse)
+    try:
+        with pytest.raises(TooLarge):
+            primary_wiretap_sets(net, 2)
+        with pytest.raises(TooLarge):
+            upper_bound(net, 2)
+    finally:
+        _primary_sets_of_size.cache_clear()
 
 
 # -- upper bound -------------------------------------------------------------------------

@@ -96,6 +96,23 @@ def test_bound_json_on_a_large_star_is_pinned(runner, tmp_path):
     )
 
 
+def test_primary_sets_over_the_cap_are_a_domain_error(runner, monkeypatch, tmp_path):
+    # the 60-edge star has 54 primary single edges, so C(54, 2) = 1431 candidate pairs
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(two_source_star(2, 60).to_dict()))
+    bounds = sys.modules["snfc.bounds"]
+    bounds._primary_sets_of_size.cache_clear()  # a cached size would be read, not counted
+    monkeypatch.setattr(bounds, "PRIMARY_SET_LIMIT", 1430)
+    try:
+        result = runner.invoke(main, ["bound", "--network", str(path), "--r", "2", "--json"])
+    finally:
+        bounds._primary_sets_of_size.cache_clear()
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"] == "TooLarge"
+
+
 def test_example_fig2_primary_cut(runner):
     result = runner.invoke(
         main,

@@ -32,10 +32,11 @@ from snfc.verify import (
     _simulate_columns,
     _uniform_given_key,
     _unlanes,
+    _view_classes,
     state_cap,
     wiretap_family,
 )
-from reference import simulate
+from reference import first_leak, simulate
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -251,12 +252,43 @@ def test_maximal_sets_are_the_inclusion_maximal_members(seed):
 
 def test_first_leak_tests_the_maximal_sets_then_scans_in_family_order(butterfly):
     family = wiretap_family(butterfly, 2)
+    classes = {eid: k for k, eid in enumerate(sorted(butterfly.edge_by_id))}  # one class per edge
     tested = []
-    assert _first_leak(family, lambda wset: tested.append(wset) or False) == (True, None)
+    assert _first_leak(family, classes, lambda wset: tested.append(wset) or False) == (True, None)
     assert tested == [w for w in family if len(w) == 2]
     # every superset of a leaking set leaks; the first in family order is reported
-    assert _first_leak(family, lambda wset: "e3" in wset) == (False, ("e1", "e3"))
-    assert _first_leak([()], lambda wset: True) == (True, None)
+    assert _first_leak(family, classes, lambda wset: "e3" in wset) == (False, ("e1", "e3"))
+    assert _first_leak([()], classes, lambda wset: True) == (True, None)
+
+
+def test_first_leak_tests_each_distinct_view_once(butterfly):
+    family = wiretap_family(butterfly, 2)
+    # e2 carries a scaled copy of e1, so they share a class; e9 carries zero
+    classes = {eid: k for k, eid in enumerate(sorted(butterfly.edge_by_id)) if eid != "e9"}
+    classes["e2"] = classes["e1"]
+
+    def view(wset):
+        return frozenset(classes[eid] for eid in wset if eid in classes)
+
+    views = {view(w) for w in family}
+    maximal = {v for v in views if v and not any(v < u for u in views)}
+    tested = []
+    assert _first_leak(family, classes, lambda wset: tested.append(wset) or False) == (True, None)
+    assert len(tested) == len(maximal) == 21 < sum(len(w) == 2 for w in family)
+    assert {view(w) for w in tested} == maximal
+    # a leaking view held by (e1, e5) and, later in family order, (e2, e5): leaks
+    # runs once per view, and the rescan reports the first set in family order
+    tested = []
+
+    def leaks(wset):
+        tested.append(wset)
+        return view(wset) >= {classes["e2"], classes["e5"]}
+
+    assert _first_leak(family, classes, leaks) == (False, ("e1", "e5"))
+    assert len(tested) == len({view(w) for w in tested})
+    assert ("e2", "e5") not in tested
+    # sets that see only the zero edge see a constant
+    assert _first_leak([(), ("e9",)], classes, lambda wset: True) == (True, None)
 
 
 def random_code(field, net, rate, r, rng):
@@ -532,6 +564,71 @@ def test_exhaustive_routes_agree_with_algebraic_on_corpus(data):
         SumCode(base.field, base.rate, base.source_matrices, local, base.decoder), code.r, mixing
     )
     assert check_exhaustive(code, net) == (check_computability(code, net), *check_security_rank(code, net))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_both_routes_match_the_reference_scan_on_corpus(seed, monkeypatch):
+    """Constructed codes and their B = I copies at every 0 < r < c_min, with and
+    without `fast`: testing each distinct view once gives the (ok, failing_W) of
+    the scan that tests every set on its own."""
+    net = random_network(seed)
+    checks = []
+    for r in range(1, c_min_of(net)):
+        code = construct(net, r, seed=seed)
+        unmixed = SecureCode(code.base, code.r, Matrix.identity(code.field, code.rate))
+        exhaustive = code.field.q ** (code.rate * net.num_sources) <= AGREE_STATE_CAP
+        for variant in (code, unmixed):
+            for fast in (False, True):
+                checks.append((variant, fast, exhaustive))
+
+    def outcomes():
+        out = []
+        for variant, fast, exhaustive in checks:
+            out.append(check_security_rank(variant, net, fast=fast))
+            if exhaustive:
+                out.append(check_exhaustive(variant, net, fast=fast)[1:])
+        return out
+
+    distinct = outcomes()
+    module = importlib.import_module("snfc.verify")  # `snfc.verify` is the function
+    monkeypatch.setattr(module, "_first_leak", lambda family, classes, leaks: first_leak(family, leaks))
+    assert distinct == outcomes()
+
+
+# Hand-made codes on parallel edges, B = I, message coordinates first: e2 carries
+# a scaled copy of e1's column and e3 carries zero.
+C512 = 300  # a nonzero element of GF(2^9) other than 1
+
+
+@pytest.mark.parametrize(
+    "field,r,columns,decoder,expected",
+    [
+        # m + k1, twice m + k1, 0, k1 + k2, k2: no pair leaks, m = e1 - e4 + e5
+        (GF3, 2, [(1, 1, 0), (2, 2, 0), (0, 0, 0), (0, 1, 1), (0, 0, 1)], [1, 0, 0, 2, 1], (True, True, None)),
+        # e5 carries k1: (e1, e5) leaks m, and so does (e2, e5), which sees the same
+        (GF3, 2, [(1, 1, 0), (2, 2, 0), (0, 0, 0), (0, 1, 1), (0, 1, 0)], [1, 0, 0, 0, 2], (True, False, ("e1", "e5"))),
+        # m + k, c(m + k), 0, k: no edge leaks, m = e1 + e4
+        (GF512, 1, [(1, 1), (C512, C512), (0, 0), (0, 1)], [1, 0, 0, 1], (True, True, None)),
+        # e4 carries c m; e1 and e2 do not leak, nor does the zero edge
+        (GF512, 1, [(1, 1), (C512, C512), (0, 0), (C512, 0)], [1, 0, 0, 0], (False, False, ("e4",))),
+    ],
+    ids=["GF3-secure", "GF3-leak", "GF512-secure", "GF512-leak"],
+)
+def test_scaled_and_zero_columns_share_and_skip_views(field, r, columns, decoder, expected):
+    net = _parallel_network(len(columns))
+    rate = len(columns[0])
+    rows = [[x] + [0] * (rate - 1) for x in decoder]
+    base = SumCode(
+        field, rate, {"s1": {f"e{k}": col for k, col in enumerate(columns, 1)}}, {}, Matrix.build(field, rows, ncols=rate)
+    )
+    code = secure_code(base, Matrix.identity(field, rate), r)
+    _, cols = _simulate_columns(code, net, set(net.edge_by_id))
+    classes = _view_classes(field, cols)
+    assert classes["e1"] == classes["e2"] and "e3" not in classes
+    assert len(set(classes.values())) == len(columns) - 2
+    exhaustive = check_exhaustive(code, net)
+    assert exhaustive == (check_computability(code, net), *check_security_rank(code, net))
+    assert exhaustive == expected
 
 
 # -- aggregate reports ---------------------------------------------------------------------------
