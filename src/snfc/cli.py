@@ -1,12 +1,14 @@
 """Command-line surface: bounds, cut queries, code construction, verification,
 and the built-in fixtures.
 
-Exit status: 0 on success (for verify: only when every requested check passes),
-1 on domain errors (with a machine-readable error code), 2 on usage errors.
+Every command takes --json.  Exit status: 0 on success (for verify: only when
+every requested check passes), 1 on domain errors (with a machine-readable error
+code), 2 on usage errors, a directory given as an input file among them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -23,20 +25,35 @@ from .network import parse_network
 from .verify import verify as run_verify
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in lines:
-            click.echo(line)
+def _runner(body):
+    """The end of every command: add --json and print what `body` returns,
+    `(payload, lines)` or `(payload, lines, passed)`, as JSON or as lines.
+    Exit 1 after printing when `passed` is false, and on any SnfcError."""
+
+    @functools.wraps(body)
+    def run(as_json: bool, **params) -> None:
+        try:
+            payload, lines, *passed = body(**params)
+        except SnfcError as exc:
+            if as_json:
+                click.echo(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
+            else:
+                click.echo(f"error: {exc.code}: {exc}", err=True)
+            sys.exit(1)
+        if as_json:
+            click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        else:
+            for line in lines:
+                click.echo(line)
+        if passed and not passed[0]:
+            sys.exit(1)
+
+    return click.option("--json", "as_json", is_flag=True)(run)
 
 
-def _fail(exc: SnfcError, as_json: bool) -> None:
-    if as_json:
-        click.echo(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
-    else:
-        click.echo(f"error: {exc.code}: {exc}", err=True)
-    sys.exit(1)
+_network_option = click.option(
+    "--network", "network_path", required=True, type=click.Path(exists=True, dir_okay=False)
+)
 
 
 def _load_network(path: str):
@@ -84,19 +101,13 @@ def _bound_payload(net, r: int, oracle: bool) -> tuple[dict, list[str]]:
 
 
 @main.command()
-@click.option("--network", "network_path", required=True, type=click.Path(exists=True))
+@_network_option
 @click.option("--r", "r", required=True, type=int)
 @click.option("--oracle", is_flag=True, help="also run the exhaustive oracle")
-@click.option("--json", "as_json", is_flag=True)
-def bound(network_path: str, r: int, oracle: bool, as_json: bool) -> None:
+@_runner
+def bound(network_path: str, r: int, oracle: bool):
     """Upper/lower bounds and exactness for a network at security level r."""
-    try:
-        net = _load_network(network_path)
-        payload, lines = _bound_payload(net, r, oracle)
-    except SnfcError as exc:
-        _fail(exc, as_json)
-        return
-    _emit(payload, as_json, lines)
+    return _bound_payload(_load_network(network_path), r, oracle)
 
 
 # -- cuts -----------------------------------------------------------------------
@@ -117,41 +128,29 @@ def cuts() -> None:
 
 
 @cuts.command("mincut")
-@click.option("--network", "network_path", required=True, type=click.Path(exists=True))
+@_network_option
 @click.option("--from", "origin", required=True, help="comma-separated origin nodes")
 @click.option("--to", "target", required=True, help="target node")
-@click.option("--json", "as_json", is_flag=True)
-def cuts_mincut(network_path: str, origin: str, target: str, as_json: bool) -> None:
+@_runner
+def cuts_mincut(network_path: str, origin: str, target: str):
     """Origin-side minimum cut separating a node from a node set."""
-    try:
-        net = _load_network(network_path)
-        payload, lines = _mincut_payload(net, origin, target)
-    except SnfcError as exc:
-        _fail(exc, as_json)
-        return
-    _emit(payload, as_json, lines)
+    return _mincut_payload(_load_network(network_path), origin, target)
 
 
 @cuts.command("primary")
-@click.option("--network", "network_path", required=True, type=click.Path(exists=True))
+@_network_option
 @click.option("--sources", required=True, help="comma-separated origin nodes")
 @click.option("--edges", required=True, help="comma-separated target edge ids")
-@click.option("--json", "as_json", is_flag=True)
-def cuts_primary(network_path: str, sources: str, edges: str, as_json: bool) -> None:
+@_runner
+def cuts_primary(network_path: str, sources: str, edges: str):
     """Origin-side minimum cut separating an edge set from a node set."""
-    try:
-        net = _load_network(network_path)
-        payload, lines = _primary_payload(net, sources, edges)
-    except SnfcError as exc:
-        _fail(exc, as_json)
-        return
-    _emit(payload, as_json, lines)
+    return _primary_payload(_load_network(network_path), sources, edges)
 
 
 # -- construct ------------------------------------------------------------------
 
 @main.command("construct")
-@click.option("--network", "network_path", required=True, type=click.Path(exists=True))
+@_network_option
 @click.option("--r", "r", required=True, type=int)
 @click.option("--rate", type=int, default=None)
 @click.option("--field", "field_spec", default=None, help='starting field, e.g. "2^2"')
@@ -163,16 +162,12 @@ def cuts_primary(network_path: str, sources: str, edges: str, as_json: bool) -> 
     type=click.Path(dir_okay=False, writable=True),
     callback=_writable_out,
 )
-@click.option("--json", "as_json", is_flag=True)
-def construct_cmd(network_path, r, rate, field_spec, seed, out_path, as_json) -> None:
+@_runner
+def construct_cmd(network_path, r, rate, field_spec, seed, out_path):
     """Build a secure code and write it as a JSON code file."""
-    try:
-        net = _load_network(network_path)
-        fld = parse_field(field_spec) if field_spec else None
-        code = construct(net, r, rate=rate, field=fld, seed=seed)
-    except SnfcError as exc:
-        _fail(exc, as_json)
-        return
+    net = _load_network(network_path)
+    fld = parse_field(field_spec) if field_spec else None
+    code = construct(net, r, rate=rate, field=fld, seed=seed)
     try:
         save_code(out_path, code, net)
     except OSError as exc:
@@ -184,15 +179,11 @@ def construct_cmd(network_path, r, rate, field_spec, seed, out_path, as_json) ->
         "message_rate": code.ell,
         "out": out_path,
     }
-    _emit(
-        payload,
-        as_json,
-        [
-            f"built a rate-{code.ell} secure code over GF({code.field.q})"
-            f" (rate {code.rate}, r {code.r})",
-            f"wrote {out_path}",
-        ],
-    )
+    return payload, [
+        f"built a rate-{code.ell} secure code over GF({code.field.q})"
+        f" (rate {code.rate}, r {code.r})",
+        f"wrote {out_path}",
+    ]
 
 
 # -- verify ----------------------------------------------------------------------
@@ -207,28 +198,20 @@ def _verify_payload(net, code, r, exhaustive: bool, fast: bool):
     ]
     if report.failing_W is not None:
         lines.append(f"failing wiretap set: {list(report.failing_W)}")
-    return report, lines
+    return report.to_dict(), lines, report.all_passed
 
 
 @main.command("verify")
-@click.option("--network", "network_path", required=True, type=click.Path(exists=True))
-@click.option("--code", "code_path", required=True, type=click.Path(exists=True))
+@_network_option
+@click.option("--code", "code_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--r", "r", required=True, type=int)
 @click.option("--exhaustive", is_flag=True, help="force the exhaustive checks")
 @click.option("--fast", is_flag=True, help="check only primary wiretap sets")
-@click.option("--json", "as_json", is_flag=True)
-def verify_cmd(network_path, code_path, r, exhaustive, fast, as_json) -> None:
+@_runner
+def verify_cmd(network_path, code_path, r, exhaustive, fast):
     """Check a code file against a network; exit 0 only if every check passes."""
-    try:
-        net = _load_network(network_path)
-        code = load_code_file(code_path, net)
-        report, lines = _verify_payload(net, code, r, exhaustive, fast)
-    except SnfcError as exc:
-        _fail(exc, as_json)
-        return
-    _emit(report.to_dict(), as_json, lines)
-    if not report.all_passed:
-        sys.exit(1)
+    net = _load_network(network_path)
+    return _verify_payload(net, load_code_file(code_path, net), r, exhaustive, fast)
 
 
 # -- example ------------------------------------------------------------------------
@@ -246,11 +229,11 @@ def verify_cmd(network_path, code_path, r, exhaustive, fast, as_json) -> None:
 @click.option("--verify", "do_verify", is_flag=True, help="verify the embedded code")
 @click.option("--exhaustive", is_flag=True)
 @click.option("--fast", is_flag=True)
-@click.option("--json", "as_json", is_flag=True)
+@_runner
 def example_cmd(
     name, show, code_name, cut_kind, sources, edges, target, r, oracle,
-    do_verify, exhaustive, fast, as_json,
-) -> None:
+    do_verify, exhaustive, fast,
+):
     """Query a built-in fixture without any external files."""
     code_key = code_name or name
     try:
@@ -258,56 +241,41 @@ def example_cmd(
         code_owner = fixtures.code_network_name(code_key) if show == "code" or do_verify else None
     except KeyError as exc:
         raise click.UsageError(exc.args[0]) from None
-    try:
-        if show == "network":
-            _emit(net.to_dict(), as_json, [json.dumps(net.to_dict(), indent=2)])
-        elif show == "code":
-            doc = fixtures.code_dict(code_key)
-            _emit(doc, as_json, [json.dumps(doc, indent=2)])
-        elif cut_kind == "primary":
-            if not sources or not edges:
-                raise click.UsageError("primary cut queries need --sources and --edges")
-            payload, lines = _primary_payload(net, sources, edges)
-            _emit(payload, as_json, lines)
-        elif cut_kind == "mincut":
-            if not sources or not target:
-                raise click.UsageError("mincut queries need --sources and --to")
-            payload, lines = _mincut_payload(net, sources, target)
-            _emit(payload, as_json, lines)
-        elif do_verify:
-            if code_owner != name:
-                raise click.UsageError(
-                    f"code fixture {code_key!r} does not belong to network {name!r}"
-                )
-            code = fixtures.code(code_key)
-            level = code.r if r is None else r
-            report, lines = _verify_payload(net, code, level, exhaustive, fast)
-            _emit(report.to_dict(), as_json, lines)
-            if not report.all_passed:
-                sys.exit(1)
-        elif r is not None:
-            payload, lines = _bound_payload(net, r, oracle)
-            _emit(payload, as_json, lines)
-        else:
-            summary = {
-                "name": name,
-                "nodes": len(net.nodes),
-                "edges": len(net.edges),
-                "sources": list(net.sources),
-                "sink": net.sink,
-                "codes": [c for c in fixtures.code_names() if fixtures.code_network_name(c) == name],
-            }
-            _emit(
-                summary,
-                as_json,
-                [
-                    f"{name}: {len(net.nodes)} nodes, {len(net.edges)} edges,"
-                    f" sources {list(net.sources)}, sink {net.sink}",
-                    f"embedded codes: {summary['codes']}",
-                ],
+    if show == "network":
+        return net.to_dict(), [json.dumps(net.to_dict(), indent=2)]
+    if show == "code":
+        doc = fixtures.code_dict(code_key)
+        return doc, [json.dumps(doc, indent=2)]
+    if cut_kind == "primary":
+        if not sources or not edges:
+            raise click.UsageError("primary cut queries need --sources and --edges")
+        return _primary_payload(net, sources, edges)
+    if cut_kind == "mincut":
+        if not sources or not target:
+            raise click.UsageError("mincut queries need --sources and --to")
+        return _mincut_payload(net, sources, target)
+    if do_verify:
+        if code_owner != name:
+            raise click.UsageError(
+                f"code fixture {code_key!r} does not belong to network {name!r}"
             )
-    except SnfcError as exc:
-        _fail(exc, as_json)
+        code = fixtures.code(code_key)
+        return _verify_payload(net, code, code.r if r is None else r, exhaustive, fast)
+    if r is not None:
+        return _bound_payload(net, r, oracle)
+    summary = {
+        "name": name,
+        "nodes": len(net.nodes),
+        "edges": len(net.edges),
+        "sources": list(net.sources),
+        "sink": net.sink,
+        "codes": [c for c in fixtures.code_names() if fixtures.code_network_name(c) == name],
+    }
+    return summary, [
+        f"{name}: {len(net.nodes)} nodes, {len(net.edges)} edges,"
+        f" sources {list(net.sources)}, sink {net.sink}",
+        f"embedded codes: {summary['codes']}",
+    ]
 
 
 if __name__ == "__main__":

@@ -256,13 +256,7 @@ class Field:
             return table[a]
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        out, acc, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return out
+        return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
         out = 1

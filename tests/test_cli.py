@@ -113,6 +113,51 @@ def test_primary_sets_over_the_cap_are_a_domain_error(runner, monkeypatch, tmp_p
     assert json.loads(result.output)["error"] == "TooLarge"
 
 
+# -- text mode: the lines printed without --json -----------------------------------------
+
+def test_bound_text_is_pinned(runner, butterfly_file):
+    result = runner.invoke(main, ["bound", "--network", butterfly_file, "--r", "1"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (
+        "r=1  upper=1  lower=1  c_min=2  c_min_bar=2\n"
+        "witness W: ['e1']  witness cut: ['e2']\n"
+        "exact capacity: 1 (cmin_equals_cminbar)\n"
+    )
+
+
+def test_cuts_mincut_text_is_pinned(runner, butterfly_file):
+    result = runner.invoke(
+        main, ["cuts", "mincut", "--network", butterfly_file, "--from", "s1", "--to", "rho"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "capacity: 2\ncut: ['e1', 'e2']\n"
+
+
+def test_verify_text_names_the_failing_set_and_exits_one(runner, butterfly_file, tmp_path):
+    doc = json.loads(json.dumps(fixtures.code_dict("butterfly")))
+    doc["B"] = [[1, 0], [0, 1]]
+    path = tmp_path / "unmixed.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(
+        main, ["verify", "--network", butterfly_file, "--code", str(path), "--r", "1"]
+    )
+    assert result.exit_code == 1
+    assert result.stdout == (
+        "computable: True\n"
+        "secure (rank): False\n"
+        "secure (exhaustive): False\n"
+        "rate: 1  within bound: True\n"
+        "failing wiretap set: ['e3']\n"
+    )
+
+
+def test_domain_error_text_goes_to_stderr(runner, butterfly_file):
+    result = runner.invoke(main, ["bound", "--network", butterfly_file, "--r", "-1"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: NegativeSecurityLevel: security level -1 is negative\n"
+
+
 def test_example_fig2_primary_cut(runner):
     result = runner.invoke(
         main,
@@ -386,6 +431,31 @@ def test_undecodable_file_is_a_domain_error(runner, butterfly_file, tmp_path, wh
     result = runner.invoke(main, ["verify", "--network", network, "--code", code, "--r", "1", "--json"])
     assert_clean_exit(result, 1)
     assert json.loads(result.stdout)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize(
+    "command, which",
+    [
+        (["bound", "--r", "1"], "network"),
+        (["cuts", "mincut", "--from", "s1", "--to", "rho"], "network"),
+        (["cuts", "primary", "--sources", "s1,s2", "--edges", "e6"], "network"),
+        (["construct", "--r", "1", "--out", "code.json"], "network"),
+        (["verify", "--r", "1"], "network"),
+        (["verify", "--r", "1"], "code"),
+    ],
+    ids=["bound", "cuts-mincut", "cuts-primary", "construct", "verify-network", "verify-code"],
+)
+def test_directory_as_input_file_is_a_usage_error(
+    runner, butterfly_file, tmp_path, monkeypatch, command, which
+):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("a_dir")
+    args = [*command, "--network", "a_dir" if which == "network" else butterfly_file]
+    if command[0] == "verify":
+        args += ["--code", "a_dir" if which == "code" else butterfly_file]
+    result = runner.invoke(main, [*args, "--json"])
+    assert_clean_exit(result, 2)
+    assert "is a directory" in result.output
 
 
 @pytest.mark.parametrize("mode", [["--verify"], ["--show", "code"]])

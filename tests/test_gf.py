@@ -32,6 +32,8 @@ SAMPLE_FIELDS = [
     for pm in [
         (2, 1), (3, 1), (5, 1), (7, 1), (13, 1),
         (2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (11, 2),
+        # beyond 256 elements with m > 1: no product or inverse table
+        (2, 9), (3, 6),
     ]
 ]
 
