@@ -19,6 +19,19 @@ single edge.  Suppose another edge e' dominates some e in W:
 So the sets of two or more edges are drawn from the primary single edges only,
 and each is still confirmed with one max-flow (`is_primary`).
 
+The sweep runs only the max-flows its answer needs:
+
+- it stops at the floor.  It keeps the first set of least residual cut in
+  family order, and no set leaves less than max(c_min - r, 0) (the lower bound
+  on the rate is at most the upper one).  So the first set that reaches that
+  floor is the witness, and the sets after it are not looked at;
+- it confirms lazily.  The family is one stream of candidates per size, each
+  in lexicographic order, merged; a candidate of two or more edges gets its
+  max-flow only when the sweep reaches it.  Every size is counted first, so
+  PRIMARY_SET_LIMIT refuses a family before any max-flow runs;
+- the residual cut of a set is cut from the flow to the sink of its feeding
+  sources, built once (`cuts.node_flow`) and shared with c_min and c_min_bar.
+
 The lower bound max(c_min - r, 0) is the exact rate in four cases: r = 0,
 r >= c_min_bar (rate 0), c_min = c_min_bar, and the cut structure case.  The
 last one asks for a minimum cut C of some source with min cut c_min, having r
@@ -37,21 +50,22 @@ equals c_min - r, so it is read off the sweep:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cuts import (
     CutReport,
-    ResidualFlow,
     _primary_edges,
     c_min,
     c_min_bar,
     c_min_bar_witness,
     feeding_sources,
     is_primary,
+    node_flow,
     source_cut_reports,
 )
 from .errors import InvariantViolated, NegativeSecurityLevel, TooLarge
@@ -98,37 +112,41 @@ class BoundReport:
 
 # -- the residual cut statistic ---------------------------------------------------
 
-def _omega_reports(net: Network, wiretaps: Iterable[tuple[str, ...]]) -> Iterator[CutReport]:
-    """The residual cut of each wiretap set.
+def _omega_report(net: Network, wiretap: tuple[str, ...]) -> CutReport:
+    """The residual cut of a wiretap set.
 
     Sets with the same feeding sources share one maximum flow on the intact
     network; each set then costs at most |W| augmenting paths.
     """
-    flows: dict[frozenset[str], ResidualFlow] = {}
-    for wiretap in wiretaps:
-        if not wiretap:
-            # no edges removed: the smallest cut over all sources
-            yield min(source_cut_reports(net), key=lambda report: report.capacity)
-            continue
-        feeding = feeding_sources(net, wiretap)
-        flow = flows.get(feeding)
-        if flow is None:
-            flow = flows[feeding] = ResidualFlow(net, sorted(feeding), net.sink)
-        yield flow.cut_without(wiretap)
+    if not wiretap:
+        # no edges removed: the smallest cut over all sources
+        return min(source_cut_reports(net), key=lambda report: report.capacity)
+    return node_flow(net, feeding_sources(net, wiretap), net.sink).cut_without(wiretap)
 
 
 # -- wiretap-set enumeration --------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _primary_sets_of_size(net: Network, k: int) -> tuple[tuple[str, ...], ...]:
-    # every edge of a primary set is a primary singleton (module docstring);
-    # sets of size 0 and 1 need no max-flow
-    edges = sorted(_primary_edges(net))
-    count = math.comb(len(edges), k)
+def _count_primary_candidates(net: Network, k: int) -> None:
+    count = math.comb(len(_primary_edges(net)), k)
     if count > PRIMARY_SET_LIMIT:
         raise TooLarge(f"{count} candidate primary sets of size {k} exceed the cap {PRIMARY_SET_LIMIT}")
-    candidates = itertools.combinations(edges, k)
-    return tuple(c for c in candidates if k <= 1 or is_primary(net, c))
+
+
+def _primary_stream(net: Network, k: int) -> Iterator[tuple[str, ...]]:
+    """The primary sets of size k in lexicographic order, confirmed as they are read.
+
+    Every edge of a primary set is a primary singleton (module docstring), so
+    sets of size 0 and 1 need no max-flow.  Count the size first.
+    """
+    for candidate in itertools.combinations(sorted(_primary_edges(net)), k):
+        if k <= 1 or is_primary(net, candidate):
+            yield candidate
+
+
+@lru_cache(maxsize=None)
+def _primary_sets_of_size(net: Network, k: int) -> tuple[tuple[str, ...], ...]:
+    _count_primary_candidates(net, k)
+    return tuple(_primary_stream(net, k))
 
 
 def primary_wiretap_sets(net: Network, r: int, exact_size: bool = False) -> list[tuple[str, ...]]:
@@ -184,8 +202,18 @@ def upper_bound(net: Network, r: int) -> BoundReport:
         upper = 0
         witness_cut: tuple[str, ...] = ()
     else:
-        family = primary_wiretap_sets(net, r)  # never empty: it holds the empty set
-        best, witness = min(zip(_omega_reports(net, family), family), key=lambda pair: pair[0].capacity)
+        sizes = range(1, r + 1)
+        for k in sizes:
+            _count_primary_candidates(net, k)
+        floor = max(cm - r, 0)
+        # the empty set comes first in the family (module docstring)
+        best, witness = _omega_report(net, ()), ()
+        for wiretap in heapq.merge(*(_primary_stream(net, k) for k in sizes)):
+            report = _omega_report(net, wiretap)
+            if report.capacity < best.capacity:
+                best, witness = report, wiretap
+                if best.capacity <= floor:
+                    break
         upper, witness_cut = best.capacity, best.cut_edges
     if not max(cm - r, 0) <= upper <= cm:
         raise InvariantViolated(f"upper bound {upper} outside [max(c_min - r, 0), c_min] for c_min {cm}")

@@ -7,6 +7,13 @@ into the super-sink, and a node target stands for its in-edges.  The returned
 cut is always the unique minimum cut closest to the origin set: after a maximum
 flow, it consists of the edges leaving the set of nodes still reachable from
 the origin in the residual graph.
+
+A flow to a node is built once per (network, origin, target) by `node_flow`
+and only read after that: `min_cut`, the residual cut of every wiretap set fed
+by the same sources, and the all-sources term of c_min_bar all share it.
+`cut_without` copies the capacities before it deletes an edge, so sharing is
+safe.  Flows to edge sets, such as the one behind each `is_primary` call, are
+not kept: there can be one per pair of edges.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import EmptyTarget, InvariantViolated, TargetInU, UnknownEdge
+from .errors import EmptyTarget, InvariantViolated, MalformedInput, TargetInU, UnknownEdge
 from .network import Network
 
 INF = 1 << 30
@@ -116,6 +123,8 @@ class ResidualFlow:
     def __init__(self, net: Network | ResidualNetwork, origin: Iterable[str], target) -> None:
         base, removed = (net.base, net.removed) if isinstance(net, ResidualNetwork) else (net, frozenset())
         origin = base.check_nodes(origin)
+        if not origin:
+            raise MalformedInput("the origin set is empty")
         if isinstance(target, str):
             (target,) = base.check_nodes([target])
             if target in origin:
@@ -190,6 +199,15 @@ class ResidualFlow:
 
 # -- cut queries --------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def node_flow(net: Network | ResidualNetwork, origin: frozenset[str], target: str) -> ResidualFlow:
+    """The maximum flow from an origin node set to a target node, built once.
+
+    Callers only read it (`cut_without` copies before it deletes edges).
+    """
+    return ResidualFlow(net, sorted(origin), target)
+
+
 def min_cut(net: Network | ResidualNetwork, origin: Iterable[str], target: str) -> CutReport:
     """Minimum-capacity edge cut separating a target node from an origin node set.
 
@@ -197,7 +215,9 @@ def min_cut(net: Network | ResidualNetwork, origin: Iterable[str], target: str) 
     set), which is the unique minimum cut that separates every other minimum cut
     from the origin.
     """
-    return ResidualFlow(net, origin, target).cut_without()
+    # unknown nodes are reported in the caller's order, before the flow is looked up
+    origin = (net.base if isinstance(net, ResidualNetwork) else net).check_nodes(origin)
+    return node_flow(net, frozenset(origin), target).cut_without()
 
 
 def min_cut_edge_target(
@@ -282,9 +302,14 @@ def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
     for mask in range(1, 1 << len(net.sources)):
         chosen = [s for i, s in enumerate(net.sources) if mask >> i & 1]
         others = [s for i, s in enumerate(net.sources) if not mask >> i & 1]
-        inside = net.nodes_reachable_from([*others, net.sink])
-        frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
-        report = min_cut_edge_target(net, chosen, frontier)
+        if not others:
+            # the sink has no out-edges, so the frontier is its in-edges: the
+            # shared flow to the sink gives the same cut
+            report = min_cut(net, chosen, net.sink)
+        else:
+            inside = net.nodes_reachable_from([*others, net.sink])
+            frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
+            report = min_cut_edge_target(net, chosen, frontier)
         reports.append((report.capacity, report.cut_edges))
     return min(reports)
 

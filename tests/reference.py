@@ -8,7 +8,10 @@ The package has one implementation of each object; these are the independent
 - `reach_sets`: the feeding / separated / leaking source partition of an edge
   set, by reachability;
 - `omega`: the residual cut of one wiretap set, through the production
-  `bounds._omega_reports`;
+  `bounds._omega_report`;
+- `full_sweep`: the upper bound's witness from the residual cut of every
+  primary wiretap set, against `bounds.upper_bound`, which stops at the floor
+  and confirms candidates lazily;
 - `transfer_global_vectors`: global encoding vectors from the closed-form
   transfer matrix (I - A)^-1, against the propagation in `codes.global_vectors`;
 - `simulate`: one full source input pushed through the local rules edge by edge,
@@ -23,7 +26,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple
 
-from snfc.bounds import _omega_reports
+from snfc.bounds import _omega_report, primary_wiretap_sets
+from snfc.cuts import CutReport
 from snfc.codes import SecureCode, SumCode, _propagation_plan
 from snfc.errors import InvariantViolated
 from snfc.gf import Matrix
@@ -71,8 +75,14 @@ def reach_sets(net: Network, edge_set: Iterable[str]) -> ReachSets:
 
 def omega(net: Network, wiretap: Iterable[str]) -> int:
     """Capacity left for the sources feeding the wiretap set once it is removed."""
-    (report,) = _omega_reports(net, [net.check_edges(wiretap)])
-    return report.capacity
+    return _omega_report(net, net.check_edges(wiretap)).capacity
+
+
+def full_sweep(net: Network, r: int) -> tuple[CutReport, tuple[str, ...]]:
+    """The least residual cut over all primary wiretap sets of size <= r, with
+    its wiretap set; the first such set in family order wins a tie."""
+    family = primary_wiretap_sets(net, r)
+    return min(zip((_omega_report(net, w) for w in family), family), key=lambda pair: pair[0].capacity)
 
 
 # -- global encoding vectors -------------------------------------------------------

@@ -25,12 +25,12 @@ from snfc import (
     upper_bound_oracle,
     zero_capacity,
 )
-from snfc.bounds import CUT_SCAN_LIMIT, _omega_reports, _primary_sets_of_size
+from snfc.bounds import CUT_SCAN_LIMIT, _omega_report, _primary_sets_of_size
 from snfc.cuts import _primary_edges
 from snfc.corpus import corpus, random_network
 from snfc.errors import NegativeSecurityLevel, TooLarge
 from snfc.network import Network
-from reference import omega, reach_sets
+from reference import full_sweep, omega, reach_sets
 
 
 # -- the residual cut statistic -----------------------------------------------------
@@ -56,7 +56,8 @@ def test_incremental_omega_matches_a_fresh_max_flow():
     checked = 0
     for net in corpus(300):
         family = [w for w in primary_wiretap_sets(net, 3) if w]
-        for wset, report in zip(family, _omega_reports(net, family)):
+        for wset in family:
+            report = _omega_report(net, wset)
             feeding = sorted(reach_sets(net, wset).feeding)
             assert report == min_cut(residual(net, wset), feeding, net.sink), wset
             checked += 1
@@ -74,7 +75,8 @@ def test_incremental_omega_on_parallel_and_serial_wiretaps():
         "rho",
     )
     wsets = [("e1", "e2"), ("e2", "e3"), ("e3", "e6"), ("e7", "e8"), ("e1", "e3", "e4"), ("e2",)]
-    for wset, report in zip(wsets, _omega_reports(net, wsets)):
+    for wset in wsets:
+        report = _omega_report(net, wset)
         feeding = sorted(reach_sets(net, wset).feeding)
         assert report == min_cut(residual(net, wset), feeding, net.sink), wset
 
@@ -119,10 +121,19 @@ def test_fig2_pair_excluded(fig2):
 
 
 def two_source_star(seed: int, n_edges: int) -> Network:
+    return star_from(random.Random(f"star:{seed}"), n_edges)
+
+
+def bound_large_stars(seed: int, count: int) -> list[Network]:
+    """The first 200-edge stars of the `bound_large` benchmark workload's seed."""
+    rng = random.Random(f"bound_large:{seed}")
+    return [star_from(rng, 200) for _ in range(count)]
+
+
+def star_from(rng: random.Random, n_edges: int) -> Network:
     """Two sources, one layer of hubs and a sink.  Every hub has an edge in and
     an edge out; the other edges, parallel ones included, run from a random
     source to a random hub or from a random hub to the sink."""
-    rng = random.Random(f"star:{seed}")
     sources = ["s1", "s2"]
     hubs = [f"v{i + 1}" for i in range(n_edges // 6)]
     pairs = [(rng.choice(sources), hub) for hub in hubs] + [(hub, "rho") for hub in hubs]
@@ -200,6 +211,55 @@ def test_primary_sets_are_counted_before_they_are_listed(monkeypatch):
 
 
 # -- upper bound -------------------------------------------------------------------------
+
+def assert_same_as_full_sweep(net, r):
+    report = upper_bound(net, r)
+    if r < report.c_min_bar:
+        best, witness = full_sweep(net, r)
+        assert (report.upper, report.witness_W, report.witness_cut) == (best.capacity, witness, best.cut_edges)
+
+
+def test_upper_bound_reports_what_the_full_sweep_reports_on_the_corpus():
+    for net in corpus(200):
+        for r in range(4):
+            assert_same_as_full_sweep(net, r)
+
+
+def test_upper_bound_reports_what_the_full_sweep_reports_on_large_stars():
+    for net in bound_large_stars(1, 4):
+        assert_same_as_full_sweep(net, 1)
+
+
+def count_is_primary(monkeypatch) -> list[int]:
+    module = importlib.import_module("snfc.bounds")
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return is_primary(*args)
+
+    monkeypatch.setattr(module, "is_primary", counted)
+    return calls
+
+
+def test_sweep_confirms_candidate_sets_only_as_it_reaches_them(monkeypatch):
+    (net,) = bound_large_stars(1, 1)
+    pairs = math.comb(len(_primary_edges(net)), 2)
+    calls = count_is_primary(monkeypatch)
+    report = upper_bound(net, 2)
+    assert 0 < calls[0] < pairs // 10  # 920 of 17205
+    assert report.upper == max(report.c_min - 2, 0)
+
+
+def test_sweep_counts_every_size_before_any_max_flow(monkeypatch):
+    (net,) = bound_large_stars(1, 1)
+    module = importlib.import_module("snfc.bounds")
+    monkeypatch.setattr(module, "PRIMARY_SET_LIMIT", math.comb(len(_primary_edges(net)), 2) - 1)
+    calls = count_is_primary(monkeypatch)
+    with pytest.raises(TooLarge):
+        upper_bound(net, 2)
+    assert calls[0] == 0
+
 
 def test_butterfly_upper_bound(butterfly):
     report = upper_bound(butterfly, 1)

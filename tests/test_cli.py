@@ -255,6 +255,17 @@ def test_cuts_primary_command(runner, butterfly_file):
     assert json.loads(result.output) == {"cut": ["e5"]}
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["cuts", "mincut", "--from", ",", "--to", "rho"], ["cuts", "primary", "--sources", ",", "--edges", "e6"]],
+    ids=["mincut", "primary"],
+)
+def test_cuts_with_an_empty_origin_set_are_a_domain_error(runner, butterfly_file, command):
+    result = runner.invoke(main, [*command, "--network", butterfly_file, "--json"])
+    assert_clean_exit(result, 1)
+    assert json.loads(result.output)["error"] == "MalformedInput"
+
+
 def test_construct_verify_round_trip(runner, butterfly_file, tmp_path):
     out = str(tmp_path / "code.json")
     built = runner.invoke(

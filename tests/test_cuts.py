@@ -14,8 +14,10 @@ from snfc import (
     primary_min_cut,
     residual,
 )
-from snfc.corpus import random_network
-from snfc.errors import EmptyTarget, TargetInU, UnknownEdge, UnknownNode
+from snfc.bounds import primary_wiretap_sets
+from snfc.corpus import corpus, random_network
+from snfc.cuts import ResidualFlow, _c_min_bar_report, feeding_sources, node_flow
+from snfc.errors import EmptyTarget, MalformedInput, TargetInU, UnknownEdge, UnknownNode
 from reference import reach_sets, reachable
 
 
@@ -102,6 +104,48 @@ def test_min_cut_unknown_node(butterfly):
 def test_min_cut_target_in_origins(butterfly):
     with pytest.raises(TargetInU):
         min_cut(butterfly, ["s1", "rho"], "rho")
+
+
+def test_empty_origin_rejected(butterfly):
+    with pytest.raises(MalformedInput):
+        min_cut(butterfly, [], "rho")
+    with pytest.raises(MalformedInput):
+        primary_min_cut(butterfly, [], ["e6"])
+
+
+def test_shared_node_flows_are_only_read():
+    # every residual cut is taken from the shared flow of its feeding sources;
+    # afterwards each flow must still give the cut of a flow built from scratch
+    checked = 0
+    for net in corpus(60):
+        origins = {frozenset([s]) for s in net.sources} | {frozenset(net.sources)}
+        for wset in primary_wiretap_sets(net, 3):
+            if wset:
+                feeding = feeding_sources(net, wset)
+                origins.add(feeding)
+                node_flow(net, feeding, net.sink).cut_without(wset)
+                checked += 1
+        for origin in origins:
+            fresh = ResidualFlow(net, sorted(origin), net.sink)
+            assert node_flow(net, origin, net.sink).cut_without() == fresh.cut_without(), origin
+    assert checked > 200
+
+
+def test_c_min_bar_all_sources_term_is_the_frontier_cut():
+    # with every source chosen, the frontier is the sink's in-edges, so the
+    # shared flow to the sink stands in for the edge-target cut
+    for net in corpus(200):
+        frontier = [e.id for e in net.in_edges[net.sink]]
+        assert min_cut(net, net.sources, net.sink) == min_cut_edge_target(net, net.sources, frontier)
+        terms = []
+        for k in range(1, len(net.sources) + 1):
+            for chosen in itertools.combinations(net.sources, k):
+                others = [s for s in net.sources if s not in chosen]
+                inside = net.nodes_reachable_from([*others, net.sink])
+                frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
+                report = min_cut_edge_target(net, chosen, frontier)
+                terms.append((report.capacity, report.cut_edges))
+        assert _c_min_bar_report(net) == min(terms)
 
 
 @given(st.integers(0, 4000))
