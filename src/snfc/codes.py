@@ -6,6 +6,12 @@ source vectors to the sink, then pre-multiply every source by the inverse of a
 mixing matrix B whose leading columns stay clear of everything any allowed
 wiretap set can observe.  Each source then spends R - r coordinates on messages
 and r on uniform one-time keys.
+
+The codes follow the seed alone.  Each multicast search seeds its own
+`random.Random` with (seed, field, rate) and never uses it outside the call;
+every kernel entry is the value `randrange(q)` would return next, read from a
+stream that splits one `getrandbits` call into many draws (`_randrange_draws`).
+The mixing columns are the lexicographically first admissible vectors.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -247,6 +254,26 @@ class MulticastCode:
     right_inverses: dict[str, Matrix]
 
 
+def _randrange_draws(rng: random.Random, q: int):
+    """Yield, one after another, what successive `rng.randrange(q)` calls return.
+
+    CPython's `randrange(q)` is `getrandbits(k)` with k = q.bit_length(), drawn
+    again while the result is >= q; for k <= 32 `getrandbits(k)` is the top k
+    bits of one 32-bit Mersenne Twister word, and `getrandbits(32 * n)` is n
+    such words, least significant first.  So one big call serves many draws:
+    split it into words, shift each, drop the values >= q.  The `"<"` format
+    fixes the word size at 4 bytes and the byte order at little-endian, the
+    order `to_bytes` writes, on every host.  The stream draws ahead of what it
+    yields, so `rng` ends in another state than after the same draws made one
+    by one: hand it only a generator that nothing else uses.
+    """
+    shift = 32 - q.bit_length()
+    unpack = struct.Struct("<64I").unpack
+    while True:
+        words = unpack(rng.getrandbits(32 * 64).to_bytes(4 * 64, "little"))
+        yield from filter(q.__gt__, map(shift.__rrshift__, words))
+
+
 def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -> MulticastCode:
     """Draw random local kernels on the reversed network until every original
     source, acting as a multicast sink, can decode all R symbols."""
@@ -254,8 +281,15 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
         raise RateExceedsMinCut(f"rate {rate} exceeds the smallest source min-cut {c_min(net)}")
     if rate < 1:
         raise RateInfeasible("multicast rate must be positive")
-    rng = random.Random(f"{seed}|{field.p}^{field.m}|{rate}")
-    eye = Matrix.identity(field, rate)
+    # `rng` lives and dies in this call, so the stream may draw ahead of it
+    draws = _randrange_draws(random.Random(f"{seed}|{field.p}^{field.m}|{rate}"), field.q)
+    # per kernel node, in draw order: its rows (reversed in-edges) and columns (its in-edges);
+    # original sources are multicast sinks and get no kernel
+    sizes = [
+        (v, rate if v == net.sink else len(net.out_edges[v]), len(net.in_edges[v]))
+        for v in net.nodes
+        if v not in net.sources
+    ]
     # walk the reversed network: reversed edge order, inputs the sink's rate unit columns
     walk = tuple(reversed(net.order))
     step = {eid: rate + p for p, eid in enumerate(walk)}
@@ -267,31 +301,23 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
         shape.append((v, feeds, col_pos[eid]))
     units = _unit_columns(field, rate)
     for _ in range(MULTICAST_ATTEMPTS):
-        kernels: dict[str, Matrix] = {}
-        for v in net.nodes:
-            if v in net.sources:
-                continue  # original sources are multicast sinks: no kernel
-            n_in = rate if v == net.sink else len(net.out_edges[v])
-            n_out = len(net.in_edges[v])
-            kernels[v] = Matrix.build(
-                field,
-                [[rng.randrange(field.q) for _ in range(n_out)] for _ in range(n_in)],
-                ncols=n_out,
-            )
-        plan = [[(idx, row[j]) for idx, row in zip(feeds, kernels[v].data)] for v, feeds, j in shape]
-        fe = dict(zip(walk, map(tuple, _propagate(field, plan, units))))
-        # a source decodes exactly when its rate x |out(s)| decode matrix has a right inverse
-        decode, right = {}, {}
-        for s in net.sources:
-            decode[s] = Matrix.from_columns(field, [fe[e.id] for e in net.out_edges[s]], nrows=rate)
-            right[s] = decode[s].solve_right(eye)
-            if right[s] is None:
-                break
-        else:
-            return MulticastCode(field, rate, kernels, fe, decode, right)
-    raise FieldTooSmallForMulticast(
-        f"no decodable rate-{rate} multicast code found over {field!r} in {MULTICAST_ATTEMPTS} attempts"
-    )
+        # every draw of an attempt comes before any check, so the codes follow the seed alone
+        rows = {v: [tuple(itertools.islice(draws, n_out)) for _ in range(n_in)] for v, n_in, n_out in sizes}
+        plan = [[(idx, row[j]) for idx, row in zip(feeds, rows[v])] for v, feeds, j in shape]
+        fe = dict(zip(walk, _propagate(field, plan, units)))
+        # a source decodes exactly when its rate x |out(s)| decode matrix has full row rank
+        outs = {s: [fe[e.id] for e in net.out_edges[s]] for s in net.sources}
+        if all(Echelon(field, cols).rank == rate for cols in outs.values()):
+            break
+    else:
+        raise FieldTooSmallForMulticast(
+            f"no decodable rate-{rate} multicast code found over {field!r} in {MULTICAST_ATTEMPTS} attempts"
+        )
+    kernels = {v: Matrix(field, tuple(rows[v]), n_out) for v, _, n_out in sizes}
+    decode = {s: Matrix.from_columns(field, cols, nrows=rate) for s, cols in outs.items()}
+    eye = Matrix.identity(field, rate)
+    right = {s: d.solve_right(eye) for s, d in decode.items()}
+    return MulticastCode(field, rate, kernels, {eid: tuple(col) for eid, col in fe.items()}, decode, right)
 
 
 def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
@@ -351,8 +377,16 @@ def _vector_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int,
     if any(s.rank >= dim for s in spans):
         return None
     if field.q**dim <= SCAN_CAP:
+        # neighbouring candidates tend to fall in the same span, so the span that
+        # rejected the last one moves to the front; the answer is the same in any order
+        order = list(spans)
         for cand in itertools.product(field.elements(), repeat=dim):
-            if all(not s.contains(cand) for s in spans):
+            for i, s in enumerate(order):
+                if s.contains(cand):
+                    if i:
+                        order.insert(0, order.pop(i))
+                    break
+            else:
                 return cand
         return None
     v = _first_outside(spans[0], dim)

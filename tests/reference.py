@@ -18,7 +18,10 @@ The package has one implementation of each object; these are the independent
   against the column pass in `verify.check_exhaustive`;
 - `first_leak`: every maximal wiretap set tested, then the family scanned in
   order, with no sharing between sets that see alike, against
-  `verify._first_leak`.
+  `verify._first_leak`;
+- `scan_avoiding`: the first vector in lexicographic order outside every span,
+  each candidate tested against the spans in list order, against the scan in
+  `codes._vector_avoiding`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from snfc.bounds import _omega_report, primary_wiretap_sets
 from snfc.cuts import CutReport
 from snfc.codes import SecureCode, SumCode, _propagation_plan
 from snfc.errors import InvariantViolated
-from snfc.gf import Matrix
+from snfc.gf import Echelon, Field, Matrix
 from snfc.network import Network
 from snfc.verify import _maximal_sets
 
@@ -158,3 +161,13 @@ def first_leak(family: list[tuple[str, ...]], leaks) -> tuple[bool, tuple[str, .
     if not any(map(leaks, _maximal_sets(family))):
         return True, None
     return False, next(wset for wset in family if wset and leaks(wset))
+
+
+# -- mixing-column scan ----------------------------------------------------------------
+
+def scan_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int, ...] | None:
+    """The lexicographically first vector of length `dim` in no span, or None."""
+    for cand in itertools.product(field.elements(), repeat=dim):
+        if all(not s.contains(cand) for s in spans):
+            return cand
+    return None

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -27,7 +28,7 @@ from snfc import (
 )
 import snfc
 from snfc import fixtures
-from snfc.codes import MulticastCode, sink_matrix
+from snfc.codes import SCAN_CAP, MulticastCode, _randrange_draws, _vector_avoiding, sink_matrix
 from snfc.corpus import random_network
 from snfc.errors import (
     ConstructionFailed,
@@ -40,11 +41,12 @@ from snfc.errors import (
     ShapeMismatch,
     SingularB,
 )
-from snfc.gf import Field
-from reference import simulate, transfer_global_vectors
+from snfc.gf import Echelon, Field
+from reference import scan_avoiding, simulate, transfer_global_vectors
 from test_verify import _column_cases, random_code
 
 GF2 = make_field(2, 1)
+GF3 = make_field(3, 1)
 GF4 = make_field(2, 2)
 
 
@@ -79,6 +81,51 @@ def test_multicast_butterfly_decodable_at_both_sinks(butterfly):
 def test_multicast_rate_above_min_cut_rejected(butterfly):
     with pytest.raises(RateExceedsMinCut):
         build_reversed_multicast(butterfly, 3, GF4, seed=0)
+
+
+@pytest.mark.parametrize("q", [2**m for m in range(1, 17)] + [3, 5, 7, 11, 13, 257, 65521])
+def test_draw_stream_matches_randrange(q):
+    # the codes rest on this: `build_reversed_multicast` draws its kernels from the
+    # stream, and the pinned codes were drawn with `randrange`.  3000 draws span
+    # dozens of 64-word blocks, and for q = 2^m about half the words are rejected.
+    for seed in (0, 1, 7, "3|2^2|2", "12345|257^1|3"):
+        stream = _randrange_draws(random.Random(seed), q)
+        rng = random.Random(seed)
+        assert list(itertools.islice(stream, 3000)) == [rng.randrange(q) for _ in range(3000)]
+
+
+# butterfly, GF(4), rate 2: the multicast codes drawn one `randrange` at a time
+MULTICAST_PINS = {
+    3: (
+        {"v3": ((3, 2),), "v4": ((3, 3),), "v5": ((2, 2),), "v6": ((3,), (2,)), "rho": ((2, 2), (2, 1))},
+        {"e9": (2, 1), "e8": (2, 2), "e7": (3, 2), "e6": (1, 1), "e5": (2, 0),
+         "e4": (3, 2), "e3": (3, 0), "e2": (1, 0), "e1": (1, 1)},
+        {"s1": ((1, 1), (1, 0)), "s2": ((3, 3), (0, 2))},
+        {"s1": ((0, 1), (1, 1)), "s2": ((2, 3), (0, 3))},
+    ),
+    11: (
+        {"v3": ((1, 3),), "v4": ((1, 2),), "v5": ((1, 3),), "v6": ((2,), (1,)), "rho": ((2, 0), (0, 2))},
+        {"e9": (0, 2), "e8": (2, 0), "e7": (0, 1), "e6": (3, 0), "e5": (1, 1),
+         "e4": (0, 2), "e3": (3, 3), "e2": (1, 1), "e1": (2, 0)},
+        {"s1": ((2, 1), (0, 1)), "s2": ((3, 0), (3, 2))},
+        {"s1": ((3, 3), (0, 1)), "s2": ((2, 0), (3, 3))},
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MULTICAST_PINS))
+def test_multicast_solves_once_per_source_and_keeps_its_codes(butterfly, monkeypatch, seed):
+    # failed attempts are rejected by rank alone; only the returned code is solved
+    solves = []
+    solve_right = Matrix.solve_right
+    monkeypatch.setattr(Matrix, "solve_right", lambda self, rhs: solves.append(1) or solve_right(self, rhs))
+    mc = build_reversed_multicast(butterfly, 2, GF4, seed=seed)
+    assert len(solves) == butterfly.num_sources
+    kernels, global_kernels, decode, right = MULTICAST_PINS[seed]
+    assert {v: m.data for v, m in mc.kernels.items()} == kernels
+    assert list(mc.global_kernels.items()) == list(global_kernels.items())
+    assert {s: m.data for s, m in mc.decode_matrices.items()} == decode
+    assert {s: m.data for s, m in mc.right_inverses.items()} == right
 
 
 # -- reversal into a sum code ----------------------------------------------------------
@@ -218,6 +265,35 @@ def test_mixing_block_identity(monkeypatch):
             for i in range(net.num_sources):
                 block = Matrix.column(code.field, g[eid][i * rate : (i + 1) * rate])
                 assert code.mixing_inverse.mul(block).col(0) == h[eid][i * rate : (i + 1) * rate]
+
+
+def test_mixing_scan_matches_the_straight_scan():
+    # the scan reorders the spans it tests, never the candidates: same vector or None
+    rng = random.Random(5)
+    outcomes = set()
+    for field in (GF2, GF3, GF4):
+        for dim in (1, 2, 3, 4):
+            assert field.q**dim <= SCAN_CAP
+            for _ in range(60):
+                spans = []
+                for _ in range(rng.randint(1, 7)):
+                    vectors = [[rng.randrange(field.q) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+                    spans.append(Echelon(field, vectors))
+                if rng.random() < 0.3:
+                    spans.insert(rng.randrange(len(spans) + 1), rng.choice(spans))  # a repeated span
+                given_order = list(spans)
+                got = _vector_avoiding(field, spans, dim)
+                assert spans == given_order
+                if all(s.rank < dim for s in spans):
+                    assert got == scan_avoiding(field, spans, dim)
+                else:
+                    assert got is None
+                outcomes.add(got is None)
+    # over GF(2) the three lines of the plane leave only the zero vector, which every span holds
+    lines = [Echelon(GF2, [v]) for v in ((1, 0), (0, 1), (1, 1))]
+    assert scan_avoiding(GF2, lines, 2) is None
+    assert _vector_avoiding(GF2, lines + lines[:1], 2) is None
+    assert outcomes == {True, False}
 
 
 # -- end-to-end construction -----------------------------------------------------------------
