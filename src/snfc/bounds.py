@@ -55,7 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .cuts import (
     CutReport,
@@ -77,7 +77,7 @@ ORACLE_EDGE_LIMIT = 16
 # benchmark stars, whose recorded outputs have it null
 CUT_SCAN_LIMIT = 200_000
 # candidate primary sets of one size, C(|primary edges|, k), each confirmed by a
-# max-flow; more raise TooLarge before any is listed
+# max-flow; more, in any size asked for, raise TooLarge before any set is listed
 PRIMARY_SET_LIMIT = 1_000_000
 
 
@@ -126,17 +126,18 @@ def _omega_report(net: Network, wiretap: tuple[str, ...]) -> CutReport:
 
 # -- wiretap-set enumeration --------------------------------------------------------
 
-def _count_primary_candidates(net: Network, k: int) -> None:
-    count = math.comb(len(_primary_edges(net)), k)
-    if count > PRIMARY_SET_LIMIT:
-        raise TooLarge(f"{count} candidate primary sets of size {k} exceed the cap {PRIMARY_SET_LIMIT}")
+def _count_primary_candidates(net: Network, sizes: Iterable[int]) -> None:
+    for k in sizes:
+        count = math.comb(len(_primary_edges(net)), k)
+        if count > PRIMARY_SET_LIMIT:
+            raise TooLarge(f"{count} candidate primary sets of size {k} exceed the cap {PRIMARY_SET_LIMIT}")
 
 
 def _primary_stream(net: Network, k: int) -> Iterator[tuple[str, ...]]:
     """The primary sets of size k in lexicographic order, confirmed as they are read.
 
     Every edge of a primary set is a primary singleton (module docstring), so
-    sets of size 0 and 1 need no max-flow.  Count the size first.
+    sets of size 0 and 1 need no max-flow.  Count every size first.
     """
     for candidate in itertools.combinations(sorted(_primary_edges(net)), k):
         if k <= 1 or is_primary(net, candidate):
@@ -145,7 +146,6 @@ def _primary_stream(net: Network, k: int) -> Iterator[tuple[str, ...]]:
 
 @lru_cache(maxsize=None)
 def _primary_sets_of_size(net: Network, k: int) -> tuple[tuple[str, ...], ...]:
-    _count_primary_candidates(net, k)
     return tuple(_primary_stream(net, k))
 
 
@@ -157,11 +157,8 @@ def primary_wiretap_sets(net: Network, r: int, exact_size: bool = False) -> list
     """
     _check_level(r)
     sizes = [r] if exact_size else range(r + 1)
-    out: list[tuple[str, ...]] = []
-    for k in sizes:
-        out.extend(_primary_sets_of_size(net, k))
-    out.sort()
-    return out
+    _count_primary_candidates(net, sizes)
+    return list(heapq.merge(*(_primary_sets_of_size(net, k) for k in sizes)))
 
 
 # -- bounds ---------------------------------------------------------------------------
@@ -203,8 +200,7 @@ def upper_bound(net: Network, r: int) -> BoundReport:
         witness_cut: tuple[str, ...] = ()
     else:
         sizes = range(1, r + 1)
-        for k in sizes:
-            _count_primary_candidates(net, k)
+        _count_primary_candidates(net, sizes)
         floor = max(cm - r, 0)
         # the empty set comes first in the family (module docstring)
         best, witness = _omega_report(net, ()), ()

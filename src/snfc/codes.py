@@ -421,19 +421,19 @@ def choose_mixing_matrix(
     if not 0 <= r <= rate:
         raise ShapeMismatch(f"security level {r} out of range for rate {rate}")
     vectors = global_vectors(code, net)
-    # one span per distinct RREF, in first-seen order: the walk beyond SCAN_CAP depends on it
+    # one span per distinct column tuple; a repeated span cannot change the pick: the
+    # scan's answer depends only on the union of the spans, the walk keeps its vector
+    # outside every span it has passed, and every span receives the same chosen columns
     obstacles: dict[tuple, Echelon] = {}
     for wset in family:
         for i in range(net.num_sources):
-            cols = [
+            cols = tuple(
                 vectors[eid][i * rate : (i + 1) * rate]
                 for eid in wset
                 if any(vectors[eid][i * rate : (i + 1) * rate])
-            ]
-            if not cols:
-                continue
-            span = Echelon(field, cols)
-            obstacles.setdefault(span.reduced(), span)
+            )
+            if cols and cols not in obstacles:
+                obstacles[cols] = Echelon(field, cols)
     observed = list(obstacles.values())
     chosen: list[tuple[int, ...]] = []
     chosen_span = Echelon(field)

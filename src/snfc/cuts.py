@@ -42,9 +42,10 @@ class CutReport:
         }
 
 
-@dataclass(frozen=True)
-class ResidualNetwork:
-    """A network with an edge set deleted; connectivity rules are relaxed."""
+@dataclass(frozen=True, eq=False)
+class ResidualNetwork(Network):
+    """A network with an edge set deleted: its edges are the kept ones, in the
+    base's file order.  Connectivity rules are relaxed, so it is not validated."""
 
     base: Network
     removed: frozenset[str]
@@ -55,7 +56,9 @@ class ResidualNetwork:
 
 
 def residual(net: Network, edge_set: Iterable[str]) -> ResidualNetwork:
-    return ResidualNetwork(net, frozenset(net.check_edges(edge_set)))
+    removed = frozenset(net.check_edges(edge_set))
+    kept = tuple(e for e in net.edges if e.id not in removed)
+    return ResidualNetwork(net.nodes, kept, net.sources, net.sink, net, removed)
 
 
 # -- max flow -------------------------------------------------------------------
@@ -110,8 +113,7 @@ class ResidualFlow:
     super-sink on the origin side: the finite cuts and their source sides are
     those of the edge set.  A node target stands for its in-edges.  Edge i of
     `net.order` is arc 2i and its reverse is arc 2i + 1, so the flow on an edge
-    is the residual capacity of its reverse; the edges a `ResidualNetwork`
-    deletes get no capacity.
+    is the residual capacity of its reverse.
 
     `cut_without(W)` cancels the at most |W| flow units that cross W, then
     re-augments, so it needs at most |W| augmenting paths instead of a maximum
@@ -120,28 +122,27 @@ class ResidualFlow:
     the plain minimum cut.
     """
 
-    def __init__(self, net: Network | ResidualNetwork, origin: Iterable[str], target) -> None:
-        base, removed = (net.base, net.removed) if isinstance(net, ResidualNetwork) else (net, frozenset())
-        origin = base.check_nodes(origin)
+    def __init__(self, net: Network, origin: Iterable[str], target) -> None:
+        origin = net.check_nodes(origin)
         if not origin:
             raise MalformedInput("the origin set is empty")
         if isinstance(target, str):
-            (target,) = base.check_nodes([target])
+            (target,) = net.check_nodes([target])
             if target in origin:
                 raise TargetInU(f"target {target!r} is in the origin set")
-            targets = {e.id for e in base.in_edges[target]}
+            targets = {e.id for e in net.in_edges[target]}
         else:
-            targets = set(base.check_edges(target))
+            targets = set(net.check_edges(target))
             if not targets:
                 raise EmptyTarget("the target edge set is empty")
-        idx = {n: i for i, n in enumerate(base.nodes)}
+        idx = {n: i for i, n in enumerate(net.nodes)}
         s_star, t_star = len(idx), len(idx) + 1
         arcs = [
-            (idx[e.tail], t_star if e.id in targets else idx[e.head], 0 if e.id in removed else 1)
-            for e in map(base.edge_by_id.__getitem__, base.order)
+            (idx[e.tail], t_star if e.id in targets else idx[e.head], 1)
+            for e in map(net.edge_by_id.__getitem__, net.order)
         ]
         arcs += [(s_star, idx[n], INF) for n in origin]
-        self.net = base
+        self.net = net
         self._adj: list[list[int]] = [[] for _ in range(len(idx) + 2)]
         for i, (u, v, _) in enumerate(arcs):
             self._adj[u].append(2 * i)
@@ -200,7 +201,7 @@ class ResidualFlow:
 # -- cut queries --------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def node_flow(net: Network | ResidualNetwork, origin: frozenset[str], target: str) -> ResidualFlow:
+def node_flow(net: Network, origin: frozenset[str], target: str) -> ResidualFlow:
     """The maximum flow from an origin node set to a target node, built once.
 
     Callers only read it (`cut_without` copies before it deletes edges).
@@ -208,7 +209,7 @@ def node_flow(net: Network | ResidualNetwork, origin: frozenset[str], target: st
     return ResidualFlow(net, sorted(origin), target)
 
 
-def min_cut(net: Network | ResidualNetwork, origin: Iterable[str], target: str) -> CutReport:
+def min_cut(net: Network, origin: Iterable[str], target: str) -> CutReport:
     """Minimum-capacity edge cut separating a target node from an origin node set.
 
     The reported cut is the origin-side one (edges leaving the residual-reachable
@@ -216,13 +217,11 @@ def min_cut(net: Network | ResidualNetwork, origin: Iterable[str], target: str) 
     from the origin.
     """
     # unknown nodes are reported in the caller's order, before the flow is looked up
-    origin = (net.base if isinstance(net, ResidualNetwork) else net).check_nodes(origin)
+    origin = net.check_nodes(origin)
     return node_flow(net, frozenset(origin), target).cut_without()
 
 
-def min_cut_edge_target(
-    net: Network | ResidualNetwork, origin: Iterable[str], edge_set: Iterable[str]
-) -> CutReport:
+def min_cut_edge_target(net: Network, origin: Iterable[str], edge_set: Iterable[str]) -> CutReport:
     """Minimum cut separating a nonempty edge set from an origin node set.
 
     Cutting a target edge counts as separating it: in the flow, its arc runs
@@ -231,9 +230,7 @@ def min_cut_edge_target(
     return ResidualFlow(net, origin, tuple(edge_set)).cut_without()
 
 
-def primary_min_cut(
-    net: Network | ResidualNetwork, origin: Iterable[str], target
-) -> tuple[str, ...]:
+def primary_min_cut(net: Network, origin: Iterable[str], target) -> tuple[str, ...]:
     """The unique origin-side minimum cut; target is a node id or an edge id set."""
     return ResidualFlow(net, origin, target).cut_without().cut_edges
 

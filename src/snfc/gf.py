@@ -27,8 +27,9 @@ MAX_FIELD_SIZE = 1 << 16
 
 
 # Miller-Rabin with these bases is exact below 3.3 * 10^24 (Sorenson and Webster,
-# 2015); above that a strong probable prime passes, and is rejected as oversize
+# 2015); above that every p is oversize, and `make_field` runs no round there
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
@@ -282,7 +283,9 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
     is the polynomial x and arithmetic reduces mod p; any monic degree-1 modulus
     gives that same field.
     """
-    if not _is_prime(p):
+    # a round costs a power as long as p: above the exact range only a factor among
+    # the bases is reported as NonPrime, and any other p as oversize
+    if not (_is_prime(p) if p < _MR_EXACT_BELOW else all(p % b for b in _MR_BASES)):
         raise NonPrime(f"{p} is not prime")
     if m < 1:
         raise DegreeZero("extension degree must be >= 1")

@@ -45,6 +45,7 @@ set it reports.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -53,7 +54,6 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bounds import primary_wiretap_sets, upper_bound
 from .codes import (
@@ -102,7 +102,7 @@ class VerifyReport:
     secure_rank: bool
     secure_exhaustive: bool | None
     failing_W: tuple[str, ...] | None
-    rate: Fraction
+    rate: int
     bound_consistent: bool
 
     @property
@@ -115,17 +115,12 @@ class VerifyReport:
         )
 
     def to_dict(self) -> dict:
-        rate = (
-            int(self.rate)
-            if self.rate.denominator == 1
-            else [self.rate.numerator, self.rate.denominator]
-        )
         return {
             "computable": self.computable,
             "secure_rank": self.secure_rank,
             "secure_exhaustive": self.secure_exhaustive,
             "failing_W": None if self.failing_W is None else list(self.failing_W),
-            "rate": rate,
+            "rate": self.rate,
             "bound_consistent": self.bound_consistent,
         }
 
@@ -145,11 +140,7 @@ def wiretap_family(net: Network, r: int, fast: bool = False) -> list[tuple[str, 
     count = sum(math.comb(len(ids), k) for k in sizes)
     if count > WIRETAP_FAMILY_LIMIT:
         raise TooLarge(f"{count} wiretap sets exceed the cap {WIRETAP_FAMILY_LIMIT}")
-    out: list[tuple[str, ...]] = []
-    for k in sizes:
-        out.extend(itertools.combinations(ids, k))
-    out.sort()
-    return out
+    return list(heapq.merge(*(itertools.combinations(ids, k) for k in sizes)))
 
 
 def _maximal_sets(family: list[tuple]) -> list[tuple]:
@@ -459,13 +450,11 @@ def verify(
         computable = computable and computable_ex
         if failing is None:
             failing = failing_ex
-    rate = Fraction(secure.ell, 1)
-    bound = upper_bound(net, secure.r)
     return VerifyReport(
         computable=computable,
         secure_rank=secure_rank,
         secure_exhaustive=sec_ex,
         failing_W=failing,
-        rate=rate,
-        bound_consistent=rate <= bound.upper,
+        rate=secure.ell,
+        bound_consistent=secure.ell <= upper_bound(net, secure.r).upper,
     )

@@ -261,6 +261,22 @@ def test_sweep_counts_every_size_before_any_max_flow(monkeypatch):
     assert calls[0] == 0
 
 
+def test_primary_family_counts_every_size_before_any_max_flow(monkeypatch):
+    # sizes 0 to 2 fit under the cap and size 3 does not: no size-2 candidate
+    # (C(54, 2) = 1431 of them) may be confirmed before size 3 is refused
+    module = importlib.import_module("snfc.bounds")
+    net = two_source_star(2, 60)
+    _primary_sets_of_size.cache_clear()  # a cached size would be read, not confirmed
+    monkeypatch.setattr(module, "PRIMARY_SET_LIMIT", math.comb(len(_primary_edges(net)), 3) - 1)
+    calls = count_is_primary(monkeypatch)
+    try:
+        with pytest.raises(TooLarge):
+            primary_wiretap_sets(net, 3)
+    finally:
+        _primary_sets_of_size.cache_clear()
+    assert calls[0] == 0
+
+
 def test_butterfly_upper_bound(butterfly):
     report = upper_bound(butterfly, 1)
     assert report.upper == 1

@@ -296,6 +296,47 @@ def test_mixing_scan_matches_the_straight_scan():
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("field, dims", [
+    (GF2, (2, 3, 4, 11)),
+    (GF3, (1, 2, 4, 7)),
+    (GF4, (1, 3, 4, 6)),
+    (make_field(2, 4), (1, 2, 3)),
+])
+def test_repeated_spans_leave_the_mixing_pick_unchanged(field, dims):
+    # the mixing search keeps one span per distinct column tuple, so one subspace can
+    # come up again from other generators, after its first occurrence: both the scan
+    # and the walk beyond SCAN_CAP must pick as if it came up once
+    rng = random.Random(f"{field!r}")
+    outcomes = set()
+
+    def combine(vectors):
+        out = [0] * len(vectors[0])
+        for v in vectors:
+            c = rng.randrange(field.q)
+            out = [field.add(a, field.mul(c, b)) for a, b in zip(out, v)]
+        return out
+
+    for dim in dims:
+        for _ in range(40):
+            gens = [
+                [[rng.randrange(field.q) for _ in range(dim)] for _ in range(rng.randint(1, max(1, dim - 1)))]
+                for _ in range(rng.randint(1, 5))
+            ]
+            spans = [Echelon(field, g) for g in gens]
+            repeated = list(spans)
+            for _ in range(rng.randint(1, 4)):
+                i = rng.randrange(len(spans))
+                copy = Echelon(field, [combine(gens[i]) for _ in range(2)] + rng.sample(gens[i], len(gens[i])))
+                assert copy.reduced() == spans[i].reduced()
+                repeated.insert(rng.randint(repeated.index(spans[i]) + 1, len(repeated)), copy)
+            got = _vector_avoiding(field, spans, dim)
+            assert _vector_avoiding(field, repeated, dim) == got
+            if field.q**dim <= SCAN_CAP:
+                assert got == (scan_avoiding(field, spans, dim) if all(s.rank < dim for s in spans) else None)
+            outcomes.add((field.q**dim <= SCAN_CAP, got is None))
+    assert {regime for regime, _ in outcomes} == {True, False}
+
+
 # -- end-to-end construction -----------------------------------------------------------------
 
 def test_construct_butterfly_lifts_to_gf4(butterfly):

@@ -18,6 +18,7 @@ from snfc.bounds import primary_wiretap_sets
 from snfc.corpus import corpus, random_network
 from snfc.cuts import ResidualFlow, _c_min_bar_report, feeding_sources, node_flow
 from snfc.errors import EmptyTarget, MalformedInput, TargetInU, UnknownEdge, UnknownNode
+from snfc.network import Network
 from reference import reach_sets, reachable
 
 
@@ -295,6 +296,10 @@ def test_residual_empty_removal(butterfly):
 def test_residual_removal_restricts_paths(butterfly):
     view = residual(butterfly, ["e1"])
     assert min_cut(view, ["s1"], "rho").capacity == 1
+    # a residual network is a network of the kept edges, in the base's file order
+    assert isinstance(view, Network)
+    assert view.edges == tuple(e for e in butterfly.edges if e.id != "e1")
+    assert view.base is butterfly and view.removed == frozenset({"e1"})
 
 
 def test_residual_can_disconnect_a_source(n1):

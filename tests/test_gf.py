@@ -139,6 +139,10 @@ for call in (
     lambda: make_field(3, 10**9),
     lambda: parse_field("2305843009213693951"),
     lambda: parse_field("618970019642690137449562111"),
+    # thousands of digits and no factor up to 41: no Miller-Rabin round may run
+    lambda: parse_field(str(43**2448)),
+    lambda: parse_field(str(2**4423 - 1)),
+    lambda: parse_field(str(10**4000 + 1)),
 ):
     try:
         call()

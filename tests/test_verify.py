@@ -649,6 +649,7 @@ def test_verify_n1_no_penalty(n1):
     report = verify(fixtures.code("n1"), n1)
     assert report.all_passed
     assert report.rate == 1  # equal to the upper bound: security is free here
+    assert isinstance(report.rate, int)
 
 
 def test_verify_reports_first_failure(butterfly):
