@@ -85,38 +85,19 @@ class SecureCode:
     def mixing_inverse(self) -> Matrix:
         return self.mixing.inverse()
 
-    def effective_source_column(self, source: str, edge_id: str) -> tuple[int, ...]:
-        """The column actually applied at the source: B^-1 times the raw column."""
-        raw = self.base.source_column(source, edge_id)
-        return self.mixing_inverse.mul(Matrix.column(self.field, raw)).col(0)
-
-
-def message_selector(code: SecureCode) -> Matrix:
-    """rate x ell selector keeping the message coordinates of one source."""
-    return Matrix.build(
-        code.field,
-        [[1 if i == j else 0 for j in range(code.ell)] for i in range(code.rate)],
-        ncols=code.ell,
-    )
-
 
 def message_decoder(code: SecureCode) -> Matrix:
-    """|in(sink)| x ell matrix taking received symbols straight to the message sums."""
-    return code.base.decoder.mul(code.mixing).mul(message_selector(code))
+    """|in(sink)| x ell matrix taking received symbols straight to the message sums:
+    the first ell columns of D B."""
+    db = code.base.decoder.mul(code.mixing)
+    return Matrix(code.field, tuple(row[: code.ell] for row in db.data), code.ell)
 
 
 def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
     """View any code as a secure code; a bare sum code gets B = I and r = 0."""
     if isinstance(code, SecureCode):
-        if r is None or r == code.r:
-            return code
-        if not 0 <= r <= code.rate:
-            raise ShapeMismatch(f"security level {r} out of range for rate {code.rate}")
-        return SecureCode(code.base, r, code.mixing)
-    r = 0 if r is None else r
-    if not 0 <= r <= code.rate:
-        raise ShapeMismatch(f"security level {r} out of range for rate {code.rate}")
-    return SecureCode(code, r, Matrix.identity(code.field, code.rate))
+        return code if r is None or r == code.r else secure_code(code.base, code.mixing, r)
+    return secure_code(code, Matrix.identity(code.field, code.rate), 0 if r is None else r)
 
 
 # -- propagation ---------------------------------------------------------------------
@@ -216,24 +197,37 @@ def global_vectors(code: SumCode | SecureCode, net: Network) -> dict[str, tuple[
     return _edge_vectors(base, net, _unit_columns(base.field, base.rate * net.num_sources))
 
 
-def sink_matrix(vectors: dict[str, tuple[int, ...]], net: Network, field: Field, dim: int) -> Matrix:
-    """Columns of the sink's in-edges, in topological order."""
-    cols = [vectors[e.id] for e in net.in_edges[net.sink]]
-    return Matrix.from_columns(field, cols, nrows=dim)
-
-
 def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
     """The global vectors of what actually flows: B^-1 enters through the inputs."""
     units = _unit_columns(code.field, code.rate * net.num_sources)
     return _edge_vectors(code.base, net, _mix_inputs(code, units))
 
 
+def _sums_decoded(code: SecureCode, received: list, inputs: list, n: int) -> bool:
+    """The computability rule on input columns of length n.
+
+    `inputs` holds each source's rate raw input columns, before B^-1, and
+    `received` the columns of the sink's in-edges that they produce.  True when
+    each message-decoder column applied to `received` gives the sum over the
+    sources of that message input.
+    """
+    combination = code.field.combination
+    return all(
+        combination(zip(dec_col, received), n) == combination(((1, row[j]) for row in inputs), n)
+        for j, dec_col in enumerate(message_decoder(code).columns())
+    )
+
+
 def decodes_message_sum(code: SecureCode, net: Network) -> bool:
-    """The computability criterion: the sink matrix of the secure global vectors
-    times the message decoder equals the message selector stacked once per source."""
-    s = net.num_sources
-    sink = sink_matrix(secure_vectors(code, net), net, code.field, code.rate * s)
-    return sink.mul(message_decoder(code)).data == message_selector(code).data * s
+    """The computability criterion, on the unit inputs: they span every input,
+    so the sink decodes every message sum exactly when it decodes theirs."""
+    rate, n = code.rate, code.rate * net.num_sources
+    units = _unit_columns(code.field, n)
+    pos = net.order_index
+    sink_pos = [pos[e.id] for e in net.in_edges[net.sink]]
+    cols = _propagate(code.field, _propagation_plan(code.base, net), _mix_inputs(code, units), set(sink_pos))
+    inputs = [units[first : first + rate] for first in range(0, n, rate)]
+    return _sums_decoded(code, [cols[p] for p in sink_pos], inputs, n)
 
 
 # -- multicast on the reversed network ---------------------------------------------
@@ -454,7 +448,7 @@ def secure_code(code: SumCode, mixing: Matrix, r: int) -> SecureCode:
     rate - r message and r key coordinates."""
     if mixing.nrows != code.rate or mixing.ncols != code.rate:
         raise ShapeMismatch(f"mixing matrix must be {code.rate}x{code.rate}")
-    if not 0 <= r <= code.rate:
+    if not 0 <= r < code.rate:
         raise ShapeMismatch(f"security level {r} out of range for rate {code.rate}")
     if mixing.field != code.field:
         raise ShapeMismatch("mixing matrix over the wrong field")
@@ -535,13 +529,15 @@ def lift_extension(code: SecureCode, net: Network) -> LiftedCode:
     field = code.field
     if field.m == 1:
         raise PrimeFieldInput("the code is already over a prime field")
-    L = field.m
+    L, rate = field.m, code.rate
+    # a source edge's block of its secure vector is B^-1 times its raw column
+    vectors = secure_vectors(code, net)
     src_mats = {
         s: {
-            e.id: companion_expand(Matrix.column(field, code.effective_source_column(s, e.id)))
+            e.id: companion_expand(Matrix.column(field, vectors[e.id][i * rate : (i + 1) * rate]))
             for e in net.out_edges[s]
         }
-        for s in net.sources
+        for i, s in enumerate(net.sources)
     }
     local_mats = {
         eid: {

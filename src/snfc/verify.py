@@ -1,10 +1,11 @@
 """Independent checking of constructed and hand-authored codes.
 
-Computability has an exact algebraic criterion (the composite map from source
-inputs through the network to the decoder must equal the message-sum selector,
-`codes.decodes_message_sum`) and an exhaustive one (simulate every input and
-compare).  Security likewise has a rank criterion and an exhaustive tabulation
-of the conditional message distribution.  The two routes must agree wherever
+Computability is one rule on input columns, `codes._sums_decoded`: each
+message-decoder column applied to the sink's columns gives the sum over the
+sources of that message input.  `codes.decodes_message_sum` applies it to the
+unit inputs, which span every input, and the exhaustive pass to every state.
+Security has two independent routes, a rank criterion and an exhaustive
+tabulation of the conditional message distribution, which must agree wherever
 both run.
 
 The rank criterion: a wiretap set W leaks exactly when some nonzero combination
@@ -62,9 +63,9 @@ from .codes import (
     _mix_inputs,
     _propagate,
     _propagation_plan,
+    _sums_decoded,
     as_secure,
     decodes_message_sum,
-    message_decoder,
     secure_vectors,
 )
 from .errors import (
@@ -335,8 +336,7 @@ def _uniform_given_key(pairs, n_messages: int) -> bool:
 def check_computability(code: SecureCode | SumCode, net: Network) -> bool:
     """Does the sink always recover the coordinate-wise message sum?
 
-    The end-to-end linear map from the source inputs to the decoder output must
-    equal the stacked message selector (`codes.decodes_message_sum`).
+    The computability rule on the unit inputs (`codes.decodes_message_sum`).
     """
     secure = as_secure(code)
     _check_shapes(secure, net)
@@ -346,10 +346,7 @@ def check_computability(code: SecureCode | SumCode, net: Network) -> bool:
 # -- security ------------------------------------------------------------------------------
 
 def check_security_rank(
-    code: SecureCode | SumCode,
-    net: Network,
-    r: int | None = None,
-    fast: bool = False,
+    code: SecureCode | SumCode, net: Network, *, fast: bool = False
 ) -> tuple[bool, tuple[str, ...] | None]:
     """Rank criterion: no combination of what a wiretap set sees may be keyless.
 
@@ -363,7 +360,7 @@ def check_security_rank(
 
     Returns (ok, first failing wiretap set in family order).
     """
-    secure = as_secure(code, r)
+    secure = as_secure(code)
     _check_shapes(secure, net)
     rate, ell = secure.rate, secure.ell
     blocks = range(net.num_sources)
@@ -383,22 +380,18 @@ def check_security_rank(
 # -- exhaustive ----------------------------------------------------------------------------
 
 def check_exhaustive(
-    code: SecureCode | SumCode,
-    net: Network,
-    r: int | None = None,
-    fast: bool = False,
-    cap: int | None = None,
+    code: SecureCode | SumCode, net: Network, *, fast: bool = False, cap: int | None = None
 ) -> tuple[bool, bool, tuple[str, ...] | None]:
     """Simulate every state once and check both properties on the same columns.
 
-    Computable means the decoded sink columns equal the column sums of the
-    messages.  Secure means: given any observable symbol tuple, every message
-    vector is still equally likely; the wiretap sets are tabulated one at a
-    time, maximal sets first.  Exact but exponential; guarded by the state cap.
+    Computable is the computability rule on every state (`codes._sums_decoded`).
+    Secure means: given any observable symbol tuple, every message vector is
+    still equally likely; the wiretap sets are tabulated one at a time, maximal
+    sets first.  Exact but exponential; guarded by the state cap.
 
     Returns (computable, secure, first failing wiretap set in family order).
     """
-    secure = as_secure(code, r)
+    secure = as_secure(code)
     _check_shapes(secure, net)
     total = _check_state_count(secure, net, cap)
     q, ell, s = secure.field.q, secure.ell, net.num_sources
@@ -406,12 +399,7 @@ def check_exhaustive(
     received_ids = [e.id for e in net.in_edges[net.sink]]
     tapped = {eid for wset in family for eid in wset}
     inputs, cols = _simulate_columns(secure, net, {*received_ids, *tapped})
-    combination = secure.field.combination
-    received = [cols[eid] for eid in received_ids]
-    computable = all(
-        combination(zip(dec_col, received), total) == combination(((1, inputs[i][j]) for i in range(s)), total)
-        for j, dec_col in enumerate(message_decoder(secure).columns())
-    )
+    computable = _sums_decoded(secure, [cols[eid] for eid in received_ids], inputs, total)
     width = _lane_width(total)
     messages = _base_q([row[j] for row in inputs for j in range(ell)], q, width)
     n_messages = q ** (ell * s)

@@ -200,6 +200,7 @@ PINNED_EXAMPLE_OUTPUTS = {
     "butterfly --verify": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
     "butterfly --verify --exhaustive": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
     "butterfly --verify --fast": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
+    "n1 --verify --fast": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
     "n1 --verify --exhaustive": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
     "butterfly --code-name butterfly_gf2 --verify --exhaustive": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
 }
@@ -420,6 +421,65 @@ def test_construct_with_rate_and_field_flags(runner, butterfly_file, tmp_path):
         main, ["verify", "--network", butterfly_file, "--code", out, "--r", "1"]
     )
     assert checked.exit_code == 0, checked.output
+
+
+TWO_PARALLEL_EDGES = snfc.make_network(
+    ["s1", "rho"], [("e1", "s1", "rho"), ("e2", "s1", "rho")], ["s1"], "rho"
+).to_dict()
+
+
+@pytest.mark.parametrize(
+    "network,field,extra,error",
+    [
+        # odd characteristic: no XOR columns
+        ("butterfly", "3", ["--exhaustive"], None),
+        ("butterfly", "3^2", ["--exhaustive"], None),
+        # beyond 256 elements with a nonempty wiretap set: 257^2 and 512^2 states
+        ("parallel", "257", ["--exhaustive"], None),
+        ("parallel", "2^9", ["--exhaustive"], None),
+        # beyond 256 elements elimination keeps tuple rows; 512^4 states exceed the cap
+        ("butterfly", "2^9", [], None),
+        # refused at once, before any power or primality work
+        ("butterfly", "3^1000000000", [], "DimensionMismatch"),
+    ],
+    ids=["butterfly-3", "butterfly-3^2", "parallel-257", "parallel-2^9", "butterfly-2^9", "oversize"],
+)
+def test_construct_verify_round_trip_over_other_fields(runner, tmp_path, network, field, extra, error):
+    net_path = tmp_path / "net.json"
+    doc = fixtures.network_dict("butterfly") if network == "butterfly" else TWO_PARALLEL_EDGES
+    net_path.write_text(json.dumps(doc))
+    out = str(tmp_path / "code.json")
+    built = runner.invoke(
+        main, ["construct", "--network", str(net_path), "--r", "1", "--field", field, "--out", out, "--json"]
+    )
+    if error is not None:
+        assert_clean_exit(built, 1)
+        assert json.loads(built.output)["error"] == error
+        assert not os.path.exists(out)
+        return
+    assert_clean_exit(built, 0)
+    assert json.loads(built.output)["message_rate"] == 1
+    checked = runner.invoke(
+        main, ["verify", "--network", str(net_path), "--code", out, "--r", "1", "--json", *extra]
+    )
+    assert_clean_exit(checked, 0)
+    report = json.loads(checked.output)
+    assert report["secure_rank"] is True
+    assert report["secure_exhaustive"] is (True if extra else None)
+
+
+@pytest.mark.parametrize("command", ["verify", "example"])
+def test_security_level_at_the_code_rate_is_a_shape_mismatch(runner, butterfly_file, tmp_path, command):
+    # r = rate leaves no message coordinate: refused, as a code file or construct refuses it
+    if command == "verify":
+        code_path = tmp_path / "code.json"
+        code_path.write_text(json.dumps(fixtures.code_dict("butterfly")))
+        args = ["verify", "--network", butterfly_file, "--code", str(code_path)]
+    else:
+        args = ["example", "butterfly", "--verify"]
+    result = runner.invoke(main, [*args, "--r", "2", "--json"])
+    assert_clean_exit(result, 1)
+    assert json.loads(result.output)["error"] == "ShapeMismatch"
 
 
 # -- malformed input never ends in a traceback ------------------------------------------

@@ -28,7 +28,7 @@ from snfc import (
 )
 import snfc
 from snfc import fixtures
-from snfc.codes import SCAN_CAP, MulticastCode, _randrange_draws, _vector_avoiding, sink_matrix
+from snfc.codes import SCAN_CAP, MulticastCode, _randrange_draws, _vector_avoiding
 from snfc.corpus import random_network
 from snfc.errors import (
     ConstructionFailed,
@@ -83,6 +83,11 @@ def test_multicast_rate_above_min_cut_rejected(butterfly):
         build_reversed_multicast(butterfly, 3, GF4, seed=0)
 
 
+def test_multicast_rate_zero_rejected(butterfly):
+    with pytest.raises(RateInfeasible):
+        build_reversed_multicast(butterfly, 0, GF4, seed=0)
+
+
 @pytest.mark.parametrize("q", [2**m for m in range(1, 17)] + [3, 5, 7, 11, 13, 257, 65521])
 def test_draw_stream_matches_randrange(q):
     # the codes rest on this: `build_reversed_multicast` draws its kernels from the
@@ -134,7 +139,7 @@ def test_reversal_produces_stacked_identity(butterfly):
     mc = build_reversed_multicast(butterfly, 2, GF4, seed=11)
     code = sum_code_from_multicast(mc, butterfly)
     vectors = global_vectors(code, butterfly)
-    g_rho = sink_matrix(vectors, butterfly, GF4, 4)
+    g_rho = Matrix.from_columns(GF4, [vectors[e.id] for e in butterfly.in_edges[butterfly.sink]])
     assert g_rho.mul(code.decoder).data == stacked_identity(GF4, 2, 2).data
 
 
@@ -220,6 +225,12 @@ def test_secure_code_rejects_bad_shape(butterfly):
     base = fixtures.butterfly_sum_code()
     with pytest.raises(ShapeMismatch):
         secure_code(base, Matrix.identity(GF4, 3), 1)
+
+
+def test_secure_code_rejects_mixing_over_another_field(butterfly):
+    base = fixtures.butterfly_sum_code()
+    with pytest.raises(ShapeMismatch, match="wrong field"):
+        secure_code(base, Matrix.identity(GF2, 2), 1)
 
 
 def test_butterfly_secure_vectors_regression(butterfly):
@@ -392,7 +403,7 @@ def test_lift_expands_generator_entry(butterfly):
     code = fixtures.code("butterfly")
     lifted = lift_extension(code, butterfly)
     # edge e3 applies the column (1, alpha) after mixing at source s2
-    col = code.effective_source_column("s2", "e3")
+    col = secure_vectors(code, butterfly)["e3"][2:]  # s2's block: B^-1 times the raw column
     assert col == (1, 2)
     block = lifted.source_matrices["s2"]["e3"]
     assert block.data == ((1, 0), (0, 1), (0, 1), (1, 1))
@@ -445,6 +456,30 @@ def test_loader_rejects_foreign_edges(butterfly):
 def test_loader_rejects_source_mismatch(butterfly, n1):
     with pytest.raises(MalformedInput):
         load_code(fixtures.code_dict("n1"), butterfly)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", b"3", '"code"'])
+def test_loader_rejects_a_document_that_is_not_an_object(butterfly, text):
+    with pytest.raises(MalformedInput, match="must be a JSON object"):
+        load_code(text, butterfly)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc["source_matrices"].update(s9={"e1": [1, 0]}), "unknown source 's9'"),
+        (lambda doc: doc["source_matrices"]["s1"].update(e3=[1, 0]), "not an out-edge of 's1'"),
+        (lambda doc: doc["local_coeffs"].update(e1={"e2": 1}), "'e1' leaves a source"),
+        (lambda doc: doc["local_coeffs"]["e5"].update(e2="x"), "bad code document"),
+        (lambda doc: doc["local_coeffs"]["e5"].update(e2=[1]), "bad code document"),
+    ],
+    ids=["unknown-source", "not-an-out-edge", "coefficients-on-a-source-edge", "text-coefficient", "list-coefficient"],
+)
+def test_loader_rejects_misplaced_or_mistyped_entries(butterfly, edit, message):
+    doc = json.loads(json.dumps(fixtures.code_dict("butterfly")))
+    edit(doc)
+    with pytest.raises(MalformedInput, match=message):
+        load_code(doc, butterfly)
 
 
 def test_multicast_exhausted_attempts(butterfly, monkeypatch):

@@ -137,6 +137,7 @@ from snfc.gf import make_field, parse_field
 
 for call in (
     lambda: make_field(3, 10**9),
+    lambda: parse_field("3^1000000000"),
     lambda: parse_field("2305843009213693951"),
     lambda: parse_field("618970019642690137449562111"),
     # thousands of digits and no factor up to 41: no Miller-Rabin round may run

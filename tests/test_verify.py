@@ -21,7 +21,7 @@ from snfc import (
     verify,
 )
 from snfc import fixtures
-from snfc.codes import SecureCode, SumCode, as_secure, secure_vectors
+from snfc.codes import SecureCode, SumCode, as_secure, message_decoder, secure_vectors
 from snfc.errors import MalformedInput, NegativeSecurityLevel, ShapeMismatch, TooLarge
 from snfc.corpus import random_network
 from snfc.verify import (
@@ -96,6 +96,20 @@ def test_computability_shape_guard(butterfly):
     )
     with pytest.raises(ShapeMismatch):
         check_computability(squeezed, butterfly)
+
+
+def test_short_source_column_is_a_shape_mismatch(butterfly):
+    code = fixtures.code("butterfly")
+    columns = {s: dict(cols) for s, cols in code.base.source_matrices.items()}
+    columns["s1"]["e1"] = columns["s1"]["e1"][:1]
+    short = SecureCode(
+        SumCode(code.field, code.rate, columns, code.base.local_coeffs, code.base.decoder),
+        code.r,
+        code.mixing,
+    )
+    for check in (check_computability, check_security_rank, check_exhaustive):
+        with pytest.raises(ShapeMismatch, match="source column for 'e1' has length 1"):
+            check(short, butterfly)
 
 
 def test_exhaustive_cap_guard(butterfly):
@@ -368,18 +382,37 @@ def _column_cases():
         net = fixtures.network("fig2")
         code = random_code(field, net, 1, 0, random.Random(f"{field!r}:fig2"))
         yield pytest.param(code, net, id=f"{field!r}-fig2")
+    # two message sums: a constructed code decodes both, and with its second
+    # decoder column zeroed only the first
+    net = fixtures.network("butterfly")
+    code = construct(net, 0, field=GF3, seed=0)
+    yield pytest.param(code, net, id=f"{code.field!r}-butterfly-r0")
+    half = Matrix.build(code.field, [[row[0], 0] for row in code.base.decoder.data])
+    base = SumCode(code.field, code.rate, code.base.source_matrices, code.base.local_coeffs, half)
+    yield pytest.param(secure_code(base, code.mixing, 0), net, id=f"{code.field!r}-butterfly-r0-half-decoder")
 
 
 @pytest.mark.parametrize("code,net", list(_column_cases()))
 def test_column_simulation_matches_simulate(code, net):
+    """The column pass gives every state's symbols, and `check_computability`
+    equals the rule read off the per-state reference: on every state the
+    message decoder takes the sink's symbols to the message sums."""
     inputs, cols = _simulate_columns(code, net, net.order)
     assert list(cols) == list(net.order)
     q, rate, s = code.field.q, code.rate, net.num_sources
+    field = code.field
+    received_ids = [e.id for e in net.in_edges[net.sink]]
+    decoder = message_decoder(code)
+    decodes = True
     for t, flat in enumerate(itertools.product(range(q), repeat=rate * s)):
         rows = tuple(flat[i * rate : (i + 1) * rate] for i in range(s))
         assert tuple(inputs[i][j][t] for i in range(s) for j in range(rate)) == flat
         symbols = simulate(code, net, rows)
         assert {eid: col[t] for eid, col in cols.items()} == symbols, t
+        received = Matrix.build(field, [[symbols[eid] for eid in received_ids]], ncols=len(received_ids))
+        sums = tuple(functools.reduce(field.add, (row[j] for row in rows)) for j in range(code.ell))
+        decodes = decodes and received.mul(decoder).row(0) == sums
+    assert check_computability(code, net) == decodes
 
 
 @pytest.mark.parametrize("code,net", list(_column_cases())[:6])
