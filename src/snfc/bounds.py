@@ -29,8 +29,8 @@ The sweep runs only the max-flows its answer needs:
   in lexicographic order, merged; a candidate of two or more edges gets its
   max-flow only when the sweep reaches it.  Every size is counted first, so
   PRIMARY_SET_LIMIT refuses a family before any max-flow runs;
-- the residual cut of a set is cut from the flow to the sink of its feeding
-  sources, built once (`cuts.node_flow`) and shared with c_min and c_min_bar.
+- the residual cut of a set is cut from its feeding sources' flow to the sink,
+  kept in the network's memo (`cuts.node_flow`) and shared with c_min and c_min_bar.
 
 The lower bound max(c_min - r, 0) is the exact rate in four cases: r = 0,
 r >= c_min_bar (rate 0), c_min = c_min_bar, and the cut structure case.  The
@@ -54,7 +54,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .cuts import (
@@ -69,7 +68,7 @@ from .cuts import (
     source_cut_reports,
 )
 from .errors import InvariantViolated, NegativeSecurityLevel, TooLarge
-from .network import Network
+from .network import Network, per_network
 
 ORACLE_EDGE_LIMIT = 16
 # the cut structure case is reported only while C(|E|, c_min) is at most this;
@@ -144,7 +143,7 @@ def _primary_stream(net: Network, k: int) -> Iterator[tuple[str, ...]]:
             yield candidate
 
 
-@lru_cache(maxsize=None)
+@per_network
 def _primary_sets_of_size(net: Network, k: int) -> tuple[tuple[str, ...], ...]:
     return tuple(_primary_stream(net, k))
 
@@ -240,7 +239,7 @@ def upper_bound(net: Network, r: int) -> BoundReport:
 
 # -- brute-force oracle -----------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@per_network
 def _oracle_cut_stats(net: Network) -> tuple[tuple[int, int], ...]:
     """For every cut set C: (|C|, number of edges of C fed only by separated sources)."""
     ids = list(net.order)

@@ -593,7 +593,7 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
     if not isinstance(doc, dict):
         try:
             doc = json.loads(doc)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, TypeError) as exc:
             raise MalformedInput(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedInput("code document must be a JSON object")

@@ -8,12 +8,12 @@ cut is always the unique minimum cut closest to the origin set: after a maximum
 flow, it consists of the edges leaving the set of nodes still reachable from
 the origin in the residual graph.
 
-A flow to a node is built once per (network, origin, target) by `node_flow`
-and only read after that: `min_cut`, the residual cut of every wiretap set fed
-by the same sources, and the all-sources term of c_min_bar all share it.
-`cut_without` copies the capacities before it deletes an edge, so sharing is
-safe.  Flows to edge sets, such as the one behind each `is_primary` call, are
-not kept: there can be one per pair of edges.
+A flow to a node lives in the network's memo (`network.per_network`), one per
+(origin, target), and is only read after `node_flow` builds it: `min_cut`, the
+residual cut of every wiretap set fed by the same sources, and the all-sources
+term of c_min_bar all share it.  `cut_without` copies the capacities before it
+deletes an edge, so sharing is safe.  Flows to edge sets, such as the one
+behind each `is_primary` call, are not kept: there can be one per pair of edges.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import EmptyTarget, InvariantViolated, MalformedInput, TargetInU, UnknownEdge
-from .network import Network
+from .network import Network, per_network
 
 INF = 1 << 30
 
@@ -200,9 +200,9 @@ class ResidualFlow:
 
 # -- cut queries --------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@per_network
 def node_flow(net: Network, origin: frozenset[str], target: str) -> ResidualFlow:
-    """The maximum flow from an origin node set to a target node, built once.
+    """The maximum flow from an origin node set to a target node, kept in the network's memo.
 
     Callers only read it (`cut_without` copies before it deletes edges).
     """
@@ -249,7 +249,7 @@ def is_primary(net: Network, edge_set: Iterable[str]) -> bool:
     return min_cut_edge_target(net, sorted(feeding_sources(net, ids)), ids).cut_edges == ids
 
 
-@lru_cache(maxsize=None)
+@per_network
 def _primary_edges(net: Network) -> frozenset[str]:
     """The edges e with {e} primary: those that no other edge dominates.
 
@@ -268,7 +268,7 @@ def _primary_edges(net: Network) -> frozenset[str]:
     return frozenset(e.id for e in net.edges if not dom[e.tail])
 
 
-@lru_cache(maxsize=None)
+@per_network
 def _source_reach(net: Network) -> tuple[tuple[str, frozenset[str]], ...]:
     return tuple((s, frozenset(net.nodes_reachable_from([s]))) for s in net.sources)
 
@@ -281,19 +281,19 @@ def feeding_sources(net: Network, edge_set: Iterable[str]) -> frozenset[str]:
 
 # -- the two cut statistics --------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@per_network
 def source_cut_reports(net: Network) -> tuple[CutReport, ...]:
     """The minimum cut from each source to the sink, in source order."""
     return tuple(min_cut(net, [s], net.sink) for s in net.sources)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)  # caches nothing; bench/tracer.py reads its cache_info()
 def c_min(net: Network) -> int:
     """Smallest over all sources of the minimum cut capacity to the sink."""
     return min(report.capacity for report in source_cut_reports(net))
 
 
-@lru_cache(maxsize=None)
+@per_network
 def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
     reports = []
     for mask in range(1, 1 << len(net.sources)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable
 
 from .errors import (
@@ -45,13 +45,10 @@ class Network:
 
     # -- derived structure (cached, deterministic) ---------------------------
 
-    def __hash__(self) -> int:
-        return self._hash
-
     @cached_property
-    def _hash(self) -> int:
-        # per-network caches key on the network; hash its edges only once
-        return hash((self.nodes, self.edges, self.sources, self.sink))
+    def _memo(self) -> dict:
+        """Results of `per_network` functions, freed with this object."""
+        return {}
 
     @cached_property
     def edge_by_id(self) -> dict[str, Edge]:
@@ -162,6 +159,19 @@ class Network:
             "sink": self.sink,
             "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in self.edges],
         }
+
+
+def per_network(fn):
+    """Memoise fn(net, *args) on the network object: freed with it, not shared with equal ones."""
+
+    @wraps(fn)
+    def memoised(net: Network, *args):
+        memo, key = net._memo, (fn, *args)
+        if key not in memo:
+            memo[key] = fn(net, *args)  # a call that raises stores nothing
+        return memo[key]
+
+    return memoised
 
 
 def make_network(nodes, edges, sources, sink) -> Network:

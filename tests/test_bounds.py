@@ -1,8 +1,11 @@
 
+import gc
 import importlib
 import itertools
+import json
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from snfc import (
     c_min,
     c_min_bar,
+    construct,
     exact_capacity,
     fixtures,
     is_primary,
@@ -18,15 +22,17 @@ from snfc import (
     make_network,
     min_cut,
     min_cut_edge_target,
+    parse_network,
     primary_min_cut,
     primary_wiretap_sets,
     residual,
     upper_bound,
     upper_bound_oracle,
+    verify,
     zero_capacity,
 )
-from snfc.bounds import CUT_SCAN_LIMIT, _omega_report, _primary_sets_of_size
-from snfc.cuts import _primary_edges
+from snfc.bounds import CUT_SCAN_LIMIT, _omega_report
+from snfc.cuts import _primary_edges, node_flow
 from snfc.corpus import corpus, random_network
 from snfc.errors import NegativeSecurityLevel, TooLarge
 from snfc.network import Network
@@ -192,7 +198,6 @@ def test_primary_sets_are_counted_before_they_are_listed(monkeypatch):
     module = importlib.import_module("snfc.bounds")
     net = two_source_star(2, 60)
     n = len(_primary_edges(net))  # 54
-    _primary_sets_of_size.cache_clear()  # a cached size would be read, not counted
     monkeypatch.setattr(module, "PRIMARY_SET_LIMIT", math.comb(n, 2))
     assert len(primary_wiretap_sets(net, 1)) == n + 1  # sizes 0 and 1 stay cached
 
@@ -201,13 +206,10 @@ def test_primary_sets_are_counted_before_they_are_listed(monkeypatch):
 
     monkeypatch.setattr(module, "PRIMARY_SET_LIMIT", math.comb(n, 2) - 1)
     monkeypatch.setattr(itertools, "combinations", refuse)
-    try:
-        with pytest.raises(TooLarge):
-            primary_wiretap_sets(net, 2)
-        with pytest.raises(TooLarge):
-            upper_bound(net, 2)
-    finally:
-        _primary_sets_of_size.cache_clear()
+    with pytest.raises(TooLarge):
+        primary_wiretap_sets(net, 2)
+    with pytest.raises(TooLarge):
+        upper_bound(net, 2)
 
 
 # -- upper bound -------------------------------------------------------------------------
@@ -266,14 +268,10 @@ def test_primary_family_counts_every_size_before_any_max_flow(monkeypatch):
     # (C(54, 2) = 1431 of them) may be confirmed before size 3 is refused
     module = importlib.import_module("snfc.bounds")
     net = two_source_star(2, 60)
-    _primary_sets_of_size.cache_clear()  # a cached size would be read, not confirmed
     monkeypatch.setattr(module, "PRIMARY_SET_LIMIT", math.comb(len(_primary_edges(net)), 3) - 1)
     calls = count_is_primary(monkeypatch)
-    try:
-        with pytest.raises(TooLarge):
-            primary_wiretap_sets(net, 3)
-    finally:
-        _primary_sets_of_size.cache_clear()
+    with pytest.raises(TooLarge):
+        primary_wiretap_sets(net, 3)
     assert calls[0] == 0
 
 
@@ -464,3 +462,39 @@ def test_witness_pair_realizes_the_bound(data):
     report = upper_bound(net, r)
     assert len(report.witness_W) <= r
     assert omega(net, report.witness_W) == report.upper
+
+
+# -- per-network results ----------------------------------------------------------------------------
+
+def test_a_used_network_is_freed():
+    def used_star() -> weakref.ref:
+        net = two_source_star(2, 60)
+        upper_bound(net, 2)  # memoises the node flows
+        primary_wiretap_sets(net, 2)  # memoises the primary sets of sizes 0 to 2
+        c_min_bar(net)
+        exact_capacity(net, 1)
+        return weakref.ref(net)
+
+    def used_corpus_network() -> weakref.ref:
+        net = next(n for n in corpus(50) if c_min(n) >= 2 and len(n.edges) <= 12)
+        code = construct(net, 1, seed=0)
+        assert verify(code, net, fast=True).all_passed
+        assert verify(code, net, exhaustive=True).all_passed
+        upper_bound_oracle(net, 1)
+        return weakref.ref(net)
+
+    refs = [used_star(), used_corpus_network()]
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_results_are_kept_per_network_object_not_per_value():
+    net = two_source_star(2, 60)
+    again = parse_network(json.dumps(net.to_dict()))
+    assert again == net
+    origin = frozenset(net.sources)
+    flow = node_flow(net, origin, net.sink)
+    assert node_flow(net, origin, net.sink) is flow
+    assert node_flow(again, origin, net.sink) is not flow
+    # equal networks parsed apart share no results, but give the same outputs
+    assert upper_bound(again, 2).to_dict() == upper_bound(net, 2).to_dict()

@@ -101,12 +101,8 @@ def test_primary_sets_over_the_cap_are_a_domain_error(runner, monkeypatch, tmp_p
     path = tmp_path / "star.json"
     path.write_text(json.dumps(two_source_star(2, 60).to_dict()))
     bounds = sys.modules["snfc.bounds"]
-    bounds._primary_sets_of_size.cache_clear()  # a cached size would be read, not counted
     monkeypatch.setattr(bounds, "PRIMARY_SET_LIMIT", 1430)
-    try:
-        result = runner.invoke(main, ["bound", "--network", str(path), "--r", "2", "--json"])
-    finally:
-        bounds._primary_sets_of_size.cache_clear()
+    result = runner.invoke(main, ["bound", "--network", str(path), "--r", "2", "--json"])
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
     assert result.exit_code == 1

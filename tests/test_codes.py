@@ -464,6 +464,12 @@ def test_loader_rejects_a_document_that_is_not_an_object(butterfly, text):
         load_code(text, butterfly)
 
 
+@pytest.mark.parametrize("doc", [[1, 2], 3, None])
+def test_loader_rejects_a_document_that_is_not_json_text(butterfly, doc):
+    with pytest.raises(MalformedInput, match="invalid JSON"):
+        load_code(doc, butterfly)
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [

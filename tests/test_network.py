@@ -1,9 +1,13 @@
+import importlib
 import json
+import pkgutil
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snfc
 from snfc import (
     network_from_dict,
     make_field,
@@ -275,3 +279,22 @@ def test_parser_never_leaks_raw_exceptions(data):
         network_from_dict(doc)
     except SnfcError:
         pass
+
+
+# -- cache lifetimes -------------------------------------------------------------------
+
+def test_only_the_field_cache_is_unbounded():
+    # a result derived from a network belongs in its memo (`per_network`), which is
+    # freed with it; only field specs, which MAX_FIELD_SIZE bounds, may stay cached
+    # for the life of the process
+    for info in pkgutil.iter_modules(snfc.__path__):
+        importlib.import_module(f"snfc.{info.name}")
+    unbounded = set()
+    for name, module in list(sys.modules.items()):
+        if name != "snfc" and not name.startswith("snfc."):
+            continue
+        for obj in vars(module).values():
+            for member in [obj, *(vars(obj).values() if isinstance(obj, type) else ())]:
+                if hasattr(member, "cache_info") and member.cache_info().maxsize is None:
+                    unbounded.add(f"{member.__module__}.{member.__qualname__}")
+    assert unbounded == {"snfc.gf.make_field"}
