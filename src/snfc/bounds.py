@@ -155,7 +155,7 @@ def primary_wiretap_sets(net: Network, r: int, exact_size: bool = False) -> list
     exact size is requested.
     """
     _check_level(r)
-    sizes = [r] if exact_size else range(r + 1)
+    sizes = [r] if exact_size else range(min(r, len(_primary_edges(net))) + 1)
     _count_primary_candidates(net, sizes)
     return list(heapq.merge(*(_primary_sets_of_size(net, k) for k in sizes)))
 

@@ -7,11 +7,10 @@ mixing matrix B whose leading columns stay clear of everything any allowed
 wiretap set can observe.  Each source then spends R - r coordinates on messages
 and r on uniform one-time keys.
 
-The codes follow the seed alone.  Each multicast search seeds its own
-`random.Random` with (seed, field, rate) and never uses it outside the call;
-every kernel entry is the value `randrange(q)` would return next, read from a
-stream that splits one `getrandbits` call into many draws (`_randrange_draws`).
-The mixing columns are the lexicographically first admissible vectors.
+The codes follow the seed alone: each multicast search draws every kernel
+entry with `randrange(q)` from its own `random.Random`, seeded with (seed,
+field, rate), and the mixing columns are the lexicographically first
+admissible vectors.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +38,7 @@ from .errors import (
     SingularB,
 )
 from .gf import MAX_FIELD_SIZE, Echelon, Field, Matrix, companion_expand, make_field, parse_field
-from .network import Network
+from .network import Network, _json_object
 
 MULTICAST_ATTEMPTS = 64
 
@@ -248,26 +246,6 @@ class MulticastCode:
     right_inverses: dict[str, Matrix]
 
 
-def _randrange_draws(rng: random.Random, q: int):
-    """Yield, one after another, what successive `rng.randrange(q)` calls return.
-
-    CPython's `randrange(q)` is `getrandbits(k)` with k = q.bit_length(), drawn
-    again while the result is >= q; for k <= 32 `getrandbits(k)` is the top k
-    bits of one 32-bit Mersenne Twister word, and `getrandbits(32 * n)` is n
-    such words, least significant first.  So one big call serves many draws:
-    split it into words, shift each, drop the values >= q.  The `"<"` format
-    fixes the word size at 4 bytes and the byte order at little-endian, the
-    order `to_bytes` writes, on every host.  The stream draws ahead of what it
-    yields, so `rng` ends in another state than after the same draws made one
-    by one: hand it only a generator that nothing else uses.
-    """
-    shift = 32 - q.bit_length()
-    unpack = struct.Struct("<64I").unpack
-    while True:
-        words = unpack(rng.getrandbits(32 * 64).to_bytes(4 * 64, "little"))
-        yield from filter(q.__gt__, map(shift.__rrshift__, words))
-
-
 def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -> MulticastCode:
     """Draw random local kernels on the reversed network until every original
     source, acting as a multicast sink, can decode all R symbols."""
@@ -275,8 +253,7 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
         raise RateExceedsMinCut(f"rate {rate} exceeds the smallest source min-cut {c_min(net)}")
     if rate < 1:
         raise RateInfeasible("multicast rate must be positive")
-    # `rng` lives and dies in this call, so the stream may draw ahead of it
-    draws = _randrange_draws(random.Random(f"{seed}|{field.p}^{field.m}|{rate}"), field.q)
+    draws = map(random.Random(f"{seed}|{field.p}^{field.m}|{rate}").randrange, itertools.repeat(field.q))
     # per kernel node, in draw order: its rows (reversed in-edges) and columns (its in-edges);
     # original sources are multicast sinks and get no kernel
     sizes = [
@@ -591,12 +568,7 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
     """Parse a code file, recompute its global vectors, and cross-check the
     stored ones before returning the code."""
     if not isinstance(doc, dict):
-        try:
-            doc = json.loads(doc)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, TypeError) as exc:
-            raise MalformedInput(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedInput("code document must be a JSON object")
+        doc = _json_object(doc, "code")
     try:
         fld = parse_field(str(doc["field"]), doc.get("modulus"))
         rate = int(doc["rate"])

@@ -11,7 +11,6 @@ key flow cancels before the sink, which no mixing-matrix construction produces.
 from __future__ import annotations
 
 from .codes import SecureCode, SumCode, load_code
-from .gf import Matrix, make_field
 from .network import Network, network_from_dict
 
 _NETWORKS = {
@@ -199,16 +198,3 @@ def code_network_name(name: str) -> str:
 def butterfly_sum_code() -> SumCode:
     """The underlying GF(4) sum code of the butterfly fixture, without mixing."""
     return code("butterfly").base
-
-
-def butterfly_sum_code_gf2() -> SumCode:
-    """The same coefficients read over GF(2); every entry is 0 or 1."""
-    gf2 = make_field(2, 1)
-    base = butterfly_sum_code()
-    return SumCode(
-        gf2,
-        base.rate,
-        base.source_matrices,
-        base.local_coeffs,
-        Matrix.build(gf2, base.decoder.data, ncols=base.decoder.ncols),
-    )

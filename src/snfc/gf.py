@@ -9,6 +9,7 @@ anywhere in this module.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -26,34 +27,9 @@ from .errors import (
 MAX_FIELD_SIZE = 1 << 16
 
 
-# Miller-Rabin with these bases is exact below 3.3 * 10^24 (Sorenson and Webster,
-# 2015); above that every p is oversize, and `make_field` runs no round there
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-
-
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over `_MR_BASES`: a composite verdict is always exact."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division, for n <= MAX_FIELD_SIZE: at most 256 divisors."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # -- polynomial helpers over Z_p (tuples of coefficients, low-to-high) --------
@@ -281,16 +257,17 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
     polynomial of degree m over GF(p), coefficients compared low-to-high, so the
     same (p, m) always yields the same field across runs.  For m = 1 the modulus
     is the polynomial x and arithmetic reduces mod p; any monic degree-1 modulus
-    gives that same field.
+    gives that same field.  A spec with p > MAX_FIELD_SIZE is DimensionMismatch,
+    and any smaller p that is not prime is NonPrime.
     """
-    # a round costs a power as long as p: above the exact range only a factor among
-    # the bases is reported as NonPrime, and any other p as oversize
-    if not (_is_prime(p) if p < _MR_EXACT_BELOW else all(p % b for b in _MR_BASES)):
-        raise NonPrime(f"{p} is not prime")
-    if m < 1:
-        raise DegreeZero("extension degree must be >= 1")
+    # p > MAX_FIELD_SIZE is oversize whatever it is or m is, so trial division stays short
+    if p <= MAX_FIELD_SIZE:
+        if not _is_prime(p):
+            raise NonPrime(f"{p} is not prime")
+        if m < 1:
+            raise DegreeZero("extension degree must be >= 1")
     # 2^m > MAX_FIELD_SIZE once m reaches its bit length: bound m before the power
-    if m >= MAX_FIELD_SIZE.bit_length() or p ** m > MAX_FIELD_SIZE:
+    if p > MAX_FIELD_SIZE or m >= MAX_FIELD_SIZE.bit_length() or p ** m > MAX_FIELD_SIZE:
         raise DimensionMismatch(f"field size {p}^{m} exceeds supported maximum {MAX_FIELD_SIZE}")
     if modulus is not None:
         modulus = tuple(c % p for c in modulus)
@@ -359,10 +336,6 @@ class Matrix:
         return Matrix(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @staticmethod
-    def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(field, tuple((0,) * ncols for _ in range(nrows)), ncols)
-
-    @staticmethod
     def column(field: Field, entries) -> "Matrix":
         return Matrix(field, tuple((int(x),) for x in entries), 1)
 
@@ -424,12 +397,6 @@ class Matrix:
             tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
             self.ncols + other.ncols,
         )
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if self.ncols != other.ncols:
-            raise DimensionMismatch(f"vstack {self.shape} / {other.shape}")
-        return Matrix(self.field, self.data + other.data, self.ncols)
 
     # -- elimination ---------------------------------------------------------
 

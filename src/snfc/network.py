@@ -232,14 +232,19 @@ def network_from_dict(doc: dict) -> Network:
     return make_network(nodes, edges, sources, sink)
 
 
-def parse_network(text: bytes | str) -> Network:
+def _json_object(text, kind: str) -> dict:
+    """Decode `text` (str or bytes) as one JSON object; anything else is MalformedInput."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, TypeError) as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise MalformedInput("network document must be a JSON object")
-    return network_from_dict(doc)
+        raise MalformedInput(f"{kind} document must be a JSON object")
+    return doc
+
+
+def parse_network(text: bytes | str) -> Network:
+    return network_from_dict(_json_object(text, "network"))
 
 
 # -- linear-function preprocessing ---------------------------------------------

@@ -56,7 +56,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 
-from .bounds import primary_wiretap_sets, upper_bound
+from .bounds import lower_bound, primary_wiretap_sets, upper_bound
 from .codes import (
     SecureCode,
     SumCode,
@@ -438,11 +438,13 @@ def verify(
         computable = computable and computable_ex
         if failing is None:
             failing = failing_ex
+    # lower <= upper, so the sweep runs only when ell exceeds the lower bound
+    ell, level = secure.ell, secure.r
     return VerifyReport(
         computable=computable,
         secure_rank=secure_rank,
         secure_exhaustive=sec_ex,
         failing_W=failing,
-        rate=secure.ell,
-        bound_consistent=secure.ell <= upper_bound(net, secure.r).upper,
+        rate=ell,
+        bound_consistent=ell <= lower_bound(net, level) or ell <= upper_bound(net, level).upper,
     )

@@ -23,6 +23,9 @@ The package has one implementation of each object; these are the independent
 - `scan_avoiding`: the first vector in lexicographic order outside every span,
   each candidate tested against the spans in list order, against the scan in
   `codes._vector_avoiding`.
+
+One test fixture lives here too, since only the tests use it:
+`butterfly_sum_code_gf2`, the butterfly's GF(4) sum code read over GF(2).
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from snfc.bounds import _omega_report, primary_wiretap_sets
 from snfc.cuts import CutReport
 from snfc.codes import SecureCode, SumCode, _propagation_plan
 from snfc.errors import InvariantViolated
-from snfc.gf import Echelon, Field, Matrix
+from snfc import fixtures
+from snfc.gf import Echelon, Field, Matrix, make_field
 from snfc.network import Network
 from snfc.verify import _maximal_sets
 
@@ -172,3 +176,19 @@ def scan_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int, ..
         if all(not s.contains(cand) for s in spans):
             return cand
     return None
+
+
+# -- fixtures ----------------------------------------------------------------------------
+
+def butterfly_sum_code_gf2() -> SumCode:
+    """The butterfly fixture's sum code with the same coefficients read over GF(2);
+    every entry is 0 or 1."""
+    gf2 = make_field(2, 1)
+    base = fixtures.butterfly_sum_code()
+    return SumCode(
+        gf2,
+        base.rate,
+        base.source_matrices,
+        base.local_coeffs,
+        Matrix.build(gf2, base.decoder.data, ncols=base.decoder.ncols),
+    )

@@ -34,6 +34,7 @@ from snfc import (
 from snfc import fixtures
 from snfc.corpus import corpus
 from snfc.errors import FieldTooSmall, RateInfeasible
+from reference import butterfly_sum_code_gf2
 
 CORPUS_SIZE = 200
 CORPUS_SEED = 20_000
@@ -115,7 +116,7 @@ def test_criterion_5_binary_hand_code_outside_the_construction(butterfly):
     assert report.all_passed and report.rate == 1
     family = primary_wiretap_sets(butterfly, 1, exact_size=True)
     with pytest.raises(FieldTooSmall):
-        choose_mixing_matrix(fixtures.butterfly_sum_code_gf2(), 1, family, butterfly)
+        choose_mixing_matrix(butterfly_sum_code_gf2(), 1, family, butterfly)
     announce(5, "binary butterfly hand code verifies at rate 1, yet no binary mixing "
                 "column exists: the code lies outside the construction")
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import time
 import weakref
 
 import pytest
@@ -210,6 +211,18 @@ def test_primary_sets_are_counted_before_they_are_listed(monkeypatch):
         primary_wiretap_sets(net, 2)
     with pytest.raises(TooLarge):
         upper_bound(net, 2)
+
+
+def test_primary_sets_stop_at_the_number_of_primary_edges():
+    # sizes past the 7 primary edges hold no set, so a huge r costs what r = 7 costs
+    net = fixtures.network("butterfly")
+    assert len(_primary_edges(net)) == 7
+    expected = primary_wiretap_sets(net, 7)
+    entries = len(net._memo)
+    t0 = time.perf_counter()
+    assert primary_wiretap_sets(net, 10**9) == expected
+    assert time.perf_counter() - t0 < 2.0
+    assert len(net._memo) == entries
 
 
 # -- upper bound -------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -28,8 +29,8 @@ from snfc import (
 )
 import snfc
 from snfc import fixtures
-from snfc.codes import SCAN_CAP, MulticastCode, _randrange_draws, _vector_avoiding
-from snfc.corpus import random_network
+from snfc.codes import MULTICAST_ATTEMPTS, SCAN_CAP, MulticastCode, _vector_avoiding
+from snfc.corpus import corpus, random_network
 from snfc.errors import (
     ConstructionFailed,
     FieldTooSmall,
@@ -42,7 +43,7 @@ from snfc.errors import (
     SingularB,
 )
 from snfc.gf import Echelon, Field
-from reference import scan_avoiding, simulate, transfer_global_vectors
+from reference import butterfly_sum_code_gf2, scan_avoiding, simulate, transfer_global_vectors
 from test_verify import _column_cases, random_code
 
 GF2 = make_field(2, 1)
@@ -51,11 +52,7 @@ GF4 = make_field(2, 2)
 
 
 def stacked_identity(field, rate, copies):
-    eye = Matrix.identity(field, rate)
-    out = eye
-    for _ in range(copies - 1):
-        out = out.vstack(eye)
-    return out
+    return Matrix.build(field, Matrix.identity(field, rate).data * copies)
 
 
 # -- multicast on the reversed network ----------------------------------------------
@@ -89,14 +86,35 @@ def test_multicast_rate_zero_rejected(butterfly):
 
 
 @pytest.mark.parametrize("q", [2**m for m in range(1, 17)] + [3, 5, 7, 11, 13, 257, 65521])
-def test_draw_stream_matches_randrange(q):
-    # the codes rest on this: `build_reversed_multicast` draws its kernels from the
-    # stream, and the pinned codes were drawn with `randrange`.  3000 draws span
-    # dozens of 64-word blocks, and for q = 2^m about half the words are rejected.
-    for seed in (0, 1, 7, "3|2^2|2", "12345|257^1|3"):
-        stream = _randrange_draws(random.Random(seed), q)
-        rng = random.Random(seed)
-        assert list(itertools.islice(stream, 3000)) == [rng.randrange(q) for _ in range(3000)]
+def test_draw_stream_matches_randrange(butterfly, q):
+    # every kernel entry is the next randrange(q) of the search's own generator, so
+    # the kernels returned are one attempt's block of draws, read in kernel order
+    field = make_field(q, 1) if q & (q - 1) else make_field(2, q.bit_length() - 1)
+    for seed in (0, 1, 7):
+        mc = build_reversed_multicast(butterfly, 1, field, seed)
+        drawn = [x for kernel in mc.kernels.values() for row in kernel.data for x in row]
+        rng = random.Random(f"{seed}|{field.p}^{field.m}|1")
+        assert drawn in [[rng.randrange(q) for _ in drawn] for _ in range(MULTICAST_ATTEMPTS)]
+
+
+# sha256 over multicast kernels at rate c_min and every construct(net, r) with
+# 0 <= r < c_min, on 30 corpus networks, for each field spec in turn: the draws
+# over odd characteristics and wide fields, which MULTICAST_PINS and the
+# criterion-8 digest (GF(2^m) only) do not reach
+OTHER_FIELD_DIGEST = "52372f6e743175fbb2b51c8ff4b2d11c8b712087e2a735af47e8d15a01abbd2d"
+
+
+def test_codes_over_other_fields_keep_their_digest():
+    digest = hashlib.sha256()
+    for spec in ("3", "5", "3^2", "257", "2^9", "65521"):
+        field = snfc.parse_field(spec)
+        for net in corpus(30, base_seed=500, max_edges=10, max_sources=3):
+            cm = c_min(net)
+            mc = build_reversed_multicast(net, cm, field, seed=7)
+            out = [sorted((v, m.data) for v, m in mc.kernels.items()), list(mc.global_kernels.items())]
+            out += [code_to_dict(construct(net, r, field=field, seed=1), net) for r in range(cm)]
+            digest.update(json.dumps(out, sort_keys=True).encode())
+    assert digest.hexdigest() == OTHER_FIELD_DIGEST
 
 
 # butterfly, GF(4), rate 2: the multicast codes drawn one `randrange` at a time
@@ -203,7 +221,7 @@ def test_mixing_matrix_matches_shipped_butterfly_choice(butterfly):
 
 
 def test_mixing_matrix_impossible_over_gf2(butterfly):
-    base = fixtures.butterfly_sum_code_gf2()
+    base = butterfly_sum_code_gf2()
     family = primary_wiretap_sets(butterfly, 1, exact_size=True)
     with pytest.raises(FieldTooSmall):
         choose_mixing_matrix(base, 1, family, butterfly)
@@ -218,7 +236,7 @@ def test_secure_code_identity_mixing_keeps_vectors(butterfly):
 def test_secure_code_rejects_singular_mixing(butterfly):
     base = fixtures.butterfly_sum_code()
     with pytest.raises(SingularB):
-        secure_code(base, Matrix.zeros(GF4, 2, 2), 1)
+        secure_code(base, Matrix.build(GF4, [[0, 0]] * 2), 1)
 
 
 def test_secure_code_rejects_bad_shape(butterfly):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import snfc
 from snfc import Matrix, companion_expand, make_field
-from snfc.gf import Echelon, Field, _is_prime
+from snfc.gf import MAX_FIELD_SIZE, Echelon, Field, _is_prime
 from snfc.errors import (
     DegreeZero,
     DimensionMismatch,
@@ -111,24 +111,37 @@ def test_degree_zero_rejected():
         make_field(2, 0)
 
 
-def test_is_prime_matches_trial_division():
-    def trial(n):
-        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+def test_characteristics_at_the_cap_are_tested_for_primality():
+    # p = MAX_FIELD_SIZE is still trial-divided; one past it is oversize (below)
+    assert make_field(65521, 1).q == 65521
+    with pytest.raises(NonPrime):
+        make_field(MAX_FIELD_SIZE, 1)
 
-    for n in range(1 << 17):
-        assert _is_prime(n) == trial(n), n
+
+def test_is_prime_matches_a_sieve():
+    # every characteristic make_field tests, against the sieve of Eratosthenes
+    sieve = bytearray([0, 0]) + bytearray([1]) * (MAX_FIELD_SIZE - 1)
+    for d in range(2, math.isqrt(MAX_FIELD_SIZE) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, MAX_FIELD_SIZE + 1, d)))
+    assert [n for n in range(MAX_FIELD_SIZE + 1) if _is_prime(n)] == [n for n, bit in enumerate(sieve) if bit]
 
 
-@pytest.mark.parametrize("n, prime", [
-    (3215031751, False),              # strong pseudoprime to bases 2, 3, 5, 7
-    (3825123056546413051, False),     # strong pseudoprime to bases 2 .. 23
-    (318665857834031151167461, False),  # strong pseudoprime to bases 2 .. 37
-    (2**61 - 1, True),
-    (2**89 - 1, True),
-    (2**67 - 1, False),
+@pytest.mark.parametrize("p", [
+    3215031751,                   # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,          # strong pseudoprime to bases 2 .. 23
+    318665857834031151167461,     # strong pseudoprime to bases 2 .. 37
+    2**61 - 1,
+    2**89 - 1,
+    2**67 - 1,
+    65537,
+    4294967297,                   # 2^32 + 1 = 641 * 6700417
 ])
-def test_is_prime_on_strong_pseudoprimes_and_mersenne_numbers(n, prime):
-    assert _is_prime(n) == prime
+def test_characteristic_above_the_cap_is_oversize_at_any_degree(p):
+    # prime or composite, at degree 1 or 0: no primality test runs above the cap
+    for m in (1, 0):
+        with pytest.raises(DimensionMismatch):
+            make_field(p, m)
 
 
 OVERSIZE_SCRIPT = """
@@ -140,7 +153,7 @@ for call in (
     lambda: parse_field("3^1000000000"),
     lambda: parse_field("2305843009213693951"),
     lambda: parse_field("618970019642690137449562111"),
-    # thousands of digits and no factor up to 41: no Miller-Rabin round may run
+    # thousands of digits: refused by size before any primality test
     lambda: parse_field(str(43**2448)),
     lambda: parse_field(str(2**4423 - 1)),
     lambda: parse_field(str(10**4000 + 1)),
@@ -334,7 +347,7 @@ def test_inverse_of_butterfly_mixing_matrix_is_itself():
 
 def test_singular_matrix_rejected():
     with pytest.raises(Singular):
-        Matrix.zeros(GF2, 2, 2).inverse()
+        Matrix.build(GF2, [[0, 0]] * 2).inverse()
 
 
 @pytest.mark.parametrize("field", [GF2, GF4, make_field(3, 1), make_field(5, 1)], ids=repr)

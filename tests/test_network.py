@@ -147,6 +147,18 @@ def test_malformed_json_rejected():
         parse_network(json.dumps({"nodes": []}))
 
 
+@pytest.mark.parametrize("text", [3, None, [1], {"nodes": []}], ids=["int", "None", "list", "dict"])
+def test_parse_network_rejects_a_document_that_is_not_json_text(text):
+    with pytest.raises(MalformedInput, match="invalid JSON"):
+        parse_network(text)
+
+
+@pytest.mark.parametrize("text", ["[1]", "3", b"null"])
+def test_parse_network_names_the_document_that_is_not_an_object(text):
+    with pytest.raises(MalformedInput, match="network document must be a JSON object"):
+        parse_network(text)
+
+
 def test_multi_edges_are_allowed(n1):
     # e1 and e2 are parallel edges s1 -> v3
     assert n1.edge_by_id["e1"].head == n1.edge_by_id["e2"].head

@@ -72,7 +72,7 @@ def test_zeroed_decoder_not_computable(butterfly):
             code.rate,
             code.base.source_matrices,
             code.base.local_coeffs,
-            Matrix.zeros(code.field, 2, 2),
+            Matrix.build(code.field, [[0, 0]] * 2),
         ),
         code.r,
         code.mixing,
@@ -89,7 +89,7 @@ def test_computability_shape_guard(butterfly):
             code.rate,
             code.base.source_matrices,
             code.base.local_coeffs,
-            Matrix.zeros(code.field, 1, 2),
+            Matrix.build(code.field, [[0, 0]]),
         ),
         code.r,
         code.mixing,
@@ -733,6 +733,17 @@ def test_verify_constructed_codes_all_pass(butterfly, n1, fig2):
             assert verify(code, net).all_passed, (net.sink, r)
 
 
+def test_verify_runs_no_bound_sweep_at_or_below_the_lower_bound(butterfly, n1, fig2, monkeypatch):
+    # a constructed code has rate <= c_min, so ell <= c_min - r settles the bound check
+    def refuse(*args, **kwargs):
+        raise AssertionError("the upper-bound sweep ran")
+
+    codes = [(net, construct(net, r, seed=4)) for net in (butterfly, n1, fig2) for r in range(c_min_of(net))]
+    monkeypatch.setattr(importlib.import_module("snfc.verify"), "upper_bound", refuse)
+    for net, code in codes:
+        assert verify(code, net).bound_consistent
+
+
 def c_min_of(net):
     from snfc import c_min
 
@@ -756,7 +767,7 @@ def test_verify_report_on_corrupted_code(butterfly):
             code.rate,
             code.base.source_matrices,
             code.base.local_coeffs,
-            Matrix.zeros(code.field, 2, 2),
+            Matrix.build(code.field, [[0, 0]] * 2),
         ),
         code.r,
         code.mixing,
