@@ -11,12 +11,18 @@ The codes follow the seed alone: each multicast search draws every kernel
 entry with `randrange(q)` from its own `random.Random`, seeded with (seed,
 field, rate), and the mixing columns are the lexicographically first
 admissible vectors.
+
+One entry, `_run_code`, runs a secure code on raw input columns: it applies
+B^-1 to them, walks the local rules and applies the computability rule at the
+sink.  `decodes_message_sum` runs it on the unit inputs, and the exhaustive
+pass in `verify` on every state.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -201,31 +207,33 @@ def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]
     return _edge_vectors(code.base, net, _mix_inputs(code, units))
 
 
-def _sums_decoded(code: SecureCode, received: list, inputs: list, n: int) -> bool:
-    """The computability rule on input columns of length n.
+def _run_code(code: SecureCode, net: Network, inputs: list, keep=()) -> tuple[bool, dict]:
+    """Run the code on raw input columns of one length n: rate per source, in
+    source order, before B^-1.
 
-    `inputs` holds each source's rate raw input columns, before B^-1, and
-    `received` the columns of the sink's in-edges that they produce.  True when
-    each message-decoder column applied to `received` gives the sum over the
-    sources of that message input.
+    Returns whether the computability rule holds on them, that is whether each
+    message-decoder column applied to the sink's columns gives the sum over the
+    sources of that message input, and the column of each edge in `keep`.
+    Every other column is dropped after its last use.
     """
-    combination = code.field.combination
-    return all(
-        combination(zip(dec_col, received), n) == combination(((1, row[j]) for row in inputs), n)
+    field, rate, n = code.field, code.rate, len(inputs[0])
+    pos = net.order_index
+    sink_pos = [pos[e.id] for e in net.in_edges[net.sink]]
+    keep_pos = {*sink_pos, *(pos[eid] for eid in keep)}
+    cols = _propagate(field, _propagation_plan(code.base, net), _mix_inputs(code, inputs), keep_pos)
+    received = [cols[p] for p in sink_pos]
+    decoded = all(
+        field.combination(zip(dec_col, received), n)
+        == field.combination(((1, inputs[first + j]) for first in range(0, len(inputs), rate)), n)
         for j, dec_col in enumerate(message_decoder(code).columns())
     )
+    return decoded, {eid: cols[pos[eid]] for eid in keep}
 
 
 def decodes_message_sum(code: SecureCode, net: Network) -> bool:
     """The computability criterion, on the unit inputs: they span every input,
     so the sink decodes every message sum exactly when it decodes theirs."""
-    rate, n = code.rate, code.rate * net.num_sources
-    units = _unit_columns(code.field, n)
-    pos = net.order_index
-    sink_pos = [pos[e.id] for e in net.in_edges[net.sink]]
-    cols = _propagate(code.field, _propagation_plan(code.base, net), _mix_inputs(code, units), set(sink_pos))
-    inputs = [units[first : first + rate] for first in range(0, n, rate)]
-    return _sums_decoded(code, [cols[p] for p in sink_pos], inputs, n)
+    return _run_code(code, net, _unit_columns(code.field, code.rate * net.num_sources))[0]
 
 
 # -- multicast on the reversed network ---------------------------------------------
@@ -566,20 +574,20 @@ def save_code(path: str, code: SecureCode, net: Network) -> None:
 
 def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
     """Parse a code file, recompute its global vectors, and cross-check the
-    stored ones before returning the code."""
+    stored ones before returning the code.  Every number must be an int."""
     if not isinstance(doc, dict):
         doc = _json_object(doc, "code")
+    index = operator.index  # refuses a float or a string rather than truncating it
     try:
-        fld = parse_field(str(doc["field"]), doc.get("modulus"))
-        rate = int(doc["rate"])
-        r = int(doc["r"])
+        modulus = doc.get("modulus")
+        fld = parse_field(str(doc["field"]), None if modulus is None else [index(c) for c in modulus])
+        rate = index(doc["rate"])
+        r = index(doc["r"])
         sources = [str(s) for s in doc["sources"]]
         raw_sources = dict(doc["source_matrices"])
         raw_coeffs = dict(doc.get("local_coeffs") or {})
-        raw_b = [list(row) for row in doc["B"]]
-        raw_decoder = [list(row) for row in doc["decoder_D"]]
-        int_rows = lambda rows: [[int(x) for x in row] for row in rows]
-        raw_b, raw_decoder = int_rows(raw_b), int_rows(raw_decoder)
+        raw_b = [[index(x) for x in row] for row in doc["B"]]
+        raw_decoder = [[index(x) for x in row] for row in doc["decoder_D"]]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedInput(f"bad code document: {exc}") from None
     if sources != list(net.sources):
@@ -598,7 +606,7 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
                     raise MalformedInput(f"edge {eid!r} is not an out-edge of {s!r}")
                 if len(col) != rate:
                     raise ShapeMismatch(f"source column for {eid!r} must have length {rate}")
-                parsed[eid] = tuple(int(x) % fld.q for x in col)
+                parsed[eid] = tuple(index(x) % fld.q for x in col)
             source_matrices[s] = parsed
         local_coeffs: dict[str, dict[str, int]] = {}
         src_set = set(net.sources)
@@ -613,7 +621,7 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
             for did, coeff in entry.items():
                 if did not in in_ids:
                     raise MalformedInput(f"{did!r} is not an in-edge of the tail of {eid!r}")
-                parsed_entry[did] = int(coeff) % fld.q
+                parsed_entry[did] = index(coeff) % fld.q
             local_coeffs[eid] = parsed_entry
     except (TypeError, ValueError, AttributeError) as exc:
         raise MalformedInput(f"bad code document: {exc}") from None
@@ -633,7 +641,7 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
             for eid in net.order:
                 expect = recomputed[eid]
                 got = stored.get(eid)
-                if got is None or tuple(int(x) % fld.q for x in got) != expect:
+                if got is None or tuple(index(x) % fld.q for x in got) != expect:
                     raise MalformedInput(f"stored global vector for {eid!r} fails the audit")
         except (TypeError, ValueError, AttributeError) as exc:
             raise MalformedInput(f"bad global vectors: {exc}") from None

@@ -285,11 +285,10 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
 
 def parse_field(spec: str, modulus: list[int] | None = None) -> Field:
     """Parse the "p^m" serialization (plain "p" means m = 1)."""
-    parts = spec.split("^")
+    p, sep, m = spec.partition("^")
     try:
-        p = int(parts[0])
-        m = int(parts[1]) if len(parts) > 1 else 1
-    except (ValueError, IndexError):
+        p, m = int(p), int(m) if sep else 1
+    except ValueError:
         raise DegreeZero(f"cannot parse field spec {spec!r}") from None
     return make_field(p, m, tuple(modulus) if modulus is not None else None)
 
@@ -443,8 +442,8 @@ class Echelon:
     pivot is the lowest nonzero byte, and subtracting c times a row is one XOR
     with that row's c-multiple, made by `bytes.translate` through product row c
     and kept per (pivot, c).  Every other field keeps tuple rows and works entry
-    by entry.  Either way `reduce` and `reduced` return plain element lists and
-    tuples, and every vector must have the length of the rows already held.
+    by entry.  Either way `reduced` returns plain tuples, and every vector must
+    have the length of the rows already held.
     """
 
     __slots__ = ("field", "rows", "_width", "_table", "_multiples")
@@ -496,11 +495,6 @@ class Echelon:
 
     def _scaled(self, x: int, product_row: bytes) -> int:
         return int.from_bytes(x.to_bytes(self._width, "little").translate(product_row), "little")
-
-    def reduce(self, v) -> list[int]:
-        """v minus its component along the rows; zero exactly when v is in the span."""
-        x, n = self._eliminate(v)
-        return x if self._table is None else list(x.to_bytes(n, "little"))
 
     def contains(self, v) -> bool:
         x = self._eliminate(v)[0]

@@ -1,9 +1,10 @@
 """Independent checking of constructed and hand-authored codes.
 
-Computability is one rule on input columns, `codes._sums_decoded`: each
-message-decoder column applied to the sink's columns gives the sum over the
-sources of that message input.  `codes.decodes_message_sum` applies it to the
-unit inputs, which span every input, and the exhaustive pass to every state.
+Computability is one rule on input columns: each message-decoder column
+applied to the sink's columns gives the sum over the sources of that message
+input.  `codes._run_code` runs a code on input columns and applies it;
+`codes.decodes_message_sum` runs the unit inputs, which span every input, and
+the exhaustive pass every state.
 Security has two independent routes, a rank criterion and an exhaustive
 tabulation of the conditional message distribution, which must agree wherever
 both run.
@@ -18,9 +19,10 @@ spans exactly the vectors that vanish on the keys.
 
 The exhaustive route simulates the local rules of the code, never its global
 vectors.  One pass, `check_exhaustive`, pushes all q^(rate * s) states through the
-network at once, one symbol column per edge, with the walker `codes._propagate`
-(which also gives the global vectors, from unit inputs).  It then decodes the
-sink's columns against the message sums and tabulates one view at a time.
+network at once, one symbol column per edge: `codes._run_code` walks the local
+rules (the walker that also gives the global vectors, from unit inputs) and
+decodes the sink's columns against the message sums.  The pass then tabulates
+one view at a time.
 The mixing matrix enters through the input columns: each source's state columns
 are mixed by (B^-1)^T before the walk, and the plan holds the raw local rules.
 Time is O(states * (|E| + |views|)).  A column is the field's packed column
@@ -57,17 +59,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bounds import lower_bound, primary_wiretap_sets, upper_bound
-from .codes import (
-    SecureCode,
-    SumCode,
-    _mix_inputs,
-    _propagate,
-    _propagation_plan,
-    _sums_decoded,
-    as_secure,
-    decodes_message_sum,
-    secure_vectors,
-)
+from .codes import SecureCode, SumCode, _run_code, as_secure, decodes_message_sum, secure_vectors
 from .errors import (
     MalformedInput,
     NegativeSecurityLevel,
@@ -236,22 +228,16 @@ def _check_state_count(code: SecureCode, net: Network, cap: int | None) -> int:
     return total
 
 
-# -- column simulation -----------------------------------------------------------------
+# -- state columns ---------------------------------------------------------------------
 #
 # The exhaustive pass pushes every state through the network at once: each input
-# coordinate is one column over all states, and `codes._propagate` turns the
-# B^-1-mixed input columns into one symbol column per edge.  State t holds, at
-# input coordinate k of the rate * s flattened source rows, the base-q digit k of
-# t, most significant first: the order of itertools.product.
+# coordinate is one column over all states, and `codes._run_code` turns these
+# columns into one symbol column per edge.  State t holds, at input coordinate k
+# of the rate * s flattened source rows, the base-q digit k of t, most
+# significant first: the order of itertools.product.
 
-def _simulate_columns(code: SecureCode, net: Network, keep) -> tuple[list, dict]:
-    """Simulate every state at once.
-
-    Returns the input columns of each source (rate columns per source) and the
-    symbol column of each edge in `keep`.  Every other edge column is dropped
-    after its last use, so the live columns are those of `keep` plus the
-    current frontier of the propagation.
-    """
+def _state_columns(code: SecureCode, net: Network) -> list:
+    """The rate * s input columns over all states, rate per source in source order."""
     field = code.field
     q, n_coords = field.q, code.rate * net.num_sources
     flat = []
@@ -259,11 +245,7 @@ def _simulate_columns(code: SecureCode, net: Network, keep) -> tuple[list, dict]
         run = q ** (n_coords - 1 - k)
         block = itertools.chain.from_iterable(itertools.repeat(v, run) for v in range(q))
         flat.append(field.pack(block) * q**k)
-    inputs = [flat[i * code.rate : (i + 1) * code.rate] for i in range(net.num_sources)]
-    pos = net.order_index
-    plan = _propagation_plan(code.base, net)
-    cols = _propagate(code.field, plan, _mix_inputs(code, flat), {pos[eid] for eid in keep})
-    return inputs, {eid: cols[pos[eid]] for eid in keep}
+    return flat
 
 
 # A wiretap set's pair column holds, for each state, key * n_messages + message:
@@ -384,7 +366,7 @@ def check_exhaustive(
 ) -> tuple[bool, bool, tuple[str, ...] | None]:
     """Simulate every state once and check both properties on the same columns.
 
-    Computable is the computability rule on every state (`codes._sums_decoded`).
+    Computable is the computability rule on every state (`codes._run_code`).
     Secure means: given any observable symbol tuple, every message vector is
     still equally likely; the wiretap sets are tabulated one at a time, maximal
     sets first.  Exact but exponential; guarded by the state cap.
@@ -394,21 +376,20 @@ def check_exhaustive(
     secure = as_secure(code)
     _check_shapes(secure, net)
     total = _check_state_count(secure, net, cap)
-    q, ell, s = secure.field.q, secure.ell, net.num_sources
+    q, rate, ell, s = secure.field.q, secure.rate, secure.ell, net.num_sources
     family = wiretap_family(net, secure.r, fast)
-    received_ids = [e.id for e in net.in_edges[net.sink]]
     tapped = {eid for wset in family for eid in wset}
-    inputs, cols = _simulate_columns(secure, net, {*received_ids, *tapped})
-    computable = _sums_decoded(secure, [cols[eid] for eid in received_ids], inputs, total)
+    inputs = _state_columns(secure, net)
+    computable, cols = _run_code(secure, net, inputs, tapped)
     width = _lane_width(total)
-    messages = _base_q([row[j] for row in inputs for j in range(ell)], q, width)
+    messages = _base_q([inputs[i * rate + j] for i in range(s) for j in range(ell)], q, width)
     n_messages = q ** (ell * s)
 
     def leaks(wset):
         keys = _base_q([cols[eid] for eid in wset], q, width)
         return not _uniform_given_key(_unlanes(keys * n_messages + messages, width, total), n_messages)
 
-    classes = _view_classes(secure.field, {eid: cols[eid] for eid in tapped})
+    classes = _view_classes(secure.field, cols)
     return (computable, *_first_leak(family, classes, leaks))
 
 

@@ -15,8 +15,9 @@ The package has one implementation of each object; these are the independent
 - `transfer_global_vectors`: global encoding vectors from the closed-form
   transfer matrix (I - A)^-1, against the propagation in `codes.global_vectors`;
 - `simulate`: one full source input pushed through the local rules edge by edge,
-  against the column pass in `verify.check_exhaustive` and, read through the
-  message decoder on every state, the computability rule `codes._sums_decoded`;
+  against the column pass of `codes._run_code` that `verify.check_exhaustive`
+  runs on every state and, read through the message decoder on every state,
+  the computability rule it applies;
 - `first_leak`: every maximal wiretap set tested, then the family scanned in
   order, with no sharing between sets that see alike, against
   `verify._first_leak`;

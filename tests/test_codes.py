@@ -496,14 +496,30 @@ def test_loader_rejects_a_document_that_is_not_json_text(butterfly, doc):
         (lambda doc: doc["local_coeffs"].update(e1={"e2": 1}), "'e1' leaves a source"),
         (lambda doc: doc["local_coeffs"]["e5"].update(e2="x"), "bad code document"),
         (lambda doc: doc["local_coeffs"]["e5"].update(e2=[1]), "bad code document"),
+        (lambda doc: doc.update(r=1.9), "bad code document"),
+        (lambda doc: doc.update(rate="2"), "bad code document"),
+        (lambda doc: doc["B"][1].__setitem__(0, 2.0), "bad code document"),
+        (lambda doc: doc.update(modulus=[1, 1.0, 1]), "bad code document"),
     ],
-    ids=["unknown-source", "not-an-out-edge", "coefficients-on-a-source-edge", "text-coefficient", "list-coefficient"],
+    ids=[
+        "unknown-source",
+        "not-an-out-edge",
+        "coefficients-on-a-source-edge",
+        "text-coefficient",
+        "list-coefficient",
+        "float-r",
+        "text-rate",
+        "float-B-entry",
+        "float-modulus-coefficient",
+    ],
 )
 def test_loader_rejects_misplaced_or_mistyped_entries(butterfly, edit, message):
     doc = json.loads(json.dumps(fixtures.code_dict("butterfly")))
     edit(doc)
     with pytest.raises(MalformedInput, match=message):
         load_code(doc, butterfly)
+    # a refused document leaves nothing behind: the valid code still loads in the same process
+    assert load_code(fixtures.code_dict("butterfly"), butterfly).r == 1
 
 
 def test_multicast_exhausted_attempts(butterfly, monkeypatch):

@@ -21,7 +21,7 @@ from snfc import (
     verify,
 )
 from snfc import fixtures
-from snfc.codes import SecureCode, SumCode, as_secure, message_decoder, secure_vectors
+from snfc.codes import SecureCode, SumCode, _run_code, as_secure, message_decoder, secure_vectors
 from snfc.errors import MalformedInput, NegativeSecurityLevel, ShapeMismatch, TooLarge
 from snfc.corpus import random_network
 from snfc.verify import (
@@ -29,7 +29,7 @@ from snfc.verify import (
     _first_leak,
     _lane_width,
     _maximal_sets,
-    _simulate_columns,
+    _state_columns,
     _uniform_given_key,
     _unlanes,
     _view_classes,
@@ -394,10 +394,11 @@ def _column_cases():
 
 @pytest.mark.parametrize("code,net", list(_column_cases()))
 def test_column_simulation_matches_simulate(code, net):
-    """The column pass gives every state's symbols, and `check_computability`
-    equals the rule read off the per-state reference: on every state the
-    message decoder takes the sink's symbols to the message sums."""
-    inputs, cols = _simulate_columns(code, net, net.order)
+    """The column pass gives every state's symbols, and both its verdict and
+    `check_computability` equal the rule read off the per-state reference: on
+    every state the message decoder takes the sink's symbols to the message sums."""
+    inputs = _state_columns(code, net)
+    computable, cols = _run_code(code, net, inputs, net.order)
     assert list(cols) == list(net.order)
     q, rate, s = code.field.q, code.rate, net.num_sources
     field = code.field
@@ -406,22 +407,22 @@ def test_column_simulation_matches_simulate(code, net):
     decodes = True
     for t, flat in enumerate(itertools.product(range(q), repeat=rate * s)):
         rows = tuple(flat[i * rate : (i + 1) * rate] for i in range(s))
-        assert tuple(inputs[i][j][t] for i in range(s) for j in range(rate)) == flat
+        assert tuple(col[t] for col in inputs) == flat
         symbols = simulate(code, net, rows)
         assert {eid: col[t] for eid, col in cols.items()} == symbols, t
         received = Matrix.build(field, [[symbols[eid] for eid in received_ids]], ncols=len(received_ids))
         sums = tuple(functools.reduce(field.add, (row[j] for row in rows)) for j in range(code.ell))
         decodes = decodes and received.mul(decoder).row(0) == sums
-    assert check_computability(code, net) == decodes
+    assert check_computability(code, net) == computable == decodes
 
 
 @pytest.mark.parametrize("code,net", list(_column_cases())[:6])
 def test_column_simulation_keeps_only_the_requested_edges(code, net):
     """Dropping the other columns after their last use changes no kept column."""
-    _, full = _simulate_columns(code, net, net.order)
+    inputs = _state_columns(code, net)
+    computable, full = _run_code(code, net, inputs, net.order)
     for keep in ([e.id for e in net.in_edges[net.sink]], net.order[:1], net.order[-1:], []):
-        _, cols = _simulate_columns(code, net, keep)
-        assert cols == {eid: full[eid] for eid in keep}
+        assert _run_code(code, net, inputs, keep) == (computable, {eid: full[eid] for eid in keep})
 
 
 def _pairs(keys, messages, n_messages):
@@ -655,7 +656,7 @@ def test_scaled_and_zero_columns_share_and_skip_views(field, r, columns, decoder
         field, rate, {"s1": {f"e{k}": col for k, col in enumerate(columns, 1)}}, {}, Matrix.build(field, rows, ncols=rate)
     )
     code = secure_code(base, Matrix.identity(field, rate), r)
-    _, cols = _simulate_columns(code, net, set(net.edge_by_id))
+    _, cols = _run_code(code, net, _state_columns(code, net), set(net.edge_by_id))
     classes = _view_classes(field, cols)
     assert classes["e1"] == classes["e2"] and "e3" not in classes
     assert len(set(classes.values())) == len(columns) - 2
@@ -704,17 +705,22 @@ def test_no_exhaustive_value_skips_the_check_under_the_cap(butterfly, flag):
 def test_verify_simulates_every_state_once(butterfly, monkeypatch):
     # the package attribute `snfc.verify` is the function, not the module
     module = importlib.import_module("snfc.verify")
-    simulate_columns = module._simulate_columns
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return simulate_columns(*args, **kwargs)
+    def counting(name):
+        wrapped = getattr(module, name)
 
-    monkeypatch.setattr(module, "_simulate_columns", counting)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counting("_state_columns")
+    counting("_run_code")
     report = verify(fixtures.code("butterfly"), butterfly, exhaustive=True)
     assert report.computable and report.secure_exhaustive
-    assert len(calls) == 1
+    assert calls == ["_state_columns", "_run_code"]
 
 
 def test_verify_skips_exhaustive_beyond_cap(butterfly):
