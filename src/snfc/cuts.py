@@ -1,17 +1,18 @@
 """Unit-capacity cut machinery: minimum cuts, source-side (primary) cuts, residual
 graphs, and the two cut statistics that drive every capacity bound.
 
-Every cut comes from one augmenting-path max-flow, `ResidualFlow`.  Its target
-is a node or an edge set; each target edge's arc runs from its tail straight
-into the super-sink, and a node target stands for its in-edges.  The returned
-cut is always the unique minimum cut closest to the origin set: after a maximum
-flow, it consists of the edges leaving the set of nodes still reachable from
-the origin in the residual graph.
+Every cut comes from one augmenting-path max-flow on unit arcs, `ResidualFlow`:
+its paths start at the origin nodes and each moves one unit.  Its target is a
+node or an edge set; each target edge's arc runs from its tail straight into
+the super-sink, and a node target stands for its in-edges.  The returned cut is
+always the unique minimum cut closest to the origin set: after a maximum flow,
+it consists of the edges leaving the set of nodes still reachable from the
+origin in the residual graph.
 
 A flow to a node lives in the network's memo (`network.per_network`), one per
 (origin, target), and is only read after `node_flow` builds it: `min_cut`, the
 residual cut of every wiretap set fed by the same sources, and the all-sources
-term of c_min_bar all share it.  `cut_without` copies the capacities before it
+term of c_min_bar all share it.  `cut_without` copies the capacity bytes before it
 deletes an edge, so sharing is safe.  Flows to edge sets, such as the one
 behind each `is_primary` call, are not kept: there can be one per pair of edges.
 """
@@ -24,8 +25,6 @@ from typing import Iterable
 
 from .errors import EmptyTarget, InvariantViolated, MalformedInput, TargetInU, UnknownEdge
 from .network import Network, per_network
-
-INF = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -63,45 +62,38 @@ def residual(net: Network, edge_set: Iterable[str]) -> ResidualNetwork:
 
 # -- max flow -------------------------------------------------------------------
 
-def _augment(adj: list[list[int]], to: list[int], cap: list[int]) -> tuple[int, set[int]]:
-    """BFS augmenting paths from the super-source to the super-sink until none is left.
+def _augment(adj: list[list[int]], to: list[int], cap: bytearray, origin: tuple[int, ...]) -> tuple[int, set[int]]:
+    """BFS augmenting paths, one unit each, from the origin nodes to the super-sink
+    until none is left.
 
     Updates cap in place.  Returns the flow added and the node set still
-    reachable from the super-source, which the final (failed) search visits.
+    reachable from the origin, which the final (failed) search visits.
     """
-    total = len(adj)
-    s_star, t_star = total - 2, total - 1
+    t_star = len(adj) - 1
     value = 0
     while True:
-        parent_arc = [-1] * total
-        parent_arc[s_star] = -2
-        queue = [s_star]
+        parent_arc = [-1] * len(adj)
+        for o in origin:
+            parent_arc[o] = -2
+        queue = origin
         while queue:
             nxt = []
             for u in queue:
                 for a in adj[u]:
                     v = to[a]
-                    if cap[a] > 0 and parent_arc[v] == -1:
+                    if cap[a] and parent_arc[v] == -1:
                         parent_arc[v] = a
                         nxt.append(v)
             if parent_arc[t_star] != -1:
                 break
             queue = nxt
         if parent_arc[t_star] == -1:
-            return value, {v for v in range(total) if parent_arc[v] != -1}
-        bottleneck = INF
-        v = t_star
-        while v != s_star:
-            a = parent_arc[v]
-            bottleneck = min(bottleneck, cap[a])
-            v = to[a ^ 1]
-        v = t_star
-        while v != s_star:
-            a = parent_arc[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            v = to[a ^ 1]
-        value += bottleneck
+            return value, {v for v, a in enumerate(parent_arc) if a != -1}
+        a = parent_arc[t_star]
+        while a != -2:  # back along the path: each arc's unit moves to its reverse
+            cap[a], cap[a ^ 1] = 0, 1
+            a = parent_arc[to[a ^ 1]]
+        value += 1
 
 
 class ResidualFlow:
@@ -113,7 +105,7 @@ class ResidualFlow:
     super-sink on the origin side: the finite cuts and their source sides are
     those of the edge set.  A node target stands for its in-edges.  Edge i of
     `net.order` is arc 2i and its reverse is arc 2i + 1, so the flow on an edge
-    is the residual capacity of its reverse.
+    is the residual capacity (a byte, 0 or 1) of its reverse.
 
     `cut_without(W)` cancels the at most |W| flow units that cross W, then
     re-augments, so it needs at most |W| augmenting paths instead of a maximum
@@ -136,36 +128,33 @@ class ResidualFlow:
             if not targets:
                 raise EmptyTarget("the target edge set is empty")
         idx = {n: i for i, n in enumerate(net.nodes)}
-        s_star, t_star = len(idx), len(idx) + 1
-        arcs = [
-            (idx[e.tail], t_star if e.id in targets else idx[e.head], 1)
-            for e in map(net.edge_by_id.__getitem__, net.order)
-        ]
-        arcs += [(s_star, idx[n], INF) for n in origin]
+        t_star = len(idx)
         self.net = net
-        self._adj: list[list[int]] = [[] for _ in range(len(idx) + 2)]
-        for i, (u, v, _) in enumerate(arcs):
+        self._origin = tuple(dict.fromkeys(idx[n] for n in origin))
+        self._adj: list[list[int]] = [[] for _ in range(t_star + 1)]
+        self._to: list[int] = []
+        for i, e in enumerate(map(net.edge_by_id.__getitem__, net.order)):
+            u, v = idx[e.tail], t_star if e.id in targets else idx[e.head]
             self._adj[u].append(2 * i)
             self._adj[v].append(2 * i + 1)
-        self._to = [x for u, v, _ in arcs for x in (v, u)]
-        self._cap = [x for _, _, c in arcs for x in (c, 0)]
-        self.value, self._reach = _augment(self._adj, self._to, self._cap)
+            self._to += (v, u)
+        self._cap = bytearray([1, 0]) * len(net.order)
+        self.value, self._reach = _augment(self._adj, self._to, self._cap, self._origin)
 
-    def _drain(self, cap: list[int], x: int, parity: int) -> None:
-        """Take one unit of flow off a path from node x back to the super-source
-        (parity 1: along reverse arcs) or on to the super-sink (parity 0).
-
-        The network is acyclic, so the walk always ends there."""
-        adj, to = self._adj, self._to
-        end = len(adj) - 2 + (1 - parity)
-        while x != end:
+    def _drain(self, cap: bytearray, x: int, parity: int) -> None:
+        """Take one unit of flow off a path from node x back to an origin with no
+        flow-carrying in-edge (parity 1: along reverse arcs) or on to the
+        super-sink (parity 0).  The network is acyclic, so the walk ends there."""
+        adj, to, t_star = self._adj, self._to, len(self._adj) - 1
+        while x != t_star:
             for a in adj[x]:
-                if a & 1 == parity and cap[a | 1] > 0:
+                if a & 1 == parity and cap[a | 1]:
                     break
             else:
+                if parity and x in self._origin:
+                    return
                 raise InvariantViolated(f"flow is not conserved at node {x}")
-            cap[a & ~1] += 1
-            cap[a | 1] -= 1
+            cap[a & ~1], cap[a | 1] = 1, 0
             x = to[a]
 
     def cut_without(self, edge_set: Iterable[str] = ()) -> CutReport:
@@ -176,14 +165,12 @@ class ResidualFlow:
             cap = cap.copy()
             for eid in removed:
                 a = 2 * self.net.order_index[eid]
-                if cap[a | 1] > 0:  # the edge carries a unit of flow: cancel it end to end
-                    cap[a] += 1
-                    cap[a | 1] -= 1
+                if cap[a | 1]:  # the edge carries a unit of flow: cancel it end to end
                     self._drain(cap, self._to[a | 1], 1)
                     self._drain(cap, self._to[a], 0)
                     value -= 1
-                cap[a] = 0
-            added, reach = _augment(self._adj, self._to, cap)
+                cap[a] = cap[a | 1] = 0
+            added, reach = _augment(self._adj, self._to, cap, self._origin)
             value += added
         # an edge is cut when it carries flow out of the reachable set
         to = self._to

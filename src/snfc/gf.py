@@ -13,12 +13,14 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import index
 
 from .errors import (
     DegreeZero,
     DimensionMismatch,
     DivideByZero,
     FieldMismatch,
+    MalformedInput,
     NonPrime,
     PrimeFieldInput,
     Singular,
@@ -249,7 +251,6 @@ class Field:
         return range(self.q)
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
     """Build GF(p^m).
 
@@ -257,9 +258,19 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
     polynomial of degree m over GF(p), coefficients compared low-to-high, so the
     same (p, m) always yields the same field across runs.  For m = 1 the modulus
     is the polynomial x and arithmetic reduces mod p; any monic degree-1 modulus
-    gives that same field.  A spec with p > MAX_FIELD_SIZE is DimensionMismatch,
-    and any smaller p that is not prime is NonPrime.
+    gives that same field.  A non-int p, m or modulus entry is MalformedInput, a
+    p > MAX_FIELD_SIZE is DimensionMismatch, and any smaller non-prime p is NonPrime.
     """
+    # checked before the cache is read: 1.0 == 1 would share the key of a valid call
+    try:
+        key = index(p), index(m), None if modulus is None else tuple(map(index, modulus))
+    except TypeError:
+        raise MalformedInput(f"field parameters must be ints: p={p!r}, m={m!r}, modulus={modulus!r}") from None
+    return _make_field(*key)
+
+
+@lru_cache(maxsize=None)
+def _make_field(p: int, m: int, modulus: tuple[int, ...] | None) -> Field:
     # p > MAX_FIELD_SIZE is oversize whatever it is or m is, so trial division stays short
     if p <= MAX_FIELD_SIZE:
         if not _is_prime(p):
@@ -273,7 +284,7 @@ def make_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1 or not _irreducible(modulus, p):
             raise DegreeZero(f"modulus {modulus} is not monic irreducible of degree {m} over GF({p})")
-        return make_field(p, 1) if m == 1 else Field(p, m, modulus)
+        return _make_field(p, 1, None) if m == 1 else Field(p, m, modulus)
     if m == 1:
         return Field(p, 1, modulus=(0, 1))
     for tail in itertools.product(range(p), repeat=m):

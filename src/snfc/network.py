@@ -56,7 +56,7 @@ class Network:
 
     @cached_property
     def node_order(self) -> tuple[str, ...]:
-        """Topological node order: sources first (in listed order), then by readiness."""
+        """Topological node order: each step takes the ready node listed first in `nodes`."""
         position = {n: i for i, n in enumerate(self.nodes)}
         indegree = {n: 0 for n in self.nodes}
         succ: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -236,7 +236,8 @@ def _json_object(text, kind: str) -> dict:
     """Decode `text` (str or bytes) as one JSON object; anything else is MalformedInput."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, TypeError) as exc:
+    # ValueError: bad JSON, bad UTF-8, or an int literal past the interpreter's digit limit
+    except (ValueError, RecursionError, TypeError) as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedInput(f"{kind} document must be a JSON object")

@@ -7,6 +7,9 @@ The package has one implementation of each object; these are the independent
   oracles;
 - `reach_sets`: the feeding / separated / leaking source partition of an edge
   set, by reachability;
+- `max_flow_cut`: the origin-side minimum cut from a general-capacity
+  Edmonds–Karp max-flow with a super-source, built from scratch, against the
+  unit-arc flow of `cuts.ResidualFlow` and its incremental `cut_without`;
 - `omega`: the residual cut of one wiretap set, through the production
   `bounds._omega_report`;
 - `full_sweep`: the upper bound's witness from the residual cut of every
@@ -78,6 +81,67 @@ def reach_sets(net: Network, edge_set: Iterable[str]) -> ReachSets:
     if not separated <= feeding:
         raise InvariantViolated("separated sources must feed the deleted set")
     return ReachSets(feeding, separated, frozenset(feeding - separated))
+
+
+# -- maximum flow --------------------------------------------------------------------
+
+INF = 1 << 30
+
+
+def max_flow_cut(net: Network, origin: Iterable[str], target) -> CutReport:
+    """The origin-side minimum cut from a general-capacity Edmonds–Karp max-flow,
+    built from scratch (Edmonds and Karp, 1972).
+
+    A super-source feeds each origin node through an arc of capacity INF.  Each
+    target edge (a node target stands for its in-edges) runs from its tail into
+    a super-sink.  Every shortest augmenting path carries its bottleneck, found
+    by a walk back along the path.
+    """
+    targets = {e.id for e in net.in_edges[target]} if isinstance(target, str) else set(target)
+    idx = {n: i for i, n in enumerate(net.nodes)}
+    s_star, t_star = len(idx), len(idx) + 1
+    arcs = [
+        (idx[e.tail], t_star if e.id in targets else idx[e.head], 1)
+        for e in map(net.edge_by_id.__getitem__, net.order)
+    ]
+    arcs += [(s_star, idx[n], INF) for n in origin]
+    adj: list[list[int]] = [[] for _ in range(len(idx) + 2)]
+    for i, (u, v, _) in enumerate(arcs):
+        adj[u].append(2 * i)
+        adj[v].append(2 * i + 1)
+    to = [x for u, v, _ in arcs for x in (v, u)]
+    cap = [x for _, _, c in arcs for x in (c, 0)]
+    value = 0
+    while True:
+        parent_arc = {s_star: -1}
+        queue = [s_star]
+        while queue and t_star not in parent_arc:
+            nxt = []
+            for u in queue:
+                for a in adj[u]:
+                    if cap[a] > 0 and to[a] not in parent_arc:
+                        parent_arc[to[a]] = a
+                        nxt.append(to[a])
+            queue = nxt
+        if t_star not in parent_arc:
+            break
+        path = []
+        v = t_star
+        while v != s_star:
+            path.append(parent_arc[v])
+            v = to[parent_arc[v] ^ 1]
+        bottleneck = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= bottleneck
+            cap[a ^ 1] += bottleneck
+        value += bottleneck
+    cut = sorted(
+        eid
+        for i, eid in enumerate(net.order)
+        if to[2 * i + 1] in parent_arc and to[2 * i] not in parent_arc and cap[2 * i + 1]
+    )
+    side = sorted(n for n in net.nodes if idx[n] in parent_arc)
+    return CutReport(value, tuple(cut), tuple(side))
 
 
 # -- the residual cut statistic ----------------------------------------------------

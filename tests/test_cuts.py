@@ -19,7 +19,8 @@ from snfc.corpus import corpus, random_network
 from snfc.cuts import ResidualFlow, _c_min_bar_report, feeding_sources, node_flow
 from snfc.errors import EmptyTarget, MalformedInput, TargetInU, UnknownEdge, UnknownNode
 from snfc.network import Network
-from reference import reach_sets, reachable
+from reference import max_flow_cut, reach_sets, reachable
+from test_bounds import bound_large_stars
 
 
 # -- exhaustive oracles ------------------------------------------------------------
@@ -130,6 +131,30 @@ def test_shared_node_flows_are_only_read():
             fresh = ResidualFlow(net, sorted(origin), net.sink)
             assert node_flow(net, origin, net.sink).cut_without() == fresh.cut_without(), origin
     assert checked > 200
+
+
+def test_flow_core_matches_a_reference_max_flow_from_scratch():
+    # the unit-arc flow and its incremental cut_without against a general
+    # Edmonds-Karp with a super-source, built from scratch on the network with W
+    # deleted; the origins also come with a repeated node and nodes downstream
+    # of other origins
+    checked = 0
+    for net in [*corpus(40), *bound_large_stars(1, 2)]:
+        family = [w for w in primary_wiretap_sets(net, 3 if len(net.edges) < 200 else 1) if w]
+        for wset in family:
+            feeding = sorted(feeding_sources(net, wset))
+            report = node_flow(net, frozenset(feeding), net.sink).cut_without(wset)
+            assert report == max_flow_cut(residual(net, wset), feeding, net.sink), wset
+            assert min_cut_edge_target(net, feeding, wset) == max_flow_cut(net, feeding, wset), wset
+            checked += 1
+        rng = random.Random(len(net.order))
+        inner = [n for n in net.node_order if n not in net.sources and n != net.sink]
+        origin = [net.sources[0], *net.sources, *rng.sample(inner, min(2, len(inner)))]
+        flow = ResidualFlow(net, origin, net.sink)
+        for wset in [(), *family[:5], *(rng.sample(net.order, min(3, len(net.order))) for _ in range(5))]:
+            assert flow.cut_without(wset) == max_flow_cut(residual(net, wset), origin, net.sink), wset
+            checked += 1
+    assert checked > 1000
 
 
 def test_c_min_bar_all_sources_term_is_the_frontier_cut():

@@ -166,13 +166,18 @@ for call in (
 """
 
 
-def test_oversize_fields_are_rejected_before_any_slow_step():
-    # a subprocess, so that trial division or a huge power times out rather than hangs
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script in a new interpreter that imports this package, with a 20 s timeout."""
     src = os.path.dirname(os.path.dirname(snfc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", OVERSIZE_SCRIPT], capture_output=True, text=True, env=env, timeout=20
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=20
     )
+
+
+def test_oversize_fields_are_rejected_before_any_slow_step():
+    # a subprocess, so that trial division or a huge power times out rather than hangs
+    proc = run_fresh(OVERSIZE_SCRIPT)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -187,6 +192,36 @@ def test_prime_field_accepts_any_monic_degree_one_modulus():
 def test_prime_field_rejects_other_moduli(modulus):
     with pytest.raises(DegreeZero):
         make_field(3, 1, modulus)
+
+
+FIELD_ORDER_SCRIPT = """
+import sys
+from snfc.errors import MalformedInput
+from snfc.gf import make_field
+
+def refused():
+    for args in [(2, 2, (1, 1.0, 1)), (2.0, 2), (2, 2.0), (2, 2, "111")]:
+        try:
+            make_field(*args)
+        except MalformedInput:
+            continue
+        raise SystemExit(f"make_field{args!r} was accepted")
+
+def valid():
+    if make_field(2, 2, (1, 1, 1)).mul(2, 3) != 1:  # x (x + 1) = 1 mod x^2 + x + 1
+        raise SystemExit("GF(4) arithmetic is wrong")
+
+for step in sys.argv[1:]:
+    {"refused": refused, "valid": valid}[step]()
+"""
+
+
+@pytest.mark.parametrize("order", [["refused", "valid"], ["valid", "refused"]], ids="-then-".join)
+def test_non_integer_field_arguments_are_refused_in_either_call_order(order):
+    # a fresh process each, so that no earlier test has filled the field cache:
+    # 1.0 == 1, so a float argument must be refused before the cache is read
+    proc = run_fresh(FIELD_ORDER_SCRIPT, *order)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("spec", ["2^2^2", "3^1^junk", "2^2^"])

@@ -309,4 +309,4 @@ def test_only_the_field_cache_is_unbounded():
             for member in [obj, *(vars(obj).values() if isinstance(obj, type) else ())]:
                 if hasattr(member, "cache_info") and member.cache_info().maxsize is None:
                     unbounded.add(f"{member.__module__}.{member.__qualname__}")
-    assert unbounded == {"snfc.gf.make_field"}
+    assert unbounded == {"snfc.gf._make_field"}
