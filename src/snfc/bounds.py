@@ -115,7 +115,7 @@ def _omega_report(net: Network, wiretap: tuple[str, ...]) -> CutReport:
     """The residual cut of a wiretap set.
 
     Sets with the same feeding sources share one maximum flow on the intact
-    network; each set then costs at most |W| augmenting paths.
+    network; each set then re-augments at most |W| units of it.
     """
     if not wiretap:
         # no edges removed: the smallest cut over all sources

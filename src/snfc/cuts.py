@@ -1,10 +1,10 @@
 """Unit-capacity cut machinery: minimum cuts, source-side (primary) cuts, residual
 graphs, and the two cut statistics that drive every capacity bound.
 
-Every cut comes from one augmenting-path max-flow on unit arcs, `ResidualFlow`:
-its paths start at the origin nodes and each moves one unit.  Its target is a
-node or an edge set; each target edge's arc runs from its tail straight into
-the super-sink, and a node target stands for its in-edges.  The returned cut is
+Every cut comes from one max-flow on unit arcs, `ResidualFlow`, built from
+blocking flows out of the origin nodes (`_augment`).  Its target is a node or
+an edge set; each target edge's arc runs from its tail straight into the
+super-sink, and a node target stands for its in-edges.  The returned cut is
 always the unique minimum cut closest to the origin set: after a maximum flow,
 it consists of the edges leaving the set of nodes still reachable from the
 origin in the residual graph.
@@ -13,8 +13,9 @@ A flow to a node lives in the network's memo (`network.per_network`), one per
 (origin, target), and is only read after `node_flow` builds it: `min_cut`, the
 residual cut of every wiretap set fed by the same sources, and the all-sources
 term of c_min_bar all share it.  `cut_without` copies the capacity bytes before it
-deletes an edge, so sharing is safe.  Flows to edge sets, such as the one
-behind each `is_primary` call, are not kept: there can be one per pair of edges.
+deletes an edge, so sharing is safe.  Flows to edge sets are not kept: there
+can be one per pair of edges.  The one behind each `is_primary` call holds only
+the arcs upstream of the set.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import EmptyTarget, InvariantViolated, MalformedInput, TargetInU, UnknownEdge
-from .network import Network, per_network
+from .network import Edge, Network, per_network
 
 
 @dataclass(frozen=True)
@@ -62,38 +63,74 @@ def residual(net: Network, edge_set: Iterable[str]) -> ResidualNetwork:
 
 # -- max flow -------------------------------------------------------------------
 
+def _unit_arcs(idx: dict[str, int], edges: Iterable[Edge], targets: set[str]) -> tuple[list[list[int]], list[int]]:
+    """Each node's arcs and each arc's head: edge i is arc 2i, from its tail to its
+    head or, for a target edge, to the super-sink (node len(idx)); arc 2i + 1 is
+    its reverse."""
+    t_star = len(idx)
+    adj: list[list[int]] = [[] for _ in range(t_star + 1)]
+    to: list[int] = []
+    for i, e in enumerate(edges):
+        u, v = idx[e.tail], t_star if e.id in targets else idx[e.head]
+        adj[u].append(2 * i)
+        adj[v].append(2 * i + 1)
+        to += (v, u)
+    return adj, to
+
+
 def _augment(adj: list[list[int]], to: list[int], cap: bytearray, origin: tuple[int, ...]) -> tuple[int, set[int]]:
-    """BFS augmenting paths, one unit each, from the origin nodes to the super-sink
-    until none is left.
+    """Blocking flows on unit arcs (Dinitz, 1970) from the origin nodes to the
+    super-sink, phase by phase, until the super-sink is out of reach.
+
+    A phase levels the nodes by BFS from the origin, up to the super-sink's
+    level, then a DFS moves one unit along each path that climbs one level per
+    arc.  A node's current arc is an iterator over its arcs, so no arc is tried
+    twice in a phase; a dead end, with no arc left, loses its level.
 
     Updates cap in place.  Returns the flow added and the node set still
-    reachable from the origin, which the final (failed) search visits.
+    reachable from the origin, which the final (failed) BFS labels.
     """
     t_star = len(adj) - 1
     value = 0
     while True:
-        parent_arc = [-1] * len(adj)
+        level = [-1] * len(adj)
         for o in origin:
-            parent_arc[o] = -2
-        queue = origin
-        while queue:
+            level[o] = 0
+        queue, depth = origin, 0
+        while queue and level[t_star] == -1:
+            depth += 1
             nxt = []
             for u in queue:
                 for a in adj[u]:
-                    v = to[a]
-                    if cap[a] and parent_arc[v] == -1:
-                        parent_arc[v] = a
+                    if cap[a] and level[v := to[a]] == -1:
+                        level[v] = depth
                         nxt.append(v)
-            if parent_arc[t_star] != -1:
-                break
             queue = nxt
-        if parent_arc[t_star] == -1:
-            return value, {v for v, a in enumerate(parent_arc) if a != -1}
-        a = parent_arc[t_star]
-        while a != -2:  # back along the path: each arc's unit moves to its reverse
-            cap[a], cap[a ^ 1] = 0, 1
-            a = parent_arc[to[a ^ 1]]
-        value += 1
+        if level[t_star] == -1:
+            return value, {v for v, d in enumerate(level) if d != -1}
+        for v in queue:  # no path to the super-sink runs through its own level
+            level[v] = -1
+        level[t_star] = depth
+        current = list(map(iter, adj))
+        for o in origin:
+            path, u = [], o  # the arcs from o to u
+            while True:
+                for a in current[u]:
+                    if cap[a] and level[to[a]] == level[u] + 1:
+                        break
+                else:  # a dead end
+                    level[u] = -1
+                    if not path:
+                        break
+                    u = to[path.pop() ^ 1]
+                    continue
+                path.append(a)
+                u = to[a]
+                if u == t_star:  # each arc's unit moves to its reverse
+                    for a in path:
+                        cap[a], cap[a ^ 1] = 0, 1
+                    value += 1
+                    path, u = [], o
 
 
 class ResidualFlow:
@@ -108,10 +145,10 @@ class ResidualFlow:
     is the residual capacity (a byte, 0 or 1) of its reverse.
 
     `cut_without(W)` cancels the at most |W| flow units that cross W, then
-    re-augments, so it needs at most |W| augmenting paths instead of a maximum
-    flow from scratch.  Its report equals that of a flow built from scratch on
-    `residual(net, W)` with the same origin and target; `cut_without()` is
-    the plain minimum cut.
+    re-augments from that flow, so it moves at most |W| units instead of a
+    maximum flow from scratch.  Its report equals that of a flow built from
+    scratch on `residual(net, W)` with the same origin and target;
+    `cut_without()` is the plain minimum cut.
     """
 
     def __init__(self, net: Network, origin: Iterable[str], target) -> None:
@@ -128,16 +165,9 @@ class ResidualFlow:
             if not targets:
                 raise EmptyTarget("the target edge set is empty")
         idx = {n: i for i, n in enumerate(net.nodes)}
-        t_star = len(idx)
         self.net = net
         self._origin = tuple(dict.fromkeys(idx[n] for n in origin))
-        self._adj: list[list[int]] = [[] for _ in range(t_star + 1)]
-        self._to: list[int] = []
-        for i, e in enumerate(map(net.edge_by_id.__getitem__, net.order)):
-            u, v = idx[e.tail], t_star if e.id in targets else idx[e.head]
-            self._adj[u].append(2 * i)
-            self._adj[v].append(2 * i + 1)
-            self._to += (v, u)
+        self._adj, self._to = _unit_arcs(idx, map(net.edge_by_id.__getitem__, net.order), targets)
         self._cap = bytearray([1, 0]) * len(net.order)
         self.value, self._reach = _augment(self._adj, self._to, self._cap, self._origin)
 
@@ -158,7 +188,8 @@ class ResidualFlow:
             x = to[a]
 
     def cut_without(self, edge_set: Iterable[str] = ()) -> CutReport:
-        """The origin-side minimum cut once the given edges are deleted."""
+        """The origin-side minimum cut once the given edges are deleted; the
+        units they carried come back, where they can, in one more `_augment`."""
         cap, value, reach = self._cap, self.value, self._reach
         removed = self.net.check_edges(edge_set)
         if removed:
@@ -226,14 +257,25 @@ def is_primary(net: Network, edge_set: Iterable[str]) -> bool:
     """An edge set is primary when it equals the origin-side minimum cut
     separating itself from the sources that feed it.
 
-    One max-flow per call.  Primary-set enumeration calls it only to confirm
-    candidates of two or more edges; `_primary_edges` finds the primary single
-    edges in one pass with no max-flow.
+    One max-flow per call, on the set and the edges into nodes that reach its
+    tails: every unit ends in the set, so no other edge carries one.  The cut
+    is the set exactly when the flow fills it and the residual graph reaches
+    every tail.  Primary-set enumeration calls it only for candidates of two or
+    more edges; `_primary_edges` finds the primary single edges with no max-flow.
     """
-    ids = tuple(sorted(net.check_edges(edge_set)))
+    ids = set(net.check_edges(edge_set))
     if not ids:
         raise UnknownEdge("primality is defined for nonempty edge sets")
-    return min_cut_edge_target(net, sorted(feeding_sources(net, ids)), ids).cut_edges == ids
+    tails = {net.edge_by_id[eid].tail for eid in ids}
+    upstream = net.nodes_reaching(tails)
+    idx = {n: i for i, n in enumerate(n for n in net.nodes if n in upstream)}
+    origin = tuple(idx[s] for s in net.sources if s in upstream)  # the feeding sources
+    if not origin:
+        raise MalformedInput("the origin set is empty")
+    edges = [e for e in net.edges if e.head in upstream or e.id in ids]
+    adj, to = _unit_arcs(idx, edges, ids)
+    value, reach = _augment(adj, to, bytearray([1, 0]) * len(edges), origin)
+    return value == len(ids) and all(idx[t] in reach for t in tails)
 
 
 @per_network

@@ -1,5 +1,6 @@
 
 import gc
+import hashlib
 import importlib
 import itertools
 import json
@@ -243,6 +244,22 @@ def test_upper_bound_reports_what_the_full_sweep_reports_on_the_corpus():
 def test_upper_bound_reports_what_the_full_sweep_reports_on_large_stars():
     for net in bound_large_stars(1, 4):
         assert_same_as_full_sweep(net, 1)
+
+
+# sha256 of upper_bound(net, 2).to_dict() (JSON, sorted keys) on the first four
+# seed-1 `bound_large` stars: the r = 2 sweep confirms pairs by max-flow, which
+# no benchmark workload runs on large networks
+R2_STAR_DIGESTS = (
+    "6dd3e1990f761260dae210b5cede1b1e408330d6bea391beb8c998059b4b1604",
+    "40808a476ca4a26c50ee0a8baca86b66c735a6483dae4f40a542df9e23790ee8",
+    "bafb8886d15a16d0442181e55a9386c2ebcd3009b6a2d78c28ec55891a0e1995",
+    "8693f8eb0574ee78d557acc182f679750f02a75a1baa7b349fc2f81ce149c2fc",
+)
+
+
+def test_upper_bound_at_r2_on_large_stars_is_pinned():
+    docs = [json.dumps(upper_bound(net, 2).to_dict(), sort_keys=True) for net in bound_large_stars(1, 4)]
+    assert tuple(hashlib.sha256(doc.encode()).hexdigest() for doc in docs) == R2_STAR_DIGESTS
 
 
 def count_is_primary(monkeypatch) -> list[int]:

@@ -1,5 +1,8 @@
+import contextlib
+import importlib
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from snfc.bounds import primary_wiretap_sets
 from snfc.corpus import corpus, random_network
 from snfc.cuts import ResidualFlow, _c_min_bar_report, feeding_sources, node_flow
 from snfc.errors import EmptyTarget, MalformedInput, TargetInU, UnknownEdge, UnknownNode
-from snfc.network import Network
+from snfc.network import Network, make_network
 from reference import max_flow_cut, reach_sets, reachable
 from test_bounds import bound_large_stars
 
@@ -157,6 +160,81 @@ def test_flow_core_matches_a_reference_max_flow_from_scratch():
     assert checked > 1000
 
 
+def layered_network(seed: int) -> Network:
+    """2 or 3 sources, 4 to 6 layers of inner nodes and the sink: 6 to 8 layers
+    and 60 to 120 edges.  Edges run forward one layer or more, parallel ones
+    included, so paths differ in length and a flow takes several phases."""
+    rng = random.Random(f"layered:{seed}")
+    layers = [[f"s{i + 1}" for i in range(rng.randint(2, 3))]]
+    layers += [[f"v{d}_{i}" for i in range(rng.randint(3, 6))] for d in range(rng.randint(4, 6))]
+    layers.append(["rho"])
+    pairs = [(s, rng.choice(layers[1])) for s in layers[0]]
+    for d in range(1, len(layers) - 1):  # every other node gets an edge in and an edge out
+        for v in layers[d]:
+            pairs.append((rng.choice(layers[d - 1]), v))
+            pairs.append((v, rng.choice(layers[d + 1])))
+    n_edges = rng.randint(max(60, len(pairs)), 120)
+    while len(pairs) < n_edges:
+        if rng.random() < 0.2:
+            pairs.append(rng.choice(pairs))  # a parallel edge
+        else:
+            d = rng.randrange(len(layers) - 1)
+            far = d + 1 if rng.random() < 0.7 else rng.randrange(d + 1, len(layers))
+            pairs.append((rng.choice(layers[d]), rng.choice(layers[far])))
+    edges = [(f"e{i + 1}", tail, head) for i, (tail, head) in enumerate(pairs)]
+    return make_network([n for layer in layers for n in layer], edges, layers[0], "rho")
+
+
+class Stuck(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def finishes_within(seconds: float):
+    """Fail, rather than hang, when a flow's search stops making progress."""
+    def stop(signum, frame):
+        raise Stuck
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except Stuck:  # raised wherever the loop was; its traceback says nothing more
+        raise AssertionError(f"still running after {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_blocking_flows_on_deep_networks_match_a_reference_max_flow():
+    # deep networks with parallel edges make the phases' DFS back out of dead
+    # ends and resume at current arcs; a node or edge target, and origins that
+    # repeat a node or hold nodes downstream of others
+    checked = 0
+    with finishes_within(60):
+        for seed in range(16):
+            net = layered_network(seed)
+            assert 60 <= len(net.edges) <= 120
+            rng = random.Random(seed)
+            inner = [n for n in net.node_order if n not in net.sources and n != net.sink]
+            origins = [
+                *([s] for s in net.sources),
+                list(net.sources),
+                [net.sources[-1], *net.sources, *rng.sample(inner, 2)],
+            ]
+            wsets = [(), *(rng.sample(net.order, rng.randint(1, 3)) for _ in range(6))]
+            for origin in origins:
+                flow = ResidualFlow(net, origin, net.sink)
+                for wset in wsets:
+                    report = flow.cut_without(wset)
+                    assert report == max_flow_cut(residual(net, wset), origin, net.sink), (seed, origin, wset)
+                    if wset:
+                        assert min_cut_edge_target(net, origin, wset) == max_flow_cut(net, origin, wset)
+                    checked += 1
+            assert c_min(net) == min(max_flow_cut(net, [s], net.sink).capacity for s in net.sources)
+    assert checked >= 16 * 4 * 7
+
+
 def test_c_min_bar_all_sources_term_is_the_frontier_cut():
     # with every source chosen, the frontier is the sink's in-edges, so the
     # shared flow to the sink stands in for the edge-target cut
@@ -249,6 +327,45 @@ def test_fig2_pair_not_primary(fig2):
 def test_is_primary_rejects_empty(butterfly):
     with pytest.raises(UnknownEdge):
         is_primary(butterfly, [])
+
+
+def primary_by_definition(net, wset) -> bool:
+    """The set is the origin-side minimum cut, on the whole network, separating
+    it from the sources that feed it."""
+    return min_cut_edge_target(net, feeding_sources(net, wset), wset).cut_edges == tuple(sorted(wset))
+
+
+def test_is_primary_on_the_upstream_arcs_matches_its_definition(monkeypatch):
+    # every set of 2 or 3 edges of 40 corpus networks, and 100 pairs on each of
+    # two 200-edge stars, where the flow holds only upstream arcs
+    verdicts = set()
+    for net in corpus(40):
+        for k in (2, 3):
+            for wset in itertools.combinations(sorted(net.edge_by_id), k):
+                verdict = is_primary(net, wset)
+                assert verdict == primary_by_definition(net, wset), wset
+                verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+    module = importlib.import_module("snfc.cuts")
+    plain, arcs = module._augment, []
+
+    def counted(adj, to, cap, origin):
+        arcs.append(len(cap))
+        return plain(adj, to, cap, origin)
+
+    for net in bound_large_stars(1, 2):
+        rng = random.Random(len(net.order))
+        verdicts = set()
+        for wset in (rng.sample(net.order, 2) for _ in range(100)):
+            monkeypatch.setattr(module, "_augment", counted)
+            verdict = is_primary(net, wset)
+            monkeypatch.setattr(module, "_augment", plain)
+            assert verdict == primary_by_definition(net, wset), wset
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
+        assert len(arcs) == 100 and max(arcs) < 2 * len(net.edges)  # two arcs per edge
+        arcs.clear()
 
 
 @given(st.data())
