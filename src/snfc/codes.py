@@ -579,8 +579,7 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
         doc = _json_object(doc, "code")
     index = operator.index  # refuses a float or a string rather than truncating it
     try:
-        modulus = doc.get("modulus")
-        fld = parse_field(str(doc["field"]), None if modulus is None else [index(c) for c in modulus])
+        fld = parse_field(str(doc["field"]), doc.get("modulus"))
         rate = index(doc["rate"])
         r = index(doc["r"])
         sources = [str(s) for s in doc["sources"]]
@@ -588,7 +587,7 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
         raw_coeffs = dict(doc.get("local_coeffs") or {})
         raw_b = [[index(x) for x in row] for row in doc["B"]]
         raw_decoder = [[index(x) for x in row] for row in doc["decoder_D"]]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, MalformedInput) as exc:
         raise MalformedInput(f"bad code document: {exc}") from None
     if sources != list(net.sources):
         raise MalformedInput("code sources do not match the network")

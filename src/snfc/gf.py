@@ -4,6 +4,11 @@ Field elements are canonical integers in [0, q): the base-p digit expansion of a
 integer gives the coefficients of the polynomial-basis representation, read
 low-to-high degree.  All matrix arithmetic is exact; there is no floating point
 anywhere in this module.
+
+Vector arithmetic has one kernel: a vector is the field's packed column
+(`Field.pack`) and a sum of scaled vectors is one `Field.combination`.  The
+elimination in `Echelon` and the product in `Matrix.mul` both reduce to it;
+only `Echelon` over GF(2^m) with m <= 8 reads the packed column as one int.
 """
 
 from __future__ import annotations
@@ -379,21 +384,13 @@ class Matrix:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """self @ other: row i is one `Field.combination` of other's packed rows, scaled by self's row i."""
         self._check_same_field(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} x {other.shape}")
         f = self.field
-        out = []
-        for row in self.data:
-            # row times other as a sum of other's rows, skipping zeros on both sides
-            acc = [0] * other.ncols
-            for a, other_row in zip(row, other.data):
-                if a:
-                    for j, b in enumerate(other_row):
-                        if b:
-                            acc[j] = f.add(acc[j], f.mul(a, b))
-            out.append(tuple(acc))
-        return Matrix(f, tuple(out), other.ncols)
+        rows = [f.pack(row) for row in other.data]
+        return Matrix(f, tuple(tuple(f.combination(zip(row, rows), other.ncols)) for row in self.data), other.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(self.col(j) for j in range(self.ncols)), self.nrows)
@@ -448,22 +445,22 @@ class Echelon:
     zero in every earlier pivot column, so reducing in insertion order clears
     the pivots one by one (forward elimination, no back-substitution).
 
-    Over GF(2^m) with m <= 8 a row is one int holding a byte per coordinate,
-    little-endian (the field's packed column read by `int.from_bytes`): the
-    pivot is the lowest nonzero byte, and subtracting c times a row is one XOR
-    with that row's c-multiple, made by `bytes.translate` through product row c
-    and kept per (pivot, c).  Every other field keeps tuple rows and works entry
-    by entry.  Either way `reduced` returns plain tuples, and every vector must
-    have the length of the rows already held.
+    A row is the field's packed column, and each elimination or scaling step
+    is one `Field.combination`.  Over GF(2^m) with m <= 8 the packed column is
+    read as one int, a byte per coordinate, little-endian: the pivot is the
+    lowest nonzero byte, and subtracting c times a row is one XOR with that
+    row's c-multiple, made by `bytes.translate` through product row c and kept
+    per (pivot, c).  Either way `reduced` returns plain tuples, and every
+    vector must have the length of the rows already held.
     """
 
     __slots__ = ("field", "rows", "_width", "_table", "_multiples")
 
     def __init__(self, field: Field, vectors=()):
         self.field = field
-        self.rows: dict[int, int | tuple[int, ...]] = {}
+        self.rows: dict[int, int | bytes | array] = {}
         self._width: int | None = None
-        self._table = field._mul_table if field.p == 2 else None  # None: tuple rows
+        self._table = field._mul_table if field.p == 2 else None  # None: rows stay packed columns
         self._multiples: dict[int, int] = {}
         for v in vectors:
             self.add(v)
@@ -472,25 +469,25 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, v) -> tuple[int | list[int], int]:
-        """v minus its component along the rows, in row form (an int or a list), and its length."""
-        v = list(v) if self._table is None else bytes(v)
-        n = len(v)
-        if self.rows and n != self._width:
-            raise DimensionMismatch(f"vector of length {n} against rows of length {self._width}")
-        if self._table is not None:
-            return self._reduce_packed(int.from_bytes(v, "little")), n
-        f = self.field
-        for pivot, row in self.rows.items():
-            c = v[pivot]
-            if c:
-                c = f.neg(c)
-                for i in range(pivot, n):
-                    if row[i]:
-                        v[i] = f.add(v[i], f.mul(c, row[i]))
-        return v, n
+    def _eliminate(self, v) -> int | bytes | array:
+        """v minus its component along the rows, in row form."""
+        # bytes(v) is the packed column of a field with q <= 256, made without a method call
+        col = self.field.pack(v) if self._table is None else bytes(v)
+        if not self.rows:
+            self._width = len(col)
+        elif len(col) != self._width:
+            raise DimensionMismatch(f"vector of length {len(col)} against rows of length {self._width}")
+        return self._reduce(col if self._table is None else int.from_bytes(col, "little"))
 
-    def _reduce_packed(self, x: int) -> int:
+    def _reduce(self, x: int | bytes | array) -> int | bytes | array:
+        """x, in row form, minus its component along the rows."""
+        if self._table is None:
+            f = self.field
+            for pivot, row in self.rows.items():
+                c = x[pivot]
+                if c:
+                    x = f.combination(((1, x), (f.neg(c), row)), len(x))
+            return x
         table, multiples = self._table, self._multiples
         for pivot, row in self.rows.items():
             c = x >> (pivot << 3) & 255
@@ -508,27 +505,24 @@ class Echelon:
         return int.from_bytes(x.to_bytes(self._width, "little").translate(product_row), "little")
 
     def contains(self, v) -> bool:
-        x = self._eliminate(v)[0]
+        x = self._eliminate(v)
         return not (x if self._table is not None else any(x))
 
     def add(self, v) -> bool:
         """Extend the span by v; True when the rank grew."""
-        x, n = self._eliminate(v)
+        x = self._eliminate(v)
         f = self.field
         if self._table is not None:
             if not x:
                 return False
             pivot = ((x & -x).bit_length() - 1) >> 3
-            self._width = n
             c = x >> (pivot << 3) & 255
             self.rows[pivot] = x if c == 1 else self._scaled(x, self._table[f.inv(c)])
             return True
         pivot = next((i for i, a in enumerate(x) if a), None)
         if pivot is None:
             return False
-        self._width = n
-        inv = f.inv(x[pivot])
-        self.rows[pivot] = tuple(f.mul(inv, a) for a in x)
+        self.rows[pivot] = f.combination(((f.inv(x[pivot]), x),), len(x))
         return True
 
     def reduced(self) -> tuple[tuple[int, ...], ...]:
@@ -540,12 +534,12 @@ class Echelon:
         # back-substitution: reduce each row by the already reduced rows of larger pivot
         done = Echelon(self.field)
         done._width = self._width
-        packed = self._table is not None
         for p in sorted(self.rows, reverse=True):
-            row = self.rows[p]
-            done.rows[p] = done._reduce_packed(row) if packed else tuple(done._eliminate(row)[0])
+            done.rows[p] = done._reduce(self.rows[p])
         rows = reversed(done.rows.values())
-        return tuple(tuple(x.to_bytes(self._width, "little")) for x in rows) if packed else tuple(rows)
+        if self._table is not None:
+            rows = (x.to_bytes(self._width, "little") for x in rows)
+        return tuple(map(tuple, rows))
 
 
 def companion_matrix(field: Field, x: int) -> tuple[tuple[int, ...], ...]:

@@ -80,14 +80,10 @@ class Network:
     @cached_property
     def order(self) -> tuple[str, ...]:
         """The topological edge order used to index every vector and matrix."""
-        file_pos = {e.id: i for i, e in enumerate(self.edges)}
-        node_pos = {n: i for i, n in enumerate(self.node_order)}
-        head: list[str] = []
-        for s in self.sources:
-            head.extend(e.id for e in self.edges if e.tail == s)
-        rest = [e.id for e in self.edges if e.tail not in set(self.sources)]
-        rest.sort(key=lambda eid: (node_pos[self.edge_by_id[eid].tail], file_pos[eid]))
-        return tuple(head + rest)
+        # one stable sort keeps file order among the edges of one tail
+        first = {s: i for i, s in enumerate(self.sources)}
+        node_pos = {n: len(first) + i for i, n in enumerate(self.node_order)}
+        return tuple(e.id for e in sorted(self.edges, key=lambda e: first.get(e.tail, node_pos[e.tail])))
 
     @cached_property
     def order_index(self) -> dict[str, int]:

@@ -7,6 +7,8 @@ The package has one implementation of each object; these are the independent
   oracles;
 - `reach_sets`: the feeding / separated / leaking source partition of an edge
   set, by reachability;
+- `matmul`: the matrix product entry by entry, against `Matrix.mul`, which
+  takes each product row as one `Field.combination`;
 - `max_flow_cut`: the origin-side minimum cut from a general-capacity
   Edmonds–Karp max-flow with a super-source, built from scratch, against the
   unit-arc flow of `cuts.ResidualFlow` and its incremental `cut_without`;
@@ -81,6 +83,24 @@ def reach_sets(net: Network, edge_set: Iterable[str]) -> ReachSets:
     if not separated <= feeding:
         raise InvariantViolated("separated sources must feed the deleted set")
     return ReachSets(feeding, separated, frozenset(feeding - separated))
+
+
+# -- matrix product ------------------------------------------------------------------
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b entry by entry: each row of a times b as a sum of b's rows, skipping
+    zeros on both sides."""
+    f = a.field
+    out = []
+    for row in a.data:
+        acc = [0] * b.ncols
+        for x, b_row in zip(row, b.data):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] = f.add(acc[j], f.mul(x, y))
+        out.append(tuple(acc))
+    return Matrix(f, tuple(out), b.ncols)
 
 
 # -- maximum flow --------------------------------------------------------------------

@@ -23,6 +23,7 @@ from snfc.errors import (
     PrimeFieldInput,
     Singular,
 )
+from reference import matmul
 
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
@@ -442,6 +443,29 @@ def test_dimension_mismatch_detected():
         Matrix.identity(GF2, 2).mul(Matrix.identity(GF2, 3))
 
 
+@pytest.mark.parametrize(
+    "field",
+    [GF2, GF4, make_field(3, 1), make_field(3, 2), make_field(257, 1), make_field(2, 9)],
+    ids=repr,
+)
+def test_mul_matches_the_entrywise_reference(field):
+    rng = random.Random(f"mul:{field!r}")
+
+    def draw(rows, cols, density):
+        return Matrix.build(
+            field, [[rng.randrange(field.q) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)],
+            ncols=cols,
+        )
+
+    # 0 x k, k x 0 and k x 0 times 0 x m among the shapes (rows of a, cols of a, cols of b)
+    for m, k, n in [(0, 3, 2), (3, 2, 0), (3, 0, 2), (0, 0, 0), (1, 1, 1), (8, 3, 3), (5, 7, 6)]:
+        for density in (0.0, 0.3, 1.0):
+            a, b = draw(m, k, density), draw(k, n, density)
+            product = a.mul(b)
+            assert product.shape == (m, n)
+            assert product.data == matmul(a, b).data
+
+
 # -- subspace intersection -----------------------------------------------------------
 
 @given(st.data())
@@ -546,7 +570,8 @@ class TupleEchelon:
 
 
 PACKED_FIELDS = [GF2, GF4, make_field(2, 4), make_field(2, 8)]
-TUPLE_FIELDS = [make_field(3, 1), make_field(3, 2), make_field(2, 9)]
+# GF(257): odd p, array("H") rows and entry-by-entry addition in one field
+TUPLE_FIELDS = [make_field(3, 1), make_field(3, 2), make_field(2, 9), make_field(257, 1)]
 
 
 def random_vectors(rng, field, n, count):
@@ -580,7 +605,8 @@ def test_echelon_matches_tuple_row_reference(field, n):
         engine, reference = Echelon(field), TupleEchelon(field)
         for v in vectors:
             assert engine.add(v) == reference.add(v)
-        assert all(isinstance(row, int) == (field in PACKED_FIELDS) for row in engine.rows.values())
+        row_type = int if field in PACKED_FIELDS else type(field.pack(()))
+        assert all(type(row) is row_type for row in engine.rows.values())
         assert list(engine.rows) == list(reference.rows)
         assert engine.rank == len(reference.rows)
         assert engine.reduced() == reference.reduced()
@@ -588,7 +614,7 @@ def test_echelon_matches_tuple_row_reference(field, n):
             assert engine.contains(v) == (not any(reference.reduce(v)))
 
 
-@pytest.mark.parametrize("field", [GF4, make_field(3, 2), make_field(2, 9)], ids=repr)
+@pytest.mark.parametrize("field", [GF4, make_field(3, 2), make_field(2, 9), make_field(257, 1)], ids=repr)
 def test_echelon_rejects_vectors_of_another_length(field):
     engine = Echelon(field, [(0, 1, 2)])
     for v in [(1, 1), (0, 1, 1, 0)]:

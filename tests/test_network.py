@@ -189,6 +189,20 @@ def test_order_groups_source_edges_by_source_index(seed):
     assert list(net.order[: len(flat)]) == flat
 
 
+def test_order_follows_the_source_list_then_the_node_order():
+    # sources listed against the node order, file edges of different tails interleaved,
+    # and w listed before v though it comes after it in the node order
+    net = make_network(
+        ["w", "v", "s1", "s2", "rho"],
+        [("a", "w", "rho"), ("b", "s1", "v"), ("c", "s2", "rho"), ("x", "v", "w"),
+         ("d", "s1", "rho"), ("e", "s2", "v"), ("f", "v", "rho")],
+        ["s2", "s1"],
+        "rho",
+    )
+    assert net.node_order == ("s1", "s2", "v", "w", "rho")
+    assert net.order == ("c", "e", "b", "d", "x", "f", "a")
+
+
 # -- reach sets ------------------------------------------------------------------------
 
 def test_reach_sets_empty(butterfly):
