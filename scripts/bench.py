@@ -2,13 +2,17 @@
 """Run the benchmark's three workloads once each and record the results in
 BENCH_<pr>.json at the root of the checkout.
 
-Each workload runs as `python3 bench/run.py --workload W --seed S --seconds T`,
-one after another.  The file keeps the last line of each run (the end-to-end
-result), the line before it (the environment), the commit and the tree of
-`src/` the run measured, whether `src/` or `bench/` held uncommitted changes,
-and the Python version.  Exits 1 when a run fails or reports `correct: false`.
+Each workload runs as `python3 bench/run.py --workload W --seed 1 --seconds 18`,
+one after another, so every BENCH file compares like with like.  The file keeps
+the last line of each run (the end-to-end result), the line before it (the
+environment), the git tree id of the `src/` the runs measured, whether `src/`
+or `bench/` held uncommitted changes, and the Python version.  The tree id, not
+a commit id, names the measured code: a BENCH file committed together with the
+change it measures cannot name its own commit, while the tree id stays valid
+when the file is added or amended into that commit.  Exits 1 when a run fails
+or reports `correct: false`.
 
-Usage: python3 scripts/bench.py --pr N [--seed 1] [--seconds 18]
+Usage: python3 scripts/bench.py --pr N
 """
 
 import argparse
@@ -20,6 +24,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("construct_verify", "bound_large", "verify_exhaustive")
+SEED = 1
+SECONDS = 18
 
 
 def _git(*args: str) -> str:
@@ -29,23 +35,18 @@ def _git(*args: str) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=18)
     args = ap.parse_args()
 
     record = {
-        "commit": _git("rev-parse", "HEAD"),
         "src_tree": _git("rev-parse", "HEAD:src"),
         "dirty": bool(_git("status", "--porcelain", "--", "src", "bench")),
         "python": platform.python_version(),
-        "seed": args.seed,
-        "seconds": args.seconds,
         "workloads": {},
     }
     ok = True
     for workload in WORKLOADS:
         cmd = [sys.executable, "bench/run.py", "--workload", workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds)]
+               "--seed", str(SEED), "--seconds", str(SECONDS)]
         run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
         lines = run.stdout.strip().splitlines()
         if run.returncode or len(lines) < 2:
