@@ -93,8 +93,7 @@ class SecureCode:
 def message_decoder(code: SecureCode) -> Matrix:
     """|in(sink)| x ell matrix taking received symbols straight to the message sums:
     the first ell columns of D B."""
-    db = code.base.decoder.mul(code.mixing)
-    return Matrix(code.field, tuple(row[: code.ell] for row in db.data), code.ell)
+    return code.base.decoder.mul(Matrix(code.field, tuple(row[: code.ell] for row in code.mixing.data), code.ell))
 
 
 def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
@@ -111,17 +110,18 @@ def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
 # column; indices below the number of input columns name inputs, the rest name
 # the edges before it.  The inputs decide what a column means: unit columns give
 # global vectors, one column per input coordinate over all states gives every
-# state's symbols at once.  Columns are the field's packed columns (`Field.pack`),
-# and each step is one `Field.combination`.
+# state's symbols at once.  Each step is one call of the walk's combining function:
+# `Field.combination` over the field's packed columns (`Field.pack`) for a code, and
+# `Echelon.combination` over `Echelon`'s row form for the multicast search.
 
-def _propagate(field: Field, plan: list, inputs: list, keep=None) -> list:
-    """Run `plan` over the equal-length `inputs`: one column per plan step.
+def _propagate(combine, plan: list, inputs: list, keep=None) -> list:
+    """Run `plan` over the equal-length `inputs`: each step's column is `combine` of its terms.
 
     With `keep` (a set of plan positions), every other column, inputs included,
     is dropped to None after its last use, so the live columns are the kept ones
     plus the frontier of the walk.  Without it every column is returned.
     """
-    n, n_in = len(inputs[0]), len(inputs)
+    n_in = len(inputs)
     cols = list(inputs)
     retire = itertools.repeat(())
     if keep is not None:
@@ -133,7 +133,7 @@ def _propagate(field: Field, plan: list, inputs: list, keep=None) -> list:
             if idx - n_in not in keep:
                 retire[p].append(idx)
     for taps, done in zip(plan, retire):
-        cols.append(field.combination([(c, cols[idx]) for idx, c in taps], n))
+        cols.append(combine([(c, cols[idx]) for idx, c in taps]))
         for idx in done:
             cols[idx] = None
     return cols[n_in:]
@@ -183,7 +183,7 @@ def _unit_columns(field: Field, n: int) -> list:
 
 
 def _edge_vectors(code: SumCode, net: Network, inputs: list) -> dict[str, tuple[int, ...]]:
-    cols = _propagate(code.field, _propagation_plan(code, net), inputs)
+    cols = _propagate(lambda terms: code.field.combination(terms, len(inputs[0])), _propagation_plan(code, net), inputs)
     return dict(zip(net.order, map(tuple, cols)))
 
 
@@ -220,7 +220,8 @@ def _run_code(code: SecureCode, net: Network, inputs: list, keep=()) -> tuple[bo
     pos = net.order_index
     sink_pos = [pos[e.id] for e in net.in_edges[net.sink]]
     keep_pos = {*sink_pos, *(pos[eid] for eid in keep)}
-    cols = _propagate(field, _propagation_plan(code.base, net), _mix_inputs(code, inputs), keep_pos)
+    plan = _propagation_plan(code.base, net)
+    cols = _propagate(lambda terms: field.combination(terms, n), plan, _mix_inputs(code, inputs), keep_pos)
     received = [cols[p] for p in sink_pos]
     decoded = all(
         field.combination(zip(dec_col, received), n)
@@ -262,41 +263,39 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
     if rate < 1:
         raise RateInfeasible("multicast rate must be positive")
     draws = map(random.Random(f"{seed}|{field.p}^{field.m}|{rate}").randrange, itertools.repeat(field.q))
-    # per kernel node, in draw order: its rows (reversed in-edges) and columns (its in-edges);
-    # original sources are multicast sinks and get no kernel
-    sizes = [
-        (v, rate if v == net.sink else len(net.out_edges[v]), len(net.in_edges[v]))
-        for v in net.nodes
-        if v not in net.sources
-    ]
     # walk the reversed network: reversed edge order, inputs the sink's rate unit columns
     walk = tuple(reversed(net.order))
     step = {eid: rate + p for p, eid in enumerate(walk)}
-    col_pos = {e.id: j for v in net.nodes for j, e in enumerate(net.in_edges[v])}
-    shape = []  # per walked edge: its reversed tail, the steps feeding it, its kernel column
-    for eid in walk:
-        v = net.edge_by_id[eid].head
-        feeds = range(rate) if v == net.sink else [step[d.id] for d in net.out_edges[v]]
-        shape.append((v, feeds, col_pos[eid]))
-    units = _unit_columns(field, rate)
+    # per kernel node, in draw order: its rows (reversed in-edges) and columns (its in-edges),
+    # each column a slice of an attempt's draws; per edge, the steps feeding it and its
+    # column.  Original sources are multicast sinks and get no kernel.
+    kernel_cols, shape, total = {}, {}, 0
+    for v in net.nodes:
+        if v not in net.sources:
+            feeds = range(rate) if v == net.sink else [step[d.id] for d in net.out_edges[v]]
+            n_in, n_out = len(feeds), len(net.in_edges[v])
+            kernel_cols[v] = [slice(total + j, total + n_in * n_out, n_out) for j in range(n_out)]
+            shape.update((e.id, (feeds, cut)) for e, cut in zip(net.in_edges[v], kernel_cols[v]))
+            total += n_in * n_out
+    outs = {s: [step[e.id] - rate for e in net.out_edges[s]] for s in net.sources}
+    # the walk and the rank tests run in Echelon's row form; only the accepted attempt is unpacked
+    form, eye = Echelon(field), Matrix.identity(field, rate)
+    units = [form.row(unit) for unit in eye.data]
     for _ in range(MULTICAST_ATTEMPTS):
         # every draw of an attempt comes before any check, so the codes follow the seed alone
-        rows = {v: [tuple(itertools.islice(draws, n_out)) for _ in range(n_in)] for v, n_in, n_out in sizes}
-        plan = [[(idx, row[j]) for idx, row in zip(feeds, rows[v])] for v, feeds, j in shape]
-        fe = dict(zip(walk, _propagate(field, plan, units)))
+        drawn = tuple(itertools.islice(draws, total))
+        cols = _propagate(form.combination, [zip(feeds, drawn[c]) for feeds, c in map(shape.get, walk)], units)
         # a source decodes exactly when its rate x |out(s)| decode matrix has full row rank
-        outs = {s: [fe[e.id] for e in net.out_edges[s]] for s in net.sources}
-        if all(Echelon(field, cols).rank == rate for cols in outs.values()):
+        if all(form.rank_with([cols[p] for p in ps]) == rate for ps in outs.values()):
             break
     else:
         raise FieldTooSmallForMulticast(
             f"no decodable rate-{rate} multicast code found over {field!r} in {MULTICAST_ATTEMPTS} attempts"
         )
-    kernels = {v: Matrix(field, tuple(rows[v]), n_out) for v, _, n_out in sizes}
-    decode = {s: Matrix.from_columns(field, cols, nrows=rate) for s, cols in outs.items()}
-    eye = Matrix.identity(field, rate)
+    kernels = {v: Matrix.from_columns(field, [drawn[cut] for cut in cuts]) for v, cuts in kernel_cols.items()}
+    decode = {s: Matrix.from_columns(field, [form.vector(cols[p]) for p in ps], rate) for s, ps in outs.items()}
     right = {s: d.solve_right(eye) for s, d in decode.items()}
-    return MulticastCode(field, rate, kernels, {eid: tuple(col) for eid, col in fe.items()}, decode, right)
+    return MulticastCode(field, rate, kernels, dict(zip(walk, map(form.vector, cols))), decode, right)
 
 
 def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
@@ -315,17 +314,12 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
         source_matrices[s] = {e.id: k.row(i) for i, e in enumerate(net.out_edges[s])}
     local_coeffs: dict[str, dict[str, int]] = {}
     for v in net.nodes:
-        if v in net.sources or v == net.sink:
-            continue
-        kernel = mc.kernels[v]  # rows: out-edges of v, cols: in-edges of v
-        for row_pos, e_out in enumerate(net.out_edges[v]):
-            entry = {}
-            for col_pos, e_in in enumerate(net.in_edges[v]):
-                coeff = kernel.data[row_pos][col_pos]
-                if coeff:
-                    entry[e_in.id] = coeff
-            if entry:
-                local_coeffs[e_out.id] = entry
+        if v not in net.sources and v != net.sink:
+            # kernel rows: out-edges of v, columns: in-edges of v
+            for e_out, row in zip(net.out_edges[v], mc.kernels[v].data):
+                entry = {e_in.id: coeff for e_in, coeff in zip(net.in_edges[v], row) if coeff}
+                if entry:
+                    local_coeffs[e_out.id] = entry
     decoder = mc.kernels[net.sink].transpose()  # |in(sink)| x R
     code = SumCode(field, rate, source_matrices, local_coeffs, decoder)
     if not decodes_message_sum(as_secure(code), net):
@@ -483,7 +477,7 @@ def construct(
                 mixing = choose_mixing_matrix(base, r, family, net)
             return secure_code(base, mixing, r)
         except (FieldTooSmall, FieldTooSmallForMulticast) as exc:
-            last_error = exc
+            last_error = exc.with_traceback(None)  # a kept traceback would hold this frame in a cycle
             degree += 1
     raise ConstructionFailed(
         f"no field of size <= {MAX_FIELD_SIZE} admits the construction: {last_error}"

@@ -7,8 +7,9 @@ anywhere in this module.
 
 Vector arithmetic has one kernel: a vector is the field's packed column
 (`Field.pack`) and a sum of scaled vectors is one `Field.combination`.  The
-elimination in `Echelon` and the product in `Matrix.mul` both reduce to it;
-only `Echelon` over GF(2^m) with m <= 8 reads the packed column as one int.
+elimination in `Echelon` and the product in `Matrix.mul` both reduce to it.
+Only `Echelon`'s row form over GF(2^m) with m <= 8 reads the packed column as
+one int; the multicast search in `codes` walks and rank-tests in that form too.
 """
 
 from __future__ import annotations
@@ -445,13 +446,14 @@ class Echelon:
     zero in every earlier pivot column, so reducing in insertion order clears
     the pivots one by one (forward elimination, no back-substitution).
 
-    A row is the field's packed column, and each elimination or scaling step
-    is one `Field.combination`.  Over GF(2^m) with m <= 8 the packed column is
-    read as one int, a byte per coordinate, little-endian: the pivot is the
-    lowest nonzero byte, and subtracting c times a row is one XOR with that
-    row's c-multiple, made by `bytes.translate` through product row c and kept
-    per (pivot, c).  Either way `reduced` returns plain tuples, and every
-    vector must have the length of the rows already held.
+    A row is in row form: over GF(2^m) with m <= 8, the packed column read as one
+    int, a byte per coordinate, little-endian; over any other field, the packed
+    column, each elimination or scaling step being one `Field.combination`.  With
+    int rows the pivot is the lowest nonzero byte, and subtracting c times a row is
+    one XOR with that row's c-multiple, made by `bytes.translate` through product
+    row c and kept per (pivot, c).  `row` and `vector` convert to and from row form;
+    `combination` and `rank_with` work in it, so a walk need not unpack.  `reduced`
+    returns plain tuples; every vector must have the length of the rows held.
     """
 
     __slots__ = ("field", "rows", "_width", "_table", "_multiples")
@@ -469,15 +471,29 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, v) -> int | bytes | array:
-        """v minus its component along the rows, in row form."""
+    def row(self, v) -> int | bytes | array:
+        """v in row form; v must have the length of the rows already held."""
         # bytes(v) is the packed column of a field with q <= 256, made without a method call
         col = self.field.pack(v) if self._table is None else bytes(v)
         if not self.rows:
             self._width = len(col)
         elif len(col) != self._width:
             raise DimensionMismatch(f"vector of length {len(col)} against rows of length {self._width}")
-        return self._reduce(col if self._table is None else int.from_bytes(col, "little"))
+        return col if self._table is None else int.from_bytes(col, "little")
+
+    def vector(self, x) -> tuple[int, ...]:
+        """The row-form x as a tuple of elements."""
+        return tuple(x if self._table is None else x.to_bytes(self._width, "little"))
+
+    def combination(self, terms) -> int | bytes | array:
+        """The sum of c * x over (c, x) terms, each x in row form of this span's width."""
+        if self._table is None:
+            return self.field.combination(terms, self._width)
+        acc = 0
+        for c, x in terms:
+            if c:
+                acc ^= x if c == 1 else self._scaled(x, self._table[c])
+        return acc
 
     def _reduce(self, x: int | bytes | array) -> int | bytes | array:
         """x, in row form, minus its component along the rows."""
@@ -505,24 +521,32 @@ class Echelon:
         return int.from_bytes(x.to_bytes(self._width, "little").translate(product_row), "little")
 
     def contains(self, v) -> bool:
-        x = self._eliminate(v)
+        x = self._reduce(self.row(v))
         return not (x if self._table is not None else any(x))
 
     def add(self, v) -> bool:
         """Extend the span by v; True when the rank grew."""
-        x = self._eliminate(v)
-        f = self.field
-        if self._table is not None:
-            if not x:
-                return False
-            pivot = ((x & -x).bit_length() - 1) >> 3
-            c = x >> (pivot << 3) & 255
-            self.rows[pivot] = x if c == 1 else self._scaled(x, self._table[f.inv(c)])
-            return True
-        pivot = next((i for i, a in enumerate(x) if a), None)
+        return self._add_row(self.row(v))
+
+    def rank_with(self, xs) -> int:
+        """The rank of the span extended by the row-form xs; this span is unchanged."""
+        span = Echelon(self.field)
+        span._width, span.rows = self._width, dict(self.rows)
+        return self.rank + sum(map(span._add_row, xs))
+
+    def _add_row(self, x) -> bool:
+        x = self._reduce(x)
+        f, table = self.field, self._table
+        if table is None:
+            pivot = next((i for i, a in enumerate(x) if a), None)
+        else:
+            pivot = ((x & -x).bit_length() - 1) >> 3 if x else None
         if pivot is None:
             return False
-        self.rows[pivot] = f.combination(((f.inv(x[pivot]), x),), len(x))
+        c = x[pivot] if table is None else x >> (pivot << 3) & 255
+        if c != 1:
+            x = f.combination(((f.inv(c), x),), len(x)) if table is None else self._scaled(x, table[f.inv(c)])
+        self.rows[pivot] = x
         return True
 
     def reduced(self) -> tuple[tuple[int, ...], ...]:
@@ -536,10 +560,7 @@ class Echelon:
         done._width = self._width
         for p in sorted(self.rows, reverse=True):
             done.rows[p] = done._reduce(self.rows[p])
-        rows = reversed(done.rows.values())
-        if self._table is not None:
-            rows = (x.to_bytes(self._width, "little") for x in rows)
-        return tuple(map(tuple, rows))
+        return tuple(map(done.vector, reversed(done.rows.values())))
 
 
 def companion_matrix(field: Field, x: int) -> tuple[tuple[int, ...], ...]:

@@ -19,6 +19,10 @@ The package has one implementation of each object; these are the independent
   and confirms candidates lazily;
 - `transfer_global_vectors`: global encoding vectors from the closed-form
   transfer matrix (I - A)^-1, against the propagation in `codes.global_vectors`;
+- `multicast_attempts`: the multicast search on packed columns, attempt by
+  attempt: kernels drawn row by row, a plan per attempt, the packed walk and
+  `Echelon(field, cols).rank`, against the row-form walk and rank test of
+  `codes.build_reversed_multicast`;
 - `simulate`: one full source input pushed through the local rules edge by edge,
   against the column pass of `codes._run_code` that `verify.check_exhaustive`
   runs on every state and, read through the message decoder on every state,
@@ -36,12 +40,14 @@ One test fixture lives here too, since only the tests use it:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, NamedTuple
 
 from snfc.bounds import _omega_report, primary_wiretap_sets
 from snfc.cuts import CutReport
-from snfc.codes import SecureCode, SumCode, _propagation_plan
+from snfc import codes
+from snfc.codes import SecureCode, SumCode, _propagate, _propagation_plan
 from snfc.errors import InvariantViolated
 from snfc import fixtures
 from snfc.gf import Echelon, Field, Matrix, make_field
@@ -215,6 +221,43 @@ def transfer_global_vectors(code: SumCode, net: Network) -> dict[str, tuple[int,
         eid: tuple(itertools.chain.from_iterable(b.col(pos[eid]) for b in blocks))
         for eid in net.order
     }
+
+
+# -- multicast search --------------------------------------------------------------
+
+def multicast_attempts(net: Network, rate: int, field: Field, draw) -> list[tuple[dict, dict, bool]]:
+    """The multicast search on packed columns, until an attempt is accepted or
+    `codes.MULTICAST_ATTEMPTS` have run.
+
+    Each attempt draws every kernel entry with `draw(q)`, node by node and row by
+    row, builds its plan from the rows, walks the reversed network with the packed
+    `codes._propagate` from the unit columns, and is accepted when every source's
+    columns have `Echelon(field, cols).rank == rate`.  Per attempt: the kernel rows
+    of each node, each walked edge's column as a tuple, and the verdict.
+    """
+    combine = functools.partial(field.combination, n=rate)
+    units = [field.pack(int(t == k) for t in range(rate)) for k in range(rate)]
+    walk = tuple(reversed(net.order))
+    step = {eid: rate + p for p, eid in enumerate(walk)}
+    attempts = []
+    for _ in range(codes.MULTICAST_ATTEMPTS):
+        rows = {}
+        for v in net.nodes:
+            if v not in net.sources:
+                n_rows = rate if v == net.sink else len(net.out_edges[v])
+                rows[v] = [tuple(draw(field.q) for _ in net.in_edges[v]) for _ in range(n_rows)]
+        plan = []
+        for eid in walk:
+            v = net.edge_by_id[eid].head
+            feeds = range(rate) if v == net.sink else [step[d.id] for d in net.out_edges[v]]
+            j = [e.id for e in net.in_edges[v]].index(eid)
+            plan.append([(idx, row[j]) for idx, row in zip(feeds, rows[v])])
+        cols = dict(zip(walk, _propagate(combine, plan, units)))
+        accepted = all(Echelon(field, [cols[e.id] for e in net.out_edges[s]]).rank == rate for s in net.sources)
+        attempts.append((rows, {eid: tuple(col) for eid, col in cols.items()}, accepted))
+        if accepted:
+            break
+    return attempts
 
 
 # -- per-state simulation ----------------------------------------------------------

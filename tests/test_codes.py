@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -5,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -28,12 +30,14 @@ from snfc import (
     verify,
 )
 import snfc
+import snfc.codes as codes_module
 from snfc import fixtures
 from snfc.codes import MULTICAST_ATTEMPTS, SCAN_CAP, MulticastCode, _vector_avoiding
 from snfc.corpus import corpus, random_network
 from snfc.errors import (
     ConstructionFailed,
     FieldTooSmall,
+    FieldTooSmallForMulticast,
     MalformedInput,
     PrimeFieldInput,
     RateExceedsMinCut,
@@ -43,7 +47,7 @@ from snfc.errors import (
     SingularB,
 )
 from snfc.gf import Echelon, Field
-from reference import butterfly_sum_code_gf2, scan_avoiding, simulate, transfer_global_vectors
+from reference import butterfly_sum_code_gf2, multicast_attempts, scan_avoiding, simulate, transfer_global_vectors
 from test_verify import _column_cases, random_code
 
 GF2 = make_field(2, 1)
@@ -149,6 +153,80 @@ def test_multicast_solves_once_per_source_and_keeps_its_codes(butterfly, monkeyp
     assert list(mc.global_kernels.items()) == list(global_kernels.items())
     assert {s: m.data for s, m in mc.decode_matrices.items()} == decode
     assert {s: m.data for s, m in mc.right_inverses.items()} == right
+
+
+class SparseRandom(random.Random):
+    """Draws 0 half the time, so rank-deficient attempts are common over every field."""
+
+    def randrange(self, q):
+        return super().randrange(q) if self.random() < 0.5 else 0
+
+
+@pytest.mark.parametrize("spec", ["2", "2^2", "2^8", "3", "2^9"])
+def test_row_form_search_matches_the_packed_reference_attempt_by_attempt(butterfly, monkeypatch, spec):
+    # every attempt's row-form columns, unpacked, are the packed walk's, and the search
+    # stops exactly where the packed rank test first accepts
+    field = snfc.parse_field(spec)
+    monkeypatch.setattr(codes_module, "random", types.SimpleNamespace(Random=SparseRandom))
+    walks = []
+    propagate = codes_module._propagate
+    monkeypatch.setattr(codes_module, "_propagate", lambda *args: walks.append(propagate(*args)) or walks[-1])
+    verdicts = set()
+    for seed, net in enumerate([butterfly, *corpus(16, base_seed=700, max_edges=10)]):
+        rate = c_min(net)
+        walks.clear()
+        try:
+            mc = build_reversed_multicast(net, rate, field, seed)
+        except FieldTooSmallForMulticast:
+            mc = None
+        draw = SparseRandom(f"{seed}|{field.p}^{field.m}|{rate}").randrange
+        reference = multicast_attempts(net, rate, field, draw)
+        form = Echelon(field)
+        form.row((0,) * rate)  # fixes the width that `vector` unpacks to
+        assert len(walks) == len(reference)
+        for cols, (_, expect, _) in zip(walks, reference):
+            assert dict(zip(reversed(net.order), map(form.vector, cols))) == expect
+        assert [accepted for _, _, accepted in reference] == [False] * (len(walks) - 1) + [mc is not None]
+        if mc is not None:
+            rows, expect, _ = reference[-1]
+            assert {v: m.data for v, m in mc.kernels.items()} == {v: tuple(r) for v, r in rows.items()}
+            assert mc.global_kernels == expect
+        verdicts.update(accepted for _, _, accepted in reference)
+    assert verdicts == {False, True}
+
+
+# corpus network 20034, from the acceptance corpus: at seed 1 every one of the
+# MULTICAST_ATTEMPTS draws over GF(2) leaves a source undecodable, and GF(4) succeeds
+GF4_AFTER_GF2 = (
+    {"v1": ((1,),), "v2": ((3,),), "v3": ((3,),), "v4": ((3, 3, 3),), "rho": ((0, 0, 1),)},
+    {"e5": (1,), "e9": (0,), "e8": (0,), "e7": (3,), "e6": (3,), "e4": (3,), "e2": (0,), "e3": (0,), "e1": (3,)},
+)
+
+
+def test_multicast_exhausts_gf2_then_succeeds_over_gf4():
+    net = random_network(20034)
+    with pytest.raises(FieldTooSmallForMulticast, match=f"in {MULTICAST_ATTEMPTS} attempts"):
+        build_reversed_multicast(net, 1, GF2, seed=1)
+    mc = build_reversed_multicast(net, 1, GF4, seed=1)
+    kernels, global_kernels = GF4_AFTER_GF2
+    assert {v: m.data for v, m in mc.kernels.items()} == kernels
+    assert list(mc.global_kernels.items()) == list(global_kernels.items())
+    assert construct(net, 0, seed=1).field == GF4
+
+
+def test_a_failed_field_leaves_no_frames_behind():
+    # construct keeps the last field error for its message but drops its traceback,
+    # which would hold the search's frames and their callers' in a cycle until the
+    # next collection
+    net = random_network(20034)
+    gc.collect()
+    gc.disable()
+    try:
+        assert construct(net, 0, seed=1).field == GF4
+        left = [o for o in gc.get_objects() if isinstance(o, types.FrameType) and o.f_code.co_name == "construct"]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 # -- reversal into a sum code ----------------------------------------------------------

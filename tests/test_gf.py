@@ -614,6 +614,26 @@ def test_echelon_matches_tuple_row_reference(field, n):
             assert engine.contains(v) == (not any(reference.reduce(v)))
 
 
+@pytest.mark.parametrize("n", [1, 7, 9])
+@pytest.mark.parametrize("field", PACKED_FIELDS + TUPLE_FIELDS, ids=repr)
+def test_row_form_combination_and_rank_match_packed_columns(field, n):
+    # what a walk does in row form: combine, rank-test, and unpack only at the end
+    rng = random.Random(f"row-form:{field!r}:{n}")
+    for _ in range(6):
+        held, vectors = random_vectors(rng, field, n, rng.randrange(0, 3)), random_vectors(rng, field, n, 6)
+        span = Echelon(field, held)
+        span.row((0,) * n)  # fixes the width of an empty span
+        rows = [span.row(v) for v in vectors]
+        assert [span.vector(x) for x in rows] == vectors
+        coeffs = [rng.choice([0, 1, rng.randrange(field.q)]) for _ in vectors]
+        expect = field.combination(zip(coeffs, map(field.pack, vectors)), n)
+        assert span.vector(span.combination(zip(coeffs, rows))) == tuple(expect)
+        assert span.vector(span.combination([])) == (0,) * n
+        before = dict(span.rows)
+        assert span.rank_with(rows) == Echelon(field, held + vectors).rank
+        assert span.rows == before and span.rank_with([]) == span.rank
+
+
 @pytest.mark.parametrize("field", [GF4, make_field(3, 2), make_field(2, 9), make_field(257, 1)], ids=repr)
 def test_echelon_rejects_vectors_of_another_length(field):
     engine = Echelon(field, [(0, 1, 2)])
