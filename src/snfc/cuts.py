@@ -1,13 +1,12 @@
 """Unit-capacity cut machinery: minimum cuts, source-side (primary) cuts, residual
 graphs, and the two cut statistics that drive every capacity bound.
 
-Every cut comes from one max-flow on unit arcs, `ResidualFlow`, built from
-blocking flows out of the origin nodes (`_augment`).  Its target is a node or
-an edge set; each target edge's arc runs from its tail straight into the
-super-sink, and a node target stands for its in-edges.  The returned cut is
-always the unique minimum cut closest to the origin set: after a maximum flow,
-it consists of the edges leaving the set of nodes still reachable from the
-origin in the residual graph.
+Every cut comes from a max-flow on unit arcs, laid out in one place, `_max_flow`,
+by blocking flows out of the origin nodes (`_augment`).  Its target is a node or an
+edge set; each target edge's arc runs from its tail straight into the super-sink,
+and a node target stands for its in-edges.  The returned cut is always the unique
+minimum cut closest to the origin set: the edges leaving the set of nodes still
+reachable from the origin in the residual graph of a maximum flow.
 
 A flow to a node lives in the network's memo (`network.per_network`), one per
 (origin, target), and is only read after `node_flow` builds it: `min_cut`, the
@@ -15,7 +14,9 @@ residual cut of every wiretap set fed by the same sources, and the all-sources
 term of c_min_bar all share it.  `cut_without` copies the capacity bytes before it
 deletes an edge, so sharing is safe.  Flows to edge sets are not kept: there
 can be one per pair of edges.  The one behind each `is_primary` call holds only
-the arcs upstream of the set.
+the arcs upstream of the set.  No flow refers to its network, so a network and
+its memo are freed by reference counting alone.  The sources feeding an edge set
+are those among the nodes that reach its tails, one backward walk.
 """
 
 from __future__ import annotations
@@ -62,21 +63,6 @@ def residual(net: Network, edge_set: Iterable[str]) -> ResidualNetwork:
 
 
 # -- max flow -------------------------------------------------------------------
-
-def _unit_arcs(idx: dict[str, int], edges: Iterable[Edge], targets: set[str]) -> tuple[list[list[int]], list[int]]:
-    """Each node's arcs and each arc's head: edge i is arc 2i, from its tail to its
-    head or, for a target edge, to the super-sink (node len(idx)); arc 2i + 1 is
-    its reverse."""
-    t_star = len(idx)
-    adj: list[list[int]] = [[] for _ in range(t_star + 1)]
-    to: list[int] = []
-    for i, e in enumerate(edges):
-        u, v = idx[e.tail], t_star if e.id in targets else idx[e.head]
-        adj[u].append(2 * i)
-        adj[v].append(2 * i + 1)
-        to += (v, u)
-    return adj, to
-
 
 def _augment(adj: list[list[int]], to: list[int], cap: bytearray, origin: tuple[int, ...]) -> tuple[int, set[int]]:
     """Blocking flows on unit arcs (Dinitz, 1970) from the origin nodes to the
@@ -133,6 +119,26 @@ def _augment(adj: list[list[int]], to: list[int], cap: bytearray, origin: tuple[
                     path, u = [], o
 
 
+def _max_flow(nodes: Iterable[str], edges: Iterable[Edge], origin: Iterable[str], targets: set[str]) -> tuple:
+    """The node index, each node's arcs, each arc's head, the residual capacities,
+    the origin indices, and the flow value and reachable node set of a maximum
+    flow from the origin to the target edges: edge i is arc 2i, from its tail to
+    its head or, for a target edge, to the super-sink (node len(nodes)); arc
+    2i + 1 is its reverse."""
+    idx = {n: i for i, n in enumerate(nodes)}
+    t_star = len(idx)
+    adj: list[list[int]] = [[] for _ in range(t_star + 1)]
+    to: list[int] = []
+    for i, e in enumerate(edges):
+        u, v = idx[e.tail], t_star if e.id in targets else idx[e.head]
+        adj[u].append(2 * i)
+        adj[v].append(2 * i + 1)
+        to += (v, u)
+    cap = bytearray([1, 0]) * (len(to) // 2)
+    starts = tuple(dict.fromkeys(idx[n] for n in origin))
+    return (idx, adj, to, cap, starts, *_augment(adj, to, cap, starts))
+
+
 class ResidualFlow:
     """A maximum flow from an origin node set to a target on a unit-capacity
     network, reused for minimum cuts with a small edge set deleted.
@@ -141,8 +147,9 @@ class ResidualFlow:
     runs from its tail straight into the super-sink, so no finite cut puts the
     super-sink on the origin side: the finite cuts and their source sides are
     those of the edge set.  A node target stands for its in-edges.  Edge i of
-    `net.order` is arc 2i and its reverse is arc 2i + 1, so the flow on an edge
-    is the residual capacity (a byte, 0 or 1) of its reverse.
+    `net.order` is arc 2i and its reverse is arc 2i + 1 (`_max_flow`), so the
+    flow on an edge is the residual capacity (a byte, 0 or 1) of its reverse.
+    It keeps the network's cached node and edge orders, not the network.
 
     `cut_without(W)` cancels the at most |W| flow units that cross W, then
     re-augments from that flow, so it moves at most |W| units instead of a
@@ -164,12 +171,9 @@ class ResidualFlow:
             targets = set(net.check_edges(target))
             if not targets:
                 raise EmptyTarget("the target edge set is empty")
-        idx = {n: i for i, n in enumerate(net.nodes)}
-        self.net = net
-        self._origin = tuple(dict.fromkeys(idx[n] for n in origin))
-        self._adj, self._to = _unit_arcs(idx, map(net.edge_by_id.__getitem__, net.order), targets)
-        self._cap = bytearray([1, 0]) * len(net.order)
-        self.value, self._reach = _augment(self._adj, self._to, self._cap, self._origin)
+        self._nodes, self._order, self._index = net.nodes, net.order, net.order_index
+        flow = _max_flow(net.nodes, map(net.edge_by_id.__getitem__, net.order), origin, targets)
+        _, self._adj, self._to, self._cap, self._origin, self.value, self._reach = flow
 
     def _drain(self, cap: bytearray, x: int, parity: int) -> None:
         """Take one unit of flow off a path from node x back to an origin with no
@@ -191,11 +195,13 @@ class ResidualFlow:
         """The origin-side minimum cut once the given edges are deleted; the
         units they carried come back, where they can, in one more `_augment`."""
         cap, value, reach = self._cap, self.value, self._reach
-        removed = self.net.check_edges(edge_set)
+        removed = tuple(edge_set)
         if removed:
             cap = cap.copy()
             for eid in removed:
-                a = 2 * self.net.order_index[eid]
+                if eid not in self._index:
+                    raise UnknownEdge(f"edge {eid!r} does not exist")
+                a = 2 * self._index[eid]
                 if cap[a | 1]:  # the edge carries a unit of flow: cancel it end to end
                     self._drain(cap, self._to[a | 1], 1)
                     self._drain(cap, self._to[a], 0)
@@ -207,12 +213,12 @@ class ResidualFlow:
         to = self._to
         cut = sorted(
             eid
-            for eid, u, v, flow in zip(self.net.order, to[1::2], to[::2], cap[1::2])
+            for eid, u, v, flow in zip(self._order, to[1::2], to[::2], cap[1::2])
             if u in reach and v not in reach and flow
         )
         if len(cut) != value:
             raise InvariantViolated(f"cut of {len(cut)} edges for a flow of value {value}")
-        side = tuple(sorted(n for i, n in enumerate(self.net.nodes) if i in reach))
+        side = tuple(sorted(n for i, n in enumerate(self._nodes) if i in reach))
         return CutReport(value, tuple(cut), side)
 
 
@@ -220,10 +226,8 @@ class ResidualFlow:
 
 @per_network
 def node_flow(net: Network, origin: frozenset[str], target: str) -> ResidualFlow:
-    """The maximum flow from an origin node set to a target node, kept in the network's memo.
-
-    Callers only read it (`cut_without` copies before it deletes edges).
-    """
+    """The maximum flow from an origin node set to a target node, kept in the
+    network's memo; callers only read it (`cut_without` copies before it deletes edges)."""
     return ResidualFlow(net, sorted(origin), target)
 
 
@@ -268,13 +272,11 @@ def is_primary(net: Network, edge_set: Iterable[str]) -> bool:
         raise UnknownEdge("primality is defined for nonempty edge sets")
     tails = {net.edge_by_id[eid].tail for eid in ids}
     upstream = net.nodes_reaching(tails)
-    idx = {n: i for i, n in enumerate(n for n in net.nodes if n in upstream)}
-    origin = tuple(idx[s] for s in net.sources if s in upstream)  # the feeding sources
+    origin = [s for s in net.sources if s in upstream]  # the feeding sources
     if not origin:
         raise MalformedInput("the origin set is empty")
     edges = [e for e in net.edges if e.head in upstream or e.id in ids]
-    adj, to = _unit_arcs(idx, edges, ids)
-    value, reach = _augment(adj, to, bytearray([1, 0]) * len(edges), origin)
+    idx, *_, value, reach = _max_flow((n for n in net.nodes if n in upstream), edges, origin, ids)
     return value == len(ids) and all(idx[t] in reach for t in tails)
 
 
@@ -297,15 +299,11 @@ def _primary_edges(net: Network) -> frozenset[str]:
     return frozenset(e.id for e in net.edges if not dom[e.tail])
 
 
-@per_network
-def _source_reach(net: Network) -> tuple[tuple[str, frozenset[str]], ...]:
-    return tuple((s, frozenset(net.nodes_reachable_from([s]))) for s in net.sources)
-
-
 def feeding_sources(net: Network, edge_set: Iterable[str]) -> frozenset[str]:
-    """The sources with a path to some edge of the set."""
-    tails = {net.edge_by_id[eid].tail for eid in net.check_edges(edge_set)}
-    return frozenset(s for s, reach in _source_reach(net) if not tails.isdisjoint(reach))
+    """The sources with a path to some edge of the set: those among the nodes
+    reaching its tails, as in `is_primary`."""
+    upstream = net.nodes_reaching({net.edge_by_id[eid].tail for eid in net.check_edges(edge_set)})
+    return frozenset(s for s in net.sources if s in upstream)
 
 
 # -- the two cut statistics --------------------------------------------------------

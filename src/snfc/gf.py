@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     DivideByZero,
     FieldMismatch,
+    InvariantViolated,
     MalformedInput,
     NonPrime,
     PrimeFieldInput,
@@ -297,7 +298,7 @@ def _make_field(p: int, m: int, modulus: tuple[int, ...] | None) -> Field:
         candidate = tail + (1,)
         if _irreducible(candidate, p):
             return Field(p, m, candidate)
-    raise AssertionError("an irreducible polynomial of every degree exists")
+    raise InvariantViolated("an irreducible polynomial of every degree exists")
 
 
 def parse_field(spec: str, modulus: list[int] | None = None) -> Field:

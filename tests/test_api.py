@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import sys
 import types
@@ -120,3 +122,15 @@ def test_verify_runs_codes_through_the_one_entry_in_codes():
     for name in ("_propagate", "_propagation_plan", "_mix_inputs", "_sums_decoded"):
         assert not hasattr(module, name), f"snfc.verify.{name}"
     assert module._run_code is importlib.import_module("snfc.codes")._run_code
+
+
+def test_src_checks_survive_python_O():
+    # python -O strips assert statements; every check in src/ raises a domain error instead
+    found = []
+    for path in sorted(pathlib.Path(snfc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -358,6 +358,31 @@ def test_upper_bound_equals_oracle(data):
     assert upper_bound(net, r).upper == upper_bound_oracle(net, r)
 
 
+# every corpus seed below 3000 whose network has at most 12 edges and c_min < c_min_bar:
+# there the upper bound's sweep can stop above the floor max(c_min - r, 0)
+GENERAL_CASE_SEEDS = [
+    17, 162, 175, 222, 369, 511, 929, 949, 1514, 1543, 1589, 1595, 1775,
+    1789, 1845, 1897, 2165, 2169, 2187, 2337, 2368, 2769, 2879, 2885, 2886, 2960,
+]
+
+
+def test_general_case_seeds_are_the_small_corpus_networks_with_c_min_below_c_min_bar():
+    nets = map(random_network, range(3000))
+    split = [seed for seed, net in enumerate(nets) if len(net.edges) <= 12 and c_min(net) < c_min_bar(net)]
+    assert split == GENERAL_CASE_SEEDS
+
+
+def test_upper_bound_equals_oracle_in_the_general_case():
+    above_floor = 0
+    for net in map(random_network, GENERAL_CASE_SEEDS):
+        for r in range(4):
+            report, oracle = upper_bound(net, r), upper_bound_oracle(net, r)
+            assert report.upper == oracle, (net.to_dict(), r)
+            assert report.exact is None or report.exact.value == oracle, (net.to_dict(), r)
+            above_floor += report.upper > report.lower
+    assert above_floor  # the sweep's general case is reached
+
+
 # -- zero capacity and exactness ----------------------------------------------------------------
 
 def test_zero_capacity_examples(butterfly):
@@ -497,6 +522,8 @@ def test_witness_pair_realizes_the_bound(data):
 # -- per-network results ----------------------------------------------------------------------------
 
 def test_a_used_network_is_freed():
+    """Freed by reference counting alone: nothing in a network's memo refers back to it."""
+
     def used_star() -> weakref.ref:
         net = two_source_star(2, 60)
         upper_bound(net, 2)  # memoises the node flows
@@ -513,9 +540,13 @@ def test_a_used_network_is_freed():
         upper_bound_oracle(net, 1)
         return weakref.ref(net)
 
-    refs = [used_star(), used_corpus_network()]
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    gc.disable()
+    try:
+        refs = [used_star(), used_corpus_network()]
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_results_are_kept_per_network_object_not_per_value():

@@ -221,6 +221,29 @@ def test_example_show_network(runner):
     assert json.loads(result.output) == fixtures.network_dict("n1")
 
 
+def test_example_show_code_is_the_embedded_code(runner):
+    result = runner.invoke(main, ["example", "butterfly", "--show", "code", "--json"])
+    assert_clean_exit(result, 0)
+    payload = json.loads(result.output)
+    assert payload == fixtures.code_dict("butterfly")
+    assert snfc.load_code(payload, fixtures.network("butterfly")).r == 1
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (["--cuts", "primary", "--edges", "e6"], "primary cut queries need --sources and --edges"),
+        (["--cuts", "primary", "--sources", "s1,s2"], "primary cut queries need --sources and --edges"),
+        (["--cuts", "mincut", "--sources", "s1"], "mincut queries need --sources and --to"),
+    ],
+    ids=["primary-no-sources", "primary-no-edges", "mincut-no-to"],
+)
+def test_incomplete_example_cut_query_is_a_usage_error(runner, query, message):
+    result = runner.invoke(main, ["example", "butterfly", *query, "--json"])
+    assert_clean_exit(result, 2)
+    assert message in result.output
+
+
 def test_example_verify_embedded_code(runner):
     result = runner.invoke(main, ["example", "butterfly", "--verify", "--exhaustive", "--json"])
     assert result.exit_code == 0, result.output

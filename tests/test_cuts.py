@@ -136,6 +136,15 @@ def test_shared_node_flows_are_only_read():
     assert checked > 200
 
 
+def test_cut_without_an_unknown_edge_is_refused_and_leaves_the_flow_as_it_was(butterfly):
+    flow = node_flow(butterfly, frozenset(butterfly.sources), butterfly.sink)
+    before = flow.cut_without()
+    with pytest.raises(UnknownEdge, match="edge 'nope' does not exist"):
+        flow.cut_without(["e1", "nope"])
+    assert flow.cut_without() == before
+    assert flow.cut_without(["e1"]) == max_flow_cut(residual(butterfly, ["e1"]), butterfly.sources, butterfly.sink)
+
+
 def test_flow_core_matches_a_reference_max_flow_from_scratch():
     # the unit-arc flow and its incremental cut_without against a general
     # Edmonds-Karp with a super-source, built from scratch on the network with W

@@ -444,6 +444,23 @@ def test_dimension_mismatch_detected():
 
 
 @pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Matrix.build(GF2, [[1, 0], [1]]), "ragged rows"),
+        (lambda: Matrix.build(GF2, []), "ncols required"),
+        (lambda: Matrix.from_columns(GF2, []), "nrows required"),
+        (lambda: Matrix.from_columns(GF2, [(1, 0), (1,)]), "columns of unequal length"),
+        (lambda: Matrix.identity(GF2, 2).hstack(Matrix.identity(GF2, 3)), "hstack"),
+        (lambda: Matrix.build(GF2, [[1, 0]]).inverse(), "inverse of a non-square matrix"),
+    ],
+    ids=["ragged", "build-no-rows", "from-columns-none", "from-columns-unequal", "hstack", "inverse"],
+)
+def test_shape_errors_are_dimension_mismatches(make, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
     "field",
     [GF2, GF4, make_field(3, 1), make_field(3, 2), make_field(257, 1), make_field(2, 9)],
     ids=repr,

@@ -140,6 +140,20 @@ def test_duplicate_edge_ids_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "nodes, sources, message",
+    [
+        (["s", "s", "rho"], ["s"], "duplicate node ids"),
+        (["s", "rho"], ["s", "rho"], "the sink cannot be a source"),
+        (["s", "rho"], ["s", "s"], "duplicate sources"),
+    ],
+    ids=["duplicate-nodes", "sink-as-source", "duplicate-sources"],
+)
+def test_malformed_node_lists_rejected(nodes, sources, message):
+    with pytest.raises(MalformedInput, match=message):
+        make_network(nodes, [("e1", "s", "rho")], sources, "rho")
+
+
 def test_malformed_json_rejected():
     with pytest.raises(MalformedInput):
         parse_network(b"{nope")
@@ -259,6 +273,12 @@ def test_reduce_drops_zero_coefficient_source(butterfly):
 def test_reduce_all_zero_rejected(butterfly):
     with pytest.raises(AllZeroFunction):
         reduce_linear_to_sum(butterfly, [0, 0], GF2)
+
+
+@pytest.mark.parametrize("coeffs", [[1], [1, 1, 1]], ids=["one", "three"])
+def test_reduce_rejects_the_wrong_number_of_coefficients(butterfly, coeffs):
+    with pytest.raises(ValidationFailure, match=f"expected 2 coefficients, got {len(coeffs)}"):
+        reduce_linear_to_sum(butterfly, coeffs, GF2)
 
 
 def test_reduce_validation_failure_when_removal_orphans_a_node():
