@@ -417,8 +417,9 @@ def choose_mixing_matrix(
             raise FieldTooSmall(f"no admissible mixing column over {field!r} at position {j + 1}")
         chosen.append(pick)
         chosen_span.add(pick)
-        for span in observed:
-            span.add(pick)
+        if j + 1 < rate - r:  # the obstacle spans are read only at the positions before rate - r
+            for span in observed:
+                span.add(pick)
     return Matrix.from_columns(field, chosen, nrows=rate)
 
 

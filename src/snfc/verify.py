@@ -32,8 +32,11 @@ pass keeps the sink's in-edges and every edge that some wiretap set reads, plus
 the propagation frontier, so its memory is O(states * |E|) bytes (at most the
 state cap times |E|).  A wiretap set is tabulated from its pair column, one
 value key * q^(ell*s) + message per state, built with int arithmetic on
-fixed-width lanes (see `_lanes`) and counted by `Counter`: one lane of at most
-8 bytes per state, plus one count per distinct pair.  The per-state reference,
+fixed-width lanes (see `_lanes`).  When the view has as many possible pairs
+as there are states, as an r-edge view on one source has, and one `set` finds
+them all distinct, the view leaks nothing; otherwise `Counter` counts them
+(`_uniform_given_key`).  Either costs one lane of at most 8 bytes per state,
+plus one entry per distinct pair.  The per-state reference,
 `simulate`, lives with the tests in `tests/reference.py`.
 
 Both security checks test each distinct view once, maximal views first
@@ -292,24 +295,28 @@ def _unlanes(value: int, width: int, n: int) -> memoryview:
     return memoryview(value.to_bytes(width * n, sys.byteorder)).cast(_LANE_FORMATS[width])
 
 
-def _uniform_given_key(pairs, n_messages: int) -> bool:
+def _uniform_given_key(pairs, n_messages: int, n_keys: int) -> bool:
     """Is every message equally likely given each observed key?
 
-    `pairs` yields key * n_messages + message for each state, with message in
-    range(n_messages): a lane-built pair column.  True exactly when every key
-    sees all n_messages messages, each equally often: there are n_keys *
-    n_messages distinct (key, message) pairs and each key has one pair count.
-    `Counter` tabulates the pairs at C speed, so the memory is one lane of at
-    most 8 bytes per state plus one count per distinct pair.  The linear codes
-    simulated here give every pair one count, so the test on the counts alone
-    settles the common case; the per-key test, which builds one (key, count)
-    tuple per pair, runs only when the counts differ.
+    `pairs` holds key * n_messages + message for each state, with key in
+    range(n_keys) and message in range(n_messages): a lane-built pair column.
+    When there are n_keys * n_messages states and their pairs are distinct, the
+    pairs are that whole range, so every key sees every message once and one
+    `set` settles it.  This is the common case: an r-edge view on one source
+    has as many states as pairs, and a secure code makes them distinct.
+    Otherwise `Counter` tabulates the pairs, and each observed key must see all
+    n_messages messages, with one count per key.  A repeated pair alone is no
+    leak: when some key is never observed the others see each message more
+    than once.  The memory is one lane of at most 8 bytes per state plus one
+    set entry or count per distinct pair.
     """
+    if len(pairs) == n_keys * n_messages and len(set(pairs)) == len(pairs):
+        return True
     counts = Counter(pairs)
     keys = list(map(operator.floordiv, counts, itertools.repeat(n_messages)))
-    n_keys = len(set(keys))
-    return len(counts) == n_keys * n_messages and (
-        len(set(counts.values())) == 1 or len(set(zip(keys, counts.values()))) == n_keys
+    observed = len(set(keys))
+    return len(counts) == observed * n_messages and (
+        len(set(counts.values())) == 1 or len(set(zip(keys, counts.values()))) == observed
     )
 
 
@@ -387,7 +394,8 @@ def check_exhaustive(
 
     def leaks(wset):
         keys = _base_q([cols[eid] for eid in wset], q, width)
-        return not _uniform_given_key(_unlanes(keys * n_messages + messages, width, total), n_messages)
+        pairs = _unlanes(keys * n_messages + messages, width, total)
+        return not _uniform_given_key(pairs, n_messages, q ** len(wset))
 
     classes = _view_classes(secure.field, cols)
     return (computable, *_first_leak(family, classes, leaks))

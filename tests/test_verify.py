@@ -426,7 +426,7 @@ def test_column_simulation_keeps_only_the_requested_edges(code, net):
 
 
 def _pairs(keys, messages, n_messages):
-    return iter([key * n_messages + message for key, message in zip(keys, messages)])
+    return [key * n_messages + message for key, message in zip(keys, messages)]
 
 
 def _old_rule(keys, messages, n_messages):
@@ -455,11 +455,20 @@ def _old_rule(keys, messages, n_messages):
         # one key, every message equally often; zero messages to hide
         ([3] * 6, [0, 1, 2] * 2, 3, True),
         ([0, 1, 2], [0, 0, 0], 1, True),
+        # as many states as pairs below (max key + 1) * n_messages: every pair once,
+        # in any order
+        ([1, 0, 1, 0], [1, 1, 0, 0], 2, True),
+        # a repeat: key 0 is never observed, key 1 sees each message twice
+        ([1, 1, 1, 1], [0, 1, 1, 0], 2, True),
+        # a repeat: key 0 sees message 1 twice and message 0 never
+        ([0, 0, 1, 1], [1, 1, 0, 1], 2, False),
+        # a repeat: one key observed, its messages uneven
+        ([1, 1, 1, 1], [0, 1, 1, 1], 2, False),
     ],
 )
 def test_uniform_given_key_on_hand_made_columns(keys, messages, n_messages, expected):
     assert _old_rule(keys, messages, n_messages) is expected
-    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages) is expected
+    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages, max(keys) + 1) is expected
 
 
 @given(st.integers(0, 10_000), st.lists(st.integers(0, 2), min_size=1, max_size=30), st.integers(1, 3))
@@ -467,7 +476,7 @@ def test_uniform_given_key_on_hand_made_columns(keys, messages, n_messages, expe
 def test_uniform_given_key_matches_the_bucket_rule(seed, keys, n_messages):
     rng = random.Random(seed)
     messages = [rng.randrange(n_messages) for _ in keys]
-    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages) == _old_rule(keys, messages, n_messages)
+    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages, 3) == _old_rule(keys, messages, n_messages)
 
 
 @st.composite
@@ -510,7 +519,45 @@ def test_lane_built_pairs_match_the_bucket_rule(case):
     value = _base_q(key_cols, q, width) * n_messages + _base_q(message_cols, q, width)
     pairs = _unlanes(value, width, len(keys))
     assert list(pairs) == [k * n_messages + m for k, m in zip(keys, messages)]
-    assert _uniform_given_key(pairs, n_messages) == _old_rule(keys, messages, n_messages)
+    assert _uniform_given_key(pairs, n_messages, q ** len(key_cols)) == _old_rule(keys, messages, n_messages)
+
+
+@st.composite
+def _full_space_cases(draw):
+    """Key and message digit columns with exactly one state per possible pair:
+    a permuted full range, blocks of every message under keys that may repeat
+    (uniform, some key never observed), or such blocks with one message changed."""
+    q = draw(st.integers(2, 4))
+    n_key = draw(st.integers(0, 2))
+    n_msg = draw(st.integers(1, 3 - n_key))
+    n_keys, n_messages = q**n_key, q**n_msg
+    kind = draw(st.sampled_from(["permuted", "repeated", "changed"]))
+    if kind == "permuted":
+        pairs = [divmod(v, n_messages) for v in draw(st.permutations(range(n_keys * n_messages)))]
+    else:
+        owners = draw(st.lists(st.integers(0, n_keys - 1), min_size=n_keys, max_size=n_keys))
+        pairs = [(key, t) for key in owners for t in range(n_messages)]
+        if kind == "changed":
+            i = draw(st.integers(0, len(pairs) - 1))
+            pairs[i] = (pairs[i][0], draw(st.integers(0, n_messages - 1)))
+        pairs = draw(st.permutations(pairs))
+    width = draw(st.sampled_from([1, 2, 4, 8]))
+
+    def columns(values, count):
+        return [bytes(v // q ** (count - 1 - i) % q for v in values) for i in range(count)]
+
+    keys, messages = [k for k, _ in pairs], [m for _, m in pairs]
+    return q, width, columns(keys, n_key), columns(messages, n_msg), keys, messages
+
+
+@given(_full_space_cases())
+@settings(max_examples=300, deadline=None)
+def test_lane_built_pairs_filling_the_pair_space_match_the_bucket_rule(case):
+    q, width, key_cols, message_cols, keys, messages = case
+    n_keys, n_messages = q ** len(key_cols), q ** len(message_cols)
+    assert len(keys) == n_keys * n_messages
+    pairs = _unlanes(_base_q(key_cols, q, width) * n_messages + _base_q(message_cols, q, width), width, len(keys))
+    assert _uniform_given_key(pairs, n_messages, n_keys) == _old_rule(keys, messages, n_messages)
 
 
 @pytest.mark.parametrize(
@@ -525,6 +572,32 @@ def _parallel_network(n_edges):
     """One source, no middle nodes and n parallel edges into the sink."""
     edges = [(f"e{k}", "s1", "rho") for k in range(1, n_edges + 1)]
     return make_network(["s1", "rho"], edges, ["s1"], "rho")
+
+
+def test_an_r_edge_view_of_one_source_is_settled_without_counting(monkeypatch):
+    """GF(4), four parallel edges, r = 2: 256 states, and each pair of edges
+    sees 16 keys times 16 messages, so a secure code's pairs are a permutation
+    of the pair space and `Counter` never runs.  The B = I copy leaks, where a
+    pair repeats, and reports the reference scan's first leak."""
+    net = _parallel_network(4)
+    code = construct(net, 2, field=GF4, seed=0)
+    unmixed = SecureCode(code.base, code.r, Matrix.identity(GF4, code.rate))
+    assert GF4.q ** (code.rate * net.num_sources) == 256
+    module = importlib.import_module("snfc.verify")  # `snfc.verify` is the function
+    counter, counted = module.Counter, []
+
+    def counting(pairs):
+        counted.append(len(pairs))
+        return counter(pairs)
+
+    monkeypatch.setattr(module, "Counter", counting)
+    assert check_exhaustive(code, net) == (True, True, None)
+    assert counted == []
+    leaking = check_exhaustive(unmixed, net)
+    assert leaking[:2] == (True, False) and counted
+    assert leaking == (check_computability(unmixed, net), *check_security_rank(unmixed, net))
+    monkeypatch.setattr(module, "_first_leak", lambda family, classes, leaks: first_leak(family, leaks))
+    assert check_exhaustive(unmixed, net) == leaking
 
 
 @pytest.mark.parametrize("field", [GF257, GF512], ids=repr)
