@@ -14,8 +14,9 @@ admissible vectors.
 
 One entry, `_run_code`, runs a secure code on raw input columns: it applies
 B^-1 to them, walks the local rules and applies the computability rule at the
-sink.  `decodes_message_sum` runs it on the unit inputs, and the exhaustive
-pass in `verify` on every state.
+sink.  `decodes_message_sum` and `secure_vectors` run it on the unit inputs;
+both security routes in `verify` run it once, the rank route on the unit
+inputs key-first and the exhaustive pass on every state.
 """
 
 from __future__ import annotations
@@ -182,11 +183,6 @@ def _unit_columns(field: Field, n: int) -> list:
     return [field.pack(int(t == k) for t in range(n)) for k in range(n)]
 
 
-def _edge_vectors(code: SumCode, net: Network, inputs: list) -> dict[str, tuple[int, ...]]:
-    cols = _propagate(lambda terms: code.field.combination(terms, len(inputs[0])), _propagation_plan(code, net), inputs)
-    return dict(zip(net.order, map(tuple, cols)))
-
-
 # -- global encoding vectors ---------------------------------------------------------
 
 def global_vectors(code: SumCode | SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
@@ -198,13 +194,15 @@ def global_vectors(code: SumCode | SecureCode, net: Network) -> dict[str, tuple[
     base = code.base if isinstance(code, SecureCode) else code
     if not isinstance(base, SumCode):
         raise InvariantViolated(f"expected a sum or secure code, got {type(base).__name__}")
-    return _edge_vectors(base, net, _unit_columns(base.field, base.rate * net.num_sources))
+    field, n = base.field, base.rate * net.num_sources
+    cols = _propagate(lambda terms: field.combination(terms, n), _propagation_plan(base, net), _unit_columns(field, n))
+    return dict(zip(net.order, map(tuple, cols)))
 
 
 def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
-    """The global vectors of what actually flows: B^-1 enters through the inputs."""
+    """The global vectors of what actually flows: the code run on the unit inputs."""
     units = _unit_columns(code.field, code.rate * net.num_sources)
-    return _edge_vectors(code.base, net, _mix_inputs(code, units))
+    return {eid: tuple(col) for eid, col in _run_code(code, net, units, net.order)[1].items()}
 
 
 def _run_code(code: SecureCode, net: Network, inputs: list, keep=()) -> tuple[bool, dict]:

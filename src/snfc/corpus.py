@@ -7,26 +7,24 @@ from typing import Iterator
 
 from .network import Network, make_network
 
+MAX_SOURCES = 3
+MAX_LAYERS = 3
+MAX_WIDTH = 3
 
-def random_network(
-    seed: int,
-    max_edges: int = 12,
-    max_sources: int = 3,
-    max_layers: int = 3,
-    max_width: int = 3,
-) -> Network:
+
+def random_network(seed: int, max_edges: int = 12) -> Network:
     """A small valid network: layered, acyclic, every node on a sink path.
 
     Multi-edges are allowed and appear regularly, matching the model.  The same
     seed always yields the same network.
     """
     rng = random.Random(f"corpus:{seed}")
-    n_sources = rng.randint(1, max_sources)
+    n_sources = rng.randint(1, MAX_SOURCES)
     layers: list[list[str]] = [[f"s{i + 1}" for i in range(n_sources)]]
-    n_mid_layers = rng.randint(0, max_layers - 1)
+    n_mid_layers = rng.randint(0, MAX_LAYERS - 1)
     node_counter = 0
     for _ in range(n_mid_layers):
-        width = rng.randint(1, max_width)
+        width = rng.randint(1, MAX_WIDTH)
         layer = []
         for _ in range(width):
             node_counter += 1

@@ -2,20 +2,22 @@
 
 Computability is one rule on input columns: each message-decoder column
 applied to the sink's columns gives the sum over the sources of that message
-input.  `codes._run_code` runs a code on input columns and applies it;
-`codes.decodes_message_sum` runs the unit inputs, which span every input, and
-the exhaustive pass every state.
+input.  `codes._run_code` runs a code on input columns and applies it.  The
+rule is linear, so it holds on every state exactly when it holds on the unit
+inputs, and `verify` checks it once: on every state when the exhaustive pass
+runs, else on the unit inputs (`codes.decodes_message_sum`).
 Security has two independent routes, a rank criterion and an exhaustive
 tabulation of the conditional message distribution, which must agree wherever
-both run.
+both run.  Each runs the code once on its own inputs (`_settle`).
 
 The rank criterion: a wiretap set W leaks exactly when some nonzero combination
 of the global vectors it sees is zero on every key coordinate, for that
-combination of its symbols is a function of the messages alone.  With each
-vector's r*s key coordinates first, this is a pivot at index >= r*s in the
-echelon form of W's vectors.  It is the test rank([H_W | Gamma]) =
-rank(H_W) + ell*s read directly: Gamma, the block-diagonal message selector,
-spans exactly the vectors that vanish on the keys.
+combination of its symbols is a function of the messages alone.  Run on the
+unit inputs with the r*s key coordinates first, an edge's column is its global
+vector in that order, and a leak is a pivot at index >= r*s in the echelon
+form of W's columns.  It is the test rank([H_W | Gamma]) = rank(H_W) + ell*s
+read directly: Gamma, the block-diagonal message selector, spans exactly the
+vectors that vanish on the keys.
 
 The exhaustive route simulates the local rules of the code, never its global
 vectors.  One pass, `check_exhaustive`, pushes all q^(rate * s) states through the
@@ -40,13 +42,12 @@ plus one entry per distinct pair.  The per-state reference,
 `simulate`, lives with the tests in `tests/reference.py`.
 
 Both security checks test each distinct view once, maximal views first
-(`_first_leak`).  Edges whose columns (or global vectors) agree up to a nonzero
-scalar share a class (`_view_classes`), zero edges have none, and a wiretap
-set's view is the set of its edges' classes: sets with equal views see the
-same thing.  A view that leaks nothing has no leaking subview, so when no
-maximal view leaks the code is secure, and only on a leak is the family
-scanned in order, reading the verdicts already found, for the first failing
-set it reports.
+(`_first_leak`).  Edges whose columns agree up to a nonzero scalar share a
+class (`_view_classes`), zero edges have none, and a wiretap set's view is the
+set of its edges' classes: sets with equal views see the same thing.  A view
+that leaks nothing has no leaking subview, so when no maximal view leaks the
+code is secure, and only on a leak is the family scanned in order, reading the
+verdicts already found, for the first failing set it reports.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bounds import lower_bound, primary_wiretap_sets, upper_bound
-from .codes import SecureCode, SumCode, _run_code, as_secure, decodes_message_sum, secure_vectors
+from .codes import SecureCode, SumCode, _run_code, _unit_columns, as_secure, decodes_message_sum
 from .errors import (
     MalformedInput,
     NegativeSecurityLevel,
@@ -205,6 +206,16 @@ def _first_leak(family: list[tuple[str, ...]], classes: dict[str, int], leaks) -
     return False, next(wset for wset, view in zip(family, views) if view_leaks(view))
 
 
+def _settle(secure: SecureCode, net: Network, fast: bool, inputs: list, leaks) -> tuple:
+    """Run the code once on `inputs`, keeping the tapped edges' columns, and settle
+    the family's views by `leaks(cols, wset)`: (computable, secure, first failing set).
+    """
+    family = wiretap_family(net, secure.r, fast)
+    computable, cols = _run_code(secure, net, inputs, {eid for wset in family for eid in wset})
+    classes = _view_classes(secure.field, cols)
+    return (computable, *_first_leak(family, classes, lambda wset: leaks(cols, wset)))
+
+
 def _check_shapes(code: SecureCode, net: Network) -> None:
     n_in = len(net.in_edges[net.sink])
     if code.base.decoder.shape != (n_in, code.rate):
@@ -221,14 +232,6 @@ def _check_shapes(code: SecureCode, net: Network) -> None:
 
 def _state_count(code: SecureCode, net: Network) -> int:
     return code.field.q ** (code.rate * net.num_sources)
-
-
-def _check_state_count(code: SecureCode, net: Network, cap: int | None) -> int:
-    total = _state_count(code, net)
-    limit = state_cap(cap)
-    if total > limit:
-        raise TooLarge(f"{total} states exceed the cap {limit}")
-    return total
 
 
 # -- state columns ---------------------------------------------------------------------
@@ -339,10 +342,11 @@ def check_security_rank(
 ) -> tuple[bool, tuple[str, ...] | None]:
     """Rank criterion: no combination of what a wiretap set sees may be keyless.
 
-    Each global vector is reordered so that the r*s key coordinates come first.
-    A wiretap set leaks exactly when the echelon form of its vectors has a
-    pivot at index >= r*s: that row combines the observed symbols into a
-    nonzero function of the messages alone.  This equals the test
+    The code runs once on the unit inputs, the r*s key coordinates first, so
+    each tapped edge's column is its secure global vector, key-first.  A
+    wiretap set leaks exactly when the echelon form of its columns has a pivot
+    at index >= r*s: that row combines the observed symbols into a nonzero
+    function of the messages alone.  This equals the test
     rank([H_W | Gamma]) == rank(H_W) + ell*s with Gamma the block-diagonal
     message selector, because Gamma's column span is exactly the vectors that
     vanish on every key coordinate.
@@ -355,15 +359,14 @@ def check_security_rank(
     blocks = range(net.num_sources)
     keys = [b * rate + j for b in blocks for j in range(ell, rate)]
     order = keys + [b * rate + j for b in blocks for j in range(ell)]
-    field = secure.field
-    vectors = {eid: tuple(v[k] for k in order) for eid, v in secure_vectors(secure, net).items()}
-    classes = _view_classes(field, {eid: field.pack(v) for eid, v in vectors.items()})
+    units = _unit_columns(secure.field, len(order))
+    inputs = [units[order.index(k)] for k in range(len(order))]
 
-    def leaks(wset):
-        span = Echelon(field, (vectors[eid] for eid in wset))
+    def leaks(cols, wset):
+        span = Echelon(secure.field, (cols[eid] for eid in wset))
         return any(pivot >= len(keys) for pivot in span.rows)
 
-    return _first_leak(wiretap_family(net, secure.r, fast), classes, leaks)
+    return _settle(secure, net, fast, inputs, leaks)[1:]
 
 
 # -- exhaustive ----------------------------------------------------------------------------
@@ -382,23 +385,21 @@ def check_exhaustive(
     """
     secure = as_secure(code)
     _check_shapes(secure, net)
-    total = _check_state_count(secure, net, cap)
+    total, limit = _state_count(secure, net), state_cap(cap)
+    if total > limit:
+        raise TooLarge(f"{total} states exceed the cap {limit}")
     q, rate, ell, s = secure.field.q, secure.rate, secure.ell, net.num_sources
-    family = wiretap_family(net, secure.r, fast)
-    tapped = {eid for wset in family for eid in wset}
     inputs = _state_columns(secure, net)
-    computable, cols = _run_code(secure, net, inputs, tapped)
     width = _lane_width(total)
     messages = _base_q([inputs[i * rate + j] for i in range(s) for j in range(ell)], q, width)
     n_messages = q ** (ell * s)
 
-    def leaks(wset):
+    def leaks(cols, wset):
         keys = _base_q([cols[eid] for eid in wset], q, width)
         pairs = _unlanes(keys * n_messages + messages, width, total)
         return not _uniform_given_key(pairs, n_messages, q ** len(wset))
 
-    classes = _view_classes(secure.field, cols)
-    return (computable, *_first_leak(family, classes, leaks))
+    return _settle(secure, net, fast, inputs, leaks)
 
 
 # -- aggregate -----------------------------------------------------------------------------
@@ -415,18 +416,19 @@ def verify(
 
     The exhaustive pass runs when the states fit under the cap, or always
     with `exhaustive` (then a state count over the cap raises TooLarge).
+    Computability is checked once: on every state when the exhaustive pass
+    runs, else on the unit inputs (`check_computability`), the same verdict.
     """
     if r is not None and r < 0:
         raise NegativeSecurityLevel(f"security level {r} is negative")
     secure = as_secure(code, r)
-    computable = check_computability(secure, net)
     secure_rank, failing = check_security_rank(secure, net, fast=fast)
-    sec_ex: bool | None = None
     if exhaustive or _state_count(secure, net) <= state_cap(cap):
-        computable_ex, sec_ex, failing_ex = check_exhaustive(secure, net, fast=fast, cap=cap)
-        computable = computable and computable_ex
+        computable, sec_ex, failing_ex = check_exhaustive(secure, net, fast=fast, cap=cap)
         if failing is None:
             failing = failing_ex
+    else:
+        computable, sec_ex = check_computability(secure, net), None
     # lower <= upper, so the sweep runs only when ell exceeds the lower bound
     ell, level = secure.ell, secure.r
     return VerifyReport(

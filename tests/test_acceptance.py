@@ -49,7 +49,7 @@ def announce(number: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def random_corpus():
-    return list(corpus(CORPUS_SIZE, base_seed=CORPUS_SEED, max_edges=12, max_sources=3))
+    return list(corpus(CORPUS_SIZE, base_seed=CORPUS_SEED, max_edges=12))
 
 
 def test_criterion_1_butterfly_exactness(butterfly):

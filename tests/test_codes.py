@@ -112,7 +112,7 @@ def test_codes_over_other_fields_keep_their_digest():
     digest = hashlib.sha256()
     for spec in ("3", "5", "3^2", "257", "2^9", "65521"):
         field = snfc.parse_field(spec)
-        for net in corpus(30, base_seed=500, max_edges=10, max_sources=3):
+        for net in corpus(30, base_seed=500, max_edges=10):
             cm = c_min(net)
             mc = build_reversed_multicast(net, cm, field, seed=7)
             out = [sorted((v, m.data) for v, m in mc.kernels.items()), list(mc.global_kernels.items())]

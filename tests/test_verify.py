@@ -780,20 +780,29 @@ def test_verify_simulates_every_state_once(butterfly, monkeypatch):
     module = importlib.import_module("snfc.verify")
     calls = []
 
-    def counting(name):
+    def counting(name, detail=lambda *args: None):
         wrapped = getattr(module, name)
 
         def call(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, detail(*args)))
             return wrapped(*args, **kwargs)
 
         monkeypatch.setattr(module, name, call)
 
     counting("_state_columns")
-    counting("_run_code")
-    report = verify(fixtures.code("butterfly"), butterfly, exhaustive=True)
+    counting("_run_code", lambda code, net, inputs, *keep: len(inputs[0]))  # how many inputs one run covers
+    counting("check_computability")
+    code = fixtures.code("butterfly")
+    units = code.rate * butterfly.num_sources
+    # the rank route runs the unit inputs, the exhaustive pass every state, and
+    # the pass's computability verdict is the report's
+    report = verify(code, butterfly, exhaustive=True)
     assert report.computable and report.secure_exhaustive
-    assert calls == ["_state_columns", "_run_code"]
+    assert calls == [("_run_code", units), ("_state_columns", None), ("_run_code", code.field.q**units)]
+    calls.clear()
+    report = verify(code, butterfly, cap=0)
+    assert report.computable and report.secure_exhaustive is None
+    assert calls == [("_run_code", units), ("check_computability", None)]
 
 
 def test_verify_skips_exhaustive_beyond_cap(butterfly):
@@ -851,6 +860,9 @@ def test_verify_report_on_corrupted_code(butterfly):
         code.r,
         code.mixing,
     )
-    report = verify(corrupted, butterfly)
-    assert not report.computable
-    assert not report.all_passed
+    # with and without the exhaustive pass, which then decides computability
+    for cap in (None, 1):
+        report = verify(corrupted, butterfly, cap=cap)
+        assert (report.secure_exhaustive is None) == (cap == 1)
+        assert not report.computable
+        assert not report.all_passed
