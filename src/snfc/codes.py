@@ -12,11 +12,11 @@ entry with `randrange(q)` from its own `random.Random`, seeded with (seed,
 field, rate), and the mixing columns are the lexicographically first
 admissible vectors.
 
-One entry, `_run_code`, runs a secure code on raw input columns: it applies
-B^-1 to them, walks the local rules and applies the computability rule at the
-sink.  `decodes_message_sum` and `secure_vectors` run it on the unit inputs;
-both security routes in `verify` run it once, the rank route on the unit
-inputs key-first and the exhaustive pass on every state.
+A code runs in three steps: `_walk` runs a sum code's local rules on input
+columns, `_run_code` applies a secure code's B^-1 to raw input columns and
+walks them, and `_computable` is the computability rule at the sink, applied
+only where its verdict is read: `decodes_message_sum`, `verify.check_exhaustive`
+and `sum_code_from_multicast`, which checks the bare sum code against its D.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _propagation_plan(code: SumCode, net: Network) -> list[list[tuple[int, int]]
     """The sum code's local rules in `net.order`, over the raw source columns.
 
     Input i * rate + k is coordinate k of source i; edge p of the order is
-    index s * rate + p.  The mixing matrix is not in the plan: see `_mix_inputs`.
+    index s * rate + p.  The mixing matrix is not in the plan: see `_run_code`.
     """
     rate = code.rate
     n_in = rate * net.num_sources
@@ -163,22 +163,6 @@ def _propagation_plan(code: SumCode, net: Network) -> list[list[tuple[int, int]]
     return plan
 
 
-def _mix_inputs(code: SecureCode, inputs: list) -> list:
-    """The input columns with B^-1 applied once per source.
-
-    The secure code sends <x, B^-1 c> on a source edge with raw column c, which
-    is <(B^-1)^T x, c>: transforming the inputs replaces a matrix product per
-    source edge.
-    """
-    field, n, rate = code.field, len(inputs[0]), code.rate
-    binv = code.mixing_inverse.columns()
-    return [
-        field.combination(zip(col, inputs[first : first + rate]), n)
-        for first in range(0, len(inputs), rate)
-        for col in binv
-    ]
-
-
 def _unit_columns(field: Field, n: int) -> list:
     return [field.pack(int(t == k) for t in range(n)) for k in range(n)]
 
@@ -188,51 +172,69 @@ def _unit_columns(field: Field, n: int) -> list:
 def global_vectors(code: SumCode | SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
     """Per-edge stacked column vectors mapping all source inputs to edge symbols.
 
-    Computed by propagating the s * rate unit columns through the local rules of
+    Computed by walking the s * rate unit columns through the local rules of
     the sum code (of a secure code's base: the raw source columns, without B).
     """
     base = code.base if isinstance(code, SecureCode) else code
     if not isinstance(base, SumCode):
         raise InvariantViolated(f"expected a sum or secure code, got {type(base).__name__}")
-    field, n = base.field, base.rate * net.num_sources
-    cols = _propagate(lambda terms: field.combination(terms, n), _propagation_plan(base, net), _unit_columns(field, n))
-    return dict(zip(net.order, map(tuple, cols)))
+    units = _unit_columns(base.field, base.rate * net.num_sources)
+    return {eid: tuple(col) for eid, col in _walk(base, net, units, net.order).items()}
 
 
 def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
     """The global vectors of what actually flows: the code run on the unit inputs."""
     units = _unit_columns(code.field, code.rate * net.num_sources)
-    return {eid: tuple(col) for eid, col in _run_code(code, net, units, net.order)[1].items()}
+    return {eid: tuple(col) for eid, col in _run_code(code, net, units, net.order).items()}
 
 
-def _run_code(code: SecureCode, net: Network, inputs: list, keep=()) -> tuple[bool, dict]:
-    """Run the code on raw input columns of one length n: rate per source, in
-    source order, before B^-1.
+def _walk(code: SumCode, net: Network, inputs: list, keep) -> dict:
+    """Walk the sum code's local rules on input columns of one length, rate per
+    source in source order, and return the column of each edge in `keep`;
+    every other column is dropped after its last use."""
+    field, n, pos = code.field, len(inputs[0]), net.order_index
+    plan = _propagation_plan(code, net)
+    cols = _propagate(lambda terms: field.combination(terms, n), plan, inputs, {pos[eid] for eid in keep})
+    return {eid: cols[pos[eid]] for eid in keep}
 
-    Returns whether the computability rule holds on them, that is whether each
-    message-decoder column applied to the sink's columns gives the sum over the
-    sources of that message input, and the column of each edge in `keep`.
-    Every other column is dropped after its last use.
+
+def _run_code(code: SecureCode, net: Network, inputs: list, keep) -> dict:
+    """`_walk` of the secure code's sum code on raw input columns with B^-1 applied
+    once per source.
+
+    The secure code sends <x, B^-1 c> on a source edge with raw column c, which
+    is <(B^-1)^T x, c>: transforming the inputs replaces a matrix product per
+    source edge.
     """
-    field, rate, n = code.field, code.rate, len(inputs[0])
-    pos = net.order_index
-    sink_pos = [pos[e.id] for e in net.in_edges[net.sink]]
-    keep_pos = {*sink_pos, *(pos[eid] for eid in keep)}
-    plan = _propagation_plan(code.base, net)
-    cols = _propagate(lambda terms: field.combination(terms, n), plan, _mix_inputs(code, inputs), keep_pos)
-    received = [cols[p] for p in sink_pos]
-    decoded = all(
+    field, n, rate = code.field, len(inputs[0]), code.rate
+    binv = code.mixing_inverse.columns()
+    mixed = [
+        field.combination(zip(col, inputs[first : first + rate]), n)
+        for first in range(0, len(inputs), rate)
+        for col in binv
+    ]
+    return _walk(code.base, net, mixed, keep)
+
+
+def _computable(decoder: Matrix, net: Network, inputs: list, cols: dict) -> bool:
+    """The computability rule on the raw input columns a code ran on, rate per source
+    in source order: decoder column j applied to the sink's columns in `cols`
+    gives the sum over the sources of input j."""
+    field, n, rate = decoder.field, len(inputs[0]), len(inputs) // net.num_sources
+    received = [cols[e.id] for e in net.in_edges[net.sink]]
+    return all(
         field.combination(zip(dec_col, received), n)
         == field.combination(((1, inputs[first + j]) for first in range(0, len(inputs), rate)), n)
-        for j, dec_col in enumerate(message_decoder(code).columns())
+        for j, dec_col in enumerate(decoder.columns())
     )
-    return decoded, {eid: cols[pos[eid]] for eid in keep}
 
 
 def decodes_message_sum(code: SecureCode, net: Network) -> bool:
     """The computability criterion, on the unit inputs: they span every input,
     so the sink decodes every message sum exactly when it decodes theirs."""
-    return _run_code(code, net, _unit_columns(code.field, code.rate * net.num_sources))[0]
+    units = _unit_columns(code.field, code.rate * net.num_sources)
+    cols = _run_code(code, net, units, [e.id for e in net.in_edges[net.sink]])
+    return _computable(message_decoder(code), net, units, cols)
 
 
 # -- multicast on the reversed network ---------------------------------------------
@@ -301,8 +303,8 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
 
     Per-source matrices come from the transposed right inverses, intermediate
     coefficients from the transposed kernels, and the decoder from the
-    transposed kernel of the original sink; the stacked-identity decoding
-    property is asserted before returning.
+    transposed kernel of the original sink; before returning, the computability
+    rule checks that D decodes the stacked identity.
     """
     field = mc.field
     rate = mc.rate
@@ -320,7 +322,9 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
                     local_coeffs[e_out.id] = entry
     decoder = mc.kernels[net.sink].transpose()  # |in(sink)| x R
     code = SumCode(field, rate, source_matrices, local_coeffs, decoder)
-    if not decodes_message_sum(as_secure(code), net):
+    units = _unit_columns(field, rate * net.num_sources)
+    cols = _walk(code, net, units, [e.id for e in net.in_edges[net.sink]])
+    if not _computable(decoder, net, units, cols):
         raise ReversalInconsistent("reversed code does not decode the stacked identity")
     return code
 
@@ -492,6 +496,11 @@ class LiftedCode:
     Every scalar becomes its L x L multiplication matrix, so the code computes
     the sum ell = (R - r) * L times per n = L network uses; the message rate
     R - r is unchanged.
+
+    Block (i, j) of an expanded matrix is the multiplication matrix of entry
+    (i, j): coords(out_j) = sum_i block(i, j) coords(in_i), in `Field.coeffs`
+    coordinates.  Inputs are a source's R coordinates (messages first), an
+    in-edge's symbol or the sink's in-edges; outputs an edge's symbol or a sum.
     """
 
     base_prime: int

@@ -51,10 +51,6 @@ class ResidualNetwork(Network):
     base: Network
     removed: frozenset[str]
 
-    @property
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(eid for eid in self.base.order if eid not in self.removed)
-
 
 def residual(net: Network, edge_set: Iterable[str]) -> ResidualNetwork:
     removed = frozenset(net.check_edges(edge_set))

@@ -1,53 +1,46 @@
 """Independent checking of constructed and hand-authored codes.
 
-Computability is one rule on input columns: each message-decoder column
-applied to the sink's columns gives the sum over the sources of that message
-input.  `codes._run_code` runs a code on input columns and applies it.  The
-rule is linear, so it holds on every state exactly when it holds on the unit
-inputs, and `verify` checks it once: on every state when the exhaustive pass
-runs, else on the unit inputs (`codes.decodes_message_sum`).
+A check runs a code in two steps from `codes`: `_run_code` runs it on input
+columns and returns the kept edges' columns, and `_computable`, the
+computability rule, reads the message decoder against the sink's columns:
+decoder column j gives the sum over the sources of message input j.  The rule
+is linear, so it holds on every state exactly when it holds on the unit
+inputs, and a report applies it once: `check_exhaustive` to every state's
+columns when the exhaustive pass runs, else `check_computability` to the unit
+inputs' (`codes.decodes_message_sum`).  The rank route never applies it.
+
 Security has two independent routes, a rank criterion and an exhaustive
 tabulation of the conditional message distribution, which must agree wherever
-both run.  Each runs the code once on its own inputs (`_settle`).
+both run.  Each runs the code once on its own inputs (`_settle`), keeping the
+columns of the tapped edges and of the sink's in-edges.
 
-The rank criterion: a wiretap set W leaks exactly when some nonzero combination
-of the global vectors it sees is zero on every key coordinate, for that
-combination of its symbols is a function of the messages alone.  Run on the
-unit inputs with the r*s key coordinates first, an edge's column is its global
-vector in that order, and a leak is a pivot at index >= r*s in the echelon
-form of W's columns.  It is the test rank([H_W | Gamma]) = rank(H_W) + ell*s
-read directly: Gamma, the block-diagonal message selector, spans exactly the
-vectors that vanish on the keys.
+The rank criterion (`check_security_rank`): a wiretap set W leaks exactly when
+some nonzero combination of the global vectors it sees is zero on every key
+coordinate, for that combination of its symbols is a function of the messages
+alone.  Run on the unit inputs with the r*s key coordinates first, an edge's
+column is its global vector in that order, and a leak is a pivot at index
+>= r*s in the echelon form of W's columns.
 
-The exhaustive route simulates the local rules of the code, never its global
-vectors.  One pass, `check_exhaustive`, pushes all q^(rate * s) states through the
-network at once, one symbol column per edge: `codes._run_code` walks the local
-rules (the walker that also gives the global vectors, from unit inputs) and
-decodes the sink's columns against the message sums.  The pass then tabulates
-one view at a time.
-The mixing matrix enters through the input columns: each source's state columns
-are mixed by (B^-1)^T before the walk, and the plan holds the raw local rules.
-Time is O(states * (|E| + |views|)).  A column is the field's packed column
-(`Field.pack`: one byte per state, two once q > 256), each sum of scaled
-columns is one `Field.combination`, and a column lives until its last use: the
-pass keeps the sink's in-edges and every edge that some wiretap set reads, plus
-the propagation frontier, so its memory is O(states * |E|) bytes (at most the
-state cap times |E|).  A wiretap set is tabulated from its pair column, one
-value key * q^(ell*s) + message per state, built with int arithmetic on
-fixed-width lanes (see `_lanes`).  When the view has as many possible pairs
-as there are states, as an r-edge view on one source has, and one `set` finds
-them all distinct, the view leaks nothing; otherwise `Counter` counts them
-(`_uniform_given_key`).  Either costs one lane of at most 8 bytes per state,
-plus one entry per distinct pair.  The per-state reference,
-`simulate`, lives with the tests in `tests/reference.py`.
+The exhaustive route (`check_exhaustive`) simulates the local rules of the
+code, never its global vectors: it pushes all q^(rate * s) states through the
+network at once, one symbol column per edge, then tabulates one view at a
+time.  The mixing matrix enters through the input columns: each source's
+state columns are mixed by (B^-1)^T before the walk (`codes._walk`), which
+runs the raw local rules.  Time is O(states * (|E| + |views|)).  A column is
+the field's packed column (`Field.pack`: one byte per state, two once
+q > 256), each sum of scaled columns is one `Field.combination`, and a column
+lives until its last use, so the pass's memory is O(states * |E|) bytes (at
+most the state cap times |E|).  A wiretap set is tabulated from its pair
+column, one value key * q^(ell*s) + message per state, built with int
+arithmetic on fixed-width lanes (see `_lanes`); `_uniform_given_key` settles
+it with one `set` or one `Counter`, at one lane of at most 8 bytes per state
+plus one entry per distinct pair.  The per-state reference, `simulate`, lives
+with the tests in `tests/reference.py`.
 
 Both security checks test each distinct view once, maximal views first
-(`_first_leak`).  Edges whose columns agree up to a nonzero scalar share a
-class (`_view_classes`), zero edges have none, and a wiretap set's view is the
-set of its edges' classes: sets with equal views see the same thing.  A view
-that leaks nothing has no leaking subview, so when no maximal view leaks the
-code is secure, and only on a leak is the family scanned in order, reading the
-verdicts already found, for the first failing set it reports.
+(`_first_leak`): a wiretap set's view is the set of its edges' classes, and
+edges whose columns agree up to a nonzero scalar share one (`_view_classes`).
+Only on a leak is the family scanned in order for the first failing set.
 """
 
 from __future__ import annotations
@@ -63,7 +56,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bounds import lower_bound, primary_wiretap_sets, upper_bound
-from .codes import SecureCode, SumCode, _run_code, _unit_columns, as_secure, decodes_message_sum
+from .codes import (
+    SecureCode, SumCode, _computable, _run_code, _unit_columns, as_secure, decodes_message_sum, message_decoder
+)
 from .errors import (
     MalformedInput,
     NegativeSecurityLevel,
@@ -207,13 +202,16 @@ def _first_leak(family: list[tuple[str, ...]], classes: dict[str, int], leaks) -
 
 
 def _settle(secure: SecureCode, net: Network, fast: bool, inputs: list, leaks) -> tuple:
-    """Run the code once on `inputs`, keeping the tapped edges' columns, and settle
-    the family's views by `leaks(cols, wset)`: (computable, secure, first failing set).
+    """Run the code once on `inputs`, keeping the columns of the tapped edges and
+    the sink's in-edges, and settle the family's views by `leaks(cols, wset)`:
+    (the kept columns, secure, first failing set).  The caller that reads
+    computability applies the rule to the kept columns.
     """
     family = wiretap_family(net, secure.r, fast)
-    computable, cols = _run_code(secure, net, inputs, {eid for wset in family for eid in wset})
-    classes = _view_classes(secure.field, cols)
-    return (computable, *_first_leak(family, classes, lambda wset: leaks(cols, wset)))
+    tapped = {eid for wset in family for eid in wset}
+    cols = _run_code(secure, net, inputs, tapped.union(e.id for e in net.in_edges[net.sink]))
+    classes = _view_classes(secure.field, {eid: cols[eid] for eid in tapped})
+    return (cols, *_first_leak(family, classes, lambda wset: leaks(cols, wset)))
 
 
 def _check_shapes(code: SecureCode, net: Network) -> None:
@@ -342,14 +340,10 @@ def check_security_rank(
 ) -> tuple[bool, tuple[str, ...] | None]:
     """Rank criterion: no combination of what a wiretap set sees may be keyless.
 
-    The code runs once on the unit inputs, the r*s key coordinates first, so
-    each tapped edge's column is its secure global vector, key-first.  A
-    wiretap set leaks exactly when the echelon form of its columns has a pivot
-    at index >= r*s: that row combines the observed symbols into a nonzero
-    function of the messages alone.  This equals the test
-    rank([H_W | Gamma]) == rank(H_W) + ell*s with Gamma the block-diagonal
-    message selector, because Gamma's column span is exactly the vectors that
-    vanish on every key coordinate.
+    A leak is a pivot at index >= r*s in the echelon form of a set's key-first
+    columns (see the module docstring): the test rank([H_W | Gamma]) ==
+    rank(H_W) + ell*s read directly, as Gamma, the block-diagonal message
+    selector, spans exactly the vectors that vanish on every key coordinate.
 
     Returns (ok, first failing wiretap set in family order).
     """
@@ -376,7 +370,7 @@ def check_exhaustive(
 ) -> tuple[bool, bool, tuple[str, ...] | None]:
     """Simulate every state once and check both properties on the same columns.
 
-    Computable is the computability rule on every state (`codes._run_code`).
+    Computable is the computability rule on every state (`codes._computable`).
     Secure means: given any observable symbol tuple, every message vector is
     still equally likely; the wiretap sets are tabulated one at a time, maximal
     sets first.  Exact but exponential; guarded by the state cap.
@@ -399,7 +393,8 @@ def check_exhaustive(
         pairs = _unlanes(keys * n_messages + messages, width, total)
         return not _uniform_given_key(pairs, n_messages, q ** len(wset))
 
-    return _settle(secure, net, fast, inputs, leaks)
+    cols, ok, failing = _settle(secure, net, fast, inputs, leaks)
+    return _computable(message_decoder(secure), net, inputs, cols), ok, failing
 
 
 # -- aggregate -----------------------------------------------------------------------------

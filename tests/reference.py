@@ -27,6 +27,9 @@ The package has one implementation of each object; these are the independent
   against the column pass of `codes._run_code` that `verify.check_exhaustive`
   runs on every state and, read through the message decoder on every state,
   the computability rule it applies;
+- `run_lifted`: a lifted code run state by state over the base field, against
+  the same-field claim that `codes.lift_extension` rests on: it computes every
+  message sum, and no set of at most r edges learns anything of the messages;
 - `first_leak`: every maximal wiretap set tested, then the family scanned in
   order, with no sharing between sets that see alike, against
   `verify._first_leak`;
@@ -42,12 +45,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from typing import Iterable, NamedTuple
 
 from snfc.bounds import _omega_report, primary_wiretap_sets
 from snfc.cuts import CutReport
 from snfc import codes
-from snfc.codes import SecureCode, SumCode, _propagate, _propagation_plan
+from snfc.codes import LiftedCode, SecureCode, SumCode, _propagate, _propagation_plan
 from snfc.errors import InvariantViolated
 from snfc import fixtures
 from snfc.gf import Echelon, Field, Matrix, make_field
@@ -280,6 +284,67 @@ def simulate(code: SecureCode, net: Network, inputs: tuple[tuple[int, ...], ...]
     mixed = [Matrix.build(code.field, [row], ncols=code.rate).mul(binv).row(0) for row in inputs]
     y = _run_plan(code.field, _propagation_plan(code.base, net), [x for row in mixed for x in row])
     return {eid: y[i] for i, eid in enumerate(net.order)}
+
+
+# -- lifted codes ------------------------------------------------------------------
+
+def run_lifted(lifted: LiftedCode, net: Network, r: int) -> tuple[bool, bool]:
+    """(computable, secure) of a lifted code at security level r, state by state over GF(p).
+
+    A symbol is L = lifted.n base symbols, and block (i, j) of a matrix maps the
+    i-th input's symbol to its part of the j-th output, as the `LiftedCode`
+    docstring states.  Each source holds R = lifted.rate + r symbols, the message
+    ones first.  Computable: on every state, decoder output j is the sum over the
+    sources of their message symbol j.  Secure: for every set of at most r edges,
+    the r * L base symbols it sees are independent of the messages.
+    """
+    p, L, ell = lifted.base_prime, lifted.n, lifted.rate
+    R, sources = ell + r, list(net.sources)
+
+    def block(mat: Matrix, i: int, j: int) -> list[tuple[int, ...]]:
+        return [row[j * L : (j + 1) * L] for row in mat.data[i * L : (i + 1) * L]]
+
+    def apply(terms) -> tuple[int, ...]:
+        out = [0] * L
+        for rows, symbol in terms:
+            for a, row in enumerate(rows):
+                out[a] += sum(x * y for x, y in zip(row, symbol))
+        return tuple(x % p for x in out)
+
+    sink_in = [e.id for e in net.in_edges[net.sink]]
+    family = [w for k in range(1, r + 1) for w in itertools.combinations(net.order, k)]
+    views: list[Counter] = [Counter() for _ in family]
+    messages: Counter = Counter()
+    computable = True
+    for flat in itertools.product(range(p), repeat=len(sources) * R * L):
+        x = {s: [flat[(i * R + k) * L : (i * R + k + 1) * L] for k in range(R)] for i, s in enumerate(sources)}
+        y: dict[str, tuple[int, ...]] = {}
+        for eid in net.order:
+            tail = net.edge_by_id[eid].tail
+            if tail in x:
+                mat = lifted.source_matrices[tail][eid]
+                y[eid] = apply((block(mat, k, 0), x[tail][k]) for k in range(R))
+            else:
+                incoming = lifted.local_matrices.get(eid, {})
+                y[eid] = apply((block(mat, 0, 0), y[did]) for did, mat in incoming.items())
+        for j in range(ell):
+            decoded = apply((block(lifted.decoder, i, j), y[eid]) for i, eid in enumerate(sink_in))
+            computable = computable and decoded == tuple(sum(col) % p for col in zip(*(x[s][j] for s in sources)))
+        message = tuple(itertools.chain.from_iterable(x[s][:ell] for s in sources))
+        messages[message] += 1
+        for counts, wset in zip(views, family):
+            counts[tuple(y[eid] for eid in wset), message] += 1
+    n_messages = len(messages)
+    secure = True
+    for counts in views:
+        seen = Counter()
+        for (view, _), c in counts.items():
+            seen[view] += c
+        # independent: every view seen meets every message, each as often
+        secure = secure and len(counts) == len(seen) * n_messages and all(
+            c * n_messages == seen[view] for (view, _), c in counts.items()
+        )
+    return computable, secure
 
 
 # -- first leaking wiretap set -------------------------------------------------------

@@ -119,7 +119,7 @@ def test_the_benchmark_reaches_the_verify_module_and_its_keywords():
 def test_verify_runs_codes_through_the_one_entry_in_codes():
     # the walk over the local rules lives in codes.py; verify reaches it only through codes._run_code
     module = sys.modules["snfc.verify"]
-    for name in ("_propagate", "_propagation_plan", "_mix_inputs", "_sums_decoded"):
+    for name in ("_walk", "_propagate", "_propagation_plan", "_mix_inputs", "_sums_decoded"):
         assert not hasattr(module, name), f"snfc.verify.{name}"
     assert module._run_code is importlib.import_module("snfc.codes")._run_code
 

@@ -32,7 +32,7 @@ from snfc import (
 import snfc
 import snfc.codes as codes_module
 from snfc import fixtures
-from snfc.codes import MULTICAST_ATTEMPTS, SCAN_CAP, MulticastCode, _vector_avoiding
+from snfc.codes import MULTICAST_ATTEMPTS, SCAN_CAP, MulticastCode, SecureCode, _vector_avoiding
 from snfc.corpus import corpus, random_network
 from snfc.errors import (
     ConstructionFailed,
@@ -47,7 +47,14 @@ from snfc.errors import (
     SingularB,
 )
 from snfc.gf import Echelon, Field
-from reference import butterfly_sum_code_gf2, multicast_attempts, scan_avoiding, simulate, transfer_global_vectors
+from reference import (
+    butterfly_sum_code_gf2,
+    multicast_attempts,
+    run_lifted,
+    scan_avoiding,
+    simulate,
+    transfer_global_vectors,
+)
 from test_verify import _column_cases, random_code
 
 GF2 = make_field(2, 1)
@@ -231,9 +238,13 @@ def test_a_failed_field_leaves_no_frames_behind():
 
 # -- reversal into a sum code ----------------------------------------------------------
 
-def test_reversal_produces_stacked_identity(butterfly):
+def test_reversal_produces_stacked_identity(butterfly, monkeypatch):
     mc = build_reversed_multicast(butterfly, 2, GF4, seed=11)
+    # the reversal check runs the bare sum code against its D: it builds no SecureCode
+    built, init = [], SecureCode.__init__
+    monkeypatch.setattr(SecureCode, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     code = sum_code_from_multicast(mc, butterfly)
+    assert built == []
     vectors = global_vectors(code, butterfly)
     g_rho = Matrix.from_columns(GF4, [vectors[e.id] for e in butterfly.in_edges[butterfly.sink]])
     assert g_rho.mul(code.decoder).data == stacked_identity(GF4, 2, 2).data
@@ -503,6 +514,25 @@ def test_lift_expands_generator_entry(butterfly):
     assert col == (1, 2)
     block = lifted.source_matrices["s2"]["e3"]
     assert block.data == ((1, 0), (0, 1), (0, 1), (1, 1))
+
+
+def _lifted_cases():
+    yield pytest.param(fixtures.code("butterfly"), fixtures.network("butterfly"), id="butterfly")
+    # constructed GF(4) codes of 256 base-field states whose B is not the identity:
+    # two sources at r = 1, and one source at r = 2
+    for seed, r in [(61, 1), (8, 2)]:
+        net = random_network(seed)
+        yield pytest.param(construct(net, r, seed=0), net, id=f"corpus{seed}-r{r}")
+
+
+@pytest.mark.parametrize("code,net", list(_lifted_cases()))
+def test_lifted_code_computes_every_sum_and_leaks_nothing(code, net, monkeypatch):
+    # the same-field claim, on the lift run over GF(p) state by state
+    assert code.field.m > 1 and code.field.p ** (code.rate * code.field.m * net.num_sources) <= 1024
+    assert run_lifted(lift_extension(code, net), net, code.r) == (True, True)
+    # a lift of the raw source columns, without B^-1, fails
+    monkeypatch.setattr(codes_module, "secure_vectors", lambda code, net: global_vectors(code.base, net))
+    assert run_lifted(lift_extension(code, net), net, code.r) != (True, True)
 
 
 def test_lift_rejects_prime_field(butterfly):

@@ -441,7 +441,9 @@ def test_source_side_is_what_the_origin_reaches_around_the_cut():
 # -- residual view ------------------------------------------------------------------------
 
 def test_residual_empty_removal(butterfly):
-    assert residual(butterfly, []).edge_ids == butterfly.order
+    view = residual(butterfly, [])
+    assert view.edges == butterfly.edges and view.removed == frozenset()
+    assert view.order == butterfly.order
 
 
 def test_residual_removal_restricts_paths(butterfly):

@@ -21,7 +21,7 @@ from snfc import (
     verify,
 )
 from snfc import fixtures
-from snfc.codes import SecureCode, SumCode, _run_code, as_secure, message_decoder, secure_vectors
+from snfc.codes import SecureCode, SumCode, _computable, _run_code, as_secure, message_decoder, secure_vectors
 from snfc.errors import MalformedInput, NegativeSecurityLevel, ShapeMismatch, TooLarge
 from snfc.corpus import random_network
 from snfc.verify import (
@@ -394,11 +394,13 @@ def _column_cases():
 
 @pytest.mark.parametrize("code,net", list(_column_cases()))
 def test_column_simulation_matches_simulate(code, net):
-    """The column pass gives every state's symbols, and both its verdict and
-    `check_computability` equal the rule read off the per-state reference: on
-    every state the message decoder takes the sink's symbols to the message sums."""
+    """The column pass gives every state's symbols, and the computability rule on
+    its columns, `check_exhaustive`'s verdict and `check_computability` all equal
+    the rule read off the per-state reference: on every state the message
+    decoder takes the sink's symbols to the message sums."""
     inputs = _state_columns(code, net)
-    computable, cols = _run_code(code, net, inputs, net.order)
+    cols = _run_code(code, net, inputs, net.order)
+    computable = _computable(message_decoder(code), net, inputs, cols)
     assert list(cols) == list(net.order)
     q, rate, s = code.field.q, code.rate, net.num_sources
     field = code.field
@@ -413,16 +415,16 @@ def test_column_simulation_matches_simulate(code, net):
         received = Matrix.build(field, [[symbols[eid] for eid in received_ids]], ncols=len(received_ids))
         sums = tuple(functools.reduce(field.add, (row[j] for row in rows)) for j in range(code.ell))
         decodes = decodes and received.mul(decoder).row(0) == sums
-    assert check_computability(code, net) == computable == decodes
+    assert check_computability(code, net) == check_exhaustive(code, net)[0] == computable == decodes
 
 
 @pytest.mark.parametrize("code,net", list(_column_cases())[:6])
 def test_column_simulation_keeps_only_the_requested_edges(code, net):
     """Dropping the other columns after their last use changes no kept column."""
     inputs = _state_columns(code, net)
-    computable, full = _run_code(code, net, inputs, net.order)
+    full = _run_code(code, net, inputs, net.order)
     for keep in ([e.id for e in net.in_edges[net.sink]], net.order[:1], net.order[-1:], []):
-        assert _run_code(code, net, inputs, keep) == (computable, {eid: full[eid] for eid in keep})
+        assert _run_code(code, net, inputs, keep) == {eid: full[eid] for eid in keep}
 
 
 def _pairs(keys, messages, n_messages):
@@ -729,7 +731,7 @@ def test_scaled_and_zero_columns_share_and_skip_views(field, r, columns, decoder
         field, rate, {"s1": {f"e{k}": col for k, col in enumerate(columns, 1)}}, {}, Matrix.build(field, rows, ncols=rate)
     )
     code = secure_code(base, Matrix.identity(field, rate), r)
-    _, cols = _run_code(code, net, _state_columns(code, net), set(net.edge_by_id))
+    cols = _run_code(code, net, _state_columns(code, net), set(net.edge_by_id))
     classes = _view_classes(field, cols)
     assert classes["e1"] == classes["e2"] and "e3" not in classes
     assert len(set(classes.values())) == len(columns) - 2
@@ -780,29 +782,41 @@ def test_verify_simulates_every_state_once(butterfly, monkeypatch):
     module = importlib.import_module("snfc.verify")
     calls = []
 
-    def counting(name, detail=lambda *args: None):
-        wrapped = getattr(module, name)
+    def counting(name, detail=lambda *args: None, holder=module):
+        wrapped = getattr(holder, name)
 
         def call(*args, **kwargs):
             calls.append((name, detail(*args)))
             return wrapped(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, call)
+        monkeypatch.setattr(holder, name, call)
 
+    inputs_covered = lambda code_or_decoder, net, inputs, *rest: len(inputs[0])  # the inputs one call covers
+    counting("check_security_rank")
     counting("_state_columns")
-    counting("_run_code", lambda code, net, inputs, *keep: len(inputs[0]))  # how many inputs one run covers
+    counting("_run_code", inputs_covered)
     counting("check_computability")
+    # the rule at both of its bindings: the exhaustive pass's and `codes.decodes_message_sum`'s
+    for holder in (module, importlib.import_module("snfc.codes")):
+        counting("_computable", inputs_covered, holder)
     code = fixtures.code("butterfly")
     units = code.rate * butterfly.num_sources
-    # the rank route runs the unit inputs, the exhaustive pass every state, and
-    # the pass's computability verdict is the report's
+    # the rank route runs the unit inputs and applies no computability rule; the
+    # exhaustive pass runs every state and applies the rule to them, once
     report = verify(code, butterfly, exhaustive=True)
     assert report.computable and report.secure_exhaustive
-    assert calls == [("_run_code", units), ("_state_columns", None), ("_run_code", code.field.q**units)]
+    states = code.field.q**units
+    assert calls == [
+        ("check_security_rank", None),
+        ("_run_code", units),
+        ("_state_columns", None),
+        ("_run_code", states),
+        ("_computable", states),
+    ]
     calls.clear()
     report = verify(code, butterfly, cap=0)
     assert report.computable and report.secure_exhaustive is None
-    assert calls == [("_run_code", units), ("check_computability", None)]
+    assert calls == [("check_security_rank", None), ("_run_code", units), ("check_computability", None), ("_computable", units)]
 
 
 def test_verify_skips_exhaustive_beyond_cap(butterfly):
