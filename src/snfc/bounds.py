@@ -30,7 +30,8 @@ The sweep runs only the max-flows its answer needs:
   max-flow only when the sweep reaches it.  Every size is counted first, so
   PRIMARY_SET_LIMIT refuses a family before any max-flow runs;
 - the residual cut of a set is cut from its feeding sources' flow to the sink,
-  kept in the network's memo (`cuts.node_flow`) and shared with c_min and c_min_bar.
+  kept in the network's memo (`cuts.node_flow`) and shared with c_min and c_min_bar;
+  every flow to a node runs on the network's one shared arc layout (`cuts._layout`).
 
 The lower bound max(c_min - r, 0) is the exact rate in four cases: r = 0,
 r >= c_min_bar (rate 0), c_min = c_min_bar, and the cut structure case.  The

@@ -495,7 +495,8 @@ class LiftedCode:
 
     Every scalar becomes its L x L multiplication matrix, so the code computes
     the sum ell = (R - r) * L times per n = L network uses; the message rate
-    R - r is unchanged.
+    R - r is unchanged.  `rate` holds that message rate R - r, whereas
+    `SumCode.rate` and `SecureCode.rate` hold R, keys included.
 
     Block (i, j) of an expanded matrix is the multiplication matrix of entry
     (i, j): coords(out_j) = sum_i block(i, j) coords(in_i), in `Field.coeffs`

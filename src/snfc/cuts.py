@@ -1,12 +1,14 @@
 """Unit-capacity cut machinery: minimum cuts, source-side (primary) cuts, residual
 graphs, and the two cut statistics that drive every capacity bound.
 
-Every cut comes from a max-flow on unit arcs, laid out in one place, `_max_flow`,
-by blocking flows out of the origin nodes (`_augment`).  Its target is a node or an
-edge set; each target edge's arc runs from its tail straight into the super-sink,
-and a node target stands for its in-edges.  The returned cut is always the unique
-minimum cut closest to the origin set: the edges leaving the set of nodes still
-reachable from the origin in the residual graph of a maximum flow.
+Every cut comes from a max-flow on unit arcs, laid out by one builder, `_arcs`,
+by blocking flows out of the origin nodes (`_augment`).  Every flow to a node
+runs to the node itself on the network's one shared layout (`_layout`), writing
+only its own capacities; a flow to an edge set has a layout of its own, where
+each target edge's arc runs from its tail straight into a super-sink.  The
+returned cut is always the unique minimum cut closest to the origin set: the
+edges leaving the set of nodes still reachable from the origin in the residual
+graph of a maximum flow.
 
 A flow to a node lives in the network's memo (`network.per_network`), one per
 (origin, target), and is only read after `node_flow` builds it: `min_cut`, the
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from itertools import compress
+from typing import Collection, Iterable
 
 from .errors import EmptyTarget, InvariantViolated, MalformedInput, TargetInU, UnknownEdge
 from .network import Edge, Network, per_network
@@ -60,26 +63,29 @@ def residual(net: Network, edge_set: Iterable[str]) -> ResidualNetwork:
 
 # -- max flow -------------------------------------------------------------------
 
-def _augment(adj: list[list[int]], to: list[int], cap: bytearray, origin: tuple[int, ...]) -> tuple[int, set[int]]:
+def _augment(
+    adj: list[list[int]], to: list[int], cap: bytearray, origin: tuple[int, ...], sink: int
+) -> tuple[int, set[int]]:
     """Blocking flows on unit arcs (Dinitz, 1970) from the origin nodes to the
-    super-sink, phase by phase, until the super-sink is out of reach.
+    sink node, phase by phase, until the sink is out of reach.  The sink is a
+    node target itself, or the super-sink of an edge-target layout.
 
-    A phase levels the nodes by BFS from the origin, up to the super-sink's
-    level, then a DFS moves one unit along each path that climbs one level per
-    arc.  A node's current arc is an iterator over its arcs, so no arc is tried
-    twice in a phase; a dead end, with no arc left, loses its level.
+    A phase levels the nodes by BFS from the origin, up to the sink's level,
+    then a DFS moves one unit along each path that climbs one level per arc.
+    A node's current arc is an iterator over its arcs, so no arc is tried
+    twice in a phase; a dead end, with no arc left, loses its level.  No
+    search leaves the sink, so its out-edges never carry flow.
 
     Updates cap in place.  Returns the flow added and the node set still
     reachable from the origin, which the final (failed) BFS labels.
     """
-    t_star = len(adj) - 1
     value = 0
     while True:
         level = [-1] * len(adj)
         for o in origin:
             level[o] = 0
         queue, depth = origin, 0
-        while queue and level[t_star] == -1:
+        while queue and level[sink] == -1:
             depth += 1
             nxt = []
             for u in queue:
@@ -88,11 +94,11 @@ def _augment(adj: list[list[int]], to: list[int], cap: bytearray, origin: tuple[
                         level[v] = depth
                         nxt.append(v)
             queue = nxt
-        if level[t_star] == -1:
+        if level[sink] == -1:
             return value, {v for v, d in enumerate(level) if d != -1}
-        for v in queue:  # no path to the super-sink runs through its own level
+        for v in queue:  # no path to the sink runs through its own level
             level[v] = -1
-        level[t_star] = depth
+        level[sink] = depth
         current = list(map(iter, adj))
         for o in origin:
             path, u = [], o  # the arcs from o to u
@@ -108,19 +114,18 @@ def _augment(adj: list[list[int]], to: list[int], cap: bytearray, origin: tuple[
                     continue
                 path.append(a)
                 u = to[a]
-                if u == t_star:  # each arc's unit moves to its reverse
+                if u == sink:  # each arc's unit moves to its reverse
                     for a in path:
                         cap[a], cap[a ^ 1] = 0, 1
                     value += 1
                     path, u = [], o
 
 
-def _max_flow(nodes: Iterable[str], edges: Iterable[Edge], origin: Iterable[str], targets: set[str]) -> tuple:
-    """The node index, each node's arcs, each arc's head, the residual capacities,
-    the origin indices, and the flow value and reachable node set of a maximum
-    flow from the origin to the target edges: edge i is arc 2i, from its tail to
-    its head or, for a target edge, to the super-sink (node len(nodes)); arc
-    2i + 1 is its reverse."""
+def _arcs(nodes: Iterable[str], edges: Iterable[Edge], targets: Collection[str] = ()) -> tuple:
+    """The node index, each node's arcs and each arc's head: edge i is arc 2i,
+    from its tail to its head or, for a target edge, to the super-sink (node
+    len(nodes)); arc 2i + 1 is its reverse.  A flow on it starts from
+    `bytearray([1, 0]) * (number of edges)` as its residual capacities."""
     idx = {n: i for i, n in enumerate(nodes)}
     t_star = len(idx)
     adj: list[list[int]] = [[] for _ in range(t_star + 1)]
@@ -130,22 +135,29 @@ def _max_flow(nodes: Iterable[str], edges: Iterable[Edge], origin: Iterable[str]
         adj[u].append(2 * i)
         adj[v].append(2 * i + 1)
         to += (v, u)
-    cap = bytearray([1, 0]) * (len(to) // 2)
-    starts = tuple(dict.fromkeys(idx[n] for n in origin))
-    return (idx, adj, to, cap, starts, *_augment(adj, to, cap, starts))
+    return idx, adj, to
+
+
+@per_network
+def _layout(net: Network) -> tuple:
+    """The arcs of every edge of `net.order` to its head, shared by every flow
+    to a node; each flow writes only its own capacities."""
+    return _arcs(net.nodes, map(net.edge_by_id.__getitem__, net.order))
 
 
 class ResidualFlow:
     """A maximum flow from an origin node set to a target on a unit-capacity
     network, reused for minimum cuts with a small edge set deleted.
 
-    The target is a node or a nonempty set of edge ids.  Each target edge's arc
-    runs from its tail straight into the super-sink, so no finite cut puts the
-    super-sink on the origin side: the finite cuts and their source sides are
-    those of the edge set.  A node target stands for its in-edges.  Edge i of
-    `net.order` is arc 2i and its reverse is arc 2i + 1 (`_max_flow`), so the
-    flow on an edge is the residual capacity (a byte, 0 or 1) of its reverse.
-    It keeps the network's cached node and edge orders, not the network.
+    The target is a node or a nonempty set of edge ids.  A node target is its
+    own sink on the network's shared layout (`_layout`).  Only an edge target
+    has a layout of its own, where each target edge's arc runs from its tail
+    straight into the super-sink, so no finite cut puts the super-sink on the
+    origin side: the finite cuts and their source sides are those of the edge
+    set.  Edge i of `net.order` is arc 2i and its reverse is arc 2i + 1
+    (`_arcs`), so the flow on an edge is the residual capacity (a byte, 0 or 1)
+    of its reverse.  It keeps the network's cached node and edge orders, not
+    the network.
 
     `cut_without(W)` cancels the at most |W| flow units that cross W, then
     re-augments from that flow, so it moves at most |W| units instead of a
@@ -162,21 +174,25 @@ class ResidualFlow:
             (target,) = net.check_nodes([target])
             if target in origin:
                 raise TargetInU(f"target {target!r} is in the origin set")
-            targets = {e.id for e in net.in_edges[target]}
+            idx, self._adj, self._to = _layout(net)
+            self._sink = idx[target]
         else:
             targets = set(net.check_edges(target))
             if not targets:
                 raise EmptyTarget("the target edge set is empty")
+            idx, self._adj, self._to = _arcs(net.nodes, map(net.edge_by_id.__getitem__, net.order), targets)
+            self._sink = len(idx)
         self._nodes, self._order, self._index = net.nodes, net.order, net.order_index
-        flow = _max_flow(net.nodes, map(net.edge_by_id.__getitem__, net.order), origin, targets)
-        _, self._adj, self._to, self._cap, self._origin, self.value, self._reach = flow
+        self._origin = tuple(dict.fromkeys(idx[n] for n in origin))
+        self._cap = bytearray([1, 0]) * len(self._order)
+        self.value, self._reach = _augment(self._adj, self._to, self._cap, self._origin, self._sink)
 
     def _drain(self, cap: bytearray, x: int, parity: int) -> None:
         """Take one unit of flow off a path from node x back to an origin with no
-        flow-carrying in-edge (parity 1: along reverse arcs) or on to the
-        super-sink (parity 0).  The network is acyclic, so the walk ends there."""
-        adj, to, t_star = self._adj, self._to, len(self._adj) - 1
-        while x != t_star:
+        flow-carrying in-edge (parity 1: along reverse arcs) or on to the sink
+        (parity 0).  The network is acyclic, so the walk ends there."""
+        adj, to = self._adj, self._to
+        while x != self._sink:
             for a in adj[x]:
                 if a & 1 == parity and cap[a | 1]:
                     break
@@ -203,14 +219,14 @@ class ResidualFlow:
                     self._drain(cap, self._to[a], 0)
                     value -= 1
                 cap[a] = cap[a | 1] = 0
-            added, reach = _augment(self._adj, self._to, cap, self._origin)
+            added, reach = _augment(self._adj, self._to, cap, self._origin, self._sink)
             value += added
         # an edge is cut when it carries flow out of the reachable set
         to = self._to
         cut = sorted(
-            eid
-            for eid, u, v, flow in zip(self._order, to[1::2], to[::2], cap[1::2])
-            if u in reach and v not in reach and flow
+            self._order[i]
+            for i in compress(range(len(self._order)), cap[1::2])
+            if to[2 * i + 1] in reach and to[2 * i] not in reach
         )
         if len(cut) != value:
             raise InvariantViolated(f"cut of {len(cut)} edges for a flow of value {value}")
@@ -272,7 +288,9 @@ def is_primary(net: Network, edge_set: Iterable[str]) -> bool:
     if not origin:
         raise MalformedInput("the origin set is empty")
     edges = [e for e in net.edges if e.head in upstream or e.id in ids]
-    idx, *_, value, reach = _max_flow((n for n in net.nodes if n in upstream), edges, origin, ids)
+    idx, adj, to = _arcs((n for n in net.nodes if n in upstream), edges, ids)
+    cap = bytearray([1, 0]) * len(edges)
+    value, reach = _augment(adj, to, cap, tuple(idx[s] for s in origin), len(idx))
     return value == len(ids) and all(idx[t] in reach for t in tails)
 
 
@@ -286,12 +304,18 @@ def _primary_edges(net: Network) -> frozenset[str]:
     edges on every source path to v, the intersection over v's in-edges e of
     dom[tail(e)] plus e (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
     Algorithm", 2001).  Sources have no in-edges and every other node has one,
-    so each intersection has a term.
+    so each intersection has a term.  It is empty, and not built, when v has
+    two or more in-edges and one's tail has an empty set: that in-edge is the
+    only candidate, and on every path to another one's tail it closes a cycle.
     """
     dom = {s: frozenset() for s in net.sources}
     for v in net.node_order:
         if v not in dom:
-            dom[v] = frozenset.intersection(*(dom[e.tail] | {e.id} for e in net.in_edges[v]))
+            ins = net.in_edges[v]
+            if len(ins) > 1 and not all(dom[e.tail] for e in ins):
+                dom[v] = frozenset()
+            else:
+                dom[v] = frozenset.intersection(*(dom[e.tail] | {e.id} for e in ins))
     return frozenset(e.id for e in net.edges if not dom[e.tail])
 
 

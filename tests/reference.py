@@ -12,6 +12,9 @@ The package has one implementation of each object; these are the independent
 - `max_flow_cut`: the origin-side minimum cut from a general-capacity
   Edmonds–Karp max-flow with a super-source, built from scratch, against the
   unit-arc flow of `cuts.ResidualFlow` and its incremental `cut_without`;
+- `primary_edges`: the edges that no other edge dominates, by the plain
+  dominance pass that builds every node's set, against `cuts._primary_edges`,
+  which skips the sets it can tell are empty;
 - `omega`: the residual cut of one wiretap set, through the production
   `bounds._omega_report`;
 - `full_sweep`: the upper bound's witness from the residual cut of every
@@ -172,6 +175,17 @@ def max_flow_cut(net: Network, origin: Iterable[str], target) -> CutReport:
     )
     side = sorted(n for n in net.nodes if idx[n] in parent_arc)
     return CutReport(value, tuple(cut), tuple(side))
+
+
+def primary_edges(net: Network) -> frozenset[str]:
+    """The edges e with {e} primary: dom[v], the edges on every source path to
+    v, is the intersection over v's in-edges e of dom[tail(e)] plus e, built
+    for every node in topological order; e is primary when dom[tail(e)] is empty."""
+    dom = {s: frozenset() for s in net.sources}
+    for v in net.node_order:
+        if v not in dom:
+            dom[v] = frozenset.intersection(*(dom[e.tail] | {e.id} for e in net.in_edges[v]))
+    return frozenset(e.id for e in net.edges if not dom[e.tail])
 
 
 # -- the residual cut statistic ----------------------------------------------------

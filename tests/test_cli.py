@@ -192,6 +192,9 @@ PINNED_EXAMPLE_OUTPUTS = {
     "fig2 --r 2": '{"c_min":1,"c_min_bar":1,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":2,"upper":0,"witness_W":["e5"],"witness_cut":[]}',
     "fig2 --r 3": '{"c_min":1,"c_min_bar":1,"exact":{"reason":"zero_capacity","value":0},"lower":0,"r":3,"upper":0,"witness_W":["e5"],"witness_cut":[]}',
     "fig2 --cuts mincut --sources s --to v4": '{"capacity":1,"cut":["e5"],"source_side":["s","u1","u2","v3"]}',
+    # targets with out-edges, recorded before a flow to a node took the node as its sink
+    "fig2 --cuts mincut --sources s --to v6": '{"capacity":1,"cut":["e5"],"source_side":["s","u1","u2","v3"]}',
+    "butterfly --cuts mincut --sources s1,s2 --to v6": '{"capacity":1,"cut":["e5"],"source_side":["rho","s1","s2","v3","v4","v5"]}',
     "fig2 --cuts primary --sources u1,u2 --edges e7,e8": '{"cut":["e5"]}',
     "butterfly --verify": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',
     "butterfly --verify --exhaustive": '{"bound_consistent":true,"computable":true,"failing_W":null,"rate":1,"secure_exhaustive":true,"secure_rank":true}',

@@ -17,12 +17,12 @@ from snfc import (
     primary_min_cut,
     residual,
 )
-from snfc.bounds import primary_wiretap_sets
+from snfc.bounds import primary_wiretap_sets, upper_bound
 from snfc.corpus import corpus, random_network
-from snfc.cuts import ResidualFlow, _c_min_bar_report, feeding_sources, node_flow
+from snfc.cuts import ResidualFlow, _c_min_bar_report, _primary_edges, feeding_sources, node_flow
 from snfc.errors import EmptyTarget, MalformedInput, TargetInU, UnknownEdge, UnknownNode
 from snfc.network import Network, make_network
-from reference import max_flow_cut, reach_sets, reachable
+from reference import max_flow_cut, primary_edges, reach_sets, reachable
 from test_bounds import bound_large_stars
 
 
@@ -244,6 +244,55 @@ def test_blocking_flows_on_deep_networks_match_a_reference_max_flow():
     assert checked >= 16 * 4 * 7
 
 
+def test_flows_to_inner_nodes_match_a_reference_max_flow():
+    # a node target is the flow's own sink on the shared layout; an inner node
+    # has out-edges, which the flow must leave empty, and nodes past it can
+    # still be on the source side
+    checked = 0
+    with finishes_within(60):
+        for net in [*corpus(40), *map(layered_network, range(16)), *bound_large_stars(1, 2)]:
+            rng = random.Random(len(net.order))
+            for v in net.node_order:
+                if v in net.sources or v == net.sink:
+                    continue
+                assert net.out_edges[v]
+                origin = rng.choice([[s] for s in net.sources] + [list(net.sources)])
+                assert min_cut(net, origin, v) == max_flow_cut(net, origin, v), v
+                flow = ResidualFlow(net, origin, v)
+                for wset in (rng.sample(net.order, rng.randint(1, min(3, len(net.order)))) for _ in range(3)):
+                    assert flow.cut_without(wset) == max_flow_cut(residual(net, wset), origin, v), (v, wset)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_the_shared_layout_is_only_read_and_built_once_per_network(monkeypatch):
+    # flows to nodes share one arc layout and write only their own capacities;
+    # with two sources, upper_bound builds that layout and one of its own for
+    # each of the two one-source c_min_bar frontier terms
+    module = importlib.import_module("snfc.cuts")
+    for net in [*corpus(40), *bound_large_stars(1, 2)]:
+        upper_bound(net, 1)
+        rng = random.Random(len(net.order))
+        inner = [v for v in net.node_order if v not in net.sources and v != net.sink]
+        flows = [ResidualFlow(net, net.sources, v) for v in inner[:3]]
+        for flow in [node_flow(net, frozenset(net.sources), net.sink), *flows]:
+            for _ in range(3):
+                flow.cut_without(rng.sample(net.order, min(2, len(net.order))))
+        assert module._layout(net) == module._arcs(net.nodes, map(net.edge_by_id.__getitem__, net.order))
+
+    plain, built = module._arcs, []
+
+    def counted(*args):
+        built.append(args)
+        return plain(*args)
+
+    (net,) = bound_large_stars(1, 1)
+    monkeypatch.setattr(module, "_arcs", counted)
+    upper_bound(net, 1)
+    assert len(built) == 3
+    assert len(built[0]) == 2  # the shared layout first, with no target edges
+
+
 def test_c_min_bar_all_sources_term_is_the_frontier_cut():
     # with every source chosen, the frontier is the sink's in-edges, so the
     # shared flow to the sink stands in for the edge-target cut
@@ -359,9 +408,9 @@ def test_is_primary_on_the_upstream_arcs_matches_its_definition(monkeypatch):
     module = importlib.import_module("snfc.cuts")
     plain, arcs = module._augment, []
 
-    def counted(adj, to, cap, origin):
+    def counted(adj, to, cap, origin, sink):
         arcs.append(len(cap))
-        return plain(adj, to, cap, origin)
+        return plain(adj, to, cap, origin, sink)
 
     for net in bound_large_stars(1, 2):
         rng = random.Random(len(net.order))
@@ -375,6 +424,19 @@ def test_is_primary_on_the_upstream_arcs_matches_its_definition(monkeypatch):
         assert verdicts == {False, True}
         assert len(arcs) == 100 and max(arcs) < 2 * len(net.edges)  # two arcs per edge
         arcs.clear()
+
+
+def test_primary_edges_match_the_plain_dominance_pass():
+    # the pass skips building the sets of nodes it can tell have none
+    for net in [*corpus(200), *map(layered_network, range(16)), *bound_large_stars(1, 2)]:
+        assert _primary_edges(net) == primary_edges(net)
+
+
+@given(st.integers(0, 4000))
+@settings(max_examples=80, deadline=None)
+def test_primary_edges_match_the_plain_dominance_pass_on_drawn_networks(seed):
+    net = random_network(seed)
+    assert _primary_edges(net) == primary_edges(net)
 
 
 @given(st.data())
