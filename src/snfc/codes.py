@@ -496,7 +496,8 @@ class LiftedCode:
     Every scalar becomes its L x L multiplication matrix, so the code computes
     the sum ell = (R - r) * L times per n = L network uses; the message rate
     R - r is unchanged.  `rate` holds that message rate R - r, whereas
-    `SumCode.rate` and `SecureCode.rate` hold R, keys included.
+    `SumCode.rate` and `SecureCode.rate` hold R, keys included; `r` is the
+    security level, so a source holds rate + r symbols.
 
     Block (i, j) of an expanded matrix is the multiplication matrix of entry
     (i, j): coords(out_j) = sum_i block(i, j) coords(in_i), in `Field.coeffs`
@@ -508,6 +509,7 @@ class LiftedCode:
     ell: int
     n: int
     rate: int
+    r: int
     source_matrices: dict[str, dict[str, Matrix]]
     local_matrices: dict[str, dict[str, Matrix]]
     decoder: Matrix
@@ -539,6 +541,7 @@ def lift_extension(code: SecureCode, net: Network) -> LiftedCode:
         ell=code.ell * L,
         n=L,
         rate=code.ell,
+        r=code.r,
         source_matrices=src_mats,
         local_matrices=local_mats,
         decoder=companion_expand(message_decoder(code)),

@@ -30,12 +30,15 @@ runs the raw local rules.  Time is O(states * (|E| + |views|)).  A column is
 the field's packed column (`Field.pack`: one byte per state, two once
 q > 256), each sum of scaled columns is one `Field.combination`, and a column
 lives until its last use, so the pass's memory is O(states * |E|) bytes (at
-most the state cap times |E|).  A wiretap set is tabulated from its pair
-column, one value key * q^(ell*s) + message per state, built with int
-arithmetic on fixed-width lanes (see `_lanes`); `_uniform_given_key` settles
-it with one `set` or one `Counter`, at one lane of at most 8 bytes per state
-plus one entry per distinct pair.  The per-state reference, `simulate`, lives
-with the tests in `tests/reference.py`.
+most the state cap times |E|).  On one source the states of a message are a
+run of q^r, and the run test (`_runs_distinct`) clears an r-edge view with
+q^r <= 256 whose runs each see distinct keys, at one byte per state.  Any
+other view is tabulated from its pair column, one value key * q^(ell*s) +
+message per state, built with int arithmetic on fixed-width lanes (see
+`_lanes`); `_uniform_given_key` settles it with one `set` or one `Counter`,
+at one lane of at most 8 bytes per state plus one entry per distinct pair.
+The per-state reference, `simulate`, lives with the tests in
+`tests/reference.py`.
 
 Both security checks test each distinct view once, maximal views first
 (`_first_leak`): a wiretap set's view is the set of its edges' classes, and
@@ -238,7 +241,9 @@ def _state_count(code: SecureCode, net: Network) -> int:
 # coordinate is one column over all states, and `codes._run_code` turns these
 # columns into one symbol column per edge.  State t holds, at input coordinate k
 # of the rate * s flattened source rows, the base-q digit k of t, most
-# significant first: the order of itertools.product.
+# significant first: the order of itertools.product.  The run test in
+# `check_exhaustive` relies on this order: on one source the messages are the
+# top digits, so the states of one message are consecutive.
 
 def _state_columns(code: SecureCode, net: Network) -> list:
     """The rate * s input columns over all states, rate per source in source order."""
@@ -296,6 +301,28 @@ def _unlanes(value: int, width: int, n: int) -> memoryview:
     return memoryview(value.to_bytes(width * n, sys.byteorder)).cast(_LANE_FORMATS[width])
 
 
+def _runs_distinct(n_keys: int, total: int):
+    """The run test on one-byte key lanes (`_base_q(cols, q, 1)`) of `total`
+    states: are the keys of each run of n_keys <= 256 consecutive states distinct?
+
+    A fixed column lifts each run by (index mod 256 // n_keys) * n_keys, so a
+    chunk of that many runs is distinct exactly when each run is; `maketrans`
+    sends each byte to its last position and `translate` reads them back, the
+    identity exactly when no byte repeats.
+    """
+    per = 256 // n_keys * n_keys
+    lift = bytes(sorted(bytes(range(0, per, n_keys)) * n_keys))  # each run's offset, n_keys times
+    offsets = int.from_bytes((lift * (total // per + 1))[:total], sys.byteorder)
+    ident = bytes(range(per))
+
+    def distinct(keys: int) -> bool:
+        lifted = (keys + offsets).to_bytes(total, sys.byteorder)
+        pieces = (lifted[i : i + per] for i in range(0, total, per))
+        return all(p.translate(bytes.maketrans(p, ident[: len(p)])) == ident[: len(p)] for p in pieces)
+
+    return distinct
+
+
 def _uniform_given_key(pairs, n_messages: int, n_keys: int) -> bool:
     """Is every message equally likely given each observed key?
 
@@ -303,8 +330,8 @@ def _uniform_given_key(pairs, n_messages: int, n_keys: int) -> bool:
     range(n_keys) and message in range(n_messages): a lane-built pair column.
     When there are n_keys * n_messages states and their pairs are distinct, the
     pairs are that whole range, so every key sees every message once and one
-    `set` settles it.  This is the common case: an r-edge view on one source
-    has as many states as pairs, and a secure code makes them distinct.
+    `set` settles it, for the views the run test (`_runs_distinct`) cannot
+    take: r edges on one source with q^r > 256.
     Otherwise `Counter` tabulates the pairs, and each observed key must see all
     n_messages messages, with one count per key.  A repeated pair alone is no
     leak: when some key is never observed the others see each message more
@@ -384,11 +411,16 @@ def check_exhaustive(
         raise TooLarge(f"{total} states exceed the cap {limit}")
     q, rate, ell, s = secure.field.q, secure.rate, secure.ell, net.num_sources
     inputs = _state_columns(secure, net)
-    width = _lane_width(total)
-    messages = _base_q([inputs[i * rate + j] for i in range(s) for j in range(ell)], q, width)
-    n_messages = q ** (ell * s)
+    width, n_messages, n_keys = _lane_width(total), q ** (ell * s), q**secure.r
+    runs_distinct = _runs_distinct(n_keys, total) if s == 1 and n_keys <= 256 else None
+    messages = None  # built at the first view the run test leaves open
 
     def leaks(cols, wset):
+        nonlocal messages
+        if runs_distinct and len(wset) == secure.r and runs_distinct(_base_q([cols[eid] for eid in wset], q, 1)):
+            return False
+        if messages is None:
+            messages = _base_q([inputs[i * rate + j] for i in range(s) for j in range(ell)], q, width)
         keys = _base_q([cols[eid] for eid in wset], q, width)
         pairs = _unlanes(keys * n_messages + messages, width, total)
         return not _uniform_given_key(pairs, n_messages, q ** len(wset))

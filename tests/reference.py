@@ -302,17 +302,17 @@ def simulate(code: SecureCode, net: Network, inputs: tuple[tuple[int, ...], ...]
 
 # -- lifted codes ------------------------------------------------------------------
 
-def run_lifted(lifted: LiftedCode, net: Network, r: int) -> tuple[bool, bool]:
-    """(computable, secure) of a lifted code at security level r, state by state over GF(p).
+def run_lifted(lifted: LiftedCode, net: Network) -> tuple[bool, bool]:
+    """(computable, secure) of a lifted code at its security level r, state by state over GF(p).
 
     A symbol is L = lifted.n base symbols, and block (i, j) of a matrix maps the
     i-th input's symbol to its part of the j-th output, as the `LiftedCode`
-    docstring states.  Each source holds R = lifted.rate + r symbols, the message
+    docstring states.  Each source holds R = lifted.rate + lifted.r symbols, the message
     ones first.  Computable: on every state, decoder output j is the sum over the
     sources of their message symbol j.  Secure: for every set of at most r edges,
     the r * L base symbols it sees are independent of the messages.
     """
-    p, L, ell = lifted.base_prime, lifted.n, lifted.rate
+    p, L, ell, r = lifted.base_prime, lifted.n, lifted.rate, lifted.r
     R, sources = ell + r, list(net.sources)
 
     def block(mat: Matrix, i: int, j: int) -> list[tuple[int, ...]]:

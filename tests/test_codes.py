@@ -503,7 +503,8 @@ def test_lift_butterfly(butterfly):
     lifted = lift_extension(code, butterfly)
     assert (lifted.ell, lifted.n) == (2, 2)
     assert lifted.base_prime == 2
-    assert lifted.rate == 1
+    # the message rate R - r, and the security level the code was built for
+    assert (lifted.rate, lifted.r) == (1, code.r) == (1, 1)
 
 
 def test_lift_expands_generator_entry(butterfly):
@@ -529,10 +530,10 @@ def _lifted_cases():
 def test_lifted_code_computes_every_sum_and_leaks_nothing(code, net, monkeypatch):
     # the same-field claim, on the lift run over GF(p) state by state
     assert code.field.m > 1 and code.field.p ** (code.rate * code.field.m * net.num_sources) <= 1024
-    assert run_lifted(lift_extension(code, net), net, code.r) == (True, True)
+    assert run_lifted(lift_extension(code, net), net) == (True, True)
     # a lift of the raw source columns, without B^-1, fails
     monkeypatch.setattr(codes_module, "secure_vectors", lambda code, net: global_vectors(code.base, net))
-    assert run_lifted(lift_extension(code, net), net, code.r) != (True, True)
+    assert run_lifted(lift_extension(code, net), net) != (True, True)
 
 
 def test_lift_rejects_prime_field(butterfly):

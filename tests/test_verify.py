@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from snfc.verify import (
     _first_leak,
     _lane_width,
     _maximal_sets,
+    _runs_distinct,
     _state_columns,
     _uniform_given_key,
     _unlanes,
@@ -579,27 +581,110 @@ def _parallel_network(n_edges):
 def test_an_r_edge_view_of_one_source_is_settled_without_counting(monkeypatch):
     """GF(4), four parallel edges, r = 2: 256 states, and each pair of edges
     sees 16 keys times 16 messages, so a secure code's pairs are a permutation
-    of the pair space and `Counter` never runs.  The B = I copy leaks, where a
-    pair repeats, and reports the reference scan's first leak."""
+    of the pair space: the run test settles every view, and neither
+    `_uniform_given_key` nor `Counter` runs.  The B = I copy leaks, where a
+    pair repeats, so its leaking views reach `_uniform_given_key`, and it
+    reports the reference scan's first leak."""
     net = _parallel_network(4)
     code = construct(net, 2, field=GF4, seed=0)
     unmixed = SecureCode(code.base, code.r, Matrix.identity(GF4, code.rate))
     assert GF4.q ** (code.rate * net.num_sources) == 256
     module = importlib.import_module("snfc.verify")  # `snfc.verify` is the function
     counter, counted = module.Counter, []
+    uniform, tabulated = module._uniform_given_key, []
 
     def counting(pairs):
         counted.append(len(pairs))
         return counter(pairs)
 
+    def tabulating(pairs, n_messages, n_keys):
+        tabulated.append(len(pairs))
+        return uniform(pairs, n_messages, n_keys)
+
     monkeypatch.setattr(module, "Counter", counting)
+    monkeypatch.setattr(module, "_uniform_given_key", tabulating)
     assert check_exhaustive(code, net) == (True, True, None)
-    assert counted == []
+    assert counted == [] and tabulated == []
     leaking = check_exhaustive(unmixed, net)
-    assert leaking[:2] == (True, False) and counted
+    assert leaking[:2] == (True, False) and counted and tabulated
     assert leaking == (check_computability(unmixed, net), *check_security_rank(unmixed, net))
     monkeypatch.setattr(module, "_first_leak", lambda family, classes, leaks: first_leak(family, leaks))
     assert check_exhaustive(unmixed, net) == leaking
+
+
+@st.composite
+def _run_cases(draw):
+    """One-byte key lanes over runs of q^r states, one run per message: runs
+    that are permutations of range(q^r), runs with a repeated key, runs with
+    one entry changed, or every run a shuffle of one multiset (uniform given
+    the key, with repeated pairs).  The number of runs is any count, so for odd
+    q it is often not a multiple of the 256 // q^r runs of a chunk."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]))
+    r = draw(st.integers(1, max(d for d in range(1, 9) if q**d <= 256)))
+    n_keys = q**r
+    per_chunk = 256 // n_keys
+    n_runs = draw(st.one_of(st.integers(1, 3 * per_chunk + 1), st.sampled_from([q, q * q])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["permuted", "repeated", "changed", "multiset"]))
+    if kind == "multiset":
+        multiset = [rng.randrange(n_keys) for _ in range(n_keys)]
+        runs = [rng.sample(multiset, n_keys) for _ in range(n_runs)]
+    else:
+        runs = [rng.sample(range(n_keys), n_keys) for _ in range(n_runs)]
+        run = runs[rng.randrange(n_runs)]
+        i, j = rng.sample(range(n_keys), 2) if n_keys > 1 else (0, 0)
+        if kind == "repeated":
+            run[i] = run[j]
+        elif kind == "changed":
+            run[i] = rng.randrange(n_keys)
+    keys = [key for run in runs for key in run]
+    messages = [m for m in range(n_runs) for _ in range(n_keys)]
+    key_cols = [bytes(k // q ** (r - 1 - d) % q for k in keys) for d in range(r)]
+    return q, key_cols, keys, messages, n_runs
+
+
+@given(_run_cases())
+@settings(max_examples=300, deadline=None)
+def test_the_run_test_finds_exactly_the_distinct_pair_columns(case):
+    """The run test reports "all distinct" exactly when the (key, message) pairs
+    are, and with the `_uniform_given_key` fallback that `check_exhaustive`
+    takes when it does not, the verdict is the bucket rule's."""
+    q, key_cols, keys, messages, n_messages = case
+    n_keys = q ** len(key_cols)
+    pairs = _pairs(keys, messages, n_messages)
+    distinct = _runs_distinct(n_keys, len(keys))(_base_q(key_cols, q, 1))
+    assert distinct == (len(set(pairs)) == len(pairs))
+    uniform = distinct or _uniform_given_key(pairs, n_messages, n_keys)
+    assert uniform == _old_rule(keys, messages, n_messages)
+
+
+PARALLEL_FIELDS = [GF3, make_field(5, 1), make_field(7, 1), GF9, GF2, GF4, make_field(2, 3), make_field(2, 4)]
+PARALLEL_STATE_CAP = 4096
+
+
+def test_the_run_test_and_the_rank_route_agree_on_parallel_edges():
+    """Three random codes with random invertible B on 2..5 parallel edges, at
+    every rate up to the state cap and every 0 < r < rate, and their B = I
+    copies: the run test takes every r-edge view with q^r <= 256 (short last
+    chunks for odd q, one run a chunk at GF(16), r = 2), the `set` those with
+    q^r > 256 (GF(7), r = 3), and `check_exhaustive` reports the
+    (secure, failing_W) of the rank route."""
+    outcomes = Counter()
+    for field in PARALLEL_FIELDS:
+        for n_edges in range(2, 6):
+            net = _parallel_network(n_edges)
+            rng = random.Random(f"{field!r}:{n_edges}")
+            for rate in range(2, n_edges + 1):
+                if field.q**rate > PARALLEL_STATE_CAP:
+                    break
+                for r, _ in itertools.product(range(1, rate), range(3)):
+                    code = random_code(field, net, rate, r, rng)
+                    unmixed = SecureCode(code.base, code.r, Matrix.identity(field, rate))
+                    for variant in (code, unmixed):
+                        expected = check_security_rank(variant, net)
+                        assert check_exhaustive(variant, net)[1:] == expected, (field, n_edges, rate, r)
+                        outcomes[expected[0]] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 @pytest.mark.parametrize("field", [GF257, GF512], ids=repr)
