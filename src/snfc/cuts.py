@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Collection, Iterable
 
-from .errors import EmptyTarget, InvariantViolated, MalformedInput, TargetInU, UnknownEdge
+from .errors import EmptyTarget, InvariantViolated, MalformedInput, TargetInU, TooLarge, UnknownEdge
 from .network import Edge, Network, per_network
 
 
@@ -340,10 +340,16 @@ def c_min(net: Network) -> int:
     return min(report.capacity for report in source_cut_reports(net))
 
 
+SOURCE_SUBSET_LIMIT = 4095  # 12 sources; c_min_bar runs one flow per subset
+
+
 @per_network
 def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
+    count = (1 << len(net.sources)) - 1
+    if count > SOURCE_SUBSET_LIMIT:
+        raise TooLarge(f"{count} source subsets exceed the cap {SOURCE_SUBSET_LIMIT}")
     reports = []
-    for mask in range(1, 1 << len(net.sources)):
+    for mask in range(1, count + 1):
         chosen = [s for i, s in enumerate(net.sources) if mask >> i & 1]
         others = [s for i, s in enumerate(net.sources) if not mask >> i & 1]
         if not others:
@@ -361,7 +367,8 @@ def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
 def c_min_bar(net: Network) -> int:
     """Size of the smallest cut whose feeding sources are exactly the separated ones.
 
-    Found by sweeping nonempty source subsets T.  A cut has feeding = separated
+    Found by sweeping the 2^s - 1 nonempty source subsets T; more than
+    SOURCE_SUBSET_LIMIT raise TooLarge first.  A cut has feeding = separated
     = T exactly when it separates T from the node set that the other sources
     and the sink reach, and cuts no edge leaving a node of that set.  So for
     each T the smallest one is the edge-target cut of the frontier edges, whose

@@ -35,8 +35,8 @@ run of q^r, and the run test (`_runs_distinct`) clears an r-edge view with
 q^r <= 256 whose runs each see distinct keys, at one byte per state.  Any
 other view is tabulated from its pair column, one value key * q^(ell*s) +
 message per state, built with int arithmetic on fixed-width lanes (see
-`_lanes`); `_uniform_given_key` settles it with one `set` or one `Counter`,
-at one lane of at most 8 bytes per state plus one entry per distinct pair.
+`_lanes`); `_uniform_given_key` settles it with one `Counter`, at one lane
+of at most 8 bytes per state plus one count per distinct pair.
 The per-state reference, `simulate`, lives with the tests in
 `tests/reference.py`.
 
@@ -323,23 +323,15 @@ def _runs_distinct(n_keys: int, total: int):
     return distinct
 
 
-def _uniform_given_key(pairs, n_messages: int, n_keys: int) -> bool:
+def _uniform_given_key(pairs, n_messages: int) -> bool:
     """Is every message equally likely given each observed key?
 
-    `pairs` holds key * n_messages + message for each state, with key in
-    range(n_keys) and message in range(n_messages): a lane-built pair column.
-    When there are n_keys * n_messages states and their pairs are distinct, the
-    pairs are that whole range, so every key sees every message once and one
-    `set` settles it, for the views the run test (`_runs_distinct`) cannot
-    take: r edges on one source with q^r > 256.
-    Otherwise `Counter` tabulates the pairs, and each observed key must see all
-    n_messages messages, with one count per key.  A repeated pair alone is no
-    leak: when some key is never observed the others see each message more
-    than once.  The memory is one lane of at most 8 bytes per state plus one
-    set entry or count per distinct pair.
+    `pairs` holds key * n_messages + message for each state, with message in
+    range(n_messages): a lane-built pair column.  `Counter` tabulates the
+    pairs, and each observed key must see all n_messages messages, with one
+    count per key.  A repeated pair alone is no leak: when some key is never
+    observed the others see each message more than once.
     """
-    if len(pairs) == n_keys * n_messages and len(set(pairs)) == len(pairs):
-        return True
     counts = Counter(pairs)
     keys = list(map(operator.floordiv, counts, itertools.repeat(n_messages)))
     observed = len(set(keys))
@@ -423,7 +415,7 @@ def check_exhaustive(
             messages = _base_q([inputs[i * rate + j] for i in range(s) for j in range(ell)], q, width)
         keys = _base_q([cols[eid] for eid in wset], q, width)
         pairs = _unlanes(keys * n_messages + messages, width, total)
-        return not _uniform_given_key(pairs, n_messages, q ** len(wset))
+        return not _uniform_given_key(pairs, n_messages)
 
     cols, ok, failing = _settle(secure, net, fast, inputs, leaks)
     return _computable(message_decoder(secure), net, inputs, cols), ok, failing

@@ -13,6 +13,7 @@ import snfc
 from snfc import fixtures
 from snfc.cli import main
 from test_bounds import two_source_star
+from test_cuts import source_star
 
 
 @pytest.fixture
@@ -103,6 +104,18 @@ def test_primary_sets_over_the_cap_are_a_domain_error(runner, monkeypatch, tmp_p
     bounds = sys.modules["snfc.bounds"]
     monkeypatch.setattr(bounds, "PRIMARY_SET_LIMIT", 1430)
     result = runner.invoke(main, ["bound", "--network", str(path), "--r", "2", "--json"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"] == "TooLarge"
+
+
+def test_source_subsets_over_the_cap_are_a_domain_error(runner, monkeypatch, tmp_path):
+    # four sources: c_min_bar would sweep 15 nonempty source subsets
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(source_star(4).to_dict()))
+    monkeypatch.setattr(sys.modules["snfc.cuts"], "SOURCE_SUBSET_LIMIT", 14)
+    result = runner.invoke(main, ["bound", "--network", str(path), "--r", "1", "--json"])
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
     assert result.exit_code == 1

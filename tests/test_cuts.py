@@ -20,7 +20,7 @@ from snfc import (
 from snfc.bounds import primary_wiretap_sets, upper_bound
 from snfc.corpus import corpus, random_network
 from snfc.cuts import ResidualFlow, _c_min_bar_report, _primary_edges, feeding_sources, node_flow
-from snfc.errors import EmptyTarget, MalformedInput, TargetInU, UnknownEdge, UnknownNode
+from snfc.errors import EmptyTarget, MalformedInput, TargetInU, TooLarge, UnknownEdge, UnknownNode
 from snfc.network import Network, make_network
 from reference import max_flow_cut, primary_edges, reach_sets, reachable
 from test_bounds import bound_large_stars
@@ -308,6 +308,38 @@ def test_c_min_bar_all_sources_term_is_the_frontier_cut():
                 report = min_cut_edge_target(net, chosen, frontier)
                 terms.append((report.capacity, report.cut_edges))
         assert _c_min_bar_report(net) == min(terms)
+
+
+def source_star(n_sources: int) -> Network:
+    """Each source has an edge to one hub and an edge to the sink, and the hub
+    has one to the sink: c_min = 2 and c_min_bar sweeps 2^n - 1 source subsets."""
+    sources = [f"s{i + 1}" for i in range(n_sources)]
+    edges = [("h", "rho")] + [(s, head) for s in sources for head in ("h", "rho")]
+    return make_network([*sources, "h", "rho"], [(f"e{i}", *e) for i, e in enumerate(edges)], sources, "rho")
+
+
+def test_c_min_bar_refuses_more_source_subsets_than_its_cap_before_any_flow(monkeypatch):
+    module = importlib.import_module("snfc.cuts")
+    plain, flows = module._augment, []
+
+    def counted(*args):
+        flows.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(module, "_augment", counted)
+    monkeypatch.setattr(module, "SOURCE_SUBSET_LIMIT", 7)
+    assert c_min_bar(source_star(3)) == 2 and len(flows) == 7  # 7 subsets: at the cap
+    net = source_star(4)  # 15 subsets
+    monkeypatch.setattr(module, "SOURCE_SUBSET_LIMIT", 14)
+    flows.clear()
+    with pytest.raises(TooLarge):
+        c_min_bar(net)
+    assert flows == []
+    assert c_min(net) == 2 and len(flows) == 4  # one flow per source, none of the sweep
+    flows.clear()
+    with pytest.raises(TooLarge):
+        upper_bound(net, 1)
+    assert flows == []
 
 
 @given(st.integers(0, 4000))

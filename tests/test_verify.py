@@ -472,7 +472,7 @@ def _old_rule(keys, messages, n_messages):
 )
 def test_uniform_given_key_on_hand_made_columns(keys, messages, n_messages, expected):
     assert _old_rule(keys, messages, n_messages) is expected
-    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages, max(keys) + 1) is expected
+    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages) is expected
 
 
 @given(st.integers(0, 10_000), st.lists(st.integers(0, 2), min_size=1, max_size=30), st.integers(1, 3))
@@ -480,7 +480,7 @@ def test_uniform_given_key_on_hand_made_columns(keys, messages, n_messages, expe
 def test_uniform_given_key_matches_the_bucket_rule(seed, keys, n_messages):
     rng = random.Random(seed)
     messages = [rng.randrange(n_messages) for _ in keys]
-    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages, 3) == _old_rule(keys, messages, n_messages)
+    assert _uniform_given_key(_pairs(keys, messages, n_messages), n_messages) == _old_rule(keys, messages, n_messages)
 
 
 @st.composite
@@ -523,7 +523,7 @@ def test_lane_built_pairs_match_the_bucket_rule(case):
     value = _base_q(key_cols, q, width) * n_messages + _base_q(message_cols, q, width)
     pairs = _unlanes(value, width, len(keys))
     assert list(pairs) == [k * n_messages + m for k, m in zip(keys, messages)]
-    assert _uniform_given_key(pairs, n_messages, q ** len(key_cols)) == _old_rule(keys, messages, n_messages)
+    assert _uniform_given_key(pairs, n_messages) == _old_rule(keys, messages, n_messages)
 
 
 @st.composite
@@ -561,7 +561,7 @@ def test_lane_built_pairs_filling_the_pair_space_match_the_bucket_rule(case):
     n_keys, n_messages = q ** len(key_cols), q ** len(message_cols)
     assert len(keys) == n_keys * n_messages
     pairs = _unlanes(_base_q(key_cols, q, width) * n_messages + _base_q(message_cols, q, width), width, len(keys))
-    assert _uniform_given_key(pairs, n_messages, n_keys) == _old_rule(keys, messages, n_messages)
+    assert _uniform_given_key(pairs, n_messages) == _old_rule(keys, messages, n_messages)
 
 
 @pytest.mark.parametrize(
@@ -597,9 +597,9 @@ def test_an_r_edge_view_of_one_source_is_settled_without_counting(monkeypatch):
         counted.append(len(pairs))
         return counter(pairs)
 
-    def tabulating(pairs, n_messages, n_keys):
+    def tabulating(pairs, n_messages):
         tabulated.append(len(pairs))
-        return uniform(pairs, n_messages, n_keys)
+        return uniform(pairs, n_messages)
 
     monkeypatch.setattr(module, "Counter", counting)
     monkeypatch.setattr(module, "_uniform_given_key", tabulating)
@@ -648,14 +648,16 @@ def _run_cases(draw):
 def test_the_run_test_finds_exactly_the_distinct_pair_columns(case):
     """The run test reports "all distinct" exactly when the (key, message) pairs
     are, and with the `_uniform_given_key` fallback that `check_exhaustive`
-    takes when it does not, the verdict is the bucket rule's."""
+    takes when it does not, the verdict is the bucket rule's.  Every case
+    fills its pair space, and the Counter rule alone gives that verdict too."""
     q, key_cols, keys, messages, n_messages = case
     n_keys = q ** len(key_cols)
     pairs = _pairs(keys, messages, n_messages)
     distinct = _runs_distinct(n_keys, len(keys))(_base_q(key_cols, q, 1))
     assert distinct == (len(set(pairs)) == len(pairs))
-    uniform = distinct or _uniform_given_key(pairs, n_messages, n_keys)
+    uniform = distinct or _uniform_given_key(pairs, n_messages)
     assert uniform == _old_rule(keys, messages, n_messages)
+    assert _uniform_given_key(pairs, n_messages) == _old_rule(keys, messages, n_messages)
 
 
 PARALLEL_FIELDS = [GF3, make_field(5, 1), make_field(7, 1), GF9, GF2, GF4, make_field(2, 3), make_field(2, 4)]
@@ -666,8 +668,8 @@ def test_the_run_test_and_the_rank_route_agree_on_parallel_edges():
     """Three random codes with random invertible B on 2..5 parallel edges, at
     every rate up to the state cap and every 0 < r < rate, and their B = I
     copies: the run test takes every r-edge view with q^r <= 256 (short last
-    chunks for odd q, one run a chunk at GF(16), r = 2), the `set` those with
-    q^r > 256 (GF(7), r = 3), and `check_exhaustive` reports the
+    chunks for odd q, one run a chunk at GF(16), r = 2), the Counter rule
+    those with q^r > 256 (GF(7), r = 3), and `check_exhaustive` reports the
     (secure, failing_W) of the rank route."""
     outcomes = Counter()
     for field in PARALLEL_FIELDS:
@@ -764,7 +766,8 @@ def test_exhaustive_routes_agree_with_algebraic_on_corpus(data):
 def test_both_routes_match_the_reference_scan_on_corpus(seed, monkeypatch):
     """Constructed codes and their B = I copies at every 0 < r < c_min, with and
     without `fast`: testing each distinct view once gives the (ok, failing_W) of
-    the scan that tests every set on its own."""
+    the scan that tests every set on its own, and both families give each code
+    one verdict by both routes."""
     net = random_network(seed)
     checks = []
     for r in range(1, c_min_of(net)):
@@ -776,14 +779,17 @@ def test_both_routes_match_the_reference_scan_on_corpus(seed, monkeypatch):
                 checks.append((variant, fast, exhaustive))
 
     def outcomes():
-        out = []
-        for variant, fast, exhaustive in checks:
-            out.append(check_security_rank(variant, net, fast=fast))
-            if exhaustive:
-                out.append(check_exhaustive(variant, net, fast=fast)[1:])
-        return out
+        return [
+            (check_security_rank(variant, net, fast=fast), check_exhaustive(variant, net, fast=fast)[1:])
+            if exhaustive
+            else (check_security_rank(variant, net, fast=fast),)
+            for variant, fast, exhaustive in checks
+        ]
 
     distinct = outcomes()
+    # without and with `fast`, each variant's routes report one ok; failing_W may differ
+    for full, fast in zip(distinct[::2], distinct[1::2]):
+        assert len({ok for ok, _ in full + fast}) == 1
     module = importlib.import_module("snfc.verify")  # `snfc.verify` is the function
     monkeypatch.setattr(module, "_first_leak", lambda family, classes, leaks: first_leak(family, leaks))
     assert distinct == outcomes()
