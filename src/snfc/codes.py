@@ -10,7 +10,9 @@ and r on uniform one-time keys.
 The codes follow the seed alone: each multicast search draws every kernel
 entry with `randrange(q)` from its own `random.Random`, seeded with (seed,
 field, rate), and the mixing columns are the lexicographically first
-admissible vectors.
+admissible vectors.  Only the mixing matrix depends on r, so `construct` builds
+the sum code once per (network, rate, field, seed), in the network's memo, and
+every security level shares it.
 
 A code runs in three steps: `_walk` runs a sum code's local rules on input
 columns, `_run_code` applies a secure code's B^-1 to raw input columns and
@@ -45,7 +47,7 @@ from .errors import (
     SingularB,
 )
 from .gf import MAX_FIELD_SIZE, Echelon, Field, Matrix, companion_expand, make_field, parse_field
-from .network import Network, _json_object
+from .network import Network, _json_object, per_network
 
 MULTICAST_ATTEMPTS = 64
 
@@ -329,6 +331,17 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
     return code
 
 
+@per_network
+def _sum_code(net: Network, rate: int, field: Field, seed: str) -> SumCode | FieldTooSmallForMulticast:
+    """The sum code `construct` shares across security levels, or the multicast
+    search's failure.  `seed` is the string the draws are seeded with."""
+    try:
+        mc = build_reversed_multicast(net, rate, field, seed)
+    except FieldTooSmallForMulticast as exc:
+        return exc.with_traceback(None)  # a kept traceback would hold the search's frames
+    return sum_code_from_multicast(mc, net)
+
+
 # -- mixing matrix -----------------------------------------------------------------
 
 SCAN_CAP = 1024
@@ -455,7 +468,9 @@ def construct(
 
     Small fields are tried first (they often work well below the counting
     guarantee q > s * |family|); on failure the extension degree grows until the
-    guarantee kicks in or the supported field size runs out.
+    guarantee kicks in or the supported field size runs out.  Only B depends on
+    r: the sum code under it, or the multicast search's failure, is built once
+    per (network, rate, field, seed) and shared by every r (`_sum_code`).
     """
     cm = c_min(net)
     target_rate = cm if rate is None else rate
@@ -471,17 +486,18 @@ def construct(
     last_error: Exception | None = None
     while p**degree <= MAX_FIELD_SIZE:
         fld = field if field is not None and degree == field.m else make_field(p, degree)
-        try:
-            mc = build_reversed_multicast(net, target_rate, fld, seed)
-            base = sum_code_from_multicast(mc, net)
-            if r == 0:
-                mixing = Matrix.identity(fld, target_rate)
-            else:
-                mixing = choose_mixing_matrix(base, r, family, net)
-            return secure_code(base, mixing, r)
-        except (FieldTooSmall, FieldTooSmallForMulticast) as exc:
-            last_error = exc.with_traceback(None)  # a kept traceback would hold this frame in a cycle
-            degree += 1
+        outcome = _sum_code(net, target_rate, fld, f"{seed}")
+        if isinstance(outcome, SumCode):
+            try:
+                if r == 0:
+                    mixing = Matrix.identity(fld, target_rate)
+                else:
+                    mixing = choose_mixing_matrix(outcome, r, family, net)
+                return secure_code(outcome, mixing, r)
+            except FieldTooSmall as exc:
+                outcome = exc.with_traceback(None)  # a kept traceback would hold this frame in a cycle
+        last_error = outcome
+        degree += 1
     raise ConstructionFailed(
         f"no field of size <= {MAX_FIELD_SIZE} admits the construction: {last_error}"
     )

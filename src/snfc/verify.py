@@ -29,11 +29,11 @@ state columns are mixed by (B^-1)^T before the walk (`codes._walk`), which
 runs the raw local rules.  Time is O(states * (|E| + |views|)).  A column is
 the field's packed column (`Field.pack`: one byte per state, two once
 q > 256), each sum of scaled columns is one `Field.combination`, and a column
-lives until its last use, so the pass's memory is O(states * |E|) bytes (at
-most the state cap times |E|).  On one source the states of a message are a
-run of q^r, and the run test (`_runs_distinct`) clears an r-edge view with
-q^r <= 256 whose runs each see distinct keys, at one byte per state.  Any
-other view is tabulated from its pair column, one value key * q^(ell*s) +
+lives until its last use, so the pass's memory is O(states * |E|) bytes,
+bounded before the pass by EXHAUSTIVE_BYTES_LIMIT.  On one source the states
+of a message are a run of q^r, and the run test (`_runs_distinct`) clears an
+r-edge view with q^r <= 256 whose runs each see distinct keys, at one byte
+per state.  Any other view is tabulated from its pair column, one value key * q^(ell*s) +
 message per state, built with int arithmetic on fixed-width lanes (see
 `_lanes`); `_uniform_given_key` settles it with one `Counter`, at one lane
 of at most 8 bytes per state plus one count per distinct pair.
@@ -74,6 +74,8 @@ from .network import Network
 DEFAULT_STATE_CAP = 16_777_216
 ENV_STATE_CAP = "SNFC_MAX_EXHAUSTIVE"
 WIRETAP_FAMILY_LIMIT = 1_000_000
+# the exhaustive pass's column bytes, states * |E| * bytes per symbol, may not exceed this
+EXHAUSTIVE_BYTES_LIMIT = 1 << 30
 
 
 def state_cap(cap: int | None = None) -> int:
@@ -235,6 +237,18 @@ def _state_count(code: SecureCode, net: Network) -> int:
     return code.field.q ** (code.rate * net.num_sources)
 
 
+def _exhaustive_refusal(code: SecureCode, net: Network, cap: int | None) -> str | None:
+    """Why the exhaustive pass may not run, or None: more states than the state
+    cap, or more column bytes than EXHAUSTIVE_BYTES_LIMIT."""
+    total, limit = _state_count(code, net), state_cap(cap)
+    if total > limit:
+        return f"{total} states exceed the cap {limit}"
+    size = total * len(net.edges) * (1 if code.field.q <= 256 else 2)
+    if size > EXHAUSTIVE_BYTES_LIMIT:
+        return f"{size} bytes of state columns exceed the cap {EXHAUSTIVE_BYTES_LIMIT}"
+    return None
+
+
 # -- state columns ---------------------------------------------------------------------
 #
 # The exhaustive pass pushes every state through the network at once: each input
@@ -392,15 +406,16 @@ def check_exhaustive(
     Computable is the computability rule on every state (`codes._computable`).
     Secure means: given any observable symbol tuple, every message vector is
     still equally likely; the wiretap sets are tabulated one at a time, maximal
-    sets first.  Exact but exponential; guarded by the state cap.
+    sets first.  Exact but exponential; guarded by the state cap and by
+    EXHAUSTIVE_BYTES_LIMIT, both checked before any column is built.
 
     Returns (computable, secure, first failing wiretap set in family order).
     """
     secure = as_secure(code)
     _check_shapes(secure, net)
-    total, limit = _state_count(secure, net), state_cap(cap)
-    if total > limit:
-        raise TooLarge(f"{total} states exceed the cap {limit}")
+    if refusal := _exhaustive_refusal(secure, net, cap):
+        raise TooLarge(refusal)
+    total = _state_count(secure, net)
     q, rate, ell, s = secure.field.q, secure.rate, secure.ell, net.num_sources
     inputs = _state_columns(secure, net)
     width, n_messages, n_keys = _lane_width(total), q ** (ell * s), q**secure.r
@@ -433,8 +448,9 @@ def verify(
 ) -> VerifyReport:
     """Run every applicable check and fold the outcomes into one report.
 
-    The exhaustive pass runs when the states fit under the cap, or always
-    with `exhaustive` (then a state count over the cap raises TooLarge).
+    The exhaustive pass runs when the states fit under the cap and their
+    columns under EXHAUSTIVE_BYTES_LIMIT, or always with `exhaustive` (then
+    either excess raises TooLarge).
     Computability is checked once: on every state when the exhaustive pass
     runs, else on the unit inputs (`check_computability`), the same verdict.
     """
@@ -442,7 +458,7 @@ def verify(
         raise NegativeSecurityLevel(f"security level {r} is negative")
     secure = as_secure(code, r)
     secure_rank, failing = check_security_rank(secure, net, fast=fast)
-    if exhaustive or _state_count(secure, net) <= state_cap(cap):
+    if exhaustive or _exhaustive_refusal(secure, net, cap) is None:
         computable, sec_ex, failing_ex = check_exhaustive(secure, net, fast=fast, cap=cap)
         if failing is None:
             failing = failing_ex

@@ -36,7 +36,7 @@ from snfc import (
 from snfc.bounds import CUT_SCAN_LIMIT, _omega_report
 from snfc.cuts import _primary_edges, node_flow
 from snfc.corpus import corpus, random_network
-from snfc.errors import NegativeSecurityLevel, TooLarge
+from snfc.errors import FieldTooSmallForMulticast, NegativeSecurityLevel, TooLarge
 from snfc.network import Network
 from reference import full_sweep, omega, reach_sets
 
@@ -540,11 +540,20 @@ def test_a_used_network_is_freed():
         upper_bound_oracle(net, 1)
         return weakref.ref(net)
 
+    def used_after_a_failed_search(seed: int) -> weakref.ref:
+        # at seed 1 the GF(2) multicast search fails on both networks, and the memo
+        # keeps the failure, without its traceback, for the next security level
+        net = random_network(seed)
+        for r in range(min(c_min(net), 2)):
+            construct(net, r, seed=1)
+        assert any(isinstance(kept, FieldTooSmallForMulticast) for kept in net._memo.values())
+        return weakref.ref(net)
+
     gc.collect()
     gc.disable()
     try:
-        refs = [used_star(), used_corpus_network()]
-        assert [ref() for ref in refs] == [None, None]
+        refs = [used_star(), used_corpus_network(), used_after_a_failed_search(20034), used_after_a_failed_search(51)]
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 

@@ -23,6 +23,7 @@ from snfc import (
     lift_extension,
     load_code,
     make_field,
+    parse_network,
     primary_wiretap_sets,
     secure_code,
     secure_vectors,
@@ -55,7 +56,7 @@ from reference import (
     simulate,
     transfer_global_vectors,
 )
-from test_verify import _column_cases, random_code
+from test_verify import _column_cases, _parallel_network, random_code
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -494,6 +495,75 @@ def test_construct_determinism(butterfly):
     a = code_to_dict(construct(butterfly, 1, seed=42), butterfly)
     b = code_to_dict(construct(butterfly, 1, seed=42), butterfly)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# -- the sum code every security level shares -------------------------------------------------
+
+def _reparsed(net):
+    """An equal network with an empty memo."""
+    return parse_network(json.dumps(net.to_dict()))
+
+
+@pytest.mark.parametrize(
+    "net",
+    [pytest.param(_parallel_network(n), id=f"parallel-{n}") for n in range(1, 10)]
+    + [pytest.param(net, id=f"corpus-{i}") for i, net in enumerate(corpus(40)) if i % 4 == 0],
+)
+def test_every_security_level_builds_the_code_of_a_fresh_network(net):
+    levels = range(c_min(net))
+    shared = [construct(net, r, seed=1) for r in levels]
+    fresh = [construct(_reparsed(net), r, seed=1) for r in levels]
+    assert [code_to_dict(code, net) for code in shared] == [code_to_dict(code, net) for code in fresh]
+    # the levels that settle on one field read one sum code
+    bases = {}
+    assert all(bases.setdefault(code.field, code.base) is code.base for code in shared)
+
+
+def test_construct_searches_once_per_rate_and_field(monkeypatch):
+    searches, build = [], codes_module.build_reversed_multicast
+
+    def counted(net, rate, field, seed):
+        searches.append((rate, field))
+        return build(net, rate, field, seed)
+
+    monkeypatch.setattr(codes_module, "build_reversed_multicast", counted)
+    # c_min is 1 on network 20034, so r = 0 is its one level: the second call reads the memo
+    net = random_network(20034)
+    assert [construct(net, 0, seed=1).field for _ in range(2)] == [GF4, GF4]
+    assert searches == [(1, GF2), (1, GF4)]  # GF(2) fails in all MULTICAST_ATTEMPTS draws
+    # on network 51 (c_min 3) the GF(2) search fails too, and each level settles on GF(4)
+    searches.clear()
+    net = random_network(51)
+    assert [construct(net, r, seed=1).field for r in range(c_min(net))] == [GF4] * 3
+    assert searches == [(3, GF2), (3, GF4)]
+
+
+@pytest.mark.parametrize(
+    "net, r, reason",
+    [
+        pytest.param(random_network(8), 1, "no admissible mixing column", id="mixing"),
+        pytest.param(random_network(20034), 0, f"in {MULTICAST_ATTEMPTS} attempts", id="multicast"),
+    ],
+)
+def test_a_repeated_construction_fails_with_the_same_message(monkeypatch, net, r, reason):
+    # over GF(2) alone network 8's mixing search fails, and network 20034's multicast
+    # search; the second call reads the memoised sum code or multicast failure
+    monkeypatch.setattr(codes_module, "MAX_FIELD_SIZE", 2)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ConstructionFailed, match=reason) as failed:
+            construct(net, r, seed=1)
+        messages.append(str(failed.value))
+    assert messages[0] == messages[1]
+
+
+def test_the_memo_is_keyed_on_the_seed_string(butterfly):
+    by_int = code_to_dict(construct(butterfly, 1, seed=1), butterfly)
+    assert code_to_dict(construct(butterfly, 1, seed="1"), butterfly) == by_int
+    # an unhashable seed draws from its string, as it always has
+    again = _reparsed(butterfly)
+    listed = code_to_dict(construct(butterfly, 1, seed=[1]), butterfly)
+    assert listed == code_to_dict(construct(again, 1, seed="[1]"), again)
 
 
 # -- lifting -------------------------------------------------------------------------------------

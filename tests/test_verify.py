@@ -39,6 +39,7 @@ from snfc.verify import (
     wiretap_family,
 )
 from reference import first_leak, simulate
+from test_bounds import two_source_star
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -917,6 +918,54 @@ def test_verify_skips_exhaustive_beyond_cap(butterfly):
     assert verify(fixtures.code("butterfly"), butterfly, cap=0).secure_exhaustive is None
     with pytest.raises(TooLarge):
         verify(fixtures.code("butterfly"), butterfly, exhaustive=True, cap=10)
+
+
+def _refuse_columns(*args):
+    raise AssertionError("the exhaustive pass built its state columns")
+
+
+def _butterfly_case():
+    return fixtures.network("butterfly"), fixtures.code("butterfly")
+
+
+def _gf512_case():
+    net = _parallel_network(1)
+    return net, construct(net, 0, field=make_field(2, 9), seed=0)
+
+
+@pytest.mark.parametrize(
+    "case, size",
+    [
+        pytest.param(_butterfly_case, 4**4 * 9, id="butterfly"),  # 4^(2 * 2) states, 9 edges, one byte each
+        pytest.param(_gf512_case, 512 * 1 * 2, id="gf512"),  # 512 states, one edge, two bytes each
+    ],
+)
+def test_the_exhaustive_pass_is_bounded_by_its_column_bytes(monkeypatch, case, size):
+    net, code = case()
+    module = importlib.import_module("snfc.verify")  # `snfc.verify` is the function
+    report = verify(code, net).to_dict()
+    assert report["secure_exhaustive"] is True
+    monkeypatch.setattr(module, "EXHAUSTIVE_BYTES_LIMIT", size)
+    assert verify(code, net).to_dict() == report
+    # one byte over the limit: the default skips the pass, and a demand for it is refused
+    monkeypatch.setattr(module, "EXHAUSTIVE_BYTES_LIMIT", size - 1)
+    monkeypatch.setattr(module, "_state_columns", _refuse_columns)
+    assert verify(code, net).to_dict() == {**report, "secure_exhaustive": None}
+    with pytest.raises(TooLarge, match=f"{size} bytes of state columns exceed the cap {size - 1}"):
+        verify(code, net, exhaustive=True)
+    with pytest.raises(TooLarge, match=f"{size} bytes"):
+        check_exhaustive(code, net)
+
+
+def test_a_wide_network_under_the_state_cap_skips_the_exhaustive_pass(monkeypatch):
+    # 64^(2 * 2) = 2^24 states fit the default state cap, but their 200 columns would take 3.4 GB
+    net = two_source_star(0, 200)
+    code = construct(net, 1, rate=2, field=make_field(2, 6), seed=0)
+    monkeypatch.setattr(importlib.import_module("snfc.verify"), "_state_columns", _refuse_columns)
+    report = verify(code, net)
+    assert report.secure_exhaustive is None and report.all_passed
+    with pytest.raises(TooLarge, match=f"{2**24 * 200} bytes"):
+        check_exhaustive(code, net)
 
 
 def test_verify_constructed_codes_all_pass(butterfly, n1, fig2):
