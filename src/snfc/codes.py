@@ -117,29 +117,13 @@ def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
 # `Field.combination` over the field's packed columns (`Field.pack`) for a code, and
 # `Echelon.combination` over `Echelon`'s row form for the multicast search.
 
-def _propagate(combine, plan: list, inputs: list, keep=None) -> list:
-    """Run `plan` over the equal-length `inputs`: each step's column is `combine` of its terms.
-
-    With `keep` (a set of plan positions), every other column, inputs included,
-    is dropped to None after its last use, so the live columns are the kept ones
-    plus the frontier of the walk.  Without it every column is returned.
-    """
-    n_in = len(inputs)
+def _propagate(combine, plan: list, inputs: list) -> list:
+    """Run `plan` over the equal-length `inputs` and return its columns, in plan
+    order: each step's column is `combine` of its terms."""
     cols = list(inputs)
-    retire = itertools.repeat(())
-    if keep is not None:
-        retire = [[] for _ in plan]
-        last = {n_in + p: p for p in range(len(plan))}
-        for p, taps in enumerate(plan):
-            last.update((idx, p) for idx, _ in taps)
-        for idx, p in last.items():
-            if idx - n_in not in keep:
-                retire[p].append(idx)
-    for taps, done in zip(plan, retire):
+    for taps in plan:
         cols.append(combine([(c, cols[idx]) for idx, c in taps]))
-        for idx in done:
-            cols[idx] = None
-    return cols[n_in:]
+    return cols[len(inputs) :]
 
 
 def _propagation_plan(code: SumCode, net: Network) -> list[list[tuple[int, int]]]:
@@ -181,28 +165,26 @@ def global_vectors(code: SumCode | SecureCode, net: Network) -> dict[str, tuple[
     if not isinstance(base, SumCode):
         raise InvariantViolated(f"expected a sum or secure code, got {type(base).__name__}")
     units = _unit_columns(base.field, base.rate * net.num_sources)
-    return {eid: tuple(col) for eid, col in _walk(base, net, units, net.order).items()}
+    return {eid: tuple(col) for eid, col in _walk(base, net, units).items()}
 
 
 def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
     """The global vectors of what actually flows: the code run on the unit inputs."""
     units = _unit_columns(code.field, code.rate * net.num_sources)
-    return {eid: tuple(col) for eid, col in _run_code(code, net, units, net.order).items()}
+    return {eid: tuple(col) for eid, col in _run_code(code, net, units).items()}
 
 
-def _walk(code: SumCode, net: Network, inputs: list, keep) -> dict:
+def _walk(code: SumCode, net: Network, inputs: list) -> dict:
     """Walk the sum code's local rules on input columns of one length, rate per
-    source in source order, and return the column of each edge in `keep`;
-    every other column is dropped after its last use."""
-    field, n, pos = code.field, len(inputs[0]), net.order_index
-    plan = _propagation_plan(code, net)
-    cols = _propagate(lambda terms: field.combination(terms, n), plan, inputs, {pos[eid] for eid in keep})
-    return {eid: cols[pos[eid]] for eid in keep}
+    source in source order, and return every edge's column, keyed in `net.order`."""
+    field, n = code.field, len(inputs[0])
+    cols = _propagate(lambda terms: field.combination(terms, n), _propagation_plan(code, net), inputs)
+    return dict(zip(net.order, cols))
 
 
-def _run_code(code: SecureCode, net: Network, inputs: list, keep) -> dict:
+def _run_code(code: SecureCode, net: Network, inputs: list) -> dict:
     """`_walk` of the secure code's sum code on raw input columns with B^-1 applied
-    once per source.
+    once per source: every edge's column, keyed in `net.order`.
 
     The secure code sends <x, B^-1 c> on a source edge with raw column c, which
     is <(B^-1)^T x, c>: transforming the inputs replaces a matrix product per
@@ -215,7 +197,7 @@ def _run_code(code: SecureCode, net: Network, inputs: list, keep) -> dict:
         for first in range(0, len(inputs), rate)
         for col in binv
     ]
-    return _walk(code.base, net, mixed, keep)
+    return _walk(code.base, net, mixed)
 
 
 def _computable(decoder: Matrix, net: Network, inputs: list, cols: dict) -> bool:
@@ -235,7 +217,7 @@ def decodes_message_sum(code: SecureCode, net: Network) -> bool:
     """The computability criterion, on the unit inputs: they span every input,
     so the sink decodes every message sum exactly when it decodes theirs."""
     units = _unit_columns(code.field, code.rate * net.num_sources)
-    cols = _run_code(code, net, units, [e.id for e in net.in_edges[net.sink]])
+    cols = _run_code(code, net, units)
     return _computable(message_decoder(code), net, units, cols)
 
 
@@ -325,7 +307,7 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
     decoder = mc.kernels[net.sink].transpose()  # |in(sink)| x R
     code = SumCode(field, rate, source_matrices, local_coeffs, decoder)
     units = _unit_columns(field, rate * net.num_sources)
-    cols = _walk(code, net, units, [e.id for e in net.in_edges[net.sink]])
+    cols = _walk(code, net, units)
     if not _computable(decoder, net, units, cols):
         raise ReversalInconsistent("reversed code does not decode the stacked identity")
     return code
@@ -596,12 +578,20 @@ def save_code(path: str, code: SecureCode, net: Network) -> None:
 
 def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
     """Parse a code file, recompute its global vectors, and cross-check the
-    stored ones before returning the code.  Every number must be an int."""
+    stored ones before returning the code.  Every number must be an int, not a
+    bool."""
     if not isinstance(doc, dict):
         doc = _json_object(doc, "code")
-    index = operator.index  # refuses a float or a string rather than truncating it
+
+    def index(x) -> int:
+        # operator.index refuses a float or a string rather than truncating it; JSON true is not 1
+        if isinstance(x, bool):
+            raise TypeError(f"{x!r} is not an int")
+        return operator.index(x)
+
     try:
-        fld = parse_field(str(doc["field"]), doc.get("modulus"))
+        modulus = doc.get("modulus")
+        fld = parse_field(str(doc["field"]), None if modulus is None else [index(c) for c in modulus])
         rate = index(doc["rate"])
         r = index(doc["r"])
         sources = [str(s) for s in doc["sources"]]

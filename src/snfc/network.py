@@ -217,9 +217,10 @@ def _validate(net: Network) -> None:
 
 def network_from_dict(doc: dict) -> Network:
     try:
-        nodes = [str(n) for n in doc["nodes"]]
-        sources = [str(s) for s in doc["sources"]]
-        sink = doc["sink"]
+        nodes, sources, sink = doc["nodes"], doc["sources"], doc["sink"]
+        if not (isinstance(nodes, list) and isinstance(sources, list)):
+            raise MalformedInput("nodes and sources must be JSON arrays")
+        nodes, sources = [str(n) for n in nodes], [str(s) for s in sources]
         if not isinstance(sink, str):
             raise MalformedInput("sink must be a node id string")
         edges = [Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in doc["edges"]]

@@ -1,7 +1,7 @@
 """Independent checking of constructed and hand-authored codes.
 
 A check runs a code in two steps from `codes`: `_run_code` runs it on input
-columns and returns the kept edges' columns, and `_computable`, the
+columns and returns every edge's column, and `_computable`, the
 computability rule, reads the message decoder against the sink's columns:
 decoder column j gives the sum over the sources of message input j.  The rule
 is linear, so it holds on every state exactly when it holds on the unit
@@ -11,8 +11,8 @@ inputs' (`codes.decodes_message_sum`).  The rank route never applies it.
 
 Security has two independent routes, a rank criterion and an exhaustive
 tabulation of the conditional message distribution, which must agree wherever
-both run.  Each runs the code once on its own inputs (`_settle`), keeping the
-columns of the tapped edges and of the sink's in-edges.
+both run.  Each runs the code once on its own inputs (`_settle`), keeping every
+edge's column.
 
 The rank criterion (`check_security_rank`): a wiretap set W leaks exactly when
 some nonzero combination of the global vectors it sees is zero on every key
@@ -28,15 +28,16 @@ time.  The mixing matrix enters through the input columns: each source's
 state columns are mixed by (B^-1)^T before the walk (`codes._walk`), which
 runs the raw local rules.  Time is O(states * (|E| + |views|)).  A column is
 the field's packed column (`Field.pack`: one byte per state, two once
-q > 256), each sum of scaled columns is one `Field.combination`, and a column
-lives until its last use, so the pass's memory is O(states * |E|) bytes,
-bounded before the pass by EXHAUSTIVE_BYTES_LIMIT.  On one source the states
-of a message are a run of q^r, and the run test (`_runs_distinct`) clears an
-r-edge view with q^r <= 256 whose runs each see distinct keys, at one byte
-per state.  Any other view is tabulated from its pair column, one value key * q^(ell*s) +
-message per state, built with int arithmetic on fixed-width lanes (see
-`_lanes`); `_uniform_given_key` settles it with one `Counter`, at one lane
-of at most 8 bytes per state plus one count per distinct pair.
+q > 256), each sum of scaled columns is one `Field.combination`, and every
+edge's column is kept, so the pass holds states * |E| * bytes per symbol of
+columns, the quantity EXHAUSTIVE_BYTES_LIMIT bounds before the pass.  On one
+source the states of a message are a run of q^r, and the run test
+(`_runs_distinct`) clears an r-edge view with q^r <= 256 whose runs each see
+distinct keys, at one byte per state.  Any other view is tabulated from its
+pair column, one value key * q^(ell*s) + message per state, built with int
+arithmetic on fixed-width lanes (see `_lanes`); `_uniform_given_key` settles
+it with one `Counter`, at one lane of at most 8 bytes per state plus one count
+per distinct pair.
 The per-state reference, `simulate`, lives with the tests in
 `tests/reference.py`.
 
@@ -207,14 +208,14 @@ def _first_leak(family: list[tuple[str, ...]], classes: dict[str, int], leaks) -
 
 
 def _settle(secure: SecureCode, net: Network, fast: bool, inputs: list, leaks) -> tuple:
-    """Run the code once on `inputs`, keeping the columns of the tapped edges and
-    the sink's in-edges, and settle the family's views by `leaks(cols, wset)`:
-    (the kept columns, secure, first failing set).  The caller that reads
-    computability applies the rule to the kept columns.
+    """Run the code once on `inputs` and settle the family's views, built from the
+    tapped edges' columns, by `leaks(cols, wset)`: (every edge's column, secure,
+    first failing set).  The caller that reads computability applies the rule to
+    these columns.
     """
     family = wiretap_family(net, secure.r, fast)
     tapped = {eid for wset in family for eid in wset}
-    cols = _run_code(secure, net, inputs, tapped.union(e.id for e in net.in_edges[net.sink]))
+    cols = _run_code(secure, net, inputs)
     classes = _view_classes(secure.field, {eid: cols[eid] for eid in tapped})
     return (cols, *_first_leak(family, classes, lambda wset: leaks(cols, wset)))
 

@@ -302,6 +302,15 @@ def test_cuts_with_an_empty_origin_set_are_a_domain_error(runner, butterfly_file
     assert json.loads(result.output)["error"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("nodes, sources", [("st", "s"), ({"s": 1, "t": 2}, {"s": 0})], ids=["strings", "objects"])
+def test_bound_refuses_nodes_and_sources_that_are_not_arrays(runner, tmp_path, nodes, sources):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"nodes": nodes, "sources": sources, "sink": "t", "edges": [{"id": "e", "tail": "s", "head": "t"}]}))
+    result = runner.invoke(main, ["bound", "--network", str(path), "--r", "0", "--json"])
+    assert_clean_exit(result, 1)
+    assert json.loads(result.output)["error"] == "MalformedInput"
+
+
 def test_construct_verify_round_trip(runner, butterfly_file, tmp_path):
     out = str(tmp_path / "code.json")
     built = runner.invoke(

@@ -679,6 +679,14 @@ def test_loader_rejects_a_document_that_is_not_json_text(butterfly, doc):
         (lambda doc: doc.update(rate="2"), "bad code document"),
         (lambda doc: doc["B"][1].__setitem__(0, 2.0), "bad code document"),
         (lambda doc: doc.update(modulus=[1, 1.0, 1]), "bad code document"),
+        (lambda doc: doc.update(r=True), "bad code document"),
+        (lambda doc: doc.update(rate=True), "bad code document"),
+        (lambda doc: doc.update(modulus=[True, True, True]), "bad code document"),
+        (lambda doc: doc["B"][0].__setitem__(0, True), "bad code document"),
+        (lambda doc: doc["decoder_D"][0].__setitem__(0, True), "bad code document"),
+        (lambda doc: doc["source_matrices"]["s1"]["e1"].__setitem__(0, True), "bad code document"),
+        (lambda doc: doc["local_coeffs"]["e5"].update(e2=True), "bad code document"),
+        (lambda doc: doc["global_vectors"]["e1"].__setitem__(0, True), "bad global vectors"),
     ],
     ids=[
         "unknown-source",
@@ -690,6 +698,14 @@ def test_loader_rejects_a_document_that_is_not_json_text(butterfly, doc):
         "text-rate",
         "float-B-entry",
         "float-modulus-coefficient",
+        "bool-r",
+        "bool-rate",
+        "bool-modulus-coefficients",
+        "bool-B-entry",
+        "bool-decoder-entry",
+        "bool-source-entry",
+        "bool-coefficient",
+        "bool-global-vector-entry",
     ],
 )
 def test_loader_rejects_misplaced_or_mistyped_entries(butterfly, edit, message):

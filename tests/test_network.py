@@ -161,6 +161,18 @@ def test_malformed_json_rejected():
         parse_network(json.dumps({"nodes": []}))
 
 
+@pytest.mark.parametrize(
+    "nodes, sources",
+    [("st", ["s"]), (["s", "t"], "s"), ({"s": 1, "t": 2}, ["s"]), (["s", "t"], {"s": 0})],
+    ids=["nodes-string", "sources-string", "nodes-object", "sources-object"],
+)
+def test_nodes_and_sources_must_be_json_arrays(nodes, sources):
+    # a string or an object would iterate as node names: its characters or its keys
+    doc = {"nodes": nodes, "sources": sources, "sink": "t", "edges": [{"id": "e", "tail": "s", "head": "t"}]}
+    with pytest.raises(MalformedInput, match="nodes and sources must be JSON arrays"):
+        parse_network(json.dumps(doc))
+
+
 @pytest.mark.parametrize("text", [3, None, [1], {"nodes": []}], ids=["int", "None", "list", "dict"])
 def test_parse_network_rejects_a_document_that_is_not_json_text(text):
     with pytest.raises(MalformedInput, match="invalid JSON"):
