@@ -28,7 +28,7 @@ import json
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 
 from .bounds import primary_wiretap_sets
 from .cuts import c_min
@@ -329,6 +329,104 @@ def _sum_code(net: Network, rate: int, field: Field, seed: str) -> SumCode | Fie
 SCAN_CAP = 1024
 
 
+@lru_cache(maxsize=16)  # one entry per (p, n) in use; q^R <= SCAN_CAP bounds the size of each
+def _digit_moves(p: int, n: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """Per base-p digit k of the indices below p^n and per d in [0, p), the move
+    that adds d to digit k of every index, as (low, high, up, down): the bits in
+    `low`, whose digit k is below p - d, rise by up = d * p^k, and the bits in
+    `high` wrap down by down = (p - d) * p^k."""
+    full = (1 << p**n) - 1
+    moves = []
+    for k in range(n):
+        block = p**k
+        starts = full // ((1 << (p * block)) - 1)  # a bit at each multiple of p^(k+1)
+        lows = [starts * ((1 << ((p - d) * block)) - 1) for d in range(p)]
+        moves.append(tuple((low, full ^ low, d * block, (p - d) * block) for d, low in enumerate(lows)))
+    return tuple(moves)
+
+
+class _Candidates:
+    """The q^dim candidate columns of the mixing scan as the bits of one int.
+
+    Bit i is the i-th vector of `itertools.product(field.elements(), repeat=dim)`,
+    that is the vector read as a base-q number, so the lowest clear bit of a mask
+    is the lexicographically first vector outside it.  A field element is its
+    base-p digits (`gf`), so i read in base p lists every coordinate's digits, and
+    a vector sum adds indices digit by digit mod p: a set's translate by a vector
+    moves its bits with two masks and two shifts per nonzero digit of the vector.
+    """
+
+    def __init__(self, field: Field, dim: int):
+        self.field, self.dim = field, dim
+        self.size = field.q**dim
+        self._moves = _digit_moves(field.p, field.m * dim)
+        self._lines: dict[tuple[int, ...], list] = {}  # a wiretap set's columns recur in many obstacles
+
+    def first_outside(self, mask: int) -> tuple[int, ...] | None:
+        """The lexicographically first vector whose bit is clear, or None."""
+        i = ((mask + 1) & ~mask).bit_length() - 1
+        if i >= self.size:
+            return None
+        q = self.field.q
+        return tuple(i // q**k % q for k in reversed(range(self.dim)))
+
+    def _line(self, v: tuple[int, ...]) -> list[list[tuple[int, int, int, int]]]:
+        """The digit moves of v times x^j for j < m, a GF(p)-basis of v's line."""
+        field, p, q = self.field, self.field.p, self.field.q
+        line = []
+        for j in range(field.m):
+            w = 0
+            for x in v:
+                w = w * q + (field.mul(p**j, x) if j else x)
+            moves, k = [], 0
+            while w:
+                w, d = divmod(w, p)
+                if d:
+                    moves.append(self._moves[k][d])
+                k += 1
+            line.append(moves)
+        return line
+
+    def close(self, mask: int, v) -> int:
+        """`mask` plus the line of v: the union of its translates by every multiple of v."""
+        v = tuple(v)
+        line = self._lines.get(v)
+        if line is None:
+            line = self._lines[v] = self._line(v)
+        for moves in line:
+            grown = mask
+            for _ in range(self.field.p - 1):  # mask plus 0, 1, ..., p - 1 times the basis vector
+                for low, high, up, down in moves:
+                    grown = ((grown & low) << up) | ((grown & high) >> down)
+                grown |= mask
+            mask = grown
+        return mask
+
+    def span(self, vectors) -> int:
+        """The mask of the span of `vectors`."""
+        return reduce(self.close, vectors, 1)
+
+
+def _scan_picks(field: Field, rate: int, r: int, obstacles: list[tuple]):
+    """The scan's mixing columns, position by position; None where none is left.
+
+    `blocked` holds the union of the obstacle spans plus the chosen columns, and
+    `spanned` the chosen span.  A span plus a chosen column is the span closed
+    under that column's line, and closing a union closes each of its sets, so
+    one closure of the union per pick stands for one per span.
+    """
+    cands = _Candidates(field, rate)
+    blocked = reduce(operator.or_, map(cands.span, obstacles), 1)  # the zero vector is never admissible
+    spanned = 1
+    for j in range(rate):
+        pick = cands.first_outside(blocked if j < rate - r else spanned)
+        yield pick
+        if j + 1 < rate:
+            spanned = cands.close(spanned, pick)
+            if j + 1 < rate - r:
+                blocked = cands.close(blocked, pick)
+
+
 def _first_outside(span: Echelon, dim: int) -> tuple[int, ...]:
     for i in range(dim):
         basis = tuple(1 if k == i else 0 for k in range(dim))
@@ -338,26 +436,10 @@ def _first_outside(span: Echelon, dim: int) -> tuple[int, ...]:
 
 
 def _vector_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int, ...] | None:
-    """A vector outside every span, or None.
-
-    Below the scan cap this is the lexicographically first such vector; beyond
-    it, a deterministic subspace-avoidance walk (move along a line out of each
-    offending span) that succeeds whenever the field outgrows the span count.
-    """
+    """A vector outside every span, by a deterministic subspace-avoidance walk
+    (move along a line out of each offending span), or None.  The walk succeeds
+    whenever the field outgrows the span count."""
     if any(s.rank >= dim for s in spans):
-        return None
-    if field.q**dim <= SCAN_CAP:
-        # neighbouring candidates tend to fall in the same span, so the span that
-        # rejected the last one moves to the front; the answer is the same in any order
-        order = list(spans)
-        for cand in itertools.product(field.elements(), repeat=dim):
-            for i, s in enumerate(order):
-                if s.contains(cand):
-                    if i:
-                        order.insert(0, order.pop(i))
-                    break
-            else:
-                return cand
         return None
     v = _first_outside(spans[0], dim)
     passed = [spans[0]]
@@ -375,6 +457,21 @@ def _vector_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int,
     return v
 
 
+def _walk_picks(field: Field, rate: int, r: int, obstacles: list[tuple]):
+    """The walk's mixing columns, position by position, over `Echelon` spans that
+    receive every chosen column they are read with; None where the walk fails."""
+    observed = [Echelon(field, cols) for cols in obstacles]
+    chosen_span = Echelon(field)
+    for j in range(rate):
+        active = (observed or [chosen_span]) if j < rate - r else [chosen_span]
+        pick = _vector_avoiding(field, active, rate)
+        yield pick
+        chosen_span.add(pick)
+        if j + 1 < rate - r:  # the obstacle spans are read only at the positions before rate - r
+            for span in observed:
+                span.add(pick)
+
+
 def choose_mixing_matrix(
     code: SumCode, r: int, family: list[tuple[str, ...]], net: Network
 ) -> Matrix:
@@ -382,19 +479,24 @@ def choose_mixing_matrix(
 
     The first R - r columns must avoid, for every wiretap set in the family and
     every source, the span of that source's observable columns plus the columns
-    already chosen; the rest only need to keep B invertible.  Candidates are
-    scanned in lexicographic order of their integer encodings (the scan falls
-    back to a constructive walk only beyond the exhaustive-scan cap).
+    already chosen; the rest only need to keep B invertible, so they avoid the
+    span of the chosen columns.  Up to q^R = `SCAN_CAP` candidates, each pick is
+    the lexicographically first admissible vector, read off one int whose bit i
+    stands for the vector read as a base-q number (`_Candidates`).  The first
+    vector outside a set of vectors depends on that set alone, not on the spans
+    whose union it is, so the scan builds the union once, closes it under each
+    pick and takes its lowest clear bit (`_scan_picks`).  Beyond the cap a
+    constructive walk over `Echelon` spans picks (`_walk_picks`).
     """
     field = code.field
     rate = code.rate
     if not 0 <= r <= rate:
         raise ShapeMismatch(f"security level {r} out of range for rate {rate}")
     vectors = global_vectors(code, net)
-    # one span per distinct column tuple; a repeated span cannot change the pick: the
+    # one obstacle per distinct column tuple; a repeated span cannot change the pick: the
     # scan's answer depends only on the union of the spans, the walk keeps its vector
     # outside every span it has passed, and every span receives the same chosen columns
-    obstacles: dict[tuple, Echelon] = {}
+    obstacles: dict[tuple, None] = {}
     for wset in family:
         for i in range(net.num_sources):
             cols = tuple(
@@ -402,21 +504,14 @@ def choose_mixing_matrix(
                 for eid in wset
                 if any(vectors[eid][i * rate : (i + 1) * rate])
             )
-            if cols and cols not in obstacles:
-                obstacles[cols] = Echelon(field, cols)
-    observed = list(obstacles.values())
-    chosen: list[tuple[int, ...]] = []
-    chosen_span = Echelon(field)
-    for j in range(rate):
-        active = (observed or [chosen_span]) if j < rate - r else [chosen_span]
-        pick = _vector_avoiding(field, active, rate)
+            if cols:
+                obstacles[cols] = None
+    picks = _scan_picks if field.q**rate <= SCAN_CAP else _walk_picks
+    chosen = []
+    for j, pick in enumerate(picks(field, rate, r, list(obstacles))):
         if pick is None:
             raise FieldTooSmall(f"no admissible mixing column over {field!r} at position {j + 1}")
         chosen.append(pick)
-        chosen_span.add(pick)
-        if j + 1 < rate - r:  # the obstacle spans are read only at the positions before rate - r
-            for span in observed:
-                span.add(pick)
     return Matrix.from_columns(field, chosen, nrows=rate)
 
 
@@ -594,6 +689,8 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
         fld = parse_field(str(doc["field"]), None if modulus is None else [index(c) for c in modulus])
         rate = index(doc["rate"])
         r = index(doc["r"])
+        if not isinstance(doc["sources"], list):
+            raise MalformedInput("sources must be a JSON array")
         sources = [str(s) for s in doc["sources"]]
         raw_sources = dict(doc["source_matrices"])
         raw_coeffs = dict(doc.get("local_coeffs") or {})

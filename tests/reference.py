@@ -37,8 +37,12 @@ The package has one implementation of each object; these are the independent
   order, with no sharing between sets that see alike, against
   `verify._first_leak`;
 - `scan_avoiding`: the first vector in lexicographic order outside every span,
-  each candidate tested against the spans in list order, against the scan in
-  `codes._vector_avoiding`.
+  each candidate tested against the spans in list order, against the bitmask
+  scan of `codes._Candidates`, which reads the first vector outside the spans'
+  union off one int;
+- `greedy_mixing`: the mixing columns picked one by one with `scan_avoiding`
+  over freshly built `Echelon` spans, against `codes.choose_mixing_matrix` in
+  its scan regime (q^R <= `codes.SCAN_CAP`).
 
 One test fixture lives here too, since only the tests use it:
 `butterfly_sum_code_gf2`, the butterfly's GF(4) sum code read over GF(2).
@@ -383,6 +387,30 @@ def scan_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int, ..
         if all(not s.contains(cand) for s in spans):
             return cand
     return None
+
+
+def greedy_mixing(code: SumCode, r: int, family: list[tuple[str, ...]], net: Network) -> Matrix | None:
+    """B by the plain greedy of `codes.choose_mixing_matrix`, or None where a
+    position has no admissible column.  Every position avoids the span of the
+    columns chosen so far; one before rate - r also avoids, per wiretap set and
+    source, the span of the observed columns plus the chosen ones."""
+    field, rate = code.field, code.rate
+    vectors = codes.global_vectors(code, net)
+    observed = [
+        [vectors[eid][i * rate : (i + 1) * rate] for eid in wset]
+        for wset in family
+        for i in range(net.num_sources)
+    ]
+    chosen: list[tuple[int, ...]] = []
+    for j in range(rate):
+        spans = [Echelon(field, chosen)]
+        if j < rate - r:
+            spans += [Echelon(field, cols + chosen) for cols in observed]
+        pick = scan_avoiding(field, spans, rate)
+        if pick is None:
+            return None
+        chosen.append(pick)
+    return Matrix.from_columns(field, chosen, nrows=rate)
 
 
 # -- fixtures ----------------------------------------------------------------------------

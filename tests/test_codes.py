@@ -1,7 +1,9 @@
+import functools
 import gc
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 import subprocess
@@ -33,7 +35,7 @@ from snfc import (
 import snfc
 import snfc.codes as codes_module
 from snfc import fixtures
-from snfc.codes import MULTICAST_ATTEMPTS, SCAN_CAP, MulticastCode, SecureCode, _vector_avoiding
+from snfc.codes import MULTICAST_ATTEMPTS, SCAN_CAP, MulticastCode, SecureCode, _Candidates, _vector_avoiding
 from snfc.corpus import corpus, random_network
 from snfc.errors import (
     ConstructionFailed,
@@ -50,6 +52,7 @@ from snfc.errors import (
 from snfc.gf import Echelon, Field
 from reference import (
     butterfly_sum_code_gf2,
+    greedy_mixing,
     multicast_attempts,
     run_lifted,
     scan_avoiding,
@@ -386,32 +389,98 @@ def test_mixing_block_identity(monkeypatch):
                 assert code.mixing_inverse.mul(block).col(0) == h[eid][i * rate : (i + 1) * rate]
 
 
+def _mask_scan(field, generators, dim):
+    """The bitmask scan's first vector outside the spans of the generator lists."""
+    cands = _Candidates(field, dim)
+    return cands.first_outside(functools.reduce(operator.or_, map(cands.span, generators), 1))
+
+
+@pytest.mark.parametrize("field, dims", [
+    (GF2, (1, 2, 5, 10)),
+    (GF3, (1, 2, 4, 6)),
+    (GF4, (1, 2, 3, 5)),
+    (make_field(2, 3), (1, 2, 3)),
+    (make_field(3, 2), (1, 2, 3)),
+    (make_field(2, 9), (1,)),
+    (make_field(257, 1), (1,)),
+], ids=["GF2", "GF3", "GF4", "GF8", "GF9", "GF512", "GF257"])
+def test_candidate_masks_match_the_reference_scan(field, dims):
+    # a span's mask holds exactly its vectors; closing it under a vector gives the mask
+    # of the span with that vector added; and the lowest clear bit of the union of the
+    # masks is the reference scan's vector, over dependent and repeated generators
+    rng = random.Random(f"{field!r}:masks")
+    outcomes = set()
+    for dim in dims:
+        cands = _Candidates(field, dim)
+        candidates = list(itertools.product(field.elements(), repeat=dim))
+        assert cands.size == len(candidates) <= SCAN_CAP
+        for _ in range(25 if field.q**dim <= 64 else 6):
+            generators = []
+            for _ in range(rng.randint(1, 5)):
+                gens = [tuple(rng.randrange(field.q) for _ in range(dim)) for _ in range(rng.randint(1, dim))]
+                if rng.random() < 0.4:  # a dependent generator: a multiple of a sum of two
+                    a, b, c = rng.choice(gens), rng.choice(gens), rng.randrange(field.q)
+                    gens.append(tuple(field.mul(c, field.add(x, y)) for x, y in zip(a, b)))
+                if rng.random() < 0.2:
+                    gens.append((0,) * dim)
+                generators.append(gens)
+            if rng.random() < 0.3:  # a repeated span, from its generators in another order
+                gens = rng.choice(generators)
+                generators.append(rng.sample(gens, len(gens)))
+            spans = [Echelon(field, gens) for gens in generators]
+            for gens, span in zip(generators, spans):
+                mask = cands.span(gens)
+                assert mask == sum(1 << i for i, v in enumerate(candidates) if span.contains(v))
+                extra = rng.choice(candidates)
+                assert cands.close(mask, extra) == cands.span(gens + [extra])
+            got = _mask_scan(field, generators, dim)
+            assert got == scan_avoiding(field, spans, dim)
+            outcomes.add(got is None)
+    # the lowest clear bit of the zero span is the last unit vector
+    assert cands.first_outside(1) == (0,) * (dim - 1) + (1,)
+    assert outcomes == ({True, False} if max(dims) > 1 else {True})
+
+
 def test_mixing_scan_matches_the_straight_scan():
-    # the scan reorders the spans it tests, never the candidates: same vector or None
+    # the bitmask scan reads the union of the spans, never their order: same vector
+    # or None; the walk leaves the list of spans as it was given
     rng = random.Random(5)
     outcomes = set()
     for field in (GF2, GF3, GF4):
         for dim in (1, 2, 3, 4):
             assert field.q**dim <= SCAN_CAP
             for _ in range(60):
-                spans = []
+                generators = []
                 for _ in range(rng.randint(1, 7)):
                     vectors = [[rng.randrange(field.q) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
-                    spans.append(Echelon(field, vectors))
+                    generators.append(vectors)
                 if rng.random() < 0.3:
-                    spans.insert(rng.randrange(len(spans) + 1), rng.choice(spans))  # a repeated span
+                    generators.insert(rng.randrange(len(generators) + 1), rng.choice(generators))  # a repeated span
+                spans = [Echelon(field, gens) for gens in generators]
                 given_order = list(spans)
-                got = _vector_avoiding(field, spans, dim)
+                got = _mask_scan(field, generators, dim)
+                walked = _vector_avoiding(field, spans, dim)
                 assert spans == given_order
                 if all(s.rank < dim for s in spans):
                     assert got == scan_avoiding(field, spans, dim)
                 else:
                     assert got is None
+                if walked is not None:
+                    assert not any(s.contains(walked) for s in spans)
                 outcomes.add(got is None)
-    # over GF(2) the three lines of the plane leave only the zero vector, which every span holds
-    lines = [Echelon(GF2, [v]) for v in ((1, 0), (0, 1), (1, 1))]
-    assert scan_avoiding(GF2, lines, 2) is None
-    assert _vector_avoiding(GF2, lines + lines[:1], 2) is None
+    # the q + 1 lines of a plane over GF(q) (over GF(2): (1, 0), (0, 1) and (1, 1)) leave only
+    # the zero vector, which every span holds; without one line, the first vector left is
+    # the first nonzero vector of that line
+    for field in (GF2, GF3, GF4):
+        generators = [[(1, 0)]] + [[(a, 1)] for a in field.elements()]
+        lines = [Echelon(field, gens) for gens in generators]
+        assert scan_avoiding(field, lines, 2) is None
+        assert _mask_scan(field, generators + generators[:1], 2) is None
+        assert _vector_avoiding(field, lines + lines[:1], 2) is None
+        for i, (line,) in enumerate(generators):
+            first = min(tuple(field.mul(c, x) for x in line) for c in range(1, field.q))
+            rest = generators[:i] + generators[i + 1 :]
+            assert _mask_scan(field, rest, 2) == scan_avoiding(field, lines[:i] + lines[i + 1 :], 2) == first
     assert outcomes == {True, False}
 
 
@@ -423,8 +492,8 @@ def test_mixing_scan_matches_the_straight_scan():
 ])
 def test_repeated_spans_leave_the_mixing_pick_unchanged(field, dims):
     # the mixing search keeps one span per distinct column tuple, so one subspace can
-    # come up again from other generators, after its first occurrence: both the scan
-    # and the walk beyond SCAN_CAP must pick as if it came up once
+    # come up again from other generators, after its first occurrence: both the
+    # bitmask scan and the walk beyond SCAN_CAP must pick as if it came up once
     rng = random.Random(f"{field!r}")
     outcomes = set()
 
@@ -442,18 +511,64 @@ def test_repeated_spans_leave_the_mixing_pick_unchanged(field, dims):
                 for _ in range(rng.randint(1, 5))
             ]
             spans = [Echelon(field, g) for g in gens]
-            repeated = list(spans)
+            repeated, repeated_gens = list(spans), list(gens)
             for _ in range(rng.randint(1, 4)):
                 i = rng.randrange(len(spans))
-                copy = Echelon(field, [combine(gens[i]) for _ in range(2)] + rng.sample(gens[i], len(gens[i])))
+                copy_gens = [combine(gens[i]) for _ in range(2)] + rng.sample(gens[i], len(gens[i]))
+                copy = Echelon(field, copy_gens)
                 assert copy.reduced() == spans[i].reduced()
-                repeated.insert(rng.randint(repeated.index(spans[i]) + 1, len(repeated)), copy)
-            got = _vector_avoiding(field, spans, dim)
-            assert _vector_avoiding(field, repeated, dim) == got
+                at = rng.randint(repeated.index(spans[i]) + 1, len(repeated))
+                repeated.insert(at, copy)
+                repeated_gens.insert(at, copy_gens)
             if field.q**dim <= SCAN_CAP:
+                got = _mask_scan(field, gens, dim)
+                assert _mask_scan(field, repeated_gens, dim) == got
                 assert got == (scan_avoiding(field, spans, dim) if all(s.rank < dim for s in spans) else None)
+            else:
+                got = _vector_avoiding(field, spans, dim)
+                assert _vector_avoiding(field, repeated, dim) == got
             outcomes.add((field.q**dim <= SCAN_CAP, got is None))
     assert {regime for regime, _ in outcomes} == {True, False}
+
+
+@pytest.mark.parametrize("spec, rate", [("2", 10), ("2^2", 5), ("2^5", 2), ("2", 11)])
+def test_the_scan_regime_ends_at_scan_cap(monkeypatch, spec, rate):
+    # at q^R = SCAN_CAP the picks are the plain greedy's over the reference scan, and
+    # no Echelon is built; one candidate more and the walk picks
+    field = snfc.parse_field(spec)
+    rng = random.Random(f"{spec}:{rate}")
+    walks = []
+    vector_avoiding = codes_module._vector_avoiding
+
+    def counted(*args):
+        walks.append(args)
+        return vector_avoiding(*args)
+
+    monkeypatch.setattr(codes_module, "_vector_avoiding", counted)
+    outcomes = set()
+    for net in (fixtures.network("butterfly"), _parallel_network(rate), *itertools.islice(corpus(12), 0, None, 4)):
+        base = random_code(field, net, rate, 0, rng).base
+        for r in range(1, min(rate, c_min(net) + 1)):
+            family = primary_wiretap_sets(net, r, exact_size=True)
+            if field.q**rate > SCAN_CAP:
+                try:
+                    choose_mixing_matrix(base, r, family, net)
+                except FieldTooSmall:
+                    pass
+                continue
+            expected = greedy_mixing(base, r, family, net)
+            with monkeypatch.context() as patch:
+                patch.setattr(Echelon, "__init__", lambda *args: pytest.fail("an Echelon in the scan regime"))
+                try:
+                    got = choose_mixing_matrix(base, r, family, net)
+                except FieldTooSmall:
+                    got = None
+            assert (got and got.data) == (expected and expected.data)
+            outcomes.add(got is None)
+    if field.q**rate > SCAN_CAP:
+        assert walks
+    else:
+        assert not walks and False in outcomes
 
 
 # -- end-to-end construction -----------------------------------------------------------------
@@ -687,6 +802,8 @@ def test_loader_rejects_a_document_that_is_not_json_text(butterfly, doc):
         (lambda doc: doc["source_matrices"]["s1"]["e1"].__setitem__(0, True), "bad code document"),
         (lambda doc: doc["local_coeffs"]["e5"].update(e2=True), "bad code document"),
         (lambda doc: doc["global_vectors"]["e1"].__setitem__(0, True), "bad global vectors"),
+        (lambda doc: doc.update(sources="s1s2"), "sources must be a JSON array"),
+        (lambda doc: doc.update(sources={"s1": 0, "s2": 0}), "sources must be a JSON array"),
     ],
     ids=[
         "unknown-source",
@@ -706,6 +823,8 @@ def test_loader_rejects_a_document_that_is_not_json_text(butterfly, doc):
         "bool-source-entry",
         "bool-coefficient",
         "bool-global-vector-entry",
+        "string-sources",
+        "object-sources",
     ],
 )
 def test_loader_rejects_misplaced_or_mistyped_entries(butterfly, edit, message):
