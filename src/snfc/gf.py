@@ -10,6 +10,10 @@ Vector arithmetic has one kernel: a vector is the field's packed column
 elimination in `Echelon` and the product in `Matrix.mul` both reduce to it.
 Only `Echelon`'s row form over GF(2^m) with m <= 8 reads the packed column as
 one int; the multicast search in `codes` walks and rank-tests in that form too.
+
+A field with q <= 256 scales through one dense product table, built on first use
+from the powers of a generator of the nonzero elements: q - 1 `bytes.translate`
+calls and at most 8q slow products, once per field per process.
 """
 
 from __future__ import annotations
@@ -143,11 +147,33 @@ class Field:
     def _mul_table(self) -> tuple[bytes, ...] | None:
         # small fields get a dense table; multiplication dominates simulation loops.
         # Row a, padded to 256 entries, is also the bytes.translate table scaling a
-        # packed column by a.
+        # packed column by a.  The nonzero elements are the q - 1 powers of one
+        # generator, so a*b = exp[(log a + log b) mod (q - 1)]: row a != 0 is one
+        # translate of the log column (log b, and the sentinel q - 1 for b = 0 and the
+        # padding) through exp rotated left by log a, then zeros from index q - 1 on.
+        # That is q - 1 translates and at most 8q slow products, once per field.
         if self.q > 256:
             return None
-        pad = bytes(256 - self.q)
-        return tuple(bytes(self._mul_slow(a, b) for b in range(self.q)) + pad for a in range(self.q))
+        exp = self._generator_powers()
+        log = [self.q - 1] * 256
+        for k, x in enumerate(exp):
+            log[x] = k
+        column, exp, zeros = bytes(log), bytes(exp), bytes(257 - self.q)
+        return (bytes(256),) + tuple(column.translate(exp[k:] + exp[:k] + zeros) for k in log[1 : self.q])
+
+    def _generator_powers(self) -> list[int]:
+        # 1, g, ..., g^(q-2) for the smallest g whose powers reach every nonzero element.
+        # A candidate of order d < q - 1 costs d - 1 slow products.  Under a reducible
+        # modulus no g passes: a walk also stops at 0 and after q - 1 steps.
+        n = self.q - 1
+        for g in range(1, self.q):
+            powers, x = [1], g
+            while x > 1 and len(powers) < n:
+                powers.append(x)
+                x = self._mul_slow(x, g)
+            if x == 1 and len(powers) == n:
+                return powers
+        raise InvariantViolated(f"no generator of the nonzero elements: {self!r} modulus {self.modulus} is reducible")
 
     @cached_property
     def _inv_table(self) -> bytes | None:

@@ -19,6 +19,7 @@ from snfc.errors import (
     DimensionMismatch,
     DivideByZero,
     FieldMismatch,
+    InvariantViolated,
     NonPrime,
     PrimeFieldInput,
     Singular,
@@ -287,11 +288,49 @@ TABLE_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+# irreducible moduli whose root x does not generate the nonzero elements (x^2 + 1 is
+# also GF(3^2)'s default modulus)
+NONPRIMITIVE_FIELDS = [
+    pytest.param(make_field(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), id="GF(2^8)-x^8+x^4+x^3+x+1"),  # x has order 51
+    pytest.param(make_field(2, 4, (1, 1, 1, 1, 1)), id="GF(2^4)-x^4+x^3+x^2+x+1"),  # order 5
+    pytest.param(make_field(3, 2, (1, 0, 1)), id="GF(3^2)-x^2+1"),  # order 4
+]
+TABLE_CASES = [pytest.param(f, id=repr(f)) for f in TABLE_FIELDS] + NONPRIMITIVE_FIELDS
+
+
+@pytest.mark.parametrize("field", TABLE_CASES)
 def test_inverse_table_matches_slow_products(field):
     assert field._inv_table is not None
     for a in range(1, field.q):
         assert field._mul_slow(a, field.inv(a)) == 1
+
+
+@pytest.mark.parametrize("field", TABLE_CASES)
+def test_product_table_matches_slow_products(field):
+    table = field._mul_table
+    assert len(table) == field.q and all(len(row) == 256 for row in table)
+    for a, row in enumerate(table):
+        assert list(row[: field.q]) == [field._mul_slow(a, b) for b in range(field.q)]
+        assert not any(row[field.q :])
+
+
+@pytest.mark.parametrize("field", TABLE_CASES)
+def test_product_table_takes_at_most_8q_slow_products(field, monkeypatch):
+    # tables are cached per instance, so a fresh Field builds its own
+    fresh, calls = Field(field.p, field.m, field.modulus), []
+    slow = Field._mul_slow
+    monkeypatch.setattr(Field, "_mul_slow", lambda self, a, b: calls.append(None) or slow(self, a, b))
+    assert fresh._mul_table is not None
+    assert len(calls) <= 8 * field.q
+
+
+@pytest.mark.parametrize("modulus", [(0, 0, 1), (0, 1, 1), (1, 0, 0, 1)], ids=str)
+def test_reducible_modulus_has_no_product_table(modulus):
+    # make_field refuses these; a Field built directly finds no generator
+    with pytest.raises(DegreeZero):
+        make_field(2, len(modulus) - 1, modulus)
+    with pytest.raises(InvariantViolated, match="reducible"):
+        Field(2, len(modulus) - 1, modulus).mul(1, 1)
 
 
 @pytest.mark.parametrize("field", [GF2, make_field(3, 2), make_field(2, 8), make_field(2, 9)], ids=repr)
