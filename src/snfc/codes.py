@@ -427,49 +427,114 @@ def _scan_picks(field: Field, rate: int, r: int, obstacles: list[tuple]):
                 blocked = cands.close(blocked, pick)
 
 
-def _first_outside(span: Echelon, dim: int) -> tuple[int, ...]:
-    for i in range(dim):
-        basis = tuple(1 if k == i else 0 for k in range(dim))
-        if not span.contains(basis):
-            return basis
+def _first_outside(span: Echelon, units: list) -> tuple:
+    """The first unit vector outside `span` and its residue there, in row form.  A
+    unit vector whose 1 is in no pivot column meets no row, so it is its own residue."""
+    for i, unit in enumerate(units):
+        if i not in span.rows:
+            return unit, unit
+        residue = span.outside(unit)
+        if residue is not None:
+            return unit, residue
     raise InvariantViolated("a proper subspace misses some standard basis vector")
 
 
-def _vector_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int, ...] | None:
-    """A vector outside every span, by a deterministic subspace-avoidance walk
-    (move along a line out of each offending span), or None.  The walk succeeds
-    whenever the field outgrows the span count."""
-    if any(s.rank >= dim for s in spans):
+def _avoiding(field: Field, spans: list[Echelon], units: list) -> tuple | None:
+    """A vector outside every span, in row form, with its residue in each span; or
+    None.  The walk starts at the first unit vector outside the first span and,
+    at each later span that holds it (a hit), moves along a line out of that span;
+    a full span holds every vector and fails the walk.
+
+    Every span keeps its residue of the vector.  At a hit on span S, w is the
+    first unit vector outside S, and v + c*w lies outside S for every c != 0.  A
+    passed span P misses v, so the line meets P at most once: at the c with
+    a + c*b = 0, where a and b are P's residues of v and w (`Echelon.line_point`).
+    The smallest c in 1, 2, ..., q - 1 that no passed span blocks is the move, and
+    each residue a becomes a + c*b.  With no c left the walk fails.
+    """
+    dim = len(units)
+    if spans[0].rank >= dim:
         return None
-    v = _first_outside(spans[0], dim)
-    passed = [spans[0]]
-    for span in spans[1:]:
-        if span.contains(v):
-            w = _first_outside(span, dim)
-            for lam in range(1, field.q):
-                cand = tuple(field.add(a, field.mul(lam, b)) for a, b in zip(v, w))
-                if not span.contains(cand) and all(not p.contains(cand) for p in passed):
-                    v = cand
-                    break
-            else:
+    v, residue = _first_outside(spans[0], units)
+    residues = [residue]
+    for i in range(1, len(spans)):
+        span = spans[i]
+        residue = span.outside(v)
+        if residue is None:
+            if span.rank >= dim:  # a full span holds every vector: no move leaves it
                 return None
-        passed.append(span)
-    return v
+            w, along = _first_outside(span, units)
+            moves = [p.outside(w) for p in itertools.islice(spans, i)]
+            blocked = {span.line_point(a, b) for a, b in zip(residues, moves) if b is not None}
+            c = next((c for c in range(1, field.q) if c not in blocked), None)
+            if c is None:
+                return None
+            v = span.combination(((1, v), (c, w)))
+            residues = [a if b is None else span.combination(((1, a), (c, b))) for a, b in zip(residues, moves)]
+            residue = span.combination(((c, along),))
+        residues.append(residue)
+    return v, residues
 
 
 def _walk_picks(field: Field, rate: int, r: int, obstacles: list[tuple]):
-    """The walk's mixing columns, position by position, over `Echelon` spans that
-    receive every chosen column they are read with; None where the walk fails."""
-    observed = [Echelon(field, cols) for cols in obstacles]
-    chosen_span = Echelon(field)
+    """The walk's mixing columns, position by position; None where the walk fails.
+
+    At each position the walk reads its spans in order: one per obstacle, made of
+    the obstacle's columns and the columns chosen so far, while the position is
+    below rate - r; after that, or with no obstacle, the chosen span alone.  A
+    plain walk would build each obstacle's `Echelon` from its columns, reduce
+    every vector it tries against every span afresh, try the multiples c = 1, 2,
+    ... of each move in turn against every passed span, and add each pick to each
+    obstacle span by reducing it again.  This walk asks the same questions in the
+    same order and gets the same answers with less work:
+
+    - shared prefixes: each distinct column goes to row form once, and obstacles
+      whose column tuples share a prefix share the span of that prefix, built once
+      by extending a copy of the span of the prefix one shorter.  A span and its
+      rows depend on its columns alone, so every obstacle gets the rows it would
+      get alone; a family in lexicographic order shares most prefixes;
+    - kept residues: every span keeps its residue of the current vector.  The
+      reduction is linear, so a move v + c*w turns residue a into a + c*b, where b
+      is the residue of w, and at the end of a position every kept residue is the
+      pick's: the pick joins each obstacle span as that residue scaled to a
+      leading 1, the row a second reduction would add;
+    - one blocked-c pass per hit: where a span holds the vector, one reduction of
+      w per passed span gives the one c, if any, that each passed span blocks, so
+      the smallest free c is the first multiple the plain walk would accept
+      (`_avoiding`);
+    - shared multiples: a row's multiple depends on the row and the scalar alone,
+      so every span of a search shares one cache of them (`Echelon.copy`), and
+      spans with a common prefix scale its rows once.
+    """
+    form = Echelon(field)
+    units = [form.row(tuple(int(i == k) for i in range(rate))) for k in range(rate)]
+    rows: dict[tuple, tuple] = {}  # column -> (its number, its row form), each made once
+    grown: dict[tuple, Echelon] = {}  # (span, column number) -> the span extended by the column
+    spans = []
+    for cols in obstacles:
+        span = form
+        for col in map(tuple, cols):
+            number, x = rows.get(col) or rows.setdefault(col, (len(rows), form.row(col)))
+            child = grown.get((span, number))  # a number hashes faster than the column it names
+            if child is None:
+                child = grown[span, number] = span.copy()
+                child.add_row(x)
+            span = child
+        # a span is copied into its extensions as they are built, before any pick joins
+        # it, so an obstacle can keep the span of its whole column tuple as its own
+        spans.append(span)
+    chosen = form.copy()
     for j in range(rate):
-        active = (observed or [chosen_span]) if j < rate - r else [chosen_span]
-        pick = _vector_avoiding(field, active, rate)
-        yield pick
-        chosen_span.add(pick)
+        found = _avoiding(field, spans if j < rate - r and spans else [chosen], units)
+        if found is None:
+            yield None
+            return
+        pick, residues = found
+        yield form.vector(pick)
+        chosen.add_row(pick)
         if j + 1 < rate - r:  # the obstacle spans are read only at the positions before rate - r
-            for span in observed:
-                span.add(pick)
+            for span, residue in zip(spans, residues):
+                span.insert(residue)
 
 
 def choose_mixing_matrix(
@@ -486,7 +551,12 @@ def choose_mixing_matrix(
     vector outside a set of vectors depends on that set alone, not on the spans
     whose union it is, so the scan builds the union once, closes it under each
     pick and takes its lowest clear bit (`_scan_picks`).  Beyond the cap a
-    constructive walk over `Echelon` spans picks (`_walk_picks`).
+    subspace-avoidance walk over `Echelon` spans picks (`_walk_picks`): it starts
+    at the first unit vector outside the first span and moves along a line out of
+    each later span that holds its vector.  It reduces each vector once per span,
+    keeps every span's residue as the vector moves, and finds the multiples of a
+    move that passed spans block in one pass; obstacles share the spans of their
+    common column prefixes.
     """
     field = code.field
     rate = code.rate

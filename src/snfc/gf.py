@@ -9,11 +9,15 @@ Vector arithmetic has one kernel: a vector is the field's packed column
 (`Field.pack`) and a sum of scaled vectors is one `Field.combination`.  The
 elimination in `Echelon` and the product in `Matrix.mul` both reduce to it.
 Only `Echelon`'s row form over GF(2^m) with m <= 8 reads the packed column as
-one int; the multicast search in `codes` walks and rank-tests in that form too.
+one int; the multicast search and the mixing walk in `codes` work in that form
+too, through `Echelon`'s methods, whatever the field.
 
 A field with q <= 256 scales through one dense product table, built on first use
 from the powers of a generator of the nonzero elements: q - 1 `bytes.translate`
-calls and at most 8q slow products, once per field per process.
+calls and at most 8q slow products, once per field per process.  With odd p and
+m > 1 it also adds through a 64 KiB table indexed by a << 8 | b, built on first
+use from the elements' base-p digits with q * m translates; a packed column sum
+reads it once per entry.
 """
 
 from __future__ import annotations
@@ -134,7 +138,32 @@ class Field:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
+        table = self._add_table
+        if table is not None:
+            return table[a << 8 | b]
         return self.encode(tuple(x + y for x, y in zip(self.coeffs(a), self.coeffs(b))))
+
+    @cached_property
+    def _add_table(self) -> bytes | None:
+        # odd p, m > 1 and q <= 256: entry a << 8 | b is a + b, 64 KiB.  The sum is digit-wise
+        # mod p, so row a is the column of every element moved by each nonzero digit of a
+        # in turn, one bytes.translate each: adding d at digit k changes that digit alone
+        if self.p == 2 or self.m == 1 or self.q > 256:
+            return None
+        p, q = self.p, self.q
+        digits = [self.coeffs(b) for b in range(q)]
+        moves = [
+            [bytes(b + ((x[k] + d) % p - x[k]) * p**k for b, x in enumerate(digits)) + bytes(256 - q) for d in range(p)]
+            for k in range(self.m)
+        ]
+        rows = []
+        for a in digits:
+            row = bytes(range(q))
+            for k, d in enumerate(a):
+                if d:
+                    row = row.translate(moves[k][d])
+            rows.append(row + bytes(256 - q))
+        return b"".join(rows) + bytes(256 * (256 - q))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
@@ -236,7 +265,14 @@ class Field:
         return raw if self.q <= 256 else array("H", raw)  # raw memory: two bytes per entry
 
     def _add_entrywise(self, a, b) -> bytes | array:
-        return self.pack(map(self.add, a, b))
+        table = self._add_table
+        if table is None:
+            return self.pack(map(self.add, a, b))
+        # one index per entry: the bytes of a and b interleaved, read as 16-bit words, are
+        # a << 8 | b or b << 8 | a by the machine's byte order, and the sum commutes
+        pairs = bytearray(2 * len(a))
+        pairs[::2], pairs[1::2] = a, b
+        return bytes(map(table.__getitem__, memoryview(pairs).cast("H")))
 
     def _mul_slow(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -471,16 +507,20 @@ class Echelon:
     Every elimination in the package runs through this class.  Each row is
     scaled to a leading 1 and keyed by that pivot column; a row added later is
     zero in every earlier pivot column, so reducing in insertion order clears
-    the pivots one by one (forward elimination, no back-substitution).
+    the pivots one by one (forward elimination, no back-substitution).  That
+    reduction is linear: the residue of a + c*b is the residue of a plus c times
+    the residue of b.
 
     A row is in row form: over GF(2^m) with m <= 8, the packed column read as one
     int, a byte per coordinate, little-endian; over any other field, the packed
     column, each elimination or scaling step being one `Field.combination`.  With
     int rows the pivot is the lowest nonzero byte, and subtracting c times a row is
     one XOR with that row's c-multiple, made by `bytes.translate` through product
-    row c and kept per (pivot, c).  `row` and `vector` convert to and from row form;
-    `combination` and `rank_with` work in it, so a walk need not unpack.  `reduced`
-    returns plain tuples; every vector must have the length of the rows held.
+    row c and kept per (row, c) in a cache that every `copy` shares.  `row` and
+    `vector` convert to and from row form; `combination`, `outside`, `line_point`,
+    `insert`, `add_row` and `rank_with` work in it, so a walk need not unpack.
+    `reduced` returns plain tuples; every vector must have the length of the rows
+    held.
     """
 
     __slots__ = ("field", "rows", "_width", "_table", "_multiples")
@@ -497,6 +537,13 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def copy(self) -> "Echelon":
+        """The same span, to grow on its own; it shares the cache of row multiples."""
+        span = Echelon.__new__(Echelon)  # no __init__: every slot is set from this span
+        span.field, span.rows, span._width, span._table = self.field, dict(self.rows), self._width, self._table
+        span._multiples = self._multiples
+        return span
 
     def row(self, v) -> int | bytes | array:
         """v in row form; v must have the length of the rows already held."""
@@ -522,59 +569,84 @@ class Echelon:
                 acc ^= x if c == 1 else self._scaled(x, self._table[c])
         return acc
 
-    def _reduce(self, x: int | bytes | array) -> int | bytes | array:
-        """x, in row form, minus its component along the rows."""
+    def _scaled(self, x: int, product_row: bytes) -> int:
+        return int.from_bytes(x.to_bytes(self._width, "little").translate(product_row), "little")
+
+    def outside(self, x):
+        """The residue of row-form x, x minus its component along the rows, when x
+        lies outside the span; None when it lies inside."""
         if self._table is None:
             f = self.field
             for pivot, row in self.rows.items():
                 c = x[pivot]
                 if c:
                     x = f.combination(((1, x), (f.neg(c), row)), len(x))
-            return x
+            return x if any(x) else None
         table, multiples = self._table, self._multiples
         for pivot, row in self.rows.items():
             c = x >> (pivot << 3) & 255
             if c == 1:
                 x ^= row
             elif c:
-                key = pivot << 8 | c
+                key = row << 8 | c
                 multiple = multiples.get(key)
                 if multiple is None:
                     multiple = multiples[key] = self._scaled(row, table[c])
                 x ^= multiple
-        return x
+        return x or None
 
-    def _scaled(self, x: int, product_row: bytes) -> int:
-        return int.from_bytes(x.to_bytes(self._width, "little").translate(product_row), "little")
+    def line_point(self, a, b) -> int | None:
+        """The c with a + c*b = 0, for row-form a != 0 and b, or None: the line
+        through a along b meets zero at most once.  Then a = -c*b, so a and b have
+        their first nonzero coordinate k in common, and c = -a_k / b_k."""
+        f, table = self.field, self._table
+        if table is None:
+            k = next((i for i, x in enumerate(b) if x), None)
+            if k is None or next(i for i, x in enumerate(a) if x) != k:
+                return None
+            c = f.mul(f.neg(a[k]), f.inv(b[k]))
+            return None if any(f.combination(((1, a), (c, b)), self._width)) else c
+        if not b:
+            return None
+        k = ((b & -b).bit_length() - 1) & ~7  # the first bit of b's lowest nonzero byte
+        if ((a & -a).bit_length() - 1) & ~7 != k:
+            return None
+        c = table[a >> k & 255][f._inv_table[b >> k & 255]]  # over GF(2^m), -x is x
+        return None if a ^ self._scaled(b, table[c]) else c
 
     def contains(self, v) -> bool:
-        x = self._reduce(self.row(v))
-        return not (x if self._table is not None else any(x))
+        return self.outside(self.row(v)) is None
 
     def add(self, v) -> bool:
         """Extend the span by v; True when the rank grew."""
-        return self._add_row(self.row(v))
+        return self.add_row(self.row(v))
+
+    def add_row(self, x) -> bool:
+        """Extend the span by the row-form x; True when the rank grew."""
+        x = self.outside(x)
+        if x is None:
+            return False
+        self.insert(x)
+        return True
+
+    def insert(self, x) -> None:
+        """Add x, a nonzero residue of this span, as a row scaled to a leading 1."""
+        f, table = self.field, self._table
+        if table is None:
+            pivot = next(i for i, a in enumerate(x) if a)
+            c = x[pivot]
+            if c != 1:
+                x = f.combination(((f.inv(c), x),), self._width)
+        else:
+            pivot = ((x & -x).bit_length() - 1) >> 3
+            c = x >> (pivot << 3) & 255
+            if c != 1:
+                x = self._scaled(x, table[f.inv(c)])
+        self.rows[pivot] = x
 
     def rank_with(self, xs) -> int:
         """The rank of the span extended by the row-form xs; this span is unchanged."""
-        span = Echelon(self.field)
-        span._width, span.rows = self._width, dict(self.rows)
-        return self.rank + sum(map(span._add_row, xs))
-
-    def _add_row(self, x) -> bool:
-        x = self._reduce(x)
-        f, table = self.field, self._table
-        if table is None:
-            pivot = next((i for i, a in enumerate(x) if a), None)
-        else:
-            pivot = ((x & -x).bit_length() - 1) >> 3 if x else None
-        if pivot is None:
-            return False
-        c = x[pivot] if table is None else x >> (pivot << 3) & 255
-        if c != 1:
-            x = f.combination(((f.inv(c), x),), len(x)) if table is None else self._scaled(x, table[f.inv(c)])
-        self.rows[pivot] = x
-        return True
+        return self.rank + sum(map(self.copy().add_row, xs))
 
     def reduced(self) -> tuple[tuple[int, ...], ...]:
         """The reduced row echelon form, rows in pivot order.
@@ -586,7 +658,7 @@ class Echelon:
         done = Echelon(self.field)
         done._width = self._width
         for p in sorted(self.rows, reverse=True):
-            done.rows[p] = done._reduce(self.rows[p])
+            done.rows[p] = done.outside(self.rows[p])  # the rows are independent: never None
         return tuple(map(done.vector, reversed(done.rows.values())))
 
 

@@ -42,7 +42,12 @@ The package has one implementation of each object; these are the independent
   union off one int;
 - `greedy_mixing`: the mixing columns picked one by one with `scan_avoiding`
   over freshly built `Echelon` spans, against `codes.choose_mixing_matrix` in
-  its scan regime (q^R <= `codes.SCAN_CAP`).
+  its scan regime (q^R <= `codes.SCAN_CAP`);
+- `walk_picks`: the subspace-avoidance walk over one `Echelon` per obstacle,
+  each vector tried reduced afresh against every span, each multiple of a move
+  tried in turn and each pick added by a second reduction, against
+  `codes._walk_picks`, which shares prefixes, keeps residues and finds every
+  blocked multiple of a move in one pass.
 
 One test fixture lives here too, since only the tests use it:
 `butterfly_sum_code_gf2`, the butterfly's GF(4) sum code read over GF(2).
@@ -411,6 +416,53 @@ def greedy_mixing(code: SumCode, r: int, family: list[tuple[str, ...]], net: Net
             return None
         chosen.append(pick)
     return Matrix.from_columns(field, chosen, nrows=rate)
+
+
+# -- mixing-column walk ----------------------------------------------------------------
+
+def first_outside(span: Echelon, dim: int) -> tuple[int, ...]:
+    for i in range(dim):
+        basis = tuple(1 if k == i else 0 for k in range(dim))
+        if not span.contains(basis):
+            return basis
+    raise InvariantViolated("a proper subspace misses some standard basis vector")
+
+
+def vector_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int, ...] | None:
+    """A vector outside every span, by a deterministic subspace-avoidance walk
+    (move along a line out of each offending span), or None.  The walk succeeds
+    whenever the field outgrows the span count."""
+    if any(s.rank >= dim for s in spans):
+        return None
+    v = first_outside(spans[0], dim)
+    passed = [spans[0]]
+    for span in spans[1:]:
+        if span.contains(v):
+            w = first_outside(span, dim)
+            for lam in range(1, field.q):
+                cand = tuple(field.add(a, field.mul(lam, b)) for a, b in zip(v, w))
+                if not span.contains(cand) and all(not p.contains(cand) for p in passed):
+                    v = cand
+                    break
+            else:
+                return None
+        passed.append(span)
+    return v
+
+
+def walk_picks(field: Field, rate: int, r: int, obstacles: list[tuple]):
+    """The walk's mixing columns, position by position, over `Echelon` spans that
+    receive every chosen column they are read with; None where the walk fails."""
+    observed = [Echelon(field, cols) for cols in obstacles]
+    chosen_span = Echelon(field)
+    for j in range(rate):
+        active = (observed or [chosen_span]) if j < rate - r else [chosen_span]
+        pick = vector_avoiding(field, active, rate)
+        yield pick
+        chosen_span.add(pick)
+        if j + 1 < rate - r:  # the obstacle spans are read only at the positions before rate - r
+            for span in observed:
+                span.add(pick)
 
 
 # -- fixtures ----------------------------------------------------------------------------

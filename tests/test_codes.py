@@ -35,7 +35,7 @@ from snfc import (
 import snfc
 import snfc.codes as codes_module
 from snfc import fixtures
-from snfc.codes import MULTICAST_ATTEMPTS, SCAN_CAP, MulticastCode, SecureCode, _Candidates, _vector_avoiding
+from snfc.codes import MULTICAST_ATTEMPTS, SCAN_CAP, MulticastCode, SecureCode, _Candidates, _walk_picks
 from snfc.corpus import corpus, random_network
 from snfc.errors import (
     ConstructionFailed,
@@ -58,6 +58,7 @@ from reference import (
     scan_avoiding,
     simulate,
     transfer_global_vectors,
+    walk_picks,
 )
 from test_verify import _column_cases, _parallel_network, random_code
 
@@ -443,7 +444,8 @@ def test_candidate_masks_match_the_reference_scan(field, dims):
 
 def test_mixing_scan_matches_the_straight_scan():
     # the bitmask scan reads the union of the spans, never their order: same vector
-    # or None; the walk leaves the list of spans as it was given
+    # or None; the walk (one position over the spans: rate dim, r = dim - 1) leaves
+    # the list of spans and their generators as they were given
     rng = random.Random(5)
     outcomes = set()
     for field in (GF2, GF3, GF4):
@@ -457,10 +459,10 @@ def test_mixing_scan_matches_the_straight_scan():
                 if rng.random() < 0.3:
                     generators.insert(rng.randrange(len(generators) + 1), rng.choice(generators))  # a repeated span
                 spans = [Echelon(field, gens) for gens in generators]
-                given_order = list(spans)
+                given_order, given_generators = list(spans), [[list(v) for v in gens] for gens in generators]
                 got = _mask_scan(field, generators, dim)
-                walked = _vector_avoiding(field, spans, dim)
-                assert spans == given_order
+                walked = next(_walk_picks(field, dim, dim - 1, generators))
+                assert spans == given_order and generators == given_generators
                 if all(s.rank < dim for s in spans):
                     assert got == scan_avoiding(field, spans, dim)
                 else:
@@ -476,7 +478,7 @@ def test_mixing_scan_matches_the_straight_scan():
         lines = [Echelon(field, gens) for gens in generators]
         assert scan_avoiding(field, lines, 2) is None
         assert _mask_scan(field, generators + generators[:1], 2) is None
-        assert _vector_avoiding(field, lines + lines[:1], 2) is None
+        assert next(_walk_picks(field, 2, 1, generators + generators[:1])) is None
         for i, (line,) in enumerate(generators):
             first = min(tuple(field.mul(c, x) for x in line) for c in range(1, field.q))
             rest = generators[:i] + generators[i + 1 :]
@@ -525,8 +527,8 @@ def test_repeated_spans_leave_the_mixing_pick_unchanged(field, dims):
                 assert _mask_scan(field, repeated_gens, dim) == got
                 assert got == (scan_avoiding(field, spans, dim) if all(s.rank < dim for s in spans) else None)
             else:
-                got = _vector_avoiding(field, spans, dim)
-                assert _vector_avoiding(field, repeated, dim) == got
+                got = next(_walk_picks(field, dim, dim - 1, gens))
+                assert next(_walk_picks(field, dim, dim - 1, repeated_gens)) == got
             outcomes.add((field.q**dim <= SCAN_CAP, got is None))
     assert {regime for regime, _ in outcomes} == {True, False}
 
@@ -538,13 +540,13 @@ def test_the_scan_regime_ends_at_scan_cap(monkeypatch, spec, rate):
     field = snfc.parse_field(spec)
     rng = random.Random(f"{spec}:{rate}")
     walks = []
-    vector_avoiding = codes_module._vector_avoiding
+    walk_picks = codes_module._walk_picks
 
     def counted(*args):
         walks.append(args)
-        return vector_avoiding(*args)
+        return walk_picks(*args)
 
-    monkeypatch.setattr(codes_module, "_vector_avoiding", counted)
+    monkeypatch.setattr(codes_module, "_walk_picks", counted)
     outcomes = set()
     for net in (fixtures.network("butterfly"), _parallel_network(rate), *itertools.islice(corpus(12), 0, None, 4)):
         base = random_code(field, net, rate, 0, rng).base
@@ -569,6 +571,83 @@ def test_the_scan_regime_ends_at_scan_cap(monkeypatch, spec, rate):
         assert walks
     else:
         assert not walks and False in outcomes
+
+
+def _walk_outcome(walk) -> list:
+    """A walk's picks up to and including its first None."""
+    picks = []
+    for pick in walk:
+        picks.append(pick)
+        if pick is None:
+            break
+    return picks
+
+
+def _walk_cases(field, rng):
+    """(rate, r, obstacles) for the walk: random families of column tuples with
+    dependent columns, columns that two edges carry, repeated spans and the
+    subsets in lexicographic order, one obstacle per source, so two sources
+    interleave their prefixes; then spans that fail position 0 and spans that fail
+    the last position that reads them."""
+    q = field.q
+    for _ in range(30 if q <= 16 else 10):
+        rate = rng.randint(2, 5 if q <= 16 else 4)
+        r = rng.randrange(rate)
+        n = rate + rng.randint(0, 2)
+        sources = []
+        for _ in range(rng.choice((1, 1, 2))):
+            cols = []
+            for _ in range(n):
+                roll = rng.random()
+                if cols and roll < 0.2:  # a dependent column: a multiple of a sum of two
+                    a, b, c = rng.choice(cols), rng.choice(cols), rng.randrange(1, q)
+                    cols.append(tuple(field.mul(c, field.add(x, y)) for x, y in zip(a, b)))
+                elif cols and roll < 0.3:  # a column that another edge carries too
+                    cols.append(rng.choice(cols))
+                else:
+                    cols.append(tuple(rng.randrange(q) for _ in range(rate)))
+            sources.append(cols)
+        size = rng.randint(1, min(n, rate))
+        obstacles = [
+            tuple(cols[e] for e in subset) for subset in itertools.combinations(range(n), size) for cols in sources
+        ]
+        for _ in range(rng.randint(0, 2)):  # a repeated span: the same tuple, or its columns in another order
+            again = rng.choice(obstacles)
+            copy = tuple(rng.sample(again, len(again))) if rng.random() < 0.5 else again
+            obstacles.insert(rng.randint(obstacles.index(again) + 1, len(obstacles)), copy)
+        yield rate, r, obstacles
+    units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    # a full span fails position 0, as the first span or after others
+    yield 4, 1, [tuple(units)]
+    yield 4, 0, [(units[0],), (units[1], units[2]), tuple(units)]
+    # a span of rank r + 1 is full once the first rate - r - 1 picks join it
+    yield 4, 1, [(units[3],), (units[2], units[3])]
+    if q <= 16:
+        # the q + 1 lines of the plane x0 = 0: position 0 picks (1, 0, 0), and at position 1
+        # the planes through it and each line cover the space, so every move is blocked
+        lines = [((0, 1, 0),)] + [((0, a, 1),) for a in field.elements()]
+        yield 3, 1, lines
+
+
+@pytest.mark.parametrize("field", [
+    GF2, GF4, make_field(2, 4), make_field(2, 8), GF3, make_field(3, 2), make_field(2, 9), make_field(257, 1),
+], ids=["GF2", "GF4", "GF16", "GF256", "GF3", "GF9", "GF512", "GF257"])
+def test_walk_matches_the_reference_walk(field):
+    # the walk asks the reference walk's questions in its order: every pick, and the
+    # position where it fails, are the reference's, over int rows (GF(2^m), m <= 8)
+    # and packed columns (odd p, or q > 256)
+    rng = random.Random(f"{field!r}:walk")
+    outcomes = set()
+    for rate, r, obstacles in _walk_cases(field, rng):
+        got = _walk_outcome(_walk_picks(field, rate, r, obstacles))
+        assert got == _walk_outcome(walk_picks(field, rate, r, obstacles)), (rate, r, obstacles)
+        if got[-1] is not None:
+            outcomes.add("chosen")
+        elif len(got) == 1:
+            outcomes.add("fails at 0")
+        elif len(got) == rate - r:
+            outcomes.add("fails at the last obstacle position")
+    assert outcomes == {"chosen", "fails at 0", "fails at the last obstacle position"}
 
 
 # -- end-to-end construction -----------------------------------------------------------------

@@ -314,6 +314,31 @@ def test_product_table_matches_slow_products(field):
         assert not any(row[field.q :])
 
 
+@pytest.mark.parametrize(
+    "p, m", [(3, 2), (3, 5), (5, 3), (7, 2), (13, 2)], ids=["GF9", "GF243", "GF125", "GF49", "GF169"]
+)
+def test_addition_table_matches_digitwise_sums(p, m):
+    # odd p and m > 1: every pair's table entry, Field.add and a packed column sum equal
+    # the digit-wise sum mod p; entries outside the field are 0
+    field = make_field(p, m)
+    table, elements = field._add_table, range(field.q)
+    assert len(table) == 1 << 16
+    for a in elements:
+        expected = [field.encode(tuple(x + y for x, y in zip(field.coeffs(a), field.coeffs(b)))) for b in elements]
+        assert list(table[a << 8 : (a << 8) + field.q]) == expected
+        assert [field.add(a, b) for b in elements] == expected
+        assert not any(table[(a << 8) + field.q : (a + 1) << 8])
+        column = field.combination(((1, field.pack([a] * field.q)), (1, field.pack(elements))), field.q)
+        assert column == bytes(expected)
+    assert not any(table[field.q << 8 :])
+
+
+def test_addition_table_only_for_odd_extension_fields():
+    # GF(2^m) adds by XOR and prime fields mod p; beyond 256 elements no table is built
+    for p, m in ((2, 4), (2, 8), (3, 1), (251, 1), (3, 6), (17, 2)):
+        assert make_field(p, m)._add_table is None
+
+
 @pytest.mark.parametrize("field", TABLE_CASES)
 def test_product_table_takes_at_most_8q_slow_products(field, monkeypatch):
     # tables are cached per instance, so a fresh Field builds its own
@@ -688,6 +713,30 @@ def test_row_form_combination_and_rank_match_packed_columns(field, n):
         before = dict(span.rows)
         assert span.rank_with(rows) == Echelon(field, held + vectors).rank
         assert span.rows == before and span.rank_with([]) == span.rank
+        # a residue is the reference's, or None inside the span; copies grown apart, which
+        # share the cache of row multiples, get the rows of fresh spans
+        reference, grown, other = TupleEchelon(field), span.copy(), span.copy()
+        for v in held:
+            reference.add(v)
+        for v, x, y in zip(vectors, rows, reversed(rows)):
+            residue, expect = span.outside(x), tuple(reference.reduce(v))
+            assert (None if not any(expect) else expect) == (residue if residue is None else span.vector(residue))
+            grown.add_row(x)
+            other.add_row(y)
+        assert span.rows == before and grown.rows == Echelon(field, held + vectors).rows
+        assert other.rows == Echelon(field, held + vectors[::-1]).rows
+        # the line through a along b meets zero at the one c with a + c*b = 0, if any: for
+        # b = c0*a at c = -1/c0
+        c0 = rng.randrange(1, field.q)
+        for x, y in [*zip(rows, rows[1:]), (rows[0], span.combination([(c0, rows[0])]))]:
+            if any(span.vector(x)):
+                c = span.line_point(x, y)
+                if c is not None:
+                    assert c and not any(span.vector(span.combination([(1, x), (c, y)])))
+                elif field.q <= 256:
+                    assert all(any(span.vector(span.combination([(1, x), (c, y)]))) for c in range(1, field.q))
+        if any(vectors[0]):
+            assert span.line_point(rows[0], span.combination([(c0, rows[0])])) == field.neg(field.inv(c0))
 
 
 @pytest.mark.parametrize("field", [GF4, make_field(3, 2), make_field(2, 9), make_field(257, 1)], ids=repr)
