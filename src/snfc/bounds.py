@@ -17,7 +17,8 @@ single edge.  Suppose another edge e' dominates some e in W:
   the maximum flow into W is below |W| and W is not a minimum cut.
 
 So the sets of two or more edges are drawn from the primary single edges only,
-and each is still confirmed with one max-flow (`is_primary`).
+and each is still confirmed by `is_primary`: with one max-flow, or with none
+when every edge of the set leaves a source.
 
 The sweep runs only the max-flows its answer needs:
 
@@ -26,8 +27,8 @@ The sweep runs only the max-flows its answer needs:
   on the rate is at most the upper one).  So the first set that reaches that
   floor is the witness, and the sets after it are not looked at;
 - it confirms lazily.  The family is one stream of candidates per size, each
-  in lexicographic order, merged; a candidate of two or more edges gets its
-  max-flow only when the sweep reaches it.  Every size is counted first, so
+  in lexicographic order, merged; a candidate of two or more edges is
+  confirmed only when the sweep reaches it.  Every size is counted first, so
   PRIMARY_SET_LIMIT refuses a family before any max-flow runs;
 - the residual cut of a set is cut from its feeding sources' flow to the sink,
   kept in the network's memo (`cuts.node_flow`) and shared with c_min and c_min_bar;
@@ -76,8 +77,8 @@ ORACLE_EDGE_LIMIT = 16
 # lifting the limit would change `exact` on large networks such as the 200-edge
 # benchmark stars, whose recorded outputs have it null
 CUT_SCAN_LIMIT = 200_000
-# candidate primary sets of one size, C(|primary edges|, k), each confirmed by a
-# max-flow; more, in any size asked for, raise TooLarge before any set is listed
+# candidate primary sets of one size, C(|primary edges|, k), each confirmed by
+# `is_primary`; more, in any size asked for, raise TooLarge before any set is listed
 PRIMARY_SET_LIMIT = 1_000_000
 
 

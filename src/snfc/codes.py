@@ -19,6 +19,14 @@ columns, `_run_code` applies a secure code's B^-1 to raw input columns and
 walks them, and `_computable` is the computability rule at the sink, applied
 only where its verdict is read: `decodes_message_sum`, `verify.check_exhaustive`
 and `sum_code_from_multicast`, which checks the bare sum code against its D.
+
+A sum code's propagation plan is built once per (network, sum code) in the
+network's memo, and every walk of the code reads it.  Its walk on the unit
+inputs, the global vectors, is memoised the same way (`_unit_walk`): the
+computability check of `sum_code_from_multicast` runs it, and `global_vectors`,
+`choose_mixing_matrix`, `code_to_dict` and the loader's audit read it, each
+`global_vectors` call through a dict of its own.  A sum code is not changed
+after it is built, so sharing changes no result.
 """
 
 from __future__ import annotations
@@ -126,11 +134,14 @@ def _propagate(combine, plan: list, inputs: list) -> list:
     return cols[len(inputs) :]
 
 
-def _propagation_plan(code: SumCode, net: Network) -> list[list[tuple[int, int]]]:
+@per_network
+def _propagation_plan(net: Network, code: SumCode) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The sum code's local rules in `net.order`, over the raw source columns.
 
     Input i * rate + k is coordinate k of source i; edge p of the order is
     index s * rate + p.  The mixing matrix is not in the plan: see `_run_code`.
+    Built once per (network, sum code) in the network's memo; every walk of the
+    code reads it.
     """
     rate = code.rate
     n_in = rate * net.num_sources
@@ -145,12 +156,21 @@ def _propagation_plan(code: SumCode, net: Network) -> list[list[tuple[int, int]]
         else:
             coeffs = code.local_coeffs.get(eid, {})
             taps = [(n_in + pos[d.id], coeffs[d.id]) for d in net.in_edges[tail] if coeffs.get(d.id)]
-        plan.append(taps)
-    return plan
+        plan.append(tuple(taps))
+    return tuple(plan)
 
 
 def _unit_columns(field: Field, n: int) -> list:
     return [field.pack(int(t == k) for t in range(n)) for k in range(n)]
+
+
+@per_network
+def _unit_walk(net: Network, code: SumCode) -> dict:
+    """`_walk` of the sum code on its s * rate unit columns: every edge's packed
+    global vector, keyed in `net.order`.  Walked once per (network, sum code) in
+    the network's memo, shared by the computability check of
+    `sum_code_from_multicast` and every `global_vectors` call; callers only read it."""
+    return _walk(code, net, _unit_columns(code.field, code.rate * net.num_sources))
 
 
 # -- global encoding vectors ---------------------------------------------------------
@@ -158,14 +178,14 @@ def _unit_columns(field: Field, n: int) -> list:
 def global_vectors(code: SumCode | SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
     """Per-edge stacked column vectors mapping all source inputs to edge symbols.
 
-    Computed by walking the s * rate unit columns through the local rules of
-    the sum code (of a secure code's base: the raw source columns, without B).
+    Read off the walk of the s * rate unit columns through the local rules of
+    the sum code (of a secure code's base: the raw source columns, without B),
+    shared in the network's memo (`_unit_walk`); each call returns a new dict.
     """
     base = code.base if isinstance(code, SecureCode) else code
     if not isinstance(base, SumCode):
         raise InvariantViolated(f"expected a sum or secure code, got {type(base).__name__}")
-    units = _unit_columns(base.field, base.rate * net.num_sources)
-    return {eid: tuple(col) for eid, col in _walk(base, net, units).items()}
+    return {eid: tuple(col) for eid, col in _unit_walk(net, base).items()}
 
 
 def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
@@ -178,7 +198,7 @@ def _walk(code: SumCode, net: Network, inputs: list) -> dict:
     """Walk the sum code's local rules on input columns of one length, rate per
     source in source order, and return every edge's column, keyed in `net.order`."""
     field, n = code.field, len(inputs[0])
-    cols = _propagate(lambda terms: field.combination(terms, n), _propagation_plan(code, net), inputs)
+    cols = _propagate(lambda terms: field.combination(terms, n), _propagation_plan(net, code), inputs)
     return dict(zip(net.order, cols))
 
 
@@ -306,9 +326,9 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
                     local_coeffs[e_out.id] = entry
     decoder = mc.kernels[net.sink].transpose()  # |in(sink)| x R
     code = SumCode(field, rate, source_matrices, local_coeffs, decoder)
+    # the unit walk is the one `global_vectors` reads later: it runs once per code
     units = _unit_columns(field, rate * net.num_sources)
-    cols = _walk(code, net, units)
-    if not _computable(decoder, net, units, cols):
+    if not _computable(decoder, net, units, _unit_walk(net, code)):
         raise ReversalInconsistent("reversed code does not decode the stacked identity")
     return code
 
@@ -563,17 +583,17 @@ def choose_mixing_matrix(
     if not 0 <= r <= rate:
         raise ShapeMismatch(f"security level {r} out of range for rate {rate}")
     vectors = global_vectors(code, net)
+    blocks = []  # per source, each edge's block of its global vector, sliced once per search; None where zero
+    for i in range(0, rate * net.num_sources, rate):
+        sliced = {eid: vector[i : i + rate] for eid, vector in vectors.items()}
+        blocks.append({eid: block if any(block) else None for eid, block in sliced.items()})
     # one obstacle per distinct column tuple; a repeated span cannot change the pick: the
     # scan's answer depends only on the union of the spans, the walk keeps its vector
     # outside every span it has passed, and every span receives the same chosen columns
     obstacles: dict[tuple, None] = {}
     for wset in family:
-        for i in range(net.num_sources):
-            cols = tuple(
-                vectors[eid][i * rate : (i + 1) * rate]
-                for eid in wset
-                if any(vectors[eid][i * rate : (i + 1) * rate])
-            )
+        for seen in blocks:
+            cols = tuple(filter(None, map(seen.__getitem__, wset)))
             if cols:
                 obstacles[cols] = None
     picks = _scan_picks if field.q**rate <= SCAN_CAP else _walk_picks
@@ -816,6 +836,9 @@ def load_code(doc: dict | str | bytes, net: Network) -> SecureCode:
     if stored is not None:
         recomputed = global_vectors(base, net)
         try:
+            for eid in stored:
+                if eid not in recomputed:
+                    raise MalformedInput(f"stored global vector for unknown edge {eid!r}")
             for eid in net.order:
                 expect = recomputed[eid]
                 got = stored.get(eid)

@@ -15,10 +15,11 @@ A flow to a node lives in the network's memo (`network.per_network`), one per
 residual cut of every wiretap set fed by the same sources, and the all-sources
 term of c_min_bar all share it.  `cut_without` copies the capacity bytes before it
 deletes an edge, so sharing is safe.  Flows to edge sets are not kept: there
-can be one per pair of edges.  The one behind each `is_primary` call holds only
-the arcs upstream of the set.  No flow refers to its network, so a network and
-its memo are freed by reference counting alone.  The sources feeding an edge set
-are those among the nodes that reach its tails, one backward walk.
+can be one per pair of edges.  The one behind an `is_primary` call holds only
+the arcs upstream of the set, and a set of source out-edges needs none.  No
+flow refers to its network, so a network and its memo are freed by reference
+counting alone.  The sources feeding an edge set are those among the nodes that
+reach its tails, one backward walk.
 """
 
 from __future__ import annotations
@@ -273,16 +274,21 @@ def is_primary(net: Network, edge_set: Iterable[str]) -> bool:
     """An edge set is primary when it equals the origin-side minimum cut
     separating itself from the sources that feed it.
 
-    One max-flow per call, on the set and the edges into nodes that reach its
-    tails: every unit ends in the set, so no other edge carries one.  The cut
-    is the set exactly when the flow fills it and the residual graph reaches
-    every tail.  Primary-set enumeration calls it only for candidates of two or
-    more edges; `_primary_edges` finds the primary single edges with no max-flow.
+    A set whose edges all leave sources is primary with no max-flow: sources
+    have no in-edges, so its tails are its feeding sources and each edge is its
+    own one-edge path, and no cut lies nearer them.  Any other set gets one
+    max-flow, on the set and the edges into nodes that reach its tails: every
+    unit ends in the set, so no other edge carries one.  The cut is the set
+    exactly when the flow fills it and the residual graph reaches every tail.
+    Primary-set enumeration calls it only for candidates of two or more edges;
+    `_primary_edges` finds the primary single edges with no max-flow.
     """
     ids = set(net.check_edges(edge_set))
     if not ids:
         raise UnknownEdge("primality is defined for nonempty edge sets")
     tails = {net.edge_by_id[eid].tail for eid in ids}
+    if tails.issubset(net.sources):
+        return True
     upstream = net.nodes_reaching(tails)
     origin = [s for s in net.sources if s in upstream]  # the feeding sources
     if not origin:

@@ -305,7 +305,7 @@ def simulate(code: SecureCode, net: Network, inputs: tuple[tuple[int, ...], ...]
     """Propagate one full source input (message and key coordinates) edge by edge."""
     binv = code.mixing_inverse
     mixed = [Matrix.build(code.field, [row], ncols=code.rate).mul(binv).row(0) for row in inputs]
-    y = _run_plan(code.field, _propagation_plan(code.base, net), [x for row in mixed for x in row])
+    y = _run_plan(code.field, _propagation_plan(net, code.base), [x for row in mixed for x in row])
     return {eid: y[i] for i, eid in enumerate(net.order)}
 
 

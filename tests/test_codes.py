@@ -50,6 +50,7 @@ from snfc.errors import (
     SingularB,
 )
 from snfc.gf import Echelon, Field
+from snfc.network import per_network
 from reference import (
     butterfly_sum_code_gf2,
     greedy_mixing,
@@ -732,6 +733,49 @@ def test_construct_searches_once_per_rate_and_field(monkeypatch):
     assert searches == [(3, GF2), (3, GF4)]
 
 
+def test_each_sum_code_builds_its_plan_and_walks_its_unit_inputs_once(monkeypatch):
+    plans, walks, build = [], [], codes_module._propagation_plan.__wrapped__
+    walk = codes_module._walk
+
+    def counted_plan(net, code):
+        plans.append(code)
+        return build(net, code)
+
+    def counted_walk(code, net, inputs):
+        walks.append((sys._getframe(1).f_code.co_name, code))
+        return walk(code, net, inputs)
+
+    monkeypatch.setattr(codes_module, "_propagation_plan", per_network(counted_plan))
+    monkeypatch.setattr(codes_module, "_walk", counted_walk)
+    # network 8 (c_min 4, one source): r = 0 and 3 settle on GF(2), r = 1 and 2 on GF(4),
+    # and every level's verify runs both security routes over at most 4^4 states
+    net = random_network(8)
+    codes = [construct(net, r, seed=1) for r in range(c_min(net))]
+    assert [code.field for code in codes] == [GF2, GF4, GF4, GF2]
+    for code in codes:
+        assert verify(code, net).all_passed
+        code_to_dict(code, net)
+    # a loaded code is one more sum code: its audit and both routes share its plan and unit walk
+    loaded = load_code(code_to_dict(codes[1], net), net)
+    assert verify(loaded, net, exhaustive=True).all_passed
+    bases = [codes[0].base, codes[1].base, loaded.base]
+    assert codes[3].base is codes[0].base and codes[2].base is codes[1].base
+    assert plans == bases
+    # every walk is a code run or the one unit walk of its sum code
+    assert {caller for caller, _ in walks} == {"_run_code", "_unit_walk"}
+    assert [code for caller, code in walks if caller == "_unit_walk"] == bases
+
+
+def test_global_vectors_returns_a_dict_the_caller_may_change(butterfly):
+    code = fixtures.butterfly_sum_code()
+    first = global_vectors(code, butterfly)
+    expect = dict(first)
+    first["e1"] = (9, 9, 9, 9)
+    del first["e5"]
+    assert global_vectors(code, butterfly) == expect
+    assert global_vectors(code, butterfly) is not global_vectors(code, butterfly)
+
+
 @pytest.mark.parametrize(
     "net, r, reason",
     [
@@ -820,6 +864,14 @@ def test_loader_rejects_tampered_global_vectors(butterfly):
     doc = json.loads(json.dumps(doc))
     doc["global_vectors"]["e5"] = [1, 1, 1, 1]
     with pytest.raises(MalformedInput):
+        load_code(doc, butterfly)
+
+
+def test_loader_rejects_global_vectors_of_edges_the_network_lacks(butterfly):
+    doc = json.loads(json.dumps(fixtures.code_dict("butterfly")))
+    load_code(doc, butterfly)
+    doc["global_vectors"]["zz"] = [1, 2]
+    with pytest.raises(MalformedInput, match="unknown edge 'zz'"):
         load_code(doc, butterfly)
 
 

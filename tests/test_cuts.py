@@ -453,9 +453,37 @@ def test_is_primary_on_the_upstream_arcs_matches_its_definition(monkeypatch):
             monkeypatch.setattr(module, "_augment", plain)
             assert verdict == primary_by_definition(net, wset), wset
             verdicts.add(verdict)
+            # a pair of source out-edges is primary with no flow; any other pair runs one
+            flows = int(any(net.edge_by_id[eid].tail not in net.sources for eid in wset))
+            assert len(arcs) == flows, wset
+            if arcs:
+                assert arcs.pop() < 2 * len(net.edges)  # two arcs per edge
         assert verdicts == {False, True}
-        assert len(arcs) == 100 and max(arcs) < 2 * len(net.edges)  # two arcs per edge
-        arcs.clear()
+
+
+def test_sets_of_source_out_edges_are_primary_with_no_flow(monkeypatch):
+    # every set of the all-parallel networks with 1..9 edges, and the sets of up to
+    # three source out-edges of corpus networks with two and three sources
+    module = importlib.import_module("snfc.cuts")
+
+    def refuse(*args):
+        raise AssertionError("a set of source out-edges ran a max-flow")
+
+    cases = []
+    for n in range(1, 10):
+        net = make_network(["s", "t"], [(f"e{k}", "s", "t") for k in range(1, n + 1)], ["s"], "t")
+        cases += [(net, wset) for k in range(1, n + 1) for wset in itertools.combinations(net.order, k)]
+    nets = [net for net in corpus(200) if net.num_sources in (2, 3)]
+    assert {net.num_sources for net in nets} == {2, 3}
+    for net in nets:
+        outs = [e.id for s in net.sources for e in net.out_edges[s]]
+        cases += [(net, wset) for k in (1, 2, 3) for wset in itertools.combinations(outs, k)]
+    assert len(cases) > 1000
+    for net, wset in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_augment", refuse)
+            verdict = is_primary(net, wset)
+        assert verdict is True and primary_by_definition(net, wset), wset
 
 
 def test_primary_edges_match_the_plain_dominance_pass():
