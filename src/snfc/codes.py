@@ -17,8 +17,8 @@ every security level shares it.
 A code runs in three steps: `_walk` runs a sum code's local rules on input
 columns, `_run_code` applies a secure code's B^-1 to raw input columns and
 walks them, and `_computable` is the computability rule at the sink, applied
-only where its verdict is read: `decodes_message_sum`, `verify.check_exhaustive`
-and `sum_code_from_multicast`, which checks the bare sum code against its D.
+only where its verdict is read: `verify`'s checks and `sum_code_from_multicast`,
+which checks the bare sum code against its D.
 
 A sum code's propagation plan is built once per (network, sum code) in the
 network's memo, and every walk of the code reads it.  Its walk on the unit
@@ -231,14 +231,6 @@ def _computable(decoder: Matrix, net: Network, inputs: list, cols: dict) -> bool
         == field.combination(((1, inputs[first + j]) for first in range(0, len(inputs), rate)), n)
         for j, dec_col in enumerate(decoder.columns())
     )
-
-
-def decodes_message_sum(code: SecureCode, net: Network) -> bool:
-    """The computability criterion, on the unit inputs: they span every input,
-    so the sink decodes every message sum exactly when it decodes theirs."""
-    units = _unit_columns(code.field, code.rate * net.num_sources)
-    cols = _run_code(code, net, units)
-    return _computable(message_decoder(code), net, units, cols)
 
 
 # -- multicast on the reversed network ---------------------------------------------

@@ -12,10 +12,14 @@ Only `Echelon`'s row form over GF(2^m) with m <= 8 reads the packed column as
 one int; the multicast search and the mixing walk in `codes` work in that form
 too, through `Echelon`'s methods, whatever the field.
 
-A field with q <= 256 scales through one dense product table, built on first use
-from the powers of a generator of the nonzero elements: q - 1 `bytes.translate`
-calls and at most 8q slow products, once per field per process.  With odd p and
-m > 1 it also adds through a 64 KiB table indexed by a << 8 | b, built on first
+Every field multiplies, inverts and scales through one log/antilog build, made
+on first use from the powers of a generator of the nonzero elements: at most
+3q slow products, once per field per process.  a*b is exp[log a + log b]
+and 1/a is exp[q - 1 - log a]; a packed column beyond 256 elements is scaled
+entry by entry through the same two lists.  While q <= 256 the build also
+holds the product rows, q - 1 `bytes.translate` calls over those lists, and a
+packed column is scaled by one translate.  With odd p, m > 1 and q <= 256 the
+field also adds through a 64 KiB table indexed by a << 8 | b, built on first
 use from the elements' base-p digits with q * m translates; a packed column sum
 reads it once per entry.
 """
@@ -71,15 +75,6 @@ def _poly_mod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
         while a and a[-1] == 0:
             a.pop()
     return tuple(a)
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return tuple(out)
 
 
 def _irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -166,61 +161,60 @@ class Field:
         return b"".join(rows) + bytes(256 * (256 - q))
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.p
-        return self.encode(tuple(-c for c in self.coeffs(a)))
+        return a if self.p == 2 else self.mul(self.p - 1, a)
 
     @cached_property
-    def _mul_table(self) -> tuple[bytes, ...] | None:
-        # small fields get a dense table; multiplication dominates simulation loops.
-        # Row a, padded to 256 entries, is also the bytes.translate table scaling a
-        # packed column by a.  The nonzero elements are the q - 1 powers of one
-        # generator, so a*b = exp[(log a + log b) mod (q - 1)]: row a != 0 is one
-        # translate of the log column (log b, and the sentinel q - 1 for b = 0 and the
-        # padding) through exp rotated left by log a, then zeros from index q - 1 on.
-        # That is q - 1 translates and at most 8q slow products, once per field.
-        if self.q > 256:
-            return None
-        exp = self._generator_powers()
-        log = [self.q - 1] * 256
-        for k, x in enumerate(exp):
+    def _tables(self) -> tuple[list[int], list[int], tuple[bytes, ...] | None]:
+        # (exp, log, rows), built once per field from the powers of one generator g of the
+        # nonzero elements.  exp lists g^0 .. g^(q-2) twice, then 2q - 1 zeros; log[x] is
+        # the k with g^k = x, and log[0] = 2(q - 1) points into the zeros, so a*b is
+        # exp[log a + log b] for all a and b, with no reduction mod q - 1 and no test for
+        # zero.  While q <= 256, rows holds the product rows: row a, padded to 256 entries,
+        # is also the bytes.translate table scaling a packed column by a, and row a != 0 is
+        # one translate of the log column (log b, and the sentinel q - 1 for b = 0 and the
+        # padding) through exp shifted by log a, then zeros from index q - 1 on.
+        n = self.q - 1
+        powers = self._generator_powers()
+        exp, log = powers * 2 + [0] * (2 * n + 1), [2 * n] * self.q
+        for k, x in enumerate(powers):
             log[x] = k
-        column, exp, zeros = bytes(log), bytes(exp), bytes(257 - self.q)
-        return (bytes(256),) + tuple(column.translate(exp[k:] + exp[:k] + zeros) for k in log[1 : self.q])
+        if self.q > 256:
+            return exp, log, None
+        column = bytes([n, *log[1:], *[n] * (256 - self.q)])
+        shifted, zeros = bytes(exp[: 2 * n]), bytes(257 - self.q)
+        return exp, log, (bytes(256),) + tuple(column.translate(shifted[k : k + n] + zeros) for k in log[1:])
+
+    @property
+    def _mul_table(self) -> tuple[bytes, ...] | None:
+        """The product rows of a field with q <= 256, else None (see `_tables`)."""
+        return self._tables[2]
 
     def _generator_powers(self) -> list[int]:
-        # 1, g, ..., g^(q-2) for the smallest g whose powers reach every nonzero element.
-        # A candidate of order d < q - 1 costs d - 1 slow products.  Under a reducible
-        # modulus no g passes: a walk also stops at 0 and after q - 1 steps.
+        # 1, g, ..., g^(q-2) for the smallest g of order q - 1: g^((q-1)/l) != 1 for every
+        # prime l dividing q - 1, tested in O(log q) slow products per prime, then one walk
+        # of q - 2 products.  Under a reducible modulus the walk (of g = 0 when no g
+        # passes) reaches 0 or repeats before covering every nonzero element.
         n = self.q - 1
-        for g in range(1, self.q):
-            powers, x = [1], g
-            while x > 1 and len(powers) < n:
-                powers.append(x)
-                x = self._mul_slow(x, g)
-            if x == 1 and len(powers) == n:
-                return powers
-        raise InvariantViolated(f"no generator of the nonzero elements: {self!r} modulus {self.modulus} is reducible")
+        primes = [d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)]
+        g = next((g for g in range(1, self.q) if all(self._pow_slow(g, n // l) != 1 for l in primes)), 0)
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(self._mul_slow(g, powers[-1]))
+        if len(set(powers) - {0}) < n:
+            raise InvariantViolated(f"no generator of the nonzero elements: {self!r} modulus {self.modulus} is reducible")
+        return powers
 
-    @cached_property
-    def _inv_table(self) -> bytes | None:
-        # entry a is the inverse of a (entry 0 is unused), read off product row a
-        table = self._mul_table
-        if table is None:
-            return None
-        return bytes([0]) + bytes(row.index(1) for row in table[1:])
+    def _pow_slow(self, a: int, e: int) -> int:
+        # a^e by slow products, square and multiply from the top bit of e
+        out = a
+        for bit in bin(e)[3:]:
+            out = self._mul_slow(out, out)
+            out = self._mul_slow(out, a) if bit == "1" else out
+        return out
 
     def mul(self, a: int, b: int) -> int:
-        table = self._mul_table
-        if table is not None:
-            return table[a][b]
-        return self._mul_slow(a, b)
-
-    def mul_row(self, a: int) -> list[int]:
-        """The products a*x for every element x, indexed by x."""
-        return [self.mul(a, x) for x in range(self.q)]
+        exp, log, _ = self._tables
+        return exp[log[a] + log[b]]
 
     # -- packed columns ----------------------------------------------------
     #
@@ -235,30 +229,22 @@ class Field:
         """The packed column sum of c * col over (c, col) terms, each of length n.
 
         While q <= 256 a column is scaled by `bytes.translate` through product
-        row c; beyond that `_scale_wide` scales it.  Addition XORs whole columns
-        when p = 2 and adds entry by entry otherwise.  With no nonzero term the
-        result is n zero entries.
+        row c; beyond that each entry x maps to exp[log c + log x].  Addition
+        XORs whole columns when p = 2 and adds entry by entry otherwise.  With
+        no nonzero term the result is n zero entries.
         """
-        table, rows = self._mul_table, {}
+        exp, log, rows = self._tables
         add = self._xor if self.p == 2 else self._add_entrywise
         acc = None
         for c, col in terms:
             if c:
                 if c != 1:
-                    col = col.translate(table[c]) if table is not None else self._scale_wide(c, col, rows)
+                    if rows is not None:
+                        col = col.translate(rows[c])
+                    else:
+                        col = array("H", map(exp.__getitem__, map(log[c].__add__, map(log.__getitem__, col))))
                 acc = col if acc is None else add(acc, col)
         return self.pack((0,)) * n if acc is None else acc
-
-    def _scale_wide(self, c: int, col: array, rows: dict) -> array:
-        # beyond 256 elements a column shorter than q is scaled entry by entry, since a
-        # product row costs q products; a longer one maps through mul_row(c), kept in
-        # `rows` for the rest of one combination
-        if len(col) < self.q:
-            return array("H", map(self._mul_slow, itertools.repeat(c), col))
-        row = rows.get(c)
-        if row is None:
-            row = rows[c] = self.mul_row(c)
-        return array("H", map(row.__getitem__, col))
 
     def _xor(self, a, b) -> bytes | array:
         raw = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(memoryview(a).nbytes, "little")
@@ -275,14 +261,16 @@ class Field:
         return bytes(map(table.__getitem__, memoryview(pairs).cast("H")))
 
     def _mul_slow(self, a: int, b: int) -> int:
+        # the product by polynomial arithmetic; only the build of `_tables` multiplies this way
         if a == 0 or b == 0:
             return 0
         if self.m == 1:
             return (a * b) % self.p
         if self.p == 2:
-            # carryless multiply, then reduce by the modulus bit pattern
+            # carryless multiply, one step per bit of the smaller factor, then reduce by
+            # the modulus bit pattern
             acc = 0
-            x, y = a, b
+            x, y = max(a, b), min(a, b)
             while y:
                 if y & 1:
                     acc ^= x
@@ -293,28 +281,26 @@ class Field:
                 if acc >> bit & 1:
                     acc ^= mod_int << (bit - self.m)
             return acc
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.encode(_poly_mod(prod, self.modulus, self.p) + (0,) * self.m)
+        # schoolbook product of the digit tuples, then x^k for k >= m folded in from the
+        # top by the monic modulus; every digit is reduced mod p once, in encode
+        m, p, digits = self.m, self.p, self.coeffs(b)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(self.coeffs(a)):
+            if x:
+                for j, y in enumerate(digits, i):
+                    prod[j] += x * y
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k] % p
+            if c:
+                for j, t in enumerate(self.modulus[:m], k - m):
+                    prod[j] -= c * t
+        return self.encode(prod[:m])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivideByZero(f"no inverse of 0 in {self!r}")
-        table = self._inv_table
-        if table is not None:
-            return table[a]
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        out = 1
-        acc = a
-        while e:
-            if e & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return out
+        exp, log, _ = self._tables
+        return exp[self.q - 1 - log[a]]
 
     def elements(self) -> range:
         return range(self.q)
@@ -529,7 +515,7 @@ class Echelon:
         self.field = field
         self.rows: dict[int, int | bytes | array] = {}
         self._width: int | None = None
-        self._table = field._mul_table if field.p == 2 else None  # None: rows stay packed columns
+        self._table = field._tables[2] if field.p == 2 else None  # None: rows stay packed columns
         self._multiples: dict[int, int] = {}
         for v in vectors:
             self.add(v)
@@ -611,7 +597,8 @@ class Echelon:
         k = ((b & -b).bit_length() - 1) & ~7  # the first bit of b's lowest nonzero byte
         if ((a & -a).bit_length() - 1) & ~7 != k:
             return None
-        c = table[a >> k & 255][f._inv_table[b >> k & 255]]  # over GF(2^m), -x is x
+        exp, log, _ = f._tables
+        c = exp[log[a >> k & 255] + f.q - 1 - log[b >> k & 255]]  # over GF(2^m), -x is x
         return None if a ^ self._scaled(b, table[c]) else c
 
     def contains(self, v) -> bool:
@@ -641,7 +628,8 @@ class Echelon:
             pivot = ((x & -x).bit_length() - 1) >> 3
             c = x >> (pivot << 3) & 255
             if c != 1:
-                x = self._scaled(x, table[f.inv(c)])
+                exp, log, _ = f._tables
+                x = self._scaled(x, table[exp[f.q - 1 - log[c]]])
         self.rows[pivot] = x
 
     def rank_with(self, xs) -> int:
@@ -667,8 +655,10 @@ def companion_matrix(field: Field, x: int) -> tuple[tuple[int, ...], ...]:
 
     Column j holds the coefficients of x * a^j, so coords(x*y) = M_x @ coords(y).
     """
-    m = field.m
-    cols = [field.coeffs(field.mul(x, field.pow(field.alpha, j))) for j in range(m)]
+    m, cols = field.m, []
+    for _ in range(m):
+        cols.append(field.coeffs(x))
+        x = field.mul(x, field.alpha)
     return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
 
 

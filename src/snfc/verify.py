@@ -4,10 +4,12 @@ A check runs a code in two steps from `codes`: `_run_code` runs it on input
 columns and returns every edge's column, and `_computable`, the
 computability rule, reads the message decoder against the sink's columns:
 decoder column j gives the sum over the sources of message input j.  The rule
-is linear, so it holds on every state exactly when it holds on the unit
-inputs, and a report applies it once: `check_exhaustive` to every state's
-columns when the exhaustive pass runs, else `check_computability` to the unit
-inputs' (`codes.decodes_message_sum`).  The rank route never applies it.
+is linear, so it holds on every state exactly when it holds on inputs that
+span them, such as the unit inputs in any order.  A report runs the code on
+the unit inputs once, for the rank route, and applies the rule once:
+`check_exhaustive` to every state's columns when the exhaustive pass runs,
+else `verify` to the rank route's own inputs and columns.  Alone,
+`check_computability` runs the code on the unit inputs and applies the rule.
 
 Security has two independent routes, a rank criterion and an exhaustive
 tabulation of the conditional message distribution, which must agree wherever
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 
 from .bounds import lower_bound, primary_wiretap_sets, upper_bound
 from .codes import (
-    SecureCode, SumCode, _computable, _run_code, _unit_columns, as_secure, decodes_message_sum, message_decoder
+    SecureCode, SumCode, _computable, _run_code, _unit_columns, as_secure, message_decoder
 )
 from .errors import (
     MalformedInput,
@@ -210,7 +212,7 @@ def _first_leak(family: list[tuple[str, ...]], classes: dict[str, int], leaks) -
 def _settle(secure: SecureCode, net: Network, fast: bool, inputs: list, leaks) -> tuple:
     """Run the code once on `inputs` and settle the family's views, built from the
     tapped edges' columns, by `leaks(cols, wset)`: (every edge's column, secure,
-    first failing set).  The caller that reads computability applies the rule to
+    first failing set).  A caller that reads computability applies the rule to
     these columns.
     """
     family = wiretap_family(net, secure.r, fast)
@@ -360,11 +362,13 @@ def _uniform_given_key(pairs, n_messages: int) -> bool:
 def check_computability(code: SecureCode | SumCode, net: Network) -> bool:
     """Does the sink always recover the coordinate-wise message sum?
 
-    The computability rule on the unit inputs (`codes.decodes_message_sum`).
+    The computability rule on the unit inputs: they span every input, so the
+    sink decodes every message sum exactly when it decodes theirs.
     """
     secure = as_secure(code)
     _check_shapes(secure, net)
-    return decodes_message_sum(secure, net)
+    units = _unit_columns(secure.field, secure.rate * net.num_sources)
+    return _computable(message_decoder(secure), net, units, _run_code(secure, net, units))
 
 
 # -- security ------------------------------------------------------------------------------
@@ -383,6 +387,12 @@ def check_security_rank(
     """
     secure = as_secure(code)
     _check_shapes(secure, net)
+    return _rank_route(secure, net, fast)[2:]
+
+
+def _rank_route(secure: SecureCode, net: Network, fast: bool) -> tuple:
+    """The rank criterion on a shape-checked secure code: (the key-first unit
+    inputs, every edge's column on them, secure, first failing set)."""
     rate, ell = secure.rate, secure.ell
     blocks = range(net.num_sources)
     keys = [b * rate + j for b in blocks for j in range(ell, rate)]
@@ -394,7 +404,7 @@ def check_security_rank(
         span = Echelon(secure.field, (cols[eid] for eid in wset))
         return any(pivot >= len(keys) for pivot in span.rows)
 
-    return _settle(secure, net, fast, inputs, leaks)[1:]
+    return (inputs, *_settle(secure, net, fast, inputs, leaks))
 
 
 # -- exhaustive ----------------------------------------------------------------------------
@@ -453,18 +463,19 @@ def verify(
     columns under EXHAUSTIVE_BYTES_LIMIT, or always with `exhaustive` (then
     either excess raises TooLarge).
     Computability is checked once: on every state when the exhaustive pass
-    runs, else on the unit inputs (`check_computability`), the same verdict.
+    runs, else on the unit inputs the rank route ran, the same verdict.
     """
     if r is not None and r < 0:
         raise NegativeSecurityLevel(f"security level {r} is negative")
     secure = as_secure(code, r)
-    secure_rank, failing = check_security_rank(secure, net, fast=fast)
+    _check_shapes(secure, net)
+    inputs, cols, secure_rank, failing = _rank_route(secure, net, fast)
     if exhaustive or _exhaustive_refusal(secure, net, cap) is None:
         computable, sec_ex, failing_ex = check_exhaustive(secure, net, fast=fast, cap=cap)
         if failing is None:
             failing = failing_ex
     else:
-        computable, sec_ex = check_computability(secure, net), None
+        computable, sec_ex = _computable(message_decoder(secure), net, inputs, cols), None
     # lower <= upper, so the sweep runs only when ell exceeds the lower bound
     ell, level = secure.ell, secure.r
     return VerifyReport(

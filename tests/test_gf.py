@@ -300,7 +300,6 @@ TABLE_CASES = [pytest.param(f, id=repr(f)) for f in TABLE_FIELDS] + NONPRIMITIVE
 
 @pytest.mark.parametrize("field", TABLE_CASES)
 def test_inverse_table_matches_slow_products(field):
-    assert field._inv_table is not None
     for a in range(1, field.q):
         assert field._mul_slow(a, field.inv(a)) == 1
 
@@ -339,14 +338,41 @@ def test_addition_table_only_for_odd_extension_fields():
         assert make_field(p, m)._add_table is None
 
 
-@pytest.mark.parametrize("field", TABLE_CASES)
+# fields beyond 256 elements, which multiply through the log and exp lists alone; the
+# last is GF(2^9) under x^9 + x^8 + x^7 + x^5 + 1, where x has order 73
+WIDE_FIELDS = [make_field(2, 9), make_field(2, 12), make_field(2, 16), make_field(3, 6), make_field(5, 4),
+               make_field(251, 2), make_field(65521, 1), make_field(2, 9, (1, 0, 0, 0, 0, 1, 0, 1, 1, 1))]
+WIDE_CASES = [pytest.param(f, id=f"{f!r}-{''.join(map(str, f.modulus))}") for f in WIDE_FIELDS]
+
+
+@pytest.mark.parametrize("field", WIDE_CASES)
+def test_log_arithmetic_matches_slow_products_and_digitwise_sums(field):
+    # every element up to q = 4096, else 20,000 random ones, each with a random partner:
+    # the product is the slow product, the inverse's slow product with a is 1, and a
+    # plus its negative is 0 in every base-p digit
+    rng = random.Random(f"log:{field!r}:{field.modulus}")
+    elements = field.elements() if field.q <= 4096 else [rng.randrange(field.q) for _ in range(20_000)]
+    for a in elements:
+        b = rng.randrange(field.q)
+        assert field.mul(a, b) == field.mul(b, a) == field._mul_slow(a, b)
+        assert field.mul(a, 0) == field.mul(0, a) == 0
+        assert not any((x + y) % field.p for x, y in zip(field.coeffs(a), field.coeffs(field.neg(a))))
+        if a:
+            assert field._mul_slow(a, field.inv(a)) == 1
+    # a packed column scaled entry by entry through the same lists
+    column = field.pack(elements)
+    assert list(field.combination([(3, column)], len(column))) == [field._mul_slow(3, x) for x in elements]
+
+
+@pytest.mark.parametrize("field", TABLE_CASES + WIDE_CASES)
 def test_product_table_takes_at_most_8q_slow_products(field, monkeypatch):
-    # tables are cached per instance, so a fresh Field builds its own
+    # tables are cached per instance, so a fresh Field builds its own; the one build,
+    # the product rows included while q <= 256, takes at most 3q slow products
     fresh, calls = Field(field.p, field.m, field.modulus), []
     slow = Field._mul_slow
     monkeypatch.setattr(Field, "_mul_slow", lambda self, a, b: calls.append(None) or slow(self, a, b))
-    assert fresh._mul_table is not None
-    assert len(calls) <= 8 * field.q
+    assert (fresh._mul_table is None) == (field.q > 256)
+    assert len(calls) <= 3 * field.q
 
 
 @pytest.mark.parametrize("modulus", [(0, 0, 1), (0, 1, 1), (1, 0, 0, 1)], ids=str)
@@ -362,11 +388,12 @@ def test_reducible_modulus_has_no_product_table(modulus):
 def test_field_pickles_and_compares_equal_with_cached_values(field):
     fresh = Field(field.p, field.m, field.modulus)
     assert field.q == field.p**field.m
-    assert (field._mul_table is None) == (field._inv_table is None) == (field.q > 256)
+    assert (field._mul_table is None) == (field.q > 256)
     for other in (fresh, pickle.loads(pickle.dumps(field))):
         assert other == field and hash(other) == hash(field)
         assert other.q == field.q
-        assert [other.mul(3 % other.q, x) for x in other.elements()] == field.mul_row(3 % field.q)
+        c = 3 % field.q
+        assert [other.mul(c, x) for x in other.elements()] == [field.mul(c, x) for x in field.elements()]
 
 
 def test_mul_matches_polynomial_oracle_on_gf9():

@@ -881,12 +881,12 @@ def test_verify_simulates_every_state_once(butterfly, monkeypatch):
         monkeypatch.setattr(holder, name, call)
 
     inputs_covered = lambda code_or_decoder, net, inputs, *rest: len(inputs[0])  # the inputs one call covers
-    counting("check_security_rank")
+    counting("_rank_route")
     counting("_state_columns")
-    counting("_run_code", inputs_covered)
     counting("check_computability")
-    # the rule at both of its bindings: the exhaustive pass's and `codes.decodes_message_sum`'s
+    # the run and the rule at both of their bindings, verify's and the one in codes
     for holder in (module, importlib.import_module("snfc.codes")):
+        counting("_run_code", inputs_covered, holder)
         counting("_computable", inputs_covered, holder)
     code = fixtures.code("butterfly")
     units = code.rate * butterfly.num_sources
@@ -896,7 +896,7 @@ def test_verify_simulates_every_state_once(butterfly, monkeypatch):
     assert report.computable and report.secure_exhaustive
     states = code.field.q**units
     assert calls == [
-        ("check_security_rank", None),
+        ("_rank_route", None),
         ("_run_code", units),
         ("_state_columns", None),
         ("_run_code", states),
@@ -905,7 +905,8 @@ def test_verify_simulates_every_state_once(butterfly, monkeypatch):
     calls.clear()
     report = verify(code, butterfly, cap=0)
     assert report.computable and report.secure_exhaustive is None
-    assert calls == [("check_security_rank", None), ("_run_code", units), ("check_computability", None), ("_computable", units)]
+    # without it, the rule reads the rank route's run of the unit inputs: one run in all
+    assert calls == [("_rank_route", None), ("_run_code", units), ("_computable", units)]
 
 
 def test_verify_skips_exhaustive_beyond_cap(butterfly):
