@@ -513,10 +513,7 @@ def _walk_picks(field: Field, rate: int, r: int, obstacles: list[tuple]):
     - one blocked-c pass per hit: where a span holds the vector, one reduction of
       w per passed span gives the one c, if any, that each passed span blocks, so
       the smallest free c is the first multiple the plain walk would accept
-      (`_avoiding`);
-    - shared multiples: a row's multiple depends on the row and the scalar alone,
-      so every span of a search shares one cache of them (`Echelon.copy`), and
-      spans with a common prefix scale its rows once.
+      (`_avoiding`).
     """
     form = Echelon(field)
     units = [form.row(tuple(int(i == k) for i in range(rate))) for k in range(rate)]

@@ -55,21 +55,14 @@ def _is_prime(n: int) -> bool:
 
 # -- polynomial helpers over Z_p (tuples of coefficients, low-to-high) --------
 
-def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
 def _poly_mod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    a = list(_poly_trim(a))
-    b = _poly_trim(b)
+    # a ends in a nonzero coefficient and b is monic: each step subtracts a's lead
+    # coefficient times b, shifted, and trims a
+    a = list(a)
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
+    while len(a) - 1 >= db:
         shift = len(a) - 1 - db
-        factor = (a[-1] * inv_lead) % p
+        factor = a[-1]
         for i, c in enumerate(b):
             a[shift + i] = (a[shift + i] - factor * c) % p
         while a and a[-1] == 0:
@@ -183,11 +176,6 @@ class Field:
         column = bytes([n, *log[1:], *[n] * (256 - self.q)])
         shifted, zeros = bytes(exp[: 2 * n]), bytes(257 - self.q)
         return exp, log, (bytes(256),) + tuple(column.translate(shifted[k : k + n] + zeros) for k in log[1:])
-
-    @property
-    def _mul_table(self) -> tuple[bytes, ...] | None:
-        """The product rows of a field with q <= 256, else None (see `_tables`)."""
-        return self._tables[2]
 
     def _generator_powers(self) -> list[int]:
         # 1, g, ..., g^(q-2) for the smallest g of order q - 1: g^((q-1)/l) != 1 for every
@@ -501,22 +489,20 @@ class Echelon:
     int, a byte per coordinate, little-endian; over any other field, the packed
     column, each elimination or scaling step being one `Field.combination`.  With
     int rows the pivot is the lowest nonzero byte, and subtracting c times a row is
-    one XOR with that row's c-multiple, made by `bytes.translate` through product
-    row c and kept per (row, c) in a cache that every `copy` shares.  `row` and
-    `vector` convert to and from row form; `combination`, `outside`, `line_point`,
-    `insert`, `add_row` and `rank_with` work in it, so a walk need not unpack.
-    `reduced` returns plain tuples; every vector must have the length of the rows
-    held.
+    one XOR with that row scaled by one `bytes.translate` through product row c.
+    `row` and `vector` convert to and from row form; `combination`, `outside`,
+    `line_point`, `insert`, `add_row` and `rank_with` work in it, so a walk need
+    not unpack.  `reduced` returns plain tuples; every vector must have the length
+    of the rows held.
     """
 
-    __slots__ = ("field", "rows", "_width", "_table", "_multiples")
+    __slots__ = ("field", "rows", "_width", "_table")
 
     def __init__(self, field: Field, vectors=()):
         self.field = field
         self.rows: dict[int, int | bytes | array] = {}
         self._width: int | None = None
         self._table = field._tables[2] if field.p == 2 else None  # None: rows stay packed columns
-        self._multiples: dict[int, int] = {}
         for v in vectors:
             self.add(v)
 
@@ -525,10 +511,9 @@ class Echelon:
         return len(self.rows)
 
     def copy(self) -> "Echelon":
-        """The same span, to grow on its own; it shares the cache of row multiples."""
+        """The same span, to grow on its own: it shares only the field and its table."""
         span = Echelon.__new__(Echelon)  # no __init__: every slot is set from this span
         span.field, span.rows, span._width, span._table = self.field, dict(self.rows), self._width, self._table
-        span._multiples = self._multiples
         return span
 
     def row(self, v) -> int | bytes | array:
@@ -568,17 +553,13 @@ class Echelon:
                 if c:
                     x = f.combination(((1, x), (f.neg(c), row)), len(x))
             return x if any(x) else None
-        table, multiples = self._table, self._multiples
+        table = self._table
         for pivot, row in self.rows.items():
             c = x >> (pivot << 3) & 255
             if c == 1:
                 x ^= row
             elif c:
-                key = row << 8 | c
-                multiple = multiples.get(key)
-                if multiple is None:
-                    multiple = multiples[key] = self._scaled(row, table[c])
-                x ^= multiple
+                x ^= self._scaled(row, table[c])
         return x or None
 
     def line_point(self, a, b) -> int | None:

@@ -61,6 +61,7 @@ from reference import (
     transfer_global_vectors,
     walk_picks,
 )
+from test_bounds import bound_large_stars, parallel_network
 from test_verify import _column_cases, _parallel_network, random_code
 
 GF2 = make_field(2, 1)
@@ -639,6 +640,25 @@ def test_walk_matches_the_reference_walk(field):
         elif len(got) == rate - r:
             outcomes.add("fails at the last obstacle position")
     assert outcomes == {"chosen", "fails at 0", "fails at the last obstacle position"}
+
+
+# the field and the sha256 of code_to_dict (JSON, sorted keys) on two large walks that no
+# digest above reaches: over int rows on the first seed-1 `bound_large` star, and over
+# packed rows on 14 parallel edges
+@pytest.mark.parametrize("net, r, pin", [
+    pytest.param(
+        bound_large_stars(1, 1)[0], 1, ("2^6", "3b1d3cc4f861c6d3a0ee17caa47f9e834f775504d3c4f3d5aec6ec3bc78acea7"),
+        id="star-200-r1",
+    ),
+    pytest.param(
+        parallel_network(14), 5, ("2^9", "f6de2c0dab2652c802be8d450eeb93819050f8200b5c565d78ddc382d3f0f40f"),
+        id="parallel-14-r5",
+    ),
+])
+def test_large_walks_keep_their_codes(net, r, pin):
+    code = construct(net, r)
+    digest = hashlib.sha256(json.dumps(code_to_dict(code, net), sort_keys=True).encode()).hexdigest()
+    assert (code.field.spec_string(), digest) == pin
 
 
 # -- end-to-end construction -----------------------------------------------------------------

@@ -306,7 +306,7 @@ def test_inverse_table_matches_slow_products(field):
 
 @pytest.mark.parametrize("field", TABLE_CASES)
 def test_product_table_matches_slow_products(field):
-    table = field._mul_table
+    table = field._tables[2]
     assert len(table) == field.q and all(len(row) == 256 for row in table)
     for a, row in enumerate(table):
         assert list(row[: field.q]) == [field._mul_slow(a, b) for b in range(field.q)]
@@ -371,7 +371,7 @@ def test_product_table_takes_at_most_8q_slow_products(field, monkeypatch):
     fresh, calls = Field(field.p, field.m, field.modulus), []
     slow = Field._mul_slow
     monkeypatch.setattr(Field, "_mul_slow", lambda self, a, b: calls.append(None) or slow(self, a, b))
-    assert (fresh._mul_table is None) == (field.q > 256)
+    assert (fresh._tables[2] is None) == (field.q > 256)
     assert len(calls) <= 3 * field.q
 
 
@@ -388,7 +388,7 @@ def test_reducible_modulus_has_no_product_table(modulus):
 def test_field_pickles_and_compares_equal_with_cached_values(field):
     fresh = Field(field.p, field.m, field.modulus)
     assert field.q == field.p**field.m
-    assert (field._mul_table is None) == (field.q > 256)
+    assert (field._tables[2] is None) == (field.q > 256)
     for other in (fresh, pickle.loads(pickle.dumps(field))):
         assert other == field and hash(other) == hash(field)
         assert other.q == field.q
@@ -740,8 +740,8 @@ def test_row_form_combination_and_rank_match_packed_columns(field, n):
         before = dict(span.rows)
         assert span.rank_with(rows) == Echelon(field, held + vectors).rank
         assert span.rows == before and span.rank_with([]) == span.rank
-        # a residue is the reference's, or None inside the span; copies grown apart, which
-        # share the cache of row multiples, get the rows of fresh spans
+        # a residue is the reference's, or None inside the span; copies grown apart get the
+        # rows of fresh spans and leave their source as it was
         reference, grown, other = TupleEchelon(field), span.copy(), span.copy()
         for v in held:
             reference.add(v)
