@@ -10,9 +10,13 @@ and r on uniform one-time keys.
 The codes follow the seed alone: each multicast search draws every kernel
 entry with `randrange(q)` from its own `random.Random`, seeded with (seed,
 field, rate), and the mixing columns are the lexicographically first
-admissible vectors.  Only the mixing matrix depends on r, so `construct` builds
-the sum code once per (network, rate, field, seed), in the network's memo, and
-every security level shares it.
+admissible vectors.  While q < 256 the draws are made without a call per
+value: randrange(q) keeps the top q.bit_length() bits of one 32-bit word while
+they are below q, so one `bytes.translate` over the top bytes of a
+`getrandbits` block shifts them down and deletes the rejected ones, value for
+value the same as randrange (`_draws`).  Only the mixing matrix depends on r,
+so `construct` builds the sum code once per (network, rate, field, seed), in
+the network's memo, and every security level shares it.
 
 A code runs in three steps: `_walk` runs a sum code's local rules on input
 columns, `_run_code` applies a secure code's B^-1 to raw input columns and
@@ -123,7 +127,9 @@ def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
 # global vectors, one column per input coordinate over all states gives every
 # state's symbols at once.  Each step is one call of the walk's combining function:
 # `Field.combination` over the field's packed columns (`Field.pack`) for a code, and
-# `Echelon.combination` over `Echelon`'s row form for the multicast search.
+# `Echelon.combination` over `Echelon`'s packed rows for the multicast search.  Over
+# `Echelon`'s int rows the multicast search walks with `Echelon.propagate`, one loop
+# with its taps' coefficients read by position from the attempt's draws.
 
 def _propagate(combine, plan: list, inputs: list) -> list:
     """Run `plan` over the equal-length `inputs` and return its columns, in plan
@@ -251,44 +257,93 @@ class MulticastCode:
     right_inverses: dict[str, Matrix]
 
 
+# _TOP_BITS[s][b] is b >> s: a `bytes.translate` table keeping a byte's top 8 - s bits
+_TOP_BITS = tuple(bytes(b >> s for b in range(256)) for s in range(8))
+
+
+def _draws(seed: str, q: int):
+    """`take(n)`: the next n values of `random.Random(seed).randrange(q)`, in order.
+
+    randrange(q) reads the top k = q.bit_length() bits of one 32-bit Mersenne
+    Twister word, and reads the next word while the value is q or more.
+    getrandbits(32 n) is n such words, first word lowest.  So while k <= 8 the
+    values are the words' top bytes, in the words' little-endian bytes every
+    fourth from the fourth, shifted down 8 - k bits, less those of q << (8 - k)
+    or more: one `bytes.translate` draws and rejects a refill's words at once.
+    Values a take leaves carry over to the next.  From q = 256 on, each value is
+    one randrange call.
+    """
+    rng = random.Random(seed)
+    k = q.bit_length()
+    if k > 8:
+        draw = rng.randrange
+        return lambda n: [draw(q) for _ in range(n)]
+    table, reject, left = _TOP_BITS[8 - k], bytes(range(q << (8 - k), 256)), b""
+
+    def take(n: int) -> bytes:
+        nonlocal left
+        while len(left) < n:
+            words = ((n - len(left)) << k) // q + 8  # a word is kept with chance q / 2^k
+            left += rng.getrandbits(words << 5).to_bytes(words << 2, "little")[3::4].translate(table, reject)
+        out, left = left[:n], left[n:]
+        return out
+
+    return take
+
+
 def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -> MulticastCode:
     """Draw random local kernels on the reversed network until every original
-    source, acting as a multicast sink, can decode all R symbols."""
+    source, acting as a multicast sink, can decode all R symbols.
+
+    Every kernel entry is the next `randrange(q)` of the search's own generator,
+    drawn attempt by attempt in kernel order (`_draws`: below q = 256, one
+    `bytes.translate` per refill of words gives the same values).  Over
+    `Echelon`'s int rows an attempt is walked in one loop (`Echelon.propagate`)
+    and each source's rank test stops as soon as its verdict is known
+    (`Echelon.reaches`).
+    """
     if rate > c_min(net):
         raise RateExceedsMinCut(f"rate {rate} exceeds the smallest source min-cut {c_min(net)}")
     if rate < 1:
         raise RateInfeasible("multicast rate must be positive")
-    draws = map(random.Random(f"{seed}|{field.p}^{field.m}|{rate}").randrange, itertools.repeat(field.q))
+    # the values of randrange(q), made without a call per value while q < 256
+    take = _draws(f"{seed}|{field.p}^{field.m}|{rate}", field.q)
     # walk the reversed network: reversed edge order, inputs the sink's rate unit columns
     walk = tuple(reversed(net.order))
     step = {eid: rate + p for p, eid in enumerate(walk)}
     # per kernel node, in draw order: its rows (reversed in-edges) and columns (its in-edges),
-    # each column a slice of an attempt's draws; per edge, the steps feeding it and its
-    # column.  Original sources are multicast sinks and get no kernel.
-    kernel_cols, shape, total = {}, {}, 0
+    # each column the positions of its entries in an attempt's draws; per edge, its taps:
+    # the steps feeding it, each with the position of its coefficient.  Original sources
+    # are multicast sinks and get no kernel.
+    kernel_cols, taps, total = {}, {}, 0
     for v in net.nodes:
         if v not in net.sources:
             feeds = range(rate) if v == net.sink else [step[d.id] for d in net.out_edges[v]]
             n_in, n_out = len(feeds), len(net.in_edges[v])
-            kernel_cols[v] = [slice(total + j, total + n_in * n_out, n_out) for j in range(n_out)]
-            shape.update((e.id, (feeds, cut)) for e, cut in zip(net.in_edges[v], kernel_cols[v]))
+            kernel_cols[v] = [range(total + j, total + n_in * n_out, n_out) for j in range(n_out)]
+            taps.update((e.id, tuple(zip(feeds, cut))) for e, cut in zip(net.in_edges[v], kernel_cols[v]))
             total += n_in * n_out
+    plan = tuple(map(taps.get, walk))
     outs = {s: [step[e.id] - rate for e in net.out_edges[s]] for s in net.sources}
     # the walk and the rank tests run in Echelon's row form; only the accepted attempt is unpacked
     form, eye = Echelon(field), Matrix.identity(field, rate)
     units = [form.row(unit) for unit in eye.data]
+    int_rows = isinstance(units[0], int)
     for _ in range(MULTICAST_ATTEMPTS):
         # every draw of an attempt comes before any check, so the codes follow the seed alone
-        drawn = tuple(itertools.islice(draws, total))
-        cols = _propagate(form.combination, [zip(feeds, drawn[c]) for feeds, c in map(shape.get, walk)], units)
+        drawn = take(total)
+        if int_rows:
+            cols = form.propagate(plan, drawn, units)
+        else:
+            cols = _propagate(form.combination, [[(idx, drawn[pos]) for idx, pos in t] for t in plan], units)
         # a source decodes exactly when its rate x |out(s)| decode matrix has full row rank
-        if all(form.rank_with([cols[p] for p in ps]) == rate for ps in outs.values()):
+        if all(form.reaches([cols[p] for p in ps], rate) for ps in outs.values()):
             break
     else:
         raise FieldTooSmallForMulticast(
             f"no decodable rate-{rate} multicast code found over {field!r} in {MULTICAST_ATTEMPTS} attempts"
         )
-    kernels = {v: Matrix.from_columns(field, [drawn[cut] for cut in cuts]) for v, cuts in kernel_cols.items()}
+    kernels = {v: Matrix.from_columns(field, [map(drawn.__getitem__, cut) for cut in cuts]) for v, cuts in kernel_cols.items()}
     decode = {s: Matrix.from_columns(field, [form.vector(cols[p]) for p in ps], rate) for s, ps in outs.items()}
     right = {s: d.solve_right(eye) for s, d in decode.items()}
     return MulticastCode(field, rate, kernels, dict(zip(walk, map(form.vector, cols))), decode, right)

@@ -615,6 +615,19 @@ def test_unwritable_output_path_is_a_usage_error(runner, butterfly_file, tmp_pat
     assert (tmp_path / "a_dir").is_dir()
 
 
+def test_failed_code_write_is_a_usage_error(runner, butterfly_file, tmp_path, monkeypatch):
+    """A write that fails after construct, here a full disk, exits 2 with no traceback."""
+
+    def save_code(path, code, net):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("snfc.cli.save_code", save_code)
+    out = str(tmp_path / "code.json")
+    result = runner.invoke(main, ["construct", "--network", butterfly_file, "--r", "1", "--out", out, "--json"])
+    assert_clean_exit(result, 2)
+    assert f"cannot write {out}: No space left on device" in result.output
+
+
 def _mutated_document(data, doc: dict) -> bytes:
     """A fixture document with one random defect, serialized to bytes."""
     doc = json.loads(json.dumps(doc))

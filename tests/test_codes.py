@@ -115,6 +115,37 @@ def test_draw_stream_matches_randrange(butterfly, q):
         assert drawn in [[rng.randrange(q) for _ in drawn] for _ in range(MULTICAST_ATTEMPTS)]
 
 
+class CountingRandom(random.Random):
+    """Counts its randrange calls."""
+
+    calls = 0
+
+    def randrange(self, *args):
+        CountingRandom.calls += 1
+        return super().randrange(*args)
+
+
+# every q up to 300, and 2^k - 1, 2^k and 2^k + 1 up to 65536
+DRAW_SIZES = sorted({*range(2, 301), *(2**k + d for k in range(2, 17) for d in (-1, 0, 1))} - {2**16 + 1})
+
+
+def test_draws_are_randrange_value_for_value(monkeypatch):
+    # takes of one value, of one butterfly attempt (12 draws at rate 2), and takes that
+    # cross a refill; below q = 256 no value is a randrange call
+    monkeypatch.setattr(codes_module, "random", types.SimpleNamespace(Random=CountingRandom))
+    sizes = [1, 12, 1, 12, 300, 2, 1000, 12]
+    for q in DRAW_SIZES:
+        seed = f"{q}|draws|2"
+        rng = random.Random(seed)
+        expect = [rng.randrange(q) for _ in range(sum(sizes))]
+        CountingRandom.calls = 0
+        take = codes_module._draws(seed, q)
+        got = [list(take(n)) for n in sizes]
+        assert list(map(len, got)) == sizes, q
+        assert [x for chunk in got for x in chunk] == expect, q
+        assert CountingRandom.calls == (0 if q < 256 else sum(sizes)), q
+
+
 # sha256 over multicast kernels at rate c_min and every construct(net, r) with
 # 0 <= r < c_min, on 30 corpus networks, for each field spec in turn: the draws
 # over odd characteristics and wide fields, which MULTICAST_PINS and the
@@ -176,15 +207,22 @@ class SparseRandom(random.Random):
         return super().randrange(q) if self.random() < 0.5 else 0
 
 
+def sparse_draws(seed, q):
+    """`codes._draws` over `SparseRandom`: each value one of its randrange calls."""
+    draw = SparseRandom(seed).randrange
+    return lambda n: [draw(q) for _ in range(n)]
+
+
 @pytest.mark.parametrize("spec", ["2", "2^2", "2^8", "3", "2^9"])
 def test_row_form_search_matches_the_packed_reference_attempt_by_attempt(butterfly, monkeypatch, spec):
     # every attempt's row-form columns, unpacked, are the packed walk's, and the search
     # stops exactly where the packed rank test first accepts
     field = snfc.parse_field(spec)
-    monkeypatch.setattr(codes_module, "random", types.SimpleNamespace(Random=SparseRandom))
-    walks = []
-    propagate = codes_module._propagate
+    monkeypatch.setattr(codes_module, "_draws", sparse_draws)
+    walks = []  # each attempt's columns: int rows walk in Echelon.propagate, packed rows in _propagate
+    propagate, row_propagate = codes_module._propagate, Echelon.propagate
     monkeypatch.setattr(codes_module, "_propagate", lambda *args: walks.append(propagate(*args)) or walks[-1])
+    monkeypatch.setattr(Echelon, "propagate", lambda *args: walks.append(row_propagate(*args)) or walks[-1])
     verdicts = set()
     for seed, net in enumerate([butterfly, *corpus(16, base_seed=700, max_edges=10)]):
         rate = c_min(net)
@@ -314,6 +352,13 @@ def test_mixing_matrix_matches_shipped_butterfly_choice(butterfly):
     family = primary_wiretap_sets(butterfly, 1, exact_size=True)
     b = choose_mixing_matrix(base, 1, family, butterfly)
     assert b.data == ((1, 0), (2, 1))
+
+
+@pytest.mark.parametrize("r", [-1, 3])
+def test_mixing_matrix_refuses_a_level_outside_the_rate(butterfly, r):
+    base = fixtures.butterfly_sum_code()
+    with pytest.raises(ShapeMismatch, match=f"security level {r} out of range for rate 2"):
+        choose_mixing_matrix(base, r, primary_wiretap_sets(butterfly, 1, exact_size=True), butterfly)
 
 
 def test_mixing_matrix_impossible_over_gf2(butterfly):

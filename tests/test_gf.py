@@ -20,6 +20,7 @@ from snfc.errors import (
     DivideByZero,
     FieldMismatch,
     InvariantViolated,
+    MalformedInput,
     NonPrime,
     PrimeFieldInput,
     Singular,
@@ -224,6 +225,13 @@ def test_non_integer_field_arguments_are_refused_in_either_call_order(order):
     # 1.0 == 1, so a float argument must be refused before the cache is read
     proc = run_fresh(FIELD_ORDER_SCRIPT, *order)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", [(2, 2, (1, 1.0, 1)), (2.0, 2), (2, 2.0), (2, 2, "111")])
+def test_non_integer_field_arguments_are_refused(args):
+    # the same refusals in this process, where the field cache may hold (2, 2)
+    with pytest.raises(MalformedInput, match="field parameters must be ints"):
+        make_field(*args)
 
 
 @pytest.mark.parametrize("spec", ["2^2^2", "3^1^junk", "2^2^"])
@@ -720,6 +728,22 @@ def test_echelon_matches_tuple_row_reference(field, n):
         assert engine.reduced() == reference.reduced()
         for v in random_vectors(rng, field, n, 12) + vectors:
             assert engine.contains(v) == (not any(reference.reduce(v)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 9])
+@pytest.mark.parametrize("field", PACKED_FIELDS + TUPLE_FIELDS, ids=repr)
+def test_reaches_gives_the_verdict_of_the_full_rank(field, n):
+    # the rank test that stops early agrees with rank_with at every threshold, from 0
+    # (reached before any row) to beyond the dimension, and leaves the span as it was
+    rng = random.Random(f"reaches:{field!r}:{n}")
+    for _ in range(8):
+        held, vectors = random_vectors(rng, field, n, rng.randrange(0, 3)), random_vectors(rng, field, n, rng.randrange(0, 12))
+        span = Echelon(field, held)
+        span.row((0,) * n)  # fixes the width of an empty span
+        rows, before = [span.row(v) for v in vectors], dict(span.rows)
+        rank = span.rank_with(rows)
+        assert [span.reaches(rows, r) for r in range(n + 2)] == [rank >= r for r in range(n + 2)]
+        assert span.rows == before
 
 
 @pytest.mark.parametrize("n", [1, 7, 9])

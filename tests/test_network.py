@@ -23,6 +23,7 @@ from snfc.errors import (
     SinkHasOutEdge,
     SourceHasInEdge,
     UnknownEdge,
+    UnknownNode,
     UnreachableSink,
     ValidationFailure,
 )
@@ -152,6 +153,11 @@ def test_duplicate_edge_ids_rejected():
 def test_malformed_node_lists_rejected(nodes, sources, message):
     with pytest.raises(MalformedInput, match=message):
         make_network(nodes, [("e1", "s", "rho")], sources, "rho")
+
+
+def test_source_not_among_nodes_rejected():
+    with pytest.raises(UnknownNode, match="source 'x' not among nodes"):
+        make_network(["s", "rho"], [("e1", "s", "rho")], ["s", "x"], "rho")
 
 
 def test_malformed_json_rejected():
