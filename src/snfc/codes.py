@@ -306,7 +306,6 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
         raise RateExceedsMinCut(f"rate {rate} exceeds the smallest source min-cut {c_min(net)}")
     if rate < 1:
         raise RateInfeasible("multicast rate must be positive")
-    # the values of randrange(q), made without a call per value while q < 256
     take = _draws(f"{seed}|{field.p}^{field.m}|{rate}", field.q)
     # walk the reversed network: reversed edge order, inputs the sink's rate unit columns
     walk = tuple(reversed(net.order))

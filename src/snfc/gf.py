@@ -490,9 +490,9 @@ class Echelon:
     column, each elimination or scaling step being one `Field.combination`.  With
     int rows the pivot is the lowest nonzero byte, and subtracting c times a row is
     one XOR with that row scaled by one `bytes.translate` through product row c.
-    `row` and `vector` convert to and from row form; `combination`, `outside`,
-    `line_point`, `insert`, `add_row` and `rank_with` work in it, so a walk need
-    not unpack.  `reduced` returns plain tuples; every vector must have the length
+    `row` and `vector` convert to and from row form; `combination`, `propagate`,
+    `outside`, `line_point`, `insert`, `add_row`, `rank_with` and `reaches` work
+    in it, so a walk need not unpack.  `reduced` returns plain tuples; every vector must have the length
     of the rows held.
     """
 
