@@ -126,10 +126,9 @@ def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
 # the edges before it.  The inputs decide what a column means: unit columns give
 # global vectors, one column per input coordinate over all states gives every
 # state's symbols at once.  Each step is one call of the walk's combining function:
-# `Field.combination` over the field's packed columns (`Field.pack`) for a code, and
-# `Echelon.combination` over `Echelon`'s packed rows for the multicast search.  Over
-# `Echelon`'s int rows the multicast search walks with `Echelon.propagate`, one loop
-# with its taps' coefficients read by position from the attempt's draws.
+# `Field.combination` over the field's packed columns (`Field.pack`) for a code.  The
+# multicast search walks in `Echelon`'s row form with `Echelon.propagate`, its taps'
+# coefficients read by position from the attempt's draws.
 
 def _propagate(combine, plan: list, inputs: list) -> list:
     """Run `plan` over the equal-length `inputs` and return its columns, in plan
@@ -297,10 +296,9 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
 
     Every kernel entry is the next `randrange(q)` of the search's own generator,
     drawn attempt by attempt in kernel order (`_draws`: below q = 256, one
-    `bytes.translate` per refill of words gives the same values).  Over
-    `Echelon`'s int rows an attempt is walked in one loop (`Echelon.propagate`)
-    and each source's rank test stops as soon as its verdict is known
-    (`Echelon.reaches`).
+    `bytes.translate` per refill of words gives the same values).  An attempt
+    is walked in `Echelon`'s row form (`Echelon.propagate`), and each source's
+    rank test stops as soon as its verdict is known (`Echelon.reaches`).
     """
     if rate > c_min(net):
         raise RateExceedsMinCut(f"rate {rate} exceeds the smallest source min-cut {c_min(net)}")
@@ -327,14 +325,10 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
     # the walk and the rank tests run in Echelon's row form; only the accepted attempt is unpacked
     form, eye = Echelon(field), Matrix.identity(field, rate)
     units = [form.row(unit) for unit in eye.data]
-    int_rows = isinstance(units[0], int)
     for _ in range(MULTICAST_ATTEMPTS):
         # every draw of an attempt comes before any check, so the codes follow the seed alone
         drawn = take(total)
-        if int_rows:
-            cols = form.propagate(plan, drawn, units)
-        else:
-            cols = _propagate(form.combination, [[(idx, drawn[pos]) for idx, pos in t] for t in plan], units)
+        cols = form.propagate(plan, drawn, units)
         # a source decodes exactly when its rate x |out(s)| decode matrix has full row rank
         if all(form.reaches([cols[p] for p in ps], rate) for ps in outs.values()):
             break

@@ -541,13 +541,18 @@ class Echelon:
         return acc
 
     def propagate(self, plan, coefficients, inputs) -> list:
-        """For int rows: run `plan` over the row-form `inputs` and return its columns,
-        in plan order.  Step p's taps are (index, position) pairs, and its column is
-        the sum of coefficients[position] times column index, where indices below
-        len(inputs) name inputs and the rest name earlier steps.  One loop, with the
-        scaling of `_scaled` written out; packed rows walk with `Field.combination`."""
+        """Run `plan` over the row-form `inputs` and return its columns, in plan
+        order.  Step p's taps are (index, position) pairs, and its column is the sum
+        of coefficients[position] times column index, where indices below
+        len(inputs) name inputs and the rest name earlier steps.  Over int rows the
+        walk is one loop, with the scaling of `_scaled` written out."""
         table, width, n = self._table, self._width, len(inputs)
         cols = [*inputs, *plan]  # each step's slot, overwritten in turn
+        if table is None:
+            combination = self.field.combination
+            for p, taps in enumerate(plan, n):
+                cols[p] = combination([(coefficients[pos], cols[idx]) for idx, pos in taps], width)
+            return cols[n:]
         for p, taps in enumerate(plan, n):
             acc = 0
             for idx, pos in taps:
@@ -639,42 +644,17 @@ class Echelon:
     def reaches(self, xs, r: int) -> bool:
         """Whether the span extended by the row-form xs has rank r or more; this span
         is unchanged.  The xs are taken in order, and the test stops once the rank
-        reaches r or once the xs left cannot bring it there.  Over int rows each x is
-        reduced and kept in one loop, with `outside` and `insert` written out."""
+        reaches r or once the xs left cannot bring it there."""
         need, left = r - self.rank, len(xs)
         if need <= 0:
             return True
-        if self._table is None:
-            span = self.copy()
-            for x in xs:
-                left -= 1
-                need -= span.add_row(x)
-                if not need or need > left:
-                    break
-            return not need
-        table, width, q = self._table, self._width, self.field.q
-        exp, log, _ = self.field._tables
-        rows = [(pivot << 3, row) for pivot, row in self.rows.items()]  # each row's pivot as a bit shift
+        span = self.copy()
         for x in xs:
             left -= 1
-            for shift, row in rows:
-                c = x >> shift & 255
-                if c == 1:
-                    x ^= row
-                elif c:
-                    x ^= int.from_bytes(row.to_bytes(width, "little").translate(table[c]), "little")
-            if x:
-                need -= 1
-                if not need:
-                    return True
-                shift = ((x & -x).bit_length() - 1) & ~7
-                c = x >> shift & 255
-                if c != 1:
-                    x = int.from_bytes(x.to_bytes(width, "little").translate(table[exp[q - 1 - log[c]]]), "little")
-                rows += ((shift, x),)
-            if need > left:
-                return False
-        return False
+            need -= span.add_row(x)
+            if not need or need > left:
+                break
+        return not need
 
     def reduced(self) -> tuple[tuple[int, ...], ...]:
         """The reduced row echelon form, rows in pivot order.

@@ -219,10 +219,9 @@ def test_row_form_search_matches_the_packed_reference_attempt_by_attempt(butterf
     # stops exactly where the packed rank test first accepts
     field = snfc.parse_field(spec)
     monkeypatch.setattr(codes_module, "_draws", sparse_draws)
-    walks = []  # each attempt's columns: int rows walk in Echelon.propagate, packed rows in _propagate
-    propagate, row_propagate = codes_module._propagate, Echelon.propagate
-    monkeypatch.setattr(codes_module, "_propagate", lambda *args: walks.append(propagate(*args)) or walks[-1])
-    monkeypatch.setattr(Echelon, "propagate", lambda *args: walks.append(row_propagate(*args)) or walks[-1])
+    walks = []  # each attempt's columns, as Echelon.propagate walks them
+    propagate = Echelon.propagate
+    monkeypatch.setattr(Echelon, "propagate", lambda *args: walks.append(propagate(*args)) or walks[-1])
     verdicts = set()
     for seed, net in enumerate([butterfly, *corpus(16, base_seed=700, max_edges=10)]):
         rate = c_min(net)
