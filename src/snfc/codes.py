@@ -58,7 +58,7 @@ from .errors import (
     Singular,
     SingularB,
 )
-from .gf import MAX_FIELD_SIZE, Echelon, Field, Matrix, companion_expand, make_field, parse_field
+from .gf import MAX_FIELD_SIZE, Echelon, Field, Matrix, companion_expand, make_field, parse_field, unit_vectors
 from .network import Network, _json_object, per_network
 
 MULTICAST_ATTEMPTS = 64
@@ -165,17 +165,13 @@ def _propagation_plan(net: Network, code: SumCode) -> tuple[tuple[tuple[int, int
     return tuple(plan)
 
 
-def _unit_columns(field: Field, n: int) -> list:
-    return [field.pack(int(t == k) for t in range(n)) for k in range(n)]
-
-
 @per_network
 def _unit_walk(net: Network, code: SumCode) -> dict:
     """`_walk` of the sum code on its s * rate unit columns: every edge's packed
     global vector, keyed in `net.order`.  Walked once per (network, sum code) in
     the network's memo, shared by the computability check of
     `sum_code_from_multicast` and every `global_vectors` call; callers only read it."""
-    return _walk(code, net, _unit_columns(code.field, code.rate * net.num_sources))
+    return _walk(code, net, unit_vectors(code.rate * net.num_sources, code.field.pack))
 
 
 # -- global encoding vectors ---------------------------------------------------------
@@ -195,7 +191,7 @@ def global_vectors(code: SumCode | SecureCode, net: Network) -> dict[str, tuple[
 
 def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]:
     """The global vectors of what actually flows: the code run on the unit inputs."""
-    units = _unit_columns(code.field, code.rate * net.num_sources)
+    units = unit_vectors(code.rate * net.num_sources, code.field.pack)
     return {eid: tuple(col) for eid, col in _run_code(code, net, units).items()}
 
 
@@ -298,7 +294,9 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
     drawn attempt by attempt in kernel order (`_draws`: below q = 256, one
     `bytes.translate` per refill of words gives the same values).  An attempt
     is walked in `Echelon`'s row form (`Echelon.propagate`), and each source's
-    rank test stops as soon as its verdict is known (`Echelon.reaches`).
+    rank test stops as soon as its verdict is known (`Echelon.reaches`).  The
+    accepted attempt is read straight from its draws: each kernel's rows are
+    consecutive slices of them.
     """
     if rate > c_min(net):
         raise RateExceedsMinCut(f"rate {rate} exceeds the smallest source min-cut {c_min(net)}")
@@ -308,18 +306,19 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
     # walk the reversed network: reversed edge order, inputs the sink's rate unit columns
     walk = tuple(reversed(net.order))
     step = {eid: rate + p for p, eid in enumerate(walk)}
-    # per kernel node, in draw order: its rows (reversed in-edges) and columns (its in-edges),
-    # each column the positions of its entries in an attempt's draws; per edge, its taps:
-    # the steps feeding it, each with the position of its coefficient.  Original sources
-    # are multicast sinks and get no kernel.
-    kernel_cols, taps, total = {}, {}, 0
+    # per kernel node, in draw order: its rows (reversed in-edges) one after another in an
+    # attempt's draws, so each column (an in-edge) is a strided range of positions; per edge,
+    # its taps: the steps feeding it, each with the position of its coefficient.  Original
+    # sources are multicast sinks and get no kernel.
+    kernel_draws, taps, total = {}, {}, 0
     for v in net.nodes:
         if v not in net.sources:
             feeds = range(rate) if v == net.sink else [step[d.id] for d in net.out_edges[v]]
-            n_in, n_out = len(feeds), len(net.in_edges[v])
-            kernel_cols[v] = [range(total + j, total + n_in * n_out, n_out) for j in range(n_out)]
-            taps.update((e.id, tuple(zip(feeds, cut))) for e, cut in zip(net.in_edges[v], kernel_cols[v]))
-            total += n_in * n_out
+            n_out = len(net.in_edges[v])
+            at = range(total, total + len(feeds) * n_out)
+            kernel_draws[v] = slice(at.start, at.stop), n_out
+            taps.update((e.id, tuple(zip(feeds, at[j::n_out]))) for j, e in enumerate(net.in_edges[v]))
+            total = at.stop
     plan = tuple(map(taps.get, walk))
     outs = {s: [step[e.id] - rate for e in net.out_edges[s]] for s in net.sources}
     # the walk and the rank tests run in Echelon's row form; only the accepted attempt is unpacked
@@ -336,10 +335,12 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
         raise FieldTooSmallForMulticast(
             f"no decodable rate-{rate} multicast code found over {field!r} in {MULTICAST_ATTEMPTS} attempts"
         )
-    kernels = {v: Matrix.from_columns(field, [map(drawn.__getitem__, cut) for cut in cuts]) for v, cuts in kernel_cols.items()}
-    decode = {s: Matrix.from_columns(field, [form.vector(cols[p]) for p in ps], rate) for s, ps in outs.items()}
+    # n draws at a time from one iterator over a kernel's draws are its rows
+    kernels = {v: Matrix(field, tuple(zip(*[iter(drawn[at])] * n)), n) for v, (at, n) in kernel_draws.items()}
+    vectors = list(map(form.vector, cols))
+    decode = {s: Matrix.from_columns(field, [vectors[p] for p in ps], rate) for s, ps in outs.items()}
     right = {s: d.solve_right(eye) for s, d in decode.items()}
-    return MulticastCode(field, rate, kernels, dict(zip(walk, map(form.vector, cols))), decode, right)
+    return MulticastCode(field, rate, kernels, dict(zip(walk, vectors)), decode, right)
 
 
 def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
@@ -354,8 +355,7 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
     rate = mc.rate
     source_matrices: dict[str, dict[str, tuple[int, ...]]] = {}
     for s in net.sources:
-        k = mc.right_inverses[s]  # |out(s)| x R, rows indexed by out-edges
-        source_matrices[s] = {e.id: k.row(i) for i, e in enumerate(net.out_edges[s])}
+        source_matrices[s] = dict(zip([e.id for e in net.out_edges[s]], mc.right_inverses[s].data))  # a row per out-edge
     local_coeffs: dict[str, dict[str, int]] = {}
     for v in net.nodes:
         if v not in net.sources and v != net.sink:
@@ -367,7 +367,7 @@ def sum_code_from_multicast(mc: MulticastCode, net: Network) -> SumCode:
     decoder = mc.kernels[net.sink].transpose()  # |in(sink)| x R
     code = SumCode(field, rate, source_matrices, local_coeffs, decoder)
     # the unit walk is the one `global_vectors` reads later: it runs once per code
-    units = _unit_columns(field, rate * net.num_sources)
+    units = unit_vectors(rate * net.num_sources, field.pack)
     if not _computable(decoder, net, units, _unit_walk(net, code)):
         raise ReversalInconsistent("reversed code does not decode the stacked identity")
     return code

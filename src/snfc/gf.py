@@ -6,11 +6,11 @@ low-to-high degree.  All matrix arithmetic is exact; there is no floating point
 anywhere in this module.
 
 Vector arithmetic has one kernel: a vector is the field's packed column
-(`Field.pack`) and a sum of scaled vectors is one `Field.combination`.  The
-elimination in `Echelon` and the product in `Matrix.mul` both reduce to it.
-Only `Echelon`'s row form over GF(2^m) with m <= 8 reads the packed column as
-one int; the multicast search and the mixing walk in `codes` work in that form
-too, through `Echelon`'s methods, whatever the field.
+(`Field.pack`) and a sum of scaled vectors is one `Field.combination`.  Only
+`Echelon`'s row form over GF(2^m) with m <= 8 reads the packed column as one
+int; the elimination, `Matrix`'s products and solves, the multicast search and
+the mixing walk in `codes` all work in that row form, through `Echelon`'s
+methods, whatever the field.
 
 Every field multiplies, inverts and scales through one log/antilog build, made
 on first use from the powers of a generator of the nonzero elements: at most
@@ -351,7 +351,8 @@ def parse_field(spec: str, modulus: list[int] | None = None) -> Field:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix over one Field; entries are int-encoded elements."""
+    """Immutable dense matrix over one Field; entries are int-encoded elements, rows tuples.
+    Builders move whole rows with `zip` and slices; the algebra runs in `Echelon`'s row form."""
 
     field: Field
     data: tuple[tuple[int, ...], ...]
@@ -386,7 +387,7 @@ class Matrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return Matrix(field, tuple(unit_vectors(n)), n)
 
     @staticmethod
     def column(field: Field, entries) -> "Matrix":
@@ -394,54 +395,49 @@ class Matrix:
 
     @staticmethod
     def from_columns(field: Field, columns, nrows: int | None = None) -> "Matrix":
-        cols = [tuple(c) for c in columns]
+        """The matrix with these columns; `nrows`, if given, must be their length."""
+        cols = list(map(tuple, columns))
         if not cols:
             if nrows is None:
                 raise DimensionMismatch("nrows required for matrices with no columns")
-            return Matrix(field, tuple(() for _ in range(nrows)), 0)
+            return Matrix(field, ((),) * nrows, 0)
         n = len(cols[0])
-        if any(len(c) != n for c in cols):
+        if any(map(n.__ne__, map(len, cols))):
             raise DimensionMismatch("columns of unequal length")
-        return Matrix(field, tuple(tuple(c[i] for c in cols) for i in range(n)), len(cols))
+        if nrows is not None and nrows != n:
+            raise DimensionMismatch(f"columns of length {n} for {nrows} rows")
+        return Matrix(field, tuple(zip(*cols)), len(cols))
 
     # -- access ------------------------------------------------------------
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
-
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.ncols)]
+        # zip of no rows would lose the column count
+        return list(zip(*self.data)) if self.data else [()] * self.ncols
 
     # -- algebra -----------------------------------------------------------
 
     def _check_same_field(self, other: "Matrix") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """self @ other: row i is one `Field.combination` of other's packed rows, scaled by self's row i."""
+        """self @ other: row i is one `Echelon.combination` of other's rows in row form, scaled by self's row i."""
         self._check_same_field(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} x {other.shape}")
-        f = self.field
-        rows = [f.pack(row) for row in other.data]
-        return Matrix(f, tuple(tuple(f.combination(zip(row, rows), other.ncols)) for row in self.data), other.ncols)
+        form = Echelon(self.field)
+        rows = list(map(form.row, other.data))
+        form._width = other.ncols  # set by form.row too, unless other has no rows
+        return Matrix(self.field, tuple(form.vector(form.combination(zip(row, rows))) for row in self.data), other.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(self.col(j) for j in range(self.ncols)), self.nrows)
+        return Matrix(self.field, tuple(self.columns()), self.nrows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.nrows != other.nrows:
             raise DimensionMismatch(f"hstack {self.shape} | {other.shape}")
-        return Matrix(
-            self.field,
-            tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
-            self.ncols + other.ncols,
-        )
+        return Matrix(self.field, tuple(map(tuple.__add__, self.data, other.data)), self.ncols + other.ncols)
 
     # -- elimination ---------------------------------------------------------
 
@@ -451,7 +447,7 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        inverse = self.solve_right(Matrix.identity(self.field, self.nrows))
+        inverse = self._solve(map(tuple.__add__, self.data, unit_vectors(self.nrows)), self.nrows)
         if inverse is None:
             raise Singular("matrix is singular")
         return inverse
@@ -465,14 +461,25 @@ class Matrix:
         self._check_same_field(rhs)
         if self.nrows != rhs.nrows:
             raise DimensionMismatch(f"solve {self.shape} with rhs {rhs.shape}")
+        return self._solve(map(tuple.__add__, self.data, rhs.data), rhs.ncols)
+
+    def _solve(self, augmented, k: int) -> "Matrix | None":
+        # the augmented rows [self | Y] reduced in Echelon's row form: row p of X is the
+        # part from column n on of the reduced row with pivot p, zero where no row has it
         n = self.ncols
-        span = Echelon(self.field, self.hstack(rhs).data)
-        if any(p >= n for p in span.rows):
+        span = Echelon(self.field, augmented)
+        if span.rows and max(span.rows) >= n:
             return None
-        out = [(0,) * rhs.ncols] * n
-        for p, row in zip(sorted(span.rows), span.reduced()):
-            out[p] = row[n:]
-        return Matrix(self.field, tuple(out), rhs.ncols)
+        out = [(0,) * k] * n
+        for p, row in span.back_substituted().items():
+            out[p] = span.vector(row)[n:]
+        return Matrix(self.field, tuple(out), k)
+
+
+def unit_vectors(n: int, pack=tuple) -> list:
+    """The n unit vectors of length n in order: unit i is n entries of 0^(n-1) 1 0^(n-1), packed once."""
+    line = pack((0,) * (n - 1) + (1,) + (0,) * (n - 1))
+    return [line[n - 1 - i : 2 * n - 1 - i] for i in range(n)]
 
 
 class Echelon:
@@ -491,9 +498,9 @@ class Echelon:
     int rows the pivot is the lowest nonzero byte, and subtracting c times a row is
     one XOR with that row scaled by one `bytes.translate` through product row c.
     `row` and `vector` convert to and from row form; `combination`, `propagate`,
-    `outside`, `line_point`, `insert`, `add_row`, `rank_with` and `reaches` work
-    in it, so a walk need not unpack.  `reduced` returns plain tuples; every vector must have the length
-    of the rows held.
+    `outside`, `line_point`, `insert`, `add_row` and `reaches` work
+    in it, so a walk need not unpack, and `back_substituted` gives the reduced form
+    that `Matrix`'s solves slice.  Every vector must have the length of the rows held.
     """
 
     __slots__ = ("field", "rows", "_width", "_table")
@@ -637,10 +644,6 @@ class Echelon:
                 x = self._scaled(x, table[exp[f.q - 1 - log[c]]])
         self.rows[pivot] = x
 
-    def rank_with(self, xs) -> int:
-        """The rank of the span extended by the row-form xs; this span is unchanged."""
-        return self.rank + sum(map(self.copy().add_row, xs))
-
     def reaches(self, xs, r: int) -> bool:
         """Whether the span extended by the row-form xs has rank r or more; this span
         is unchanged.  The xs are taken in order, and the test stops once the rank
@@ -656,18 +659,14 @@ class Echelon:
                 break
         return not need
 
-    def reduced(self) -> tuple[tuple[int, ...], ...]:
-        """The reduced row echelon form, rows in pivot order.
-
-        It is canonical for the span: two generating sets give equal results
-        exactly when they span the same space.
-        """
-        # back-substitution: reduce each row by the already reduced rows of larger pivot
+    def back_substituted(self) -> dict[int, int | bytes | array]:
+        """The reduced row echelon form, canonical for the span, in row form and keyed by
+        pivot from the largest: each row reduced by the already reduced rows of larger pivot."""
         done = Echelon(self.field)
         done._width = self._width
         for p in sorted(self.rows, reverse=True):
             done.rows[p] = done.outside(self.rows[p])  # the rows are independent: never None
-        return tuple(map(done.vector, reversed(done.rows.values())))
+        return done.rows
 
 
 def companion_matrix(field: Field, x: int) -> tuple[tuple[int, ...], ...]:

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from .bounds import lower_bound, primary_wiretap_sets, upper_bound
 from .codes import (
-    SecureCode, SumCode, _computable, _run_code, _unit_columns, as_secure, message_decoder
+    SecureCode, SumCode, _computable, _run_code, as_secure, message_decoder
 )
 from .errors import (
     MalformedInput,
@@ -71,7 +71,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .gf import Echelon, Field
+from .gf import Echelon, Field, unit_vectors
 from .network import Network
 
 DEFAULT_STATE_CAP = 16_777_216
@@ -367,7 +367,7 @@ def check_computability(code: SecureCode | SumCode, net: Network) -> bool:
     """
     secure = as_secure(code)
     _check_shapes(secure, net)
-    units = _unit_columns(secure.field, secure.rate * net.num_sources)
+    units = unit_vectors(secure.rate * net.num_sources, secure.field.pack)
     return _computable(message_decoder(secure), net, units, _run_code(secure, net, units))
 
 
@@ -397,7 +397,7 @@ def _rank_route(secure: SecureCode, net: Network, fast: bool) -> tuple:
     blocks = range(net.num_sources)
     keys = [b * rate + j for b in blocks for j in range(ell, rate)]
     order = keys + [b * rate + j for b in blocks for j in range(ell)]
-    units = _unit_columns(secure.field, len(order))
+    units = unit_vectors(len(order), secure.field.pack)
     inputs = [units[order.index(k)] for k in range(len(order))]
 
     def leaks(cols, wset):

@@ -9,6 +9,15 @@ The package has one implementation of each object; these are the independent
   set, by reachability;
 - `matmul`: the matrix product entry by entry, against `Matrix.mul`, which
   takes each product row as one `Field.combination`;
+- `reduced`: a span's reduced row echelon form as tuples, canonical for the
+  span, against `Echelon.back_substituted`, which keeps it in row form;
+- `solve_right` and `inverse`: the augmented matrix built as a tuple `Matrix`
+  (`Matrix.hstack`, identity columns for an inverse) and read off `reduced` as
+  tuples, against `Matrix.solve_right` and `Matrix.inverse`, which reduce the
+  augmented rows in `Echelon`'s row form and slice the right-hand part off each
+  reduced row;
+- `rank_with`: the rank of a span extended by row-form vectors, every vector
+  added, against `Echelon.reaches`, which stops once its verdict is known;
 - `max_flow_cut`: the origin-side minimum cut from a general-capacity
   Edmonds–Karp max-flow with a super-source, built from scratch, against the
   unit-arc flow of `cuts.ResidualFlow` and its incremental `cut_without`;
@@ -123,6 +132,45 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                         acc[j] = f.add(acc[j], f.mul(x, y))
         out.append(tuple(acc))
     return Matrix(f, tuple(out), b.ncols)
+
+
+# -- linear solves -------------------------------------------------------------------
+
+def reduced(span: Echelon) -> tuple[tuple[int, ...], ...]:
+    """The reduced row echelon form of `span` as tuples, rows in pivot order: each row
+    reduced by the already reduced rows of larger pivot, then unpacked.  It is canonical
+    for the span: two generating sets give equal results exactly when they span the
+    same space."""
+    done = Echelon(span.field)
+    done._width = span._width
+    for p in sorted(span.rows, reverse=True):
+        done.rows[p] = done.outside(span.rows[p])  # the rows are independent: never None
+    return tuple(map(done.vector, reversed(done.rows.values())))
+
+
+def solve_right(a: Matrix, rhs: Matrix) -> Matrix | None:
+    """X with a @ X = rhs, free variables zero, or None when inconsistent: the
+    reduced row echelon form of the tuple matrix [a | rhs], read row by row."""
+    n = a.ncols
+    span = Echelon(a.field, a.hstack(rhs).data)
+    if any(p >= n for p in span.rows):
+        return None
+    out = [(0,) * rhs.ncols] * n
+    for p, row in zip(sorted(span.rows), reduced(span)):
+        out[p] = row[n:]
+    return Matrix(a.field, tuple(out), rhs.ncols)
+
+
+def inverse(a: Matrix) -> Matrix | None:
+    """The inverse of the square a, or None when a is singular."""
+    n = a.nrows
+    return solve_right(a, Matrix(a.field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n))
+
+
+def rank_with(span: Echelon, xs) -> int:
+    """The rank of `span` extended by the row-form xs, each added in turn to a copy,
+    against `Echelon.reaches`, which stops once its verdict is known."""
+    return span.rank + sum(map(span.copy().add_row, xs))
 
 
 # -- maximum flow --------------------------------------------------------------------
@@ -245,7 +293,7 @@ def transfer_global_vectors(code: SumCode, net: Network) -> dict[str, tuple[int,
                 rows[i][pos[e.id]] = col[i]
         blocks.append(Matrix.build(field, rows, n).mul(transfer))
     return {
-        eid: tuple(itertools.chain.from_iterable(b.col(pos[eid]) for b in blocks))
+        eid: tuple(itertools.chain.from_iterable(b.columns()[pos[eid]] for b in blocks))
         for eid in net.order
     }
 
@@ -304,7 +352,7 @@ def _run_plan(field, plan, inputs) -> list[int]:
 def simulate(code: SecureCode, net: Network, inputs: tuple[tuple[int, ...], ...]) -> dict[str, int]:
     """Propagate one full source input (message and key coordinates) edge by edge."""
     binv = code.mixing_inverse
-    mixed = [Matrix.build(code.field, [row], ncols=code.rate).mul(binv).row(0) for row in inputs]
+    mixed = [Matrix.build(code.field, [row], ncols=code.rate).mul(binv).data[0] for row in inputs]
     y = _run_plan(code.field, _propagation_plan(net, code.base), [x for row in mixed for x in row])
     return {eid: y[i] for i, eid in enumerate(net.order)}
 

@@ -583,6 +583,12 @@ def test_directory_as_input_file_is_a_usage_error(
     assert "is a directory" in result.output
 
 
+def test_unknown_fixture_is_a_usage_error(runner):
+    result = runner.invoke(main, ["example", "nope"])
+    assert_clean_exit(result, 2)
+    assert "unknown fixture 'nope'" in result.output
+
+
 @pytest.mark.parametrize("mode", [["--verify"], ["--show", "code"]])
 def test_unknown_embedded_code_is_a_usage_error(runner, mode):
     result = runner.invoke(main, ["example", "butterfly", *mode, "--code-name", "nope"])

@@ -55,6 +55,7 @@ from reference import (
     butterfly_sum_code_gf2,
     greedy_mixing,
     multicast_attempts,
+    reduced,
     run_lifted,
     scan_avoiding,
     simulate,
@@ -194,6 +195,53 @@ def test_multicast_solves_once_per_source_and_keeps_its_codes(butterfly, monkeyp
     mc = build_reversed_multicast(butterfly, 2, GF4, seed=seed)
     assert len(solves) == butterfly.num_sources
     kernels, global_kernels, decode, right = MULTICAST_PINS[seed]
+    assert {v: m.data for v, m in mc.kernels.items()} == kernels
+    assert list(mc.global_kernels.items()) == list(global_kernels.items())
+    assert {s: m.data for s, m in mc.decode_matrices.items()} == decode
+    assert {s: m.data for s, m in mc.right_inverses.items()} == right
+
+
+# butterfly, rate 2, over an odd prime field and over q > 256, where the draws are a
+# list of randrange values rather than bytes; keyed by (field, seed).  Over GF(3) seed 3
+# fails all its attempts, so seed 1 stands in for it.
+WIDER_MULTICAST_PINS = {
+    ("3", 1): (
+        {"v3": ((2, 1),), "v4": ((2, 2),), "v5": ((2, 1),), "v6": ((2,), (2,)), "rho": ((0, 1), (1, 1))},
+        {"e9": (1, 1), "e8": (0, 1), "e7": (1, 1), "e6": (0, 2), "e5": (2, 0),
+         "e4": (2, 2), "e3": (2, 0), "e2": (1, 0), "e1": (0, 2)},
+        {"s1": ((0, 1), (2, 0)), "s2": ((2, 2), (0, 2))},
+        {"s1": ((0, 2), (1, 0)), "s2": ((2, 1), (0, 2))},
+    ),
+    ("3", 11): (
+        {"v3": ((2, 1),), "v4": ((1, 1),), "v5": ((1, 1),), "v6": ((2,), (2,)), "rho": ((2, 1), (0, 1))},
+        {"e9": (1, 1), "e8": (2, 0), "e7": (1, 1), "e6": (2, 0), "e5": (0, 2),
+         "e4": (1, 1), "e3": (0, 2), "e2": (0, 1), "e1": (2, 0)},
+        {"s1": ((2, 0), (0, 1)), "s2": ((0, 1), (2, 1))},
+        {"s1": ((2, 0), (0, 1)), "s2": ((1, 2), (1, 0))},
+    ),
+    ("2^9", 3): (
+        {"v3": ((150, 20),), "v4": ((265, 403),), "v5": ((179, 424),), "v6": ((13,), (461,)),
+         "rho": ((314, 173), (455, 502))},
+        {"e9": (173, 502), "e8": (314, 455), "e7": (17, 411), "e6": (380, 336), "e5": (127, 275),
+         "e4": (63, 242), "e3": (14, 368), "e2": (101, 431), "e1": (4, 71)},
+        {"s1": ((4, 101), (71, 431)), "s2": ((14, 63), (368, 242))},
+        {"s1": ((6, 403), (458, 350)), "s2": ((127, 111), (308, 451))},
+    ),
+    ("2^9", 11): (
+        {"v3": ((191, 292),), "v4": ((437, 89),), "v5": ((254, 368),), "v6": ((23,), (80,)),
+         "rho": ((52, 298), (183, 166))},
+        {"e9": (298, 166), "e8": (52, 183), "e7": (173, 336), "e6": (209, 417), "e5": (173, 66),
+         "e4": (145, 485), "e3": (381, 113), "e2": (481, 164), "e1": (61, 42)},
+        {"s1": ((61, 481), (42, 164)), "s2": ((381, 145), (113, 485))},
+        {"s1": ((392, 88), (364, 46)), "s2": ((212, 236), (436, 231))},
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, seed", sorted(WIDER_MULTICAST_PINS))
+def test_multicast_keeps_its_codes_beyond_gf4(butterfly, spec, seed):
+    mc = build_reversed_multicast(butterfly, 2, snfc.parse_field(spec), seed=seed)
+    kernels, global_kernels, decode, right = WIDER_MULTICAST_PINS[spec, seed]
     assert {v: m.data for v, m in mc.kernels.items()} == kernels
     assert list(mc.global_kernels.items()) == list(global_kernels.items())
     assert {s: m.data for s, m in mc.decode_matrices.items()} == decode
@@ -423,7 +471,7 @@ def test_mixing_block_identity():
         for eid in net.order:
             for i in range(net.num_sources):
                 block = Matrix.column(code.field, g[eid][i * rate : (i + 1) * rate])
-                assert code.mixing_inverse.mul(block).col(0) == h[eid][i * rate : (i + 1) * rate]
+                assert code.mixing_inverse.mul(block).columns()[0] == h[eid][i * rate : (i + 1) * rate]
 
 
 def _mask_scan(field, generators, dim):
@@ -554,7 +602,7 @@ def test_repeated_spans_leave_the_mixing_pick_unchanged(field, dims):
                 i = rng.randrange(len(spans))
                 copy_gens = [combine(gens[i]) for _ in range(2)] + rng.sample(gens[i], len(gens[i]))
                 copy = Echelon(field, copy_gens)
-                assert copy.reduced() == spans[i].reduced()
+                assert reduced(copy) == reduced(spans[i])
                 at = rng.randint(repeated.index(spans[i]) + 1, len(repeated))
                 repeated.insert(at, copy)
                 repeated_gens.insert(at, copy_gens)
@@ -1089,7 +1137,7 @@ def test_constructed_secure_vectors_factor_through_mixing(data):
     for eid in net.order:
         for i in range(net.num_sources):
             block = Matrix.column(code.field, raw[eid][i * rate : (i + 1) * rate])
-            assert binv.mul(block).col(0) == mixed[eid][i * rate : (i + 1) * rate]
+            assert binv.mul(block).columns()[0] == mixed[eid][i * rate : (i + 1) * rate]
 
 
 INVARIANT_SCRIPT = """

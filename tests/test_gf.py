@@ -25,7 +25,8 @@ from snfc.errors import (
     PrimeFieldInput,
     Singular,
 )
-from reference import matmul
+import reference
+from reference import matmul, rank_with, reduced
 
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
@@ -549,14 +550,32 @@ def test_dimension_mismatch_detected():
         (lambda: Matrix.build(GF2, []), "ncols required"),
         (lambda: Matrix.from_columns(GF2, []), "nrows required"),
         (lambda: Matrix.from_columns(GF2, [(1, 0), (1,)]), "columns of unequal length"),
+        (lambda: Matrix.from_columns(GF2, [(1, 0)], nrows=3), "columns of length 2 for 3 rows"),
         (lambda: Matrix.identity(GF2, 2).hstack(Matrix.identity(GF2, 3)), "hstack"),
         (lambda: Matrix.build(GF2, [[1, 0]]).inverse(), "inverse of a non-square matrix"),
     ],
-    ids=["ragged", "build-no-rows", "from-columns-none", "from-columns-unequal", "hstack", "inverse"],
+    ids=["ragged", "build-no-rows", "from-columns-none", "from-columns-unequal", "from-columns-nrows", "hstack", "inverse"],
 )
 def test_shape_errors_are_dimension_mismatches(make, message):
     with pytest.raises(DimensionMismatch, match=message):
         make()
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, make_field(3, 1), make_field(2, 9)], ids=repr)
+def test_builders_keep_the_shape_of_empty_matrices(field):
+    # a matrix with no rows still has its columns, and one with no columns its rows
+    assert Matrix.from_columns(field, [], nrows=3).shape == (3, 0)
+    assert Matrix.from_columns(field, [], nrows=3).data == ((), (), ())
+    assert Matrix.from_columns(field, [(), ()]).shape == (0, 2)
+    no_rows, no_cols = Matrix(field, (), 4), Matrix(field, ((),) * 4, 0)
+    assert no_rows.columns() == [()] * 4
+    assert no_cols.columns() == []
+    assert no_rows.transpose().shape == (4, 0) and no_rows.transpose().data == ((),) * 4
+    assert no_cols.transpose().shape == (0, 4) and no_cols.transpose().data == ()
+    assert Matrix(field, (), 0).transpose().shape == (0, 0)
+    assert Matrix.identity(field, 0).shape == (0, 0) and Matrix.identity(field, 0).data == ()
+    assert Matrix.identity(field, 1).data == ((1,),)
+    assert Matrix.identity(field, 3).data == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -647,7 +666,7 @@ def test_echelon_matches_enumerated_span(data):
     else:
         other = draw_rows(data, field, data.draw(st.integers(0, 4)), n)
     same_span = enumerated_span(field, other, n) == span
-    assert (Echelon(field, other).reduced() == engine.reduced()) == same_span
+    assert (reduced(Echelon(field, other)) == reduced(engine)) == same_span
 
 
 class TupleEchelon:
@@ -725,7 +744,8 @@ def test_echelon_matches_tuple_row_reference(field, n):
         assert all(type(row) is row_type for row in engine.rows.values())
         assert list(engine.rows) == list(reference.rows)
         assert engine.rank == len(reference.rows)
-        assert engine.reduced() == reference.reduced()
+        assert reduced(engine) == reference.reduced()
+        assert tuple(map(engine.vector, reversed(engine.back_substituted().values()))) == reference.reduced()
         for v in random_vectors(rng, field, n, 12) + vectors:
             assert engine.contains(v) == (not any(reference.reduce(v)))
 
@@ -733,7 +753,7 @@ def test_echelon_matches_tuple_row_reference(field, n):
 @pytest.mark.parametrize("n", [1, 7, 9])
 @pytest.mark.parametrize("field", PACKED_FIELDS + TUPLE_FIELDS, ids=repr)
 def test_reaches_gives_the_verdict_of_the_full_rank(field, n):
-    # the rank test that stops early agrees with rank_with at every threshold, from 0
+    # the rank test that stops early agrees with the full rank at every threshold, from 0
     # (reached before any row) to beyond the dimension, and leaves the span as it was
     rng = random.Random(f"reaches:{field!r}:{n}")
     for _ in range(8):
@@ -741,7 +761,7 @@ def test_reaches_gives_the_verdict_of_the_full_rank(field, n):
         span = Echelon(field, held)
         span.row((0,) * n)  # fixes the width of an empty span
         rows, before = [span.row(v) for v in vectors], dict(span.rows)
-        rank = span.rank_with(rows)
+        rank = rank_with(span, rows)
         assert [span.reaches(rows, r) for r in range(n + 2)] == [rank >= r for r in range(n + 2)]
         assert span.rows == before
 
@@ -762,8 +782,8 @@ def test_row_form_combination_and_rank_match_packed_columns(field, n):
         assert span.vector(span.combination(zip(coeffs, rows))) == tuple(expect)
         assert span.vector(span.combination([])) == (0,) * n
         before = dict(span.rows)
-        assert span.rank_with(rows) == Echelon(field, held + vectors).rank
-        assert span.rows == before and span.rank_with([]) == span.rank
+        assert rank_with(span, rows) == Echelon(field, held + vectors).rank
+        assert span.rows == before and rank_with(span, []) == span.rank
         # a residue is the reference's, or None inside the span; copies grown apart get the
         # rows of fresh spans and leave their source as it was
         reference, grown, other = TupleEchelon(field), span.copy(), span.copy()
@@ -863,6 +883,50 @@ def entrywise_sum(a, b):
     f = a.field
     rows = tuple(tuple(f.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.data, b.data))
     return Matrix(f, rows, a.ncols)
+
+
+SOLVE_FIELDS = [
+    GF2, make_field(2, 4), make_field(2, 8), make_field(3, 1), make_field(3, 2), make_field(2, 9),
+    make_field(2, 4, (1, 0, 0, 1, 1)),  # x^4 + x^3 + 1, not the default x^4 + x + 1
+]
+
+
+@pytest.mark.parametrize("field", SOLVE_FIELDS, ids=lambda f: f"{f!r}{''.join(map(str, f.modulus))}")
+def test_solves_match_the_tuple_reference_entry_for_entry(field):
+    rng = random.Random(f"solve:{field!r}:{field.modulus}")
+
+    def draw(rows, cols):
+        return Matrix.build(field, [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)], ncols=cols)
+
+    def of_rank(rows, cols, rank):
+        # a product through a rank-wide middle: rank at most `rank`, and often exactly
+        return matmul(draw(rows, rank), draw(rank, cols))
+
+    seen = set()
+    # square, wide, tall and empty systems; k = 0 is a right-hand side with no columns
+    for m, n, k in [(3, 3, 2), (2, 5, 3), (5, 2, 1), (4, 4, 0), (0, 3, 2), (3, 0, 2), (1, 1, 1), (6, 6, 6)]:
+        for _ in range(12):
+            a = of_rank(m, n, rng.randint(0, min(m, n)))
+            for rhs in (matmul(a, draw(n, k)), draw(m, k)):
+                got, want = a.solve_right(rhs), reference.solve_right(a, rhs)
+                if want is None:
+                    assert got is None
+                    seen.add("inconsistent")
+                else:
+                    assert got.shape == want.shape == (n, k) and got.data == want.data
+                    assert matmul(a, got).data == rhs.data
+                    seen.add("free variables" if a.rank() < n else "unique")
+    for n in range(7):
+        for _ in range(8):
+            a = of_rank(n, n, rng.choice([n, n, max(n - 1, 0)]))
+            want = reference.inverse(a)
+            if want is None:
+                with pytest.raises(Singular):
+                    a.inverse()
+                seen.add("singular")
+            else:
+                assert a.inverse().shape == (n, n) and a.inverse().data == want.data
+    assert seen == {"inconsistent", "free variables", "unique", "singular"}
 
 
 def test_solve_right_dimension_mismatch():

@@ -418,7 +418,7 @@ def test_column_simulation_matches_simulate(code, net):
         assert {eid: col[t] for eid, col in cols.items()} == symbols, t
         received = Matrix.build(field, [[symbols[eid] for eid in received_ids]], ncols=len(received_ids))
         sums = tuple(functools.reduce(field.add, (row[j] for row in rows)) for j in range(code.ell))
-        decodes = decodes and received.mul(decoder).row(0) == sums
+        decodes = decodes and received.mul(decoder).data[0] == sums
     assert check_computability(code, net) == check_exhaustive(code, net)[0] == computable == decodes
 
 
