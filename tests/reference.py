@@ -8,7 +8,7 @@ The package has one implementation of each object; these are the independent
 - `reach_sets`: the feeding / separated / leaking source partition of an edge
   set, by reachability;
 - `matmul`: the matrix product entry by entry, against `Matrix.mul`, which
-  takes each product row as one `Field.combination`;
+  takes each product row as one `Echelon.combination` in row form;
 - `reduced`: a span's reduced row echelon form as tuples, canonical for the
   span, against `Echelon.back_substituted`, which keeps it in row form;
 - `solve_right` and `inverse`: the augmented matrix built as a tuple `Matrix`
