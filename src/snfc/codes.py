@@ -120,23 +120,14 @@ def as_secure(code: SumCode | SecureCode, r: int | None = None) -> SecureCode:
 
 # -- propagation ---------------------------------------------------------------------
 #
-# Every walk over the local rules runs one plan over columns.  A plan holds, per
-# edge in walk order, the (index, coefficient) taps whose sum gives that edge's
-# column; indices below the number of input columns name inputs, the rest name
-# the edges before it.  The inputs decide what a column means: unit columns give
-# global vectors, one column per input coordinate over all states gives every
-# state's symbols at once.  Each step is one call of the walk's combining function:
-# `Field.combination` over the field's packed columns (`Field.pack`) for a code.  The
-# multicast search walks in `Echelon`'s row form with `Echelon.propagate`, its taps'
-# coefficients read by position from the attempt's draws.
-
-def _propagate(combine, plan: list, inputs: list) -> list:
-    """Run `plan` over the equal-length `inputs` and return its columns, in plan
-    order: each step's column is `combine` of its terms."""
-    cols = list(inputs)
-    for taps in plan:
-        cols.append(combine([(c, cols[idx]) for idx, c in taps]))
-    return cols[len(inputs) :]
+# Every walk over the local rules runs one plan over the field's packed columns
+# (`Field.pack`) with `Field.propagate`.  A plan holds, per edge in walk order,
+# the (index, position) taps whose sum gives that edge's column; indices below
+# the number of input columns name inputs, the rest name the edges before it.
+# The inputs decide what a column means: unit columns give global vectors, one
+# column per input coordinate over all states gives every state's symbols at
+# once.  A code's taps hold their coefficients, read through range(q); the
+# multicast search's taps hold the positions of theirs in the attempt's draws.
 
 
 @per_network
@@ -198,8 +189,7 @@ def secure_vectors(code: SecureCode, net: Network) -> dict[str, tuple[int, ...]]
 def _walk(code: SumCode, net: Network, inputs: list) -> dict:
     """Walk the sum code's local rules on input columns of one length, rate per
     source in source order, and return every edge's column, keyed in `net.order`."""
-    field, n = code.field, len(inputs[0])
-    cols = _propagate(lambda terms: field.combination(terms, n), _propagation_plan(net, code), inputs)
+    cols = code.field.propagate(_propagation_plan(net, code), range(code.field.q), inputs)
     return dict(zip(net.order, cols))
 
 
@@ -293,7 +283,8 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
     Every kernel entry is the next `randrange(q)` of the search's own generator,
     drawn attempt by attempt in kernel order (`_draws`: below q = 256, one
     `bytes.translate` per refill of words gives the same values).  An attempt
-    is walked in `Echelon`'s row form (`Echelon.propagate`), and each source's
+    is walked over packed unit columns (`Field.propagate`); only the columns
+    of the sources' out-edges go to `Echelon`'s row form, and each source's
     rank test stops as soon as its verdict is known (`Echelon.reaches`).  The
     accepted attempt is read straight from its draws: each kernel's rows are
     consecutive slices of them.
@@ -321,15 +312,14 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
             total = at.stop
     plan = tuple(map(taps.get, walk))
     outs = {s: [step[e.id] - rate for e in net.out_edges[s]] for s in net.sources}
-    # the walk and the rank tests run in Echelon's row form; only the accepted attempt is unpacked
-    form, eye = Echelon(field), Matrix.identity(field, rate)
-    units = [form.row(unit) for unit in eye.data]
+    # the walk runs on packed columns and the rank tests in Echelon's row form
+    form, units = Echelon(field), unit_vectors(rate, field.pack)
     for _ in range(MULTICAST_ATTEMPTS):
         # every draw of an attempt comes before any check, so the codes follow the seed alone
         drawn = take(total)
-        cols = form.propagate(plan, drawn, units)
+        cols = field.propagate(plan, drawn, units)
         # a source decodes exactly when its rate x |out(s)| decode matrix has full row rank
-        if all(form.reaches([cols[p] for p in ps], rate) for ps in outs.values()):
+        if all(form.reaches([form.row(cols[p]) for p in ps], rate) for ps in outs.values()):
             break
     else:
         raise FieldTooSmallForMulticast(
@@ -337,8 +327,9 @@ def build_reversed_multicast(net: Network, rate: int, field: Field, seed: int) -
         )
     # n draws at a time from one iterator over a kernel's draws are its rows
     kernels = {v: Matrix(field, tuple(zip(*[iter(drawn[at])] * n)), n) for v, (at, n) in kernel_draws.items()}
-    vectors = list(map(form.vector, cols))
+    vectors = list(map(tuple, cols))
     decode = {s: Matrix.from_columns(field, [vectors[p] for p in ps], rate) for s, ps in outs.items()}
+    eye = Matrix.identity(field, rate)
     right = {s: d.solve_right(eye) for s, d in decode.items()}
     return MulticastCode(field, rate, kernels, dict(zip(walk, vectors)), decode, right)
 
@@ -488,11 +479,8 @@ def _scan_picks(field: Field, rate: int, r: int, obstacles: list[tuple]):
 
 
 def _first_outside(span: Echelon, units: list) -> tuple:
-    """The first unit vector outside `span` and its residue there, in row form.  A
-    unit vector whose 1 is in no pivot column meets no row, so it is its own residue."""
-    for i, unit in enumerate(units):
-        if i not in span.rows:
-            return unit, unit
+    """The first unit vector outside `span` and its residue there, in row form."""
+    for unit in units:
         residue = span.outside(unit)
         if residue is not None:
             return unit, residue

@@ -6,10 +6,13 @@ low-to-high degree.  All matrix arithmetic is exact; there is no floating point
 anywhere in this module.
 
 Vector arithmetic has one kernel: a vector is the field's packed column
-(`Field.pack`) and a sum of scaled vectors is one `Field.combination`.  Only
-`Echelon`'s row form over GF(2^m) with m <= 8 reads the packed column as one
-int; the elimination, `Matrix`'s products and solves, the multicast search and
-the mixing walk in `codes` all work in that row form, through `Echelon`'s
+(`Field.pack`) and a sum of scaled vectors is one `Field.combination`.  A run of
+a linear plan over packed columns, such as a network code's local rules in
+topological order, is one `Field.propagate`: every code run and every attempt
+of the multicast search in `codes` walks through it.  Elimination works in
+`Echelon`'s row form, which over GF(2^m) with m <= 8 reads the packed column
+as one int; `Matrix`'s products and solves, the multicast search's rank tests
+and the mixing walk in `codes` all work in that row form, through `Echelon`'s
 methods, whatever the field.
 
 Every field multiplies, inverts and scales through one log/antilog build, made
@@ -208,6 +211,8 @@ class Field:
     #
     # A column of field elements (a vector of symbols, one per state or per
     # coordinate) is stored packed: `bytes` while q <= 256, `array("H")` beyond.
+    # `combination` sums scaled columns and `propagate` walks a plan of such sums;
+    # only `propagate`, over GF(2^m) with m <= 8, reads a column as one int.
 
     def pack(self, values) -> bytes | array:
         """The packed column holding `values`, an iterable of elements."""
@@ -233,6 +238,37 @@ class Field:
                         col = array("H", map(exp.__getitem__, map(log[c].__add__, map(log.__getitem__, col))))
                 acc = col if acc is None else add(acc, col)
         return self.pack((0,)) * n if acc is None else acc
+
+    def propagate(self, plan, coefficients, inputs) -> list:
+        """Run `plan` over the packed `inputs`, all of one length, and return its
+        columns in plan order.  Step p's taps are (index, position) pairs, and its
+        column is the sum of coefficients[position] times column index, where
+        indices below len(inputs) name inputs and the rest name earlier steps.
+
+        Over GF(2^m) with m <= 8 each step is one loop: every tap's column, scaled
+        by one translate through product row c where c != 1, is read as one int
+        and XORed in, and the sum is written back with one `to_bytes`.  Every
+        other field takes one `combination` per step.
+        """
+        n, width = len(inputs), len(inputs[0])
+        cols = [*inputs, *plan]  # each step's slot, overwritten in turn
+        rows = self._tables[2] if self.p == 2 else None
+        if rows is None:
+            combination = self.combination
+            for p, taps in enumerate(plan, n):
+                cols[p] = combination([(coefficients[pos], cols[idx]) for idx, pos in taps], width)
+            return cols[n:]
+        from_bytes = int.from_bytes
+        for p, taps in enumerate(plan, n):
+            acc = 0
+            for idx, pos in taps:
+                c = coefficients[pos]
+                if c == 1:
+                    acc ^= from_bytes(cols[idx], "little")
+                elif c:
+                    acc ^= from_bytes(cols[idx].translate(rows[c]), "little")
+            cols[p] = acc.to_bytes(width, "little")
+        return cols[n:]
 
     def _xor(self, a, b) -> bytes | array:
         raw = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(memoryview(a).nbytes, "little")
@@ -497,10 +533,10 @@ class Echelon:
     column, each elimination or scaling step being one `Field.combination`.  With
     int rows the pivot is the lowest nonzero byte, and subtracting c times a row is
     one XOR with that row scaled by one `bytes.translate` through product row c.
-    `row` and `vector` convert to and from row form; `combination`, `propagate`,
-    `outside`, `line_point`, `insert`, `add_row` and `reaches` work
-    in it, so a walk need not unpack, and `back_substituted` gives the reduced form
-    that `Matrix`'s solves slice.  Every vector must have the length of the rows held.
+    `row` and `vector` convert to and from row form; `combination`, `outside`,
+    `line_point`, `insert`, `add_row` and `reaches` work in it, so a walk need
+    not unpack, and `back_substituted` gives the reduced form that `Matrix`'s
+    solves slice.  Every vector must have the length of the rows held.
     """
 
     __slots__ = ("field", "rows", "_width", "_table")
@@ -547,30 +583,6 @@ class Echelon:
                 acc ^= x if c == 1 else self._scaled(x, self._table[c])
         return acc
 
-    def propagate(self, plan, coefficients, inputs) -> list:
-        """Run `plan` over the row-form `inputs` and return its columns, in plan
-        order.  Step p's taps are (index, position) pairs, and its column is the sum
-        of coefficients[position] times column index, where indices below
-        len(inputs) name inputs and the rest name earlier steps.  Over int rows the
-        walk is one loop, with the scaling of `_scaled` written out."""
-        table, width, n = self._table, self._width, len(inputs)
-        cols = [*inputs, *plan]  # each step's slot, overwritten in turn
-        if table is None:
-            combination = self.field.combination
-            for p, taps in enumerate(plan, n):
-                cols[p] = combination([(coefficients[pos], cols[idx]) for idx, pos in taps], width)
-            return cols[n:]
-        for p, taps in enumerate(plan, n):
-            acc = 0
-            for idx, pos in taps:
-                c = coefficients[pos]
-                if c == 1:
-                    acc ^= cols[idx]
-                elif c:
-                    acc ^= int.from_bytes(cols[idx].to_bytes(width, "little").translate(table[c]), "little")
-            cols[p] = acc
-        return cols[n:]
-
     def _scaled(self, x: int, product_row: bytes) -> int:
         return int.from_bytes(x.to_bytes(self._width, "little").translate(product_row), "little")
 
@@ -612,9 +624,6 @@ class Echelon:
         exp, log, _ = f._tables
         c = exp[log[a >> k & 255] + f.q - 1 - log[b >> k & 255]]  # over GF(2^m), -x is x
         return None if a ^ self._scaled(b, table[c]) else c
-
-    def contains(self, v) -> bool:
-        return self.outside(self.row(v)) is None
 
     def add(self, v) -> bool:
         """Extend the span by v; True when the rank grew."""

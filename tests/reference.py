@@ -18,6 +18,8 @@ The package has one implementation of each object; these are the independent
   reduced row;
 - `rank_with`: the rank of a span extended by row-form vectors, every vector
   added, against `Echelon.reaches`, which stops once its verdict is known;
+- `contains`: whether a span holds a vector, by reducing its row form, for the
+  tests' plain scans and walks;
 - `max_flow_cut`: the origin-side minimum cut from a general-capacity
   Edmonds–Karp max-flow with a super-source, built from scratch, against the
   unit-arc flow of `cuts.ResidualFlow` and its incremental `cut_without`;
@@ -31,12 +33,14 @@ The package has one implementation of each object; these are the independent
   and confirms candidates lazily;
 - `transfer_global_vectors`: global encoding vectors from the closed-form
   transfer matrix (I - A)^-1, against the propagation in `codes.global_vectors`;
-- `multicast_attempts`: the multicast search on packed columns, attempt by
-  attempt: kernels drawn row by row, a plan per attempt, the packed walk and
-  `Echelon(field, cols).rank`, against the row-form walk and rank test of
+- `multicast_attempts`: the multicast search attempt by attempt: kernels drawn
+  row by row, a plan per attempt with its coefficients inline, a plain walk of
+  one `Field.combination` per step and `Echelon(field, cols).rank`, against the
+  walk by draw position (`Field.propagate`) and the early-stopping rank test of
   `codes.build_reversed_multicast`;
-- `simulate`: one full source input pushed through the local rules edge by edge,
-  against the column pass of `codes._run_code` that `verify.check_exhaustive`
+- `simulate`: one full source input pushed through the local rules edge by edge
+  (`_run_plan`, one state through a plan, symbol by symbol), against the column
+  pass of `codes._run_code` (`Field.propagate`) that `verify.check_exhaustive`
   runs on every state and, read through the message decoder on every state,
   the computability rule it applies;
 - `run_lifted`: a lifted code run state by state over the base field, against
@@ -64,7 +68,6 @@ One test fixture lives here too, since only the tests use it:
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from typing import Iterable, NamedTuple
@@ -72,7 +75,7 @@ from typing import Iterable, NamedTuple
 from snfc.bounds import _omega_report, primary_wiretap_sets
 from snfc.cuts import CutReport
 from snfc import codes
-from snfc.codes import LiftedCode, SecureCode, SumCode, _propagate, _propagation_plan
+from snfc.codes import LiftedCode, SecureCode, SumCode, _propagation_plan
 from snfc.errors import InvariantViolated
 from snfc import fixtures
 from snfc.gf import Echelon, Field, Matrix, make_field
@@ -171,6 +174,10 @@ def rank_with(span: Echelon, xs) -> int:
     """The rank of `span` extended by the row-form xs, each added in turn to a copy,
     against `Echelon.reaches`, which stops once its verdict is known."""
     return span.rank + sum(map(span.copy().add_row, xs))
+
+
+def contains(span: Echelon, v) -> bool:
+    return span.outside(span.row(v)) is None
 
 
 # -- maximum flow --------------------------------------------------------------------
@@ -305,12 +312,12 @@ def multicast_attempts(net: Network, rate: int, field: Field, draw) -> list[tupl
     `codes.MULTICAST_ATTEMPTS` have run.
 
     Each attempt draws every kernel entry with `draw(q)`, node by node and row by
-    row, builds its plan from the rows, walks the reversed network with the packed
-    `codes._propagate` from the unit columns, and is accepted when every source's
-    columns have `Echelon(field, cols).rank == rate`.  Per attempt: the kernel rows
-    of each node, each walked edge's column as a tuple, and the verdict.
+    row, builds its plan from the rows with each tap's coefficient inline, walks
+    the reversed network from the packed unit columns with one `Field.combination`
+    per step, and is accepted when every source's columns have
+    `Echelon(field, cols).rank == rate`.  Per attempt: the kernel rows of each
+    node, each walked edge's column as a tuple, and the verdict.
     """
-    combine = functools.partial(field.combination, n=rate)
     units = [field.pack(int(t == k) for t in range(rate)) for k in range(rate)]
     walk = tuple(reversed(net.order))
     step = {eid: rate + p for p, eid in enumerate(walk)}
@@ -327,7 +334,10 @@ def multicast_attempts(net: Network, rate: int, field: Field, draw) -> list[tupl
             feeds = range(rate) if v == net.sink else [step[d.id] for d in net.out_edges[v]]
             j = [e.id for e in net.in_edges[v]].index(eid)
             plan.append([(idx, row[j]) for idx, row in zip(feeds, rows[v])])
-        cols = dict(zip(walk, _propagate(combine, plan, units)))
+        walked = list(units)
+        for taps in plan:
+            walked.append(field.combination([(c, walked[idx]) for idx, c in taps], rate))
+        cols = dict(zip(walk, walked[rate:]))
         accepted = all(Echelon(field, [cols[e.id] for e in net.out_edges[s]]).rank == rate for s in net.sources)
         attempts.append((rows, {eid: tuple(col) for eid, col in cols.items()}, accepted))
         if accepted:
@@ -338,7 +348,8 @@ def multicast_attempts(net: Network, rate: int, field: Field, draw) -> list[tupl
 # -- per-state simulation ----------------------------------------------------------
 
 def _run_plan(field, plan, inputs) -> list[int]:
-    """One state through the plan, symbol by symbol: the reference for `codes._propagate`."""
+    """One state through a plan of (index, coefficient) taps, symbol by symbol: the
+    reference for `Field.propagate`, which walks every state at once."""
     y = list(inputs)
     for taps in plan:
         acc = 0
@@ -437,7 +448,7 @@ def first_leak(family: list[tuple[str, ...]], leaks) -> tuple[bool, tuple[str, .
 def scan_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int, ...] | None:
     """The lexicographically first vector of length `dim` in no span, or None."""
     for cand in itertools.product(field.elements(), repeat=dim):
-        if all(not s.contains(cand) for s in spans):
+        if not any(contains(s, cand) for s in spans):
             return cand
     return None
 
@@ -471,7 +482,7 @@ def greedy_mixing(code: SumCode, r: int, family: list[tuple[str, ...]], net: Net
 def first_outside(span: Echelon, dim: int) -> tuple[int, ...]:
     for i in range(dim):
         basis = tuple(1 if k == i else 0 for k in range(dim))
-        if not span.contains(basis):
+        if not contains(span, basis):
             return basis
     raise InvariantViolated("a proper subspace misses some standard basis vector")
 
@@ -485,11 +496,11 @@ def vector_avoiding(field: Field, spans: list[Echelon], dim: int) -> tuple[int, 
     v = first_outside(spans[0], dim)
     passed = [spans[0]]
     for span in spans[1:]:
-        if span.contains(v):
+        if contains(span, v):
             w = first_outside(span, dim)
             for lam in range(1, field.q):
                 cand = tuple(field.add(a, field.mul(lam, b)) for a, b in zip(v, w))
-                if not span.contains(cand) and all(not p.contains(cand) for p in passed):
+                if not contains(span, cand) and not any(contains(p, cand) for p in passed):
                     v = cand
                     break
             else:

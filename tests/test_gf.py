@@ -26,7 +26,7 @@ from snfc.errors import (
     Singular,
 )
 import reference
-from reference import matmul, rank_with, reduced
+from reference import contains, matmul, rank_with, reduced
 
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
@@ -459,6 +459,48 @@ def test_column_combination_matches_entrywise_arithmetic(field):
     assert pickle.loads(pickle.dumps(field)) == field
 
 
+# int-column walk (p = 2, q <= 256) under the default and another modulus; one
+# combination per step for odd p and beyond 256 elements
+PLAN_FIELDS = [
+    GF2, make_field(2, 4, (1, 0, 0, 1, 1)), make_field(2, 8),
+    make_field(3, 1), make_field(3, 2), make_field(2, 9), make_field(257, 1),
+]
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=repr)
+def test_propagate_matches_the_per_state_reference(field):
+    # Field.propagate walks every state at once; reference._run_plan walks one state
+    # through the same (index, coefficient) taps.  The plan opens with a step with no
+    # tap, one whose taps are all 0 (both give a zero column of full length) and one
+    # reading only inputs with c = 1; a code reads its coefficients through range(q),
+    # the multicast search by position from its draws
+    rng = random.Random(f"{field!r}{field.modulus}")
+    q, n_in = field.q, 3
+    plan = [(), ((0, 0), (1, 0)), ((0, 1), (2, 1))]
+    for p in range(n_in + len(plan), n_in + 12):
+        picks = [0, 1, q - 1, rng.randrange(q)]
+        plan.append(tuple((rng.randrange(p), rng.choice(picks)) for _ in range(rng.randint(1, 4))))
+    plan.append(((n_in, 1), (n_in + 1, q - 1)))  # reads the two zero steps
+    taps = [tap for step in plan for tap in step]
+    slots = rng.sample(range(2 * len(taps)), len(taps))
+    draws = [rng.randrange(q) for _ in range(2 * len(taps))]
+    for (_, c), pos in zip(taps, slots):
+        draws[pos] = c
+    slot = iter(slots)
+    by_position = [tuple((idx, next(slot)) for idx, _ in step) for step in plan]
+    for states in (1, 4096):
+        values = [[rng.randrange(q) for _ in range(states)] for _ in range(n_in)]
+        inputs = [field.pack(v) for v in values]
+        expect = list(zip(*(reference._run_plan(field, plan, state) for state in zip(*values))))
+        for got in (
+            field.propagate(plan, range(q), inputs),
+            field.propagate(by_position, bytes(draws) if q <= 256 else draws, inputs),
+        ):
+            assert all(type(col) is type(field.pack([])) for col in got)
+            assert [tuple(col) for col in got] == expect
+    assert expect[0] == expect[1] == expect[-1] == (0,) * 4096
+
+
 # -- matrices ----------------------------------------------------------------------
 
 def test_rank_of_empty_matrix():
@@ -652,7 +694,7 @@ def test_echelon_matches_enumerated_span(data):
     assert len(span) == field.q ** engine.rank
     assert Matrix.build(field, rows, ncols=n).rank() == engine.rank
     for v in itertools.product(field.elements(), repeat=n):
-        assert engine.contains(v) == (v in span)
+        assert contains(engine, v) == (v in span)
     # a second generating set: combinations of the first (often the same span) or fresh rows
     if data.draw(st.booleans()):
         combos = draw_rows(data, field, data.draw(st.integers(0, 4)), len(rows))
@@ -747,7 +789,7 @@ def test_echelon_matches_tuple_row_reference(field, n):
         assert reduced(engine) == reference.reduced()
         assert tuple(map(engine.vector, reversed(engine.back_substituted().values()))) == reference.reduced()
         for v in random_vectors(rng, field, n, 12) + vectors:
-            assert engine.contains(v) == (not any(reference.reduce(v)))
+            assert contains(engine, v) == (not any(reference.reduce(v)))
 
 
 @pytest.mark.parametrize("n", [1, 7, 9])
@@ -814,10 +856,10 @@ def test_row_form_combination_and_rank_match_packed_columns(field, n):
 def test_echelon_rejects_vectors_of_another_length(field):
     engine = Echelon(field, [(0, 1, 2)])
     for v in [(1, 1), (0, 1, 1, 0)]:
-        for method in (engine.add, engine.contains):
+        for method in (engine.add, engine.row):
             with pytest.raises(DimensionMismatch):
                 method(v)
-    assert engine.rank == 1 and engine.contains((0, 1, 2)) and not engine.contains((1, 0, 0))
+    assert engine.rank == 1 and contains(engine, (0, 1, 2)) and not contains(engine, (1, 0, 0))
 
 
 @given(st.data())
