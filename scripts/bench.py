@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Run the benchmark's three workloads once each and record the results in
+"""Run the benchmark's workloads once each and record the results in
 BENCH_<pr>.json at the root of the checkout.
 
-Each workload runs as `python3 bench/run.py --workload W --seed 1 --seconds 18`,
-one after another, so every BENCH file compares like with like.  The file keeps
+The workloads and the run length are read from BENCHMARK.json (`workloads[].name`,
+`run_seconds`), so no declared workload is left out.  Each runs as
+`python3 bench/run.py --workload W --seed 1 --seconds S`, one after another, so
+every BENCH file compares like with like.  The file keeps
 the last line of each run (the end-to-end result), the line before it (the
 environment), the git tree id of the `src/` the runs measured, whether `src/`
 or `bench/` held uncommitted changes, and the Python version.  The tree id, not
@@ -23,9 +25,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("construct_verify", "bound_large", "verify_exhaustive")
 SEED = 1
-SECONDS = 18
 
 
 def _git(*args: str) -> str:
@@ -36,6 +36,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pr", type=int, required=True, help="number in the output file name")
     args = ap.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
 
     record = {
         "src_tree": _git("rev-parse", "HEAD:src"),
@@ -44,9 +46,9 @@ def main() -> None:
         "workloads": {},
     }
     ok = True
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in declared["workloads"]):
         cmd = [sys.executable, "bench/run.py", "--workload", workload,
-               "--seed", str(SEED), "--seconds", str(SECONDS)]
+               "--seed", str(SEED), "--seconds", str(declared["run_seconds"])]
         run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
         lines = run.stdout.strip().splitlines()
         if run.returncode or len(lines) < 2:

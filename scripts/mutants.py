@@ -7,14 +7,17 @@ once, new text, and the test files expected to fail once the old text is
 replaced (DeMillo, Lipton and Sayward, "Hints on Test Data Selection", 1978).
 Each mutant runs alone on a fresh copy of src/, tests/ and pyproject.toml,
 with pytest stopping at the first failure.  The unpatched copy runs every
-named file first and must pass them all.  A mutant is then killed when pytest
-fails on it in any way (a failed test, an error while collecting, a time-out)
-and survives when its tests all pass.  One line is printed per run, with its
-verdict and its time.
+named file first and must pass them all.  A mutant is then killed when a test
+fails on it (pytest exit 1) or its run times out, and survives when its tests
+all pass.  Any other exit, such as an error while collecting (exit 2), names
+no test that caught the mutant, so it counts as a failure of the harness, not
+a kill.  One line is printed per run, with its verdict, how the run ended and
+its time.
 
-The exit status is 1 when the unpatched copy fails, when a mutant survives,
-or when a mutant's old text no longer occurs exactly once (the code it guarded
-moved: update the patch); else 0.
+The exit status is 1 when the unpatched copy fails, when a mutant survives or
+ends any other way than a failed test or a time-out, or when a mutant's old
+text no longer occurs exactly once (the code it guarded moved: update the
+patch); else 0.
 
 Usage: python scripts/mutants.py
 """
@@ -55,6 +58,13 @@ MUTANTS = [
         ("tests/test_gf.py",),
     ),
     Mutant(
+        "the addition table moves each digit down rather than up",
+        "src/snfc/gf.py",
+        "shifts = [(bytes(range(d, p)) + bytes(range(d)))",
+        "shifts = [(bytes(range(p - d, p)) + bytes(range(p - d)))",
+        ("tests/test_gf.py",),
+    ),
+    Mutant(
         "reaches stops when the rank needed equals the vectors left",
         "src/snfc/gf.py",
         "if not need or need > left:",
@@ -76,6 +86,15 @@ MUTANTS = [
         ("tests/test_verify.py",),
     ),
 ]
+
+
+# pytest's exit status (None: timed out) -> the verdict and how the run ended
+VERDICTS = {
+    0: ("survived", "every test passed"),
+    1: ("killed", "a test failed"),
+    2: ("harness", "collection error"),
+    None: ("killed", "timed out"),
+}
 
 
 def copy_tree(dest: str) -> None:
@@ -124,10 +143,10 @@ def main() -> int:
         try:
             status, output = run_tests(mutant.tests, mutant)
         except LookupError as exc:
-            verdict, output = "stale", str(exc)
+            verdict, ending, output = "stale", "old text not found once", str(exc)
         else:
-            verdict = "survived" if status == 0 else "killed"
-        print(f"{time.perf_counter() - start:6.1f} s  {verdict:<8}  {mutant.name}", flush=True)
+            verdict, ending = VERDICTS.get(status, ("harness", f"pytest exit {status}"))
+        print(f"{time.perf_counter() - start:6.1f} s  {verdict:<8}  {mutant.name} ({ending})", flush=True)
         if verdict != "killed":
             failures += 1
             print(f"          {output.splitlines()[-1] if output else ''}")

@@ -21,10 +21,12 @@ on first use from the powers of a generator of the nonzero elements: at most
 and 1/a is exp[q - 1 - log a]; a packed column beyond 256 elements is scaled
 entry by entry through the same two lists.  While q <= 256 the build also
 holds the product rows, q - 1 `bytes.translate` calls over those lists, and a
-packed column is scaled by one translate.  With odd p, m > 1 and q <= 256 the
-field also adds through a 64 KiB table indexed by a << 8 | b, built on first
-use from the elements' base-p digits with q * m translates; a packed column sum
-reads it once per entry.
+packed column is scaled by one translate.  Every odd field with q <= 256, prime
+or not, also adds through a 64 KiB table indexed by a << 8 | b, built on first
+use by one rule: row a sums, for each digit k, p^k times the column of every
+element's digit k moved by a's digit k mod p, one translate each, read as ints.
+A packed column sum reads it once per entry; beyond 256 elements odd fields add
+entry by entry.
 """
 
 from __future__ import annotations
@@ -129,32 +131,25 @@ class Field:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        table = self._add_table
-        if table is not None:
-            return table[a << 8 | b]
         return self.encode(tuple(x + y for x, y in zip(self.coeffs(a), self.coeffs(b))))
 
     @cached_property
     def _add_table(self) -> bytes | None:
-        # odd p, m > 1 and q <= 256: entry a << 8 | b is a + b, 64 KiB.  The sum is digit-wise
-        # mod p, so row a is the column of every element moved by each nonzero digit of a
-        # in turn, one bytes.translate each: adding d at digit k changes that digit alone
-        if self.p == 2 or self.m == 1 or self.q > 256:
+        # odd p and q <= 256: entry a << 8 | b is a + b, 64 KiB.  The sum is digit-wise mod p:
+        # with D_k the column of every element's digit k and S_d the translate adding d mod p,
+        # row a is the sum of p^k times D_k moved by S_(a_k), read as ints; each entry stays
+        # below q, so no byte carries into the next
+        if self.p == 2 or self.q > 256:
             return None
         p, q = self.p, self.q
-        digits = [self.coeffs(b) for b in range(q)]
-        moves = [
-            [bytes(b + ((x[k] + d) % p - x[k]) * p**k for b, x in enumerate(digits)) + bytes(256 - q) for d in range(p)]
-            for k in range(self.m)
-        ]
-        rows = []
-        for a in digits:
-            row = bytes(range(q))
-            for k, d in enumerate(a):
-                if d:
-                    row = row.translate(moves[k][d])
-            rows.append(row + bytes(256 - q))
-        return b"".join(rows) + bytes(256 * (256 - q))
+        digits = [bytes(b // p**k % p for b in range(q)) for k in range(self.m)]  # D_0 .. D_(m-1)
+        shifts = [(bytes(range(d, p)) + bytes(range(d))).ljust(256, b"\0") for d in range(p)]  # S_0 .. S_(p-1)
+
+        def row(a: int) -> bytes:
+            x = sum(p**k * int.from_bytes(digits[k].translate(shifts[d]), "little") for k, d in enumerate(self.coeffs(a)))
+            return x.to_bytes(256, "little")
+
+        return b"".join(map(row, range(q))) + bytes(256 * (256 - q))
 
     def neg(self, a: int) -> int:
         return a if self.p == 2 else self.mul(self.p - 1, a)

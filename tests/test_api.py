@@ -134,3 +134,21 @@ def test_src_checks_survive_python_O():
             if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_test_modules_import_no_other_test_module():
+    # helpers that several test files share live in tests/cases.py and tests/reference.py,
+    # so each test file collects and fails on its own
+    tests = pathlib.Path(__file__).parent
+    test_modules = {path.stem for path in tests.glob("test_*.py")}
+    found = []
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {name}" for name in names if name.split(".")[0] in test_modules]
+    assert found == []

@@ -5,7 +5,6 @@ import importlib
 import itertools
 import json
 import math
-import random
 import time
 import weakref
 
@@ -37,8 +36,8 @@ from snfc.bounds import CUT_SCAN_LIMIT, _omega_report
 from snfc.cuts import _primary_edges, node_flow
 from snfc.corpus import corpus, random_network
 from snfc.errors import FieldTooSmallForMulticast, NegativeSecurityLevel, TooLarge
-from snfc.network import Network
 from reference import full_sweep, omega, reach_sets
+from cases import bound_large_stars, parallel_network, two_source_star
 
 
 # -- the residual cut statistic -----------------------------------------------------
@@ -126,36 +125,6 @@ def test_size_bounded_family_includes_empty_set(butterfly):
 def test_fig2_pair_excluded(fig2):
     family = primary_wiretap_sets(fig2, 2)
     assert ("e7", "e8") not in family
-
-
-def two_source_star(seed: int, n_edges: int) -> Network:
-    return star_from(random.Random(f"star:{seed}"), n_edges)
-
-
-def bound_large_stars(seed: int, count: int) -> list[Network]:
-    """The first 200-edge stars of the `bound_large` benchmark workload's seed."""
-    rng = random.Random(f"bound_large:{seed}")
-    return [star_from(rng, 200) for _ in range(count)]
-
-
-def star_from(rng: random.Random, n_edges: int) -> Network:
-    """Two sources, one layer of hubs and a sink.  Every hub has an edge in and
-    an edge out; the other edges, parallel ones included, run from a random
-    source to a random hub or from a random hub to the sink."""
-    sources = ["s1", "s2"]
-    hubs = [f"v{i + 1}" for i in range(n_edges // 6)]
-    pairs = [(rng.choice(sources), hub) for hub in hubs] + [(hub, "rho") for hub in hubs]
-    while len(pairs) < n_edges:
-        hub = rng.choice(hubs)
-        pairs.append((rng.choice(sources), hub) if rng.random() < 0.5 else (hub, "rho"))
-    edges = [(f"e{i + 1}", tail, head) for i, (tail, head) in enumerate(pairs)]
-    return make_network([*sources, *hubs, "rho"], edges, sources, "rho")
-
-
-def parallel_network(n_edges: int) -> Network:
-    return make_network(
-        ["s1", "rho"], [(f"e{i + 1}", "s1", "rho") for i in range(n_edges)], ["s1"], "rho"
-    )
 
 
 def brute_force_primary_sets(net, r):

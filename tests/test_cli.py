@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import snfc
 from snfc import fixtures
 from snfc.cli import main
-from test_bounds import two_source_star
-from test_cuts import source_star
+from cases import parallel_network, source_star, two_source_star
 
 
 @pytest.fixture
@@ -467,9 +466,7 @@ def test_construct_with_rate_and_field_flags(runner, butterfly_file, tmp_path):
     assert checked.exit_code == 0, checked.output
 
 
-TWO_PARALLEL_EDGES = snfc.make_network(
-    ["s1", "rho"], [("e1", "s1", "rho"), ("e2", "s1", "rho")], ["s1"], "rho"
-).to_dict()
+TWO_PARALLEL_EDGES = parallel_network(2).to_dict()
 
 
 @pytest.mark.parametrize(

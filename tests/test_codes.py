@@ -63,8 +63,7 @@ from reference import (
     transfer_global_vectors,
     walk_picks,
 )
-from test_bounds import bound_large_stars, parallel_network
-from test_verify import _column_cases, _parallel_network, random_code
+from cases import COLUMN_CASE_IDS, bound_large_stars, column_case, parallel_network, random_code
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -460,7 +459,7 @@ def test_mixing_block_identity():
     # ones, and the raw ones equal the closed-form transfer route, over GF(2^16) too
     gf65536 = make_field(2, 16)
     fig2 = fixtures.network("fig2")
-    cases = [param.values for param in _column_cases()]
+    cases = list(map(column_case, COLUMN_CASE_IDS))
     cases.append((random_code(gf65536, fig2, 1, 0, random.Random(f"{gf65536!r}:fig2")), fig2))
     for code, net in cases:
         g = global_vectors(code.base, net)
@@ -631,7 +630,7 @@ def test_the_scan_regime_ends_at_scan_cap(monkeypatch, spec, rate):
 
     monkeypatch.setattr(codes_module, "_walk_picks", counted)
     outcomes = set()
-    for net in (fixtures.network("butterfly"), _parallel_network(rate), *itertools.islice(corpus(12), 0, None, 4)):
+    for net in (fixtures.network("butterfly"), parallel_network(rate), *itertools.islice(corpus(12), 0, None, 4)):
         base = random_code(field, net, rate, 0, rng).base
         for r in range(1, min(rate, c_min(net) + 1)):
             family = primary_wiretap_sets(net, r, exact_size=True)
@@ -802,7 +801,7 @@ def _reparsed(net):
 
 @pytest.mark.parametrize(
     "net",
-    [pytest.param(_parallel_network(n), id=f"parallel-{n}") for n in range(1, 10)]
+    [pytest.param(parallel_network(n), id=f"parallel-{n}") for n in range(1, 10)]
     + [pytest.param(net, id=f"corpus-{i}") for i, net in enumerate(corpus(40)) if i % 4 == 0],
 )
 def test_every_security_level_builds_the_code_of_a_fresh_network(net):
@@ -926,17 +925,23 @@ def test_lift_expands_generator_entry(butterfly):
     assert block.data == ((1, 0), (0, 1), (0, 1), (1, 1))
 
 
-def _lifted_cases():
-    yield pytest.param(fixtures.code("butterfly"), fixtures.network("butterfly"), id="butterfly")
-    # constructed GF(4) codes of 256 base-field states whose B is not the identity:
-    # two sources at r = 1, and one source at r = 2
-    for seed, r in [(61, 1), (8, 2)]:
-        net = random_network(seed)
-        yield pytest.param(construct(net, r, seed=0), net, id=f"corpus{seed}-r{r}")
+# constructed GF(4) codes of 256 base-field states whose B is not the identity: two
+# sources at r = 1, and one source at r = 2; each case is built in its test
+LIFTED_CORPUS_CASES = {"corpus61-r1": (61, 1), "corpus8-r2": (8, 2)}
 
 
-@pytest.mark.parametrize("code,net", list(_lifted_cases()))
-def test_lifted_code_computes_every_sum_and_leaks_nothing(code, net, monkeypatch):
+@functools.cache
+def _lifted_case(case_id):
+    if case_id == "butterfly":
+        return fixtures.code("butterfly"), fixtures.network("butterfly")
+    seed, r = LIFTED_CORPUS_CASES[case_id]
+    net = random_network(seed)
+    return construct(net, r, seed=0), net
+
+
+@pytest.mark.parametrize("case_id", ["butterfly", *LIFTED_CORPUS_CASES])
+def test_lifted_code_computes_every_sum_and_leaks_nothing(case_id, monkeypatch):
+    code, net = _lifted_case(case_id)
     # the same-field claim, on the lift run over GF(p) state by state
     assert code.field.m > 1 and code.field.p ** (code.rate * code.field.m * net.num_sources) <= 1024
     assert run_lifted(lift_extension(code, net), net) == (True, True)

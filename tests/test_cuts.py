@@ -23,7 +23,7 @@ from snfc.cuts import ResidualFlow, _c_min_bar_report, _primary_edges, feeding_s
 from snfc.errors import EmptyTarget, MalformedInput, TargetInU, TooLarge, UnknownEdge, UnknownNode
 from snfc.network import Network, make_network
 from reference import max_flow_cut, primary_edges, reach_sets, reachable
-from test_bounds import bound_large_stars
+from cases import bound_large_stars, source_star
 
 
 # -- exhaustive oracles ------------------------------------------------------------
@@ -308,14 +308,6 @@ def test_c_min_bar_all_sources_term_is_the_frontier_cut():
                 report = min_cut_edge_target(net, chosen, frontier)
                 terms.append((report.capacity, report.cut_edges))
         assert _c_min_bar_report(net) == min(terms)
-
-
-def source_star(n_sources: int) -> Network:
-    """Each source has an edge to one hub and an edge to the sink, and the hub
-    has one to the sink: c_min = 2 and c_min_bar sweeps 2^n - 1 source subsets."""
-    sources = [f"s{i + 1}" for i in range(n_sources)]
-    edges = [("h", "rho")] + [(s, head) for s in sources for head in ("h", "rho")]
-    return make_network([*sources, "h", "rho"], [(f"e{i}", *e) for i, e in enumerate(edges)], sources, "rho")
 
 
 def test_c_min_bar_refuses_more_source_subsets_than_its_cap_before_any_flow(monkeypatch):

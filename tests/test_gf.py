@@ -323,10 +323,12 @@ def test_product_table_matches_slow_products(field):
 
 
 @pytest.mark.parametrize(
-    "p, m", [(3, 2), (3, 5), (5, 3), (7, 2), (13, 2)], ids=["GF9", "GF243", "GF125", "GF49", "GF169"]
+    "p, m",
+    [(3, 2), (3, 5), (5, 3), (7, 2), (13, 2), (3, 1), (251, 1)],
+    ids=["GF9", "GF243", "GF125", "GF49", "GF169", "GF3", "GF251"],
 )
 def test_addition_table_matches_digitwise_sums(p, m):
-    # odd p and m > 1: every pair's table entry, Field.add and a packed column sum equal
+    # odd p and q <= 256: every pair's table entry, Field.add and a packed column sum equal
     # the digit-wise sum mod p; entries outside the field are 0
     field = make_field(p, m)
     table, elements = field._add_table, range(field.q)
@@ -342,9 +344,12 @@ def test_addition_table_matches_digitwise_sums(p, m):
 
 
 def test_addition_table_only_for_odd_extension_fields():
-    # GF(2^m) adds by XOR and prime fields mod p; beyond 256 elements no table is built
-    for p, m in ((2, 4), (2, 8), (3, 1), (251, 1), (3, 6), (17, 2)):
+    # GF(2^m) adds by XOR; beyond 256 elements no table is built, and every odd field
+    # up to 256 elements, prime or not, has one
+    for p, m in ((2, 4), (2, 8), (3, 6), (17, 2), (257, 1)):
         assert make_field(p, m)._add_table is None
+    for p, m in ((3, 1), (251, 1), (3, 5)):
+        assert len(make_field(p, m)._add_table) == 1 << 16
 
 
 # fields beyond 256 elements, which multiply through the log and exp lists alone; the

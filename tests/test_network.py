@@ -4,6 +4,7 @@ import pkgutil
 import sys
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from snfc import (
     parse_network,
     reduce_linear_to_sum,
 )
+from snfc.cli import main
 from snfc.corpus import random_network
 from snfc.errors import (
     AllZeroFunction,
@@ -147,12 +149,21 @@ def test_duplicate_edge_ids_rejected():
         (["s", "s", "rho"], ["s"], "duplicate node ids"),
         (["s", "rho"], ["s", "rho"], "the sink cannot be a source"),
         (["s", "rho"], ["s", "s"], "duplicate sources"),
+        (["s", "rho"], [], "at least one source is required"),
     ],
-    ids=["duplicate-nodes", "sink-as-source", "duplicate-sources"],
+    ids=["duplicate-nodes", "sink-as-source", "duplicate-sources", "no-sources"],
 )
 def test_malformed_node_lists_rejected(nodes, sources, message):
     with pytest.raises(MalformedInput, match=message):
         make_network(nodes, [("e1", "s", "rho")], sources, "rho")
+
+
+def test_cli_refuses_a_network_file_with_no_sources(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"nodes": ["s", "rho"], "sources": [], "sink": "rho", "edges": [{"id": "e1", "tail": "s", "head": "rho"}]}))
+    result = CliRunner().invoke(main, ["bound", "--network", str(path), "--r", "0", "--json"])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output) == {"error": "MalformedInput", "message": "at least one source is required"}
 
 
 def test_source_not_among_nodes_rejected():

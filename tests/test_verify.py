@@ -17,7 +17,6 @@ from snfc import (
     check_security_rank,
     construct,
     make_field,
-    make_network,
     secure_code,
     verify,
 )
@@ -40,7 +39,7 @@ from snfc.verify import (
     wiretap_family,
 )
 from reference import first_leak, simulate
-from test_bounds import two_source_star
+from cases import COLUMN_CASE_IDS, column_case, parallel_network, random_code, two_source_star
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -309,31 +308,6 @@ def test_first_leak_tests_each_distinct_view_once(butterfly):
     assert _first_leak([(), ("e9",)], classes, lambda wset: True) == (True, None)
 
 
-def random_code(field, net, rate, r, rng):
-    """A code with uniformly random local rules, decoder and invertible mixing."""
-    source_matrices = {
-        s: {e.id: tuple(rng.randrange(field.q) for _ in range(rate)) for e in net.out_edges[s]}
-        for s in net.sources
-    }
-    local_coeffs = {}
-    for v in net.nodes:
-        if v in net.sources or v == net.sink:
-            continue
-        for e in net.out_edges[v]:
-            local_coeffs[e.id] = {d.id: rng.randrange(field.q) for d in net.in_edges[v]}
-    decoder = Matrix.build(
-        field,
-        [[rng.randrange(field.q) for _ in range(rate)] for _ in net.in_edges[net.sink]],
-        ncols=rate,
-    )
-    while True:
-        rows = [[rng.randrange(field.q) for _ in range(rate)] for _ in range(rate)]
-        mixing = Matrix.build(field, rows)
-        if mixing.rank() == rate:
-            break
-    return secure_code(SumCode(field, rate, source_matrices, local_coeffs, decoder), mixing, r)
-
-
 AGREE_STATE_CAP = 4096
 
 
@@ -366,42 +340,17 @@ def test_rank_and_exhaustive_criteria_agree(data):
 # -- column simulation and the per-set uniformity test ------------------------------------------
 
 GF9 = make_field(3, 2)
-GF256 = make_field(2, 8)
 GF257 = make_field(257, 1)
 GF512 = make_field(2, 9)
 
 
-def _column_cases():
-    for name, net in [("butterfly", "butterfly"), ("butterfly_gf2", "butterfly"), ("n1", "n1")]:
-        yield pytest.param(fixtures.code(name), fixtures.network(net), id=name)
-    for field in (GF2, GF3, GF4, GF9):
-        for name in ("n1", "butterfly"):
-            for seed in range(3):
-                net = fixtures.network(name)
-                code = random_code(field, net, 2, 1, random.Random(f"{field!r}:{name}:{seed}"))
-                yield pytest.param(code, net, id=f"{field!r}-{name}-{seed}")
-    # GF(256) fills its translate tables with no padding; beyond 256 elements there
-    # is no product table and the columns are arrays
-    for field in (GF256, GF257, GF512):
-        net = fixtures.network("fig2")
-        code = random_code(field, net, 1, 0, random.Random(f"{field!r}:fig2"))
-        yield pytest.param(code, net, id=f"{field!r}-fig2")
-    # two message sums: a constructed code decodes both, and with its second
-    # decoder column zeroed only the first
-    net = fixtures.network("butterfly")
-    code = construct(net, 0, field=GF3, seed=0)
-    yield pytest.param(code, net, id=f"{code.field!r}-butterfly-r0")
-    half = Matrix.build(code.field, [[row[0], 0] for row in code.base.decoder.data])
-    base = SumCode(code.field, code.rate, code.base.source_matrices, code.base.local_coeffs, half)
-    yield pytest.param(secure_code(base, code.mixing, 0), net, id=f"{code.field!r}-butterfly-r0-half-decoder")
-
-
-@pytest.mark.parametrize("code,net", list(_column_cases()))
-def test_column_simulation_matches_simulate(code, net):
+@pytest.mark.parametrize("case_id", COLUMN_CASE_IDS)
+def test_column_simulation_matches_simulate(case_id):
     """The column pass gives every state's symbols, and the computability rule on
     its columns, `check_exhaustive`'s verdict and `check_computability` all equal
     the rule read off the per-state reference: on every state the message
     decoder takes the sink's symbols to the message sums."""
+    code, net = column_case(case_id)
     inputs = _state_columns(code, net)
     cols = _run_code(code, net, inputs)
     computable = _computable(message_decoder(code), net, inputs, cols)
@@ -565,12 +514,6 @@ def test_lane_width_boundaries(total, width):
     assert _lane_width(total) == width
 
 
-def _parallel_network(n_edges):
-    """One source, no middle nodes and n parallel edges into the sink."""
-    edges = [(f"e{k}", "s1", "rho") for k in range(1, n_edges + 1)]
-    return make_network(["s1", "rho"], edges, ["s1"], "rho")
-
-
 def test_an_r_edge_view_of_one_source_is_settled_without_counting(monkeypatch):
     """GF(4), four parallel edges, r = 2: 256 states, and each pair of edges
     sees 16 keys times 16 messages, so a secure code's pairs are a permutation
@@ -578,7 +521,7 @@ def test_an_r_edge_view_of_one_source_is_settled_without_counting(monkeypatch):
     `_uniform_given_key` nor `Counter` runs.  The B = I copy leaks, where a
     pair repeats, so its leaking views reach `_uniform_given_key`, and it
     reports the reference scan's first leak."""
-    net = _parallel_network(4)
+    net = parallel_network(4)
     code = construct(net, 2, field=GF4, seed=0)
     unmixed = SecureCode(code.base, code.r, Matrix.identity(GF4, code.rate))
     assert GF4.q ** (code.rate * net.num_sources) == 256
@@ -667,7 +610,7 @@ def test_the_run_test_and_the_rank_route_agree_on_parallel_edges():
     outcomes = Counter()
     for field in PARALLEL_FIELDS:
         for n_edges in range(2, 6):
-            net = _parallel_network(n_edges)
+            net = parallel_network(n_edges)
             rng = random.Random(f"{field!r}:{n_edges}")
             for rate in range(2, n_edges + 1):
                 if field.q**rate > PARALLEL_STATE_CAP:
@@ -686,7 +629,7 @@ def test_the_run_test_and_the_rank_route_agree_on_parallel_edges():
 def test_exhaustive_tabulates_wiretap_sets_beyond_256_elements(field):
     """r = 1, rate 2 on two parallel edges: 257^2 and 512^2 states, two-byte
     columns in four-byte lanes."""
-    net = _parallel_network(2)
+    net = parallel_network(2)
     routing = SumCode(field, 2, {"s1": {"e1": (1, 0), "e2": (0, 1)}}, {}, Matrix.identity(field, 2))
     cases = [
         (construct(net, 1, field=field, seed=0), (True, True, None)),
@@ -712,7 +655,7 @@ def test_exhaustive_tabulates_wiretap_sets_beyond_256_elements(field):
     ],
 )
 def test_both_routes_report_the_first_failure_at_r2(field, columns, failing):
-    net = _parallel_network(3)
+    net = parallel_network(3)
     code = secure_code(SumCode(field, 3, {"s1": columns}, {}, Matrix.identity(field, 3)), Matrix.identity(field, 3), 2)
     assert check_security_rank(code, net) == (False, failing)
     assert check_exhaustive(code, net) == (check_computability(code, net), False, failing)
@@ -810,7 +753,7 @@ C512 = 300  # a nonzero element of GF(2^9) other than 1
     ids=["GF3-secure", "GF3-leak", "GF4-secure", "GF512-secure", "GF512-leak"],
 )
 def test_scaled_and_zero_columns_share_and_skip_views(field, r, columns, decoder, expected):
-    net = _parallel_network(len(columns))
+    net = parallel_network(len(columns))
     rate = len(columns[0])
     rows = [[x] + [0] * (rate - 1) for x in decoder]
     base = SumCode(
@@ -927,7 +870,7 @@ def _butterfly_case():
 
 
 def _gf512_case():
-    net = _parallel_network(1)
+    net = parallel_network(1)
     return net, construct(net, 0, field=make_field(2, 9), seed=0)
 
 
