@@ -79,6 +79,20 @@ MUTANTS = [
         ("tests/test_codes.py",),
     ),
     Mutant(
+        "c_min_bar stops at a subset whose floor ties the best",
+        "src/snfc/cuts.py",
+        "if best and floor > best[0]:",
+        "if best and floor >= best[0]:",
+        ("tests/test_cuts.py",),
+    ),
+    Mutant(
+        "the sweep's skip bound forgets that deleting W lowers a cut by |W|",
+        "src/snfc/bounds.py",
+        "max(map(caps.get, feeding)) - len(wiretap) >= best.capacity",
+        "max(map(caps.get, feeding)) >= best.capacity",
+        ("tests/test_bounds.py",),
+    ),
+    Mutant(
         "the run test accepts repeated keys",
         "src/snfc/verify.py",
         "return all(p.translate(bytes.maketrans(p, ident[: len(p)])) == ident[: len(p)] for p in pieces)",

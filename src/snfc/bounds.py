@@ -30,6 +30,11 @@ The sweep runs only the max-flows its answer needs:
   in lexicographic order, merged; a candidate of two or more edges is
   confirmed only when the sweep reaches it.  Every size is counted first, so
   PRIMARY_SET_LIMIT refuses a family before any max-flow runs;
+- it skips the sets that cannot win: only a strictly smaller residual cut
+  replaces the best.  Deleting W lowers each source's min cut c_s by at most
+  |W|, and keeps every unit of the feeding flow that W does not carry.  So W
+  is skipped when max c_s - |W| over its feeding sources reaches the best,
+  before their flow is built, or when that flow's surviving units do;
 - the residual cut of a set is cut from its feeding sources' flow to the sink,
   kept in the network's memo (`cuts.node_flow`) and shared with c_min and c_min_bar;
   every flow to a node runs on the network's one shared arc layout (`cuts._layout`).
@@ -205,8 +210,15 @@ def upper_bound(net: Network, r: int) -> BoundReport:
         floor = max(cm - r, 0)
         # the empty set comes first in the family (module docstring)
         best, witness = _omega_report(net, ()), ()
+        caps = {s: report.capacity for s, report in zip(net.sources, source_cut_reports(net))}
         for wiretap in heapq.merge(*(_primary_stream(net, k) for k in sizes)):
-            report = _omega_report(net, wiretap)
+            feeding = feeding_sources(net, wiretap)
+            if max(map(caps.get, feeding)) - len(wiretap) >= best.capacity:
+                continue
+            flow = node_flow(net, feeding, net.sink)
+            if flow.value - flow._carried(wiretap) >= best.capacity:
+                continue
+            report = flow.cut_without(wiretap)
             if report.capacity < best.capacity:
                 best, witness = report, wiretap
                 if best.capacity <= floor:

@@ -5,15 +5,17 @@ Every cut comes from a max-flow on unit arcs, laid out by one builder, `_arcs`,
 by blocking flows out of the origin nodes (`_augment`).  Every flow to a node
 runs to the node itself on the network's one shared layout (`_layout`), writing
 only its own capacities; a flow to an edge set has a layout of its own, where
-each target edge's arc runs from its tail straight into a super-sink.  The
+each target edge's arc runs from its tail straight into a super-sink, except a
+c_min_bar frontier term: a copy of a one-source flow to the sink, resumed with
+the frontier's arcs pointed at the sink (`ResidualFlow._to_frontier`).  The
 returned cut is always the unique minimum cut closest to the origin set: the
 edges leaving the set of nodes still reachable from the origin in the residual
 graph of a maximum flow.
 
 A flow to a node lives in the network's memo (`network.per_network`), one per
-(origin, target), and is only read after `node_flow` builds it: `min_cut`, the
-residual cut of every wiretap set fed by the same sources, and the all-sources
-term of c_min_bar all share it.  `cut_without` copies the capacity bytes before it
+(origin, target), and is only read after `node_flow` builds it: `min_cut`, c_min,
+the residual cut of every wiretap set fed by the same sources, and the c_min_bar
+terms all share it.  `cut_without` copies the capacity bytes before it
 deletes an edge, so sharing is safe.  Flows to edge sets are not kept: there
 can be one per pair of edges.  The one behind an `is_primary` call holds only
 the arcs upstream of the set, and a set of source out-edges needs none.  No
@@ -24,6 +26,7 @@ reach its tails, one backward walk.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -234,6 +237,25 @@ class ResidualFlow:
         side = tuple(sorted(n for i, n in enumerate(self._nodes) if i in reach))
         return CutReport(value, tuple(cut), side)
 
+    def _carried(self, edge_set: Iterable[str]) -> int:
+        """How many of the given edges carry a unit of this flow."""
+        return sum(self._cap[2 * self._index[eid] + 1] for eid in edge_set)
+
+    def _to_frontier(self, origin: tuple[int, ...], frontier: Iterable[str]) -> ResidualFlow:
+        """This flow to the sink, resumed from a superset of its origin (node
+        indices) to a frontier: edges that every path to the sink crosses, with
+        no edge leaving the nodes past them.  Each unit crosses the frontier
+        once, so with the frontier's arcs pointed at the sink the flow still
+        holds, no node past it is reached, and the cuts are the frontier's."""
+        flow = copy.copy(self)
+        flow._to = to = self._to.copy()
+        for eid in frontier:
+            to[2 * self._index[eid]] = self._sink
+        flow._origin, flow._cap = origin, self._cap.copy()
+        added, flow._reach = _augment(self._adj, to, flow._cap, origin, self._sink)
+        flow.value = self.value + added
+        return flow
+
 
 # -- cut queries --------------------------------------------------------------------
 
@@ -354,20 +376,26 @@ def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
     count = (1 << len(net.sources)) - 1
     if count > SOURCE_SUBSET_LIMIT:
         raise TooLarge(f"{count} source subsets exceed the cap {SOURCE_SUBSET_LIMIT}")
-    reports = []
-    for mask in range(1, count + 1):
-        chosen = [s for i, s in enumerate(net.sources) if mask >> i & 1]
-        others = [s for i, s in enumerate(net.sources) if not mask >> i & 1]
-        if not others:
+    caps = {s: report.capacity for s, report in zip(net.sources, source_cut_reports(net))}
+    idx = _layout(net)[0]
+    subsets = ([s for i, s in enumerate(net.sources) if mask >> i & 1] for mask in range(1, count + 1))
+    best = None
+    # visit the subsets by their floor (`c_min_bar`), then by mask
+    for floor, _, chosen in sorted((max(map(caps.get, chosen)), i, chosen) for i, chosen in enumerate(subsets)):
+        if best and floor > best[0]:
+            break  # no term from here on is below the best; one that ties may have a smaller cut
+        if len(chosen) == len(net.sources):
             # the sink has no out-edges, so the frontier is its in-edges: the
             # shared flow to the sink gives the same cut
             report = min_cut(net, chosen, net.sink)
         else:
-            inside = net.nodes_reachable_from([*others, net.sink])
+            inside = net.nodes_reachable_from([*(s for s in net.sources if s not in chosen), net.sink])
             frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
-            report = min_cut_edge_target(net, chosen, frontier)
-        reports.append((report.capacity, report.cut_edges))
-    return min(reports)
+            flow = node_flow(net, frozenset([max(chosen, key=caps.get)]), net.sink)
+            report = flow._to_frontier(tuple(idx[s] for s in chosen), frontier).cut_without()
+        if not best or (report.capacity, report.cut_edges) < best:
+            best = report.capacity, report.cut_edges
+    return best
 
 
 def c_min_bar(net: Network) -> int:
@@ -381,6 +409,12 @@ def c_min_bar(net: Network) -> int:
     tail lies outside the set and whose head lies inside.  Sources have no
     in-edges, so T lies outside the set and the frontier edges themselves are a
     finite cut.
+
+    Every path to the sink crosses the frontier once, so T's term is at least
+    its floor, the largest min cut c_s of its sources, and resumes the flow of
+    that source (`ResidualFlow._to_frontier`).  The subsets run in floor order
+    and stop at the first floor above the best term; one that ties it still
+    runs, since it may have a smaller cut.
     """
     return _c_min_bar_report(net)[0]
 

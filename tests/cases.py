@@ -51,6 +51,29 @@ def source_star(n_sources: int) -> Network:
     return make_network([*sources, "h", "rho"], [(f"e{i}", *e) for i, e in enumerate(edges)], sources, "rho")
 
 
+def many_source_network(seed: int, max_edges: int) -> Network:
+    """4 to 6 sources, one or two layers of 1 to 3 inner nodes, and the sink.
+    Every node but a source has an in-edge from an earlier layer and every node
+    but the sink an out-edge to a later one; further edges, parallel ones
+    included, run forward up to max_edges edges in all."""
+    rng = random.Random(f"many_sources:{seed}")
+    layers = [[f"s{i + 1}" for i in range(rng.randint(4, 6))]]
+    layers += [[f"v{d}_{i}" for i in range(rng.randint(1, 3))] for d in range(rng.randint(1, 2))]
+    layers.append(["rho"])
+
+    def later(d):  # a node of a layer after layer d
+        return rng.choice(layers[rng.randint(d + 1, len(layers) - 1)])
+
+    pairs = [(rng.choice(layers[rng.randrange(d)]), v) for d in range(1, len(layers)) for v in layers[d]]
+    for d in range(len(layers) - 1):
+        pairs += [(v, later(d)) for v in layers[d] if all(tail != v for tail, _ in pairs)]
+    while len(pairs) < max_edges:
+        d = rng.randrange(len(layers) - 1)
+        pairs.append((rng.choice(layers[d]), later(d)))
+    edges = [(f"e{i + 1}", tail, head) for i, (tail, head) in enumerate(pairs)]
+    return make_network([n for layer in layers for n in layer], edges, layers[0], "rho")
+
+
 def random_code(field, net, rate, r, rng):
     """A code with uniformly random local rules, decoder and invertible mixing."""
     source_matrices = {

@@ -32,12 +32,12 @@ from snfc import (
     verify,
     zero_capacity,
 )
-from snfc.bounds import CUT_SCAN_LIMIT, _omega_report
+from snfc.bounds import CUT_SCAN_LIMIT, _omega_report, _oracle_cut_stats
 from snfc.cuts import _primary_edges, node_flow
 from snfc.corpus import corpus, random_network
 from snfc.errors import FieldTooSmallForMulticast, NegativeSecurityLevel, TooLarge
 from reference import full_sweep, omega, reach_sets
-from cases import bound_large_stars, parallel_network, two_source_star
+from cases import bound_large_stars, many_source_network, parallel_network, two_source_star
 
 
 # -- the residual cut statistic -----------------------------------------------------
@@ -215,6 +215,41 @@ def test_upper_bound_reports_what_the_full_sweep_reports_on_large_stars():
         assert_same_as_full_sweep(net, 1)
 
 
+def test_upper_bound_reports_what_the_full_sweep_reports_on_four_to_six_sources():
+    for seed in range(100):
+        net = many_source_network(seed, max_edges=20)
+        for r in range(4):
+            assert_same_as_full_sweep(net, r)
+
+
+def test_upper_bound_on_a_large_star_skips_the_flows_that_cannot_win(monkeypatch):
+    # the sources' min cuts are 45 and 41: the shared layout and the two flows
+    # of c_min; one c_min_bar term, of 43, whose floor of 41 is the only one not
+    # above it; and one set cut with its edges deleted, which reaches the floor
+    # of 40, after the sets before it are skipped by their bounds
+    module = importlib.import_module("snfc.cuts")
+    counts = {"_arcs": 0, "_augment": 0, "deleted": 0}
+    plain = {name: getattr(module, name) for name in ("_arcs", "_augment")}
+    cut_without = module.ResidualFlow.cut_without
+
+    def counted(name):
+        def call(*args):
+            counts[name] += 1
+            return plain[name](*args)
+        return call
+
+    def counted_cut(flow, edge_set=()):
+        counts["deleted"] += bool(edge_set)
+        return cut_without(flow, edge_set)
+
+    (net,) = bound_large_stars(1, 1)
+    for name in plain:
+        monkeypatch.setattr(module, name, counted(name))
+    monkeypatch.setattr(module.ResidualFlow, "cut_without", counted_cut)
+    upper_bound(net, 1)
+    assert counts == {"_arcs": 1, "_augment": 4, "deleted": 1}
+
+
 # sha256 of upper_bound(net, 2).to_dict() (JSON, sorted keys) on the first four
 # seed-1 `bound_large` stars: the r = 2 sweep confirms pairs by max-flow, which
 # no benchmark workload runs on large networks
@@ -350,6 +385,14 @@ def test_upper_bound_equals_oracle_in_the_general_case():
             assert report.exact is None or report.exact.value == oracle, (net.to_dict(), r)
             above_floor += report.upper > report.lower
     assert above_floor  # the sweep's general case is reached
+
+
+def test_c_min_bar_is_the_smallest_oracle_cut_that_only_separated_sources_feed():
+    # a separated source feeds the cut, since its paths to the sink cross it: so
+    # the feeding sources are exactly the separated ones when only separated
+    # sources feed every edge of the cut
+    for net in [*corpus(60), *(many_source_network(seed, max_edges=12) for seed in range(20))]:
+        assert c_min_bar(net) == min(size for size, avail in _oracle_cut_stats(net) if avail == size)
 
 
 # -- zero capacity and exactness ----------------------------------------------------------------

@@ -41,6 +41,7 @@ from snfc.errors import (
     ConstructionFailed,
     FieldTooSmall,
     FieldTooSmallForMulticast,
+    InvariantViolated,
     MalformedInput,
     PrimeFieldInput,
     RateExceedsMinCut,
@@ -874,6 +875,11 @@ def test_global_vectors_returns_a_dict_the_caller_may_change(butterfly):
     del first["e5"]
     assert global_vectors(code, butterfly) == expect
     assert global_vectors(code, butterfly) is not global_vectors(code, butterfly)
+
+
+def test_global_vectors_refuses_an_object_that_is_not_a_code(butterfly):
+    with pytest.raises(InvariantViolated, match="expected a sum or secure code, got str"):
+        global_vectors("not a code", butterfly)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from snfc.cuts import ResidualFlow, _c_min_bar_report, _primary_edges, feeding_s
 from snfc.errors import EmptyTarget, MalformedInput, TargetInU, TooLarge, UnknownEdge, UnknownNode
 from snfc.network import Network, make_network
 from reference import max_flow_cut, primary_edges, reach_sets, reachable
-from cases import bound_large_stars, source_star
+from cases import bound_large_stars, many_source_network, source_star
 
 
 # -- exhaustive oracles ------------------------------------------------------------
@@ -267,8 +267,8 @@ def test_flows_to_inner_nodes_match_a_reference_max_flow():
 
 def test_the_shared_layout_is_only_read_and_built_once_per_network(monkeypatch):
     # flows to nodes share one arc layout and write only their own capacities;
-    # with two sources, upper_bound builds that layout and one of its own for
-    # each of the two one-source c_min_bar frontier terms
+    # upper_bound builds that layout and no other: the c_min_bar frontier terms
+    # resume the per-source flows on it
     module = importlib.import_module("snfc.cuts")
     for net in [*corpus(40), *bound_large_stars(1, 2)]:
         upper_bound(net, 1)
@@ -289,7 +289,7 @@ def test_the_shared_layout_is_only_read_and_built_once_per_network(monkeypatch):
     (net,) = bound_large_stars(1, 1)
     monkeypatch.setattr(module, "_arcs", counted)
     upper_bound(net, 1)
-    assert len(built) == 3
+    assert len(built) == 1
     assert len(built[0]) == 2  # the shared layout first, with no target edges
 
 
@@ -310,6 +310,41 @@ def test_c_min_bar_all_sources_term_is_the_frontier_cut():
         assert _c_min_bar_report(net) == min(terms)
 
 
+def frontier_terms(net):
+    """(capacity, cut) of every source subset's frontier cut, each from its own flow."""
+    for k in range(1, len(net.sources) + 1):
+        for chosen in itertools.combinations(net.sources, k):
+            inside = net.nodes_reachable_from([*(s for s in net.sources if s not in chosen), net.sink])
+            frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
+            report = min_cut_edge_target(net, chosen, frontier)
+            yield report.capacity, report.cut_edges
+
+
+def test_c_min_bar_in_floor_order_matches_every_term_on_four_to_six_sources(monkeypatch):
+    # up to 63 subsets, most of them past the stop; the subsets that are run
+    # resume a one-source flow on the shared layout
+    module = importlib.import_module("snfc.cuts")
+    plain, flows = module._augment, []
+
+    def counted(*args):
+        flows.append(args)
+        return plain(*args)
+
+    run = every = 0
+    for seed in range(150):
+        net = many_source_network(seed, max_edges=24)
+        assert 4 <= len(net.sources) <= 6
+        every += (1 << len(net.sources)) - 1
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_augment", counted)
+            report = _c_min_bar_report(net)
+        assert report == min(frontier_terms(net)), seed
+        assert len(report[1]) == report[0] and c_min(net) <= report[0]
+        run += len(flows) - len(net.sources)
+        flows.clear()
+    assert run < every / 4
+
+
 def test_c_min_bar_refuses_more_source_subsets_than_its_cap_before_any_flow(monkeypatch):
     module = importlib.import_module("snfc.cuts")
     plain, flows = module._augment, []
@@ -320,7 +355,9 @@ def test_c_min_bar_refuses_more_source_subsets_than_its_cap_before_any_flow(monk
 
     monkeypatch.setattr(module, "_augment", counted)
     monkeypatch.setattr(module, "SOURCE_SUBSET_LIMIT", 7)
-    assert c_min_bar(source_star(3)) == 2 and len(flows) == 7  # 7 subsets: at the cap
+    # 7 subsets, at the cap: one flow per source first, then every subset, since
+    # every term's floor ties the best of 2
+    assert c_min_bar(source_star(3)) == 2 and len(flows) == 3 + 7
     net = source_star(4)  # 15 subsets
     monkeypatch.setattr(module, "SOURCE_SUBSET_LIMIT", 14)
     flows.clear()

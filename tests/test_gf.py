@@ -508,6 +508,10 @@ def test_propagate_matches_the_per_state_reference(field):
 
 # -- matrices ----------------------------------------------------------------------
 
+def test_matrix_repr_names_its_field_and_shape():
+    assert repr(Matrix.build(GF4, [[1, 0], [2, 1], [0, 3]])) == "Matrix(GF(2^2), 3x2)"
+
+
 def test_rank_of_empty_matrix():
     assert Matrix.build(GF2, [], ncols=0).rank() == 0
 
