@@ -93,6 +93,36 @@ MUTANTS = [
         ("tests/test_bounds.py",),
     ),
     Mutant(
+        "the sweep confirms primality before its skip tests",
+        "src/snfc/bounds.py",
+        """            feeding = feeding_sources(net, wiretap)
+            if max(map(caps.get, feeding)) - len(wiretap) >= best.capacity:
+                continue
+            flow = node_flow(net, feeding, net.sink)
+            if flow.value - flow._carried(wiretap) >= best.capacity:
+                continue
+            if len(wiretap) > 1 and not is_primary(net, wiretap):
+                continue
+""",
+        """            if len(wiretap) > 1 and not is_primary(net, wiretap):
+                continue
+            feeding = feeding_sources(net, wiretap)
+            if max(map(caps.get, feeding)) - len(wiretap) >= best.capacity:
+                continue
+            flow = node_flow(net, feeding, net.sink)
+            if flow.value - flow._carried(wiretap) >= best.capacity:
+                continue
+""",
+        ("tests/test_bounds.py",),
+    ),
+    Mutant(
+        "the sweep never confirms primality",
+        "src/snfc/bounds.py",
+        "if len(wiretap) > 1 and not is_primary(net, wiretap):",
+        "if False:",
+        ("tests/test_bounds.py",),
+    ),
+    Mutant(
         "the run test accepts repeated keys",
         "src/snfc/verify.py",
         "return all(p.translate(bytes.maketrans(p, ident[: len(p)])) == ident[: len(p)] for p in pieces)",

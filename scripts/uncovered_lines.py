@@ -8,8 +8,13 @@ instruction to it (`co_lines()`), so declarations such as `nonlocal` and
 recorded through `sys.monitoring` where it exists (Python 3.12 on), each
 location switching itself off at its first event, and through `sys.settrace`
 before that, several times slower.  Lines that only the suite's subprocesses
-run count as never run.  The exit status is pytest's; the listing is
-information only.
+run count as never run.
+
+Each file's text is read before the suite starts, and its executable lines and
+the printed text come from that snapshot, the code the suite imported.  A file
+whose text differs after the run is named, since its listing may be wrong.
+The exit status is pytest's when that is not 0, else 1 when a file changed,
+else 0; the listing is information only.
 
 Usage: python scripts/uncovered_lines.py [pytest arguments]
 """
@@ -21,9 +26,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "snfc")
 
 
-def executable_lines(path: str) -> set[int]:
-    with open(path, encoding="utf-8") as fh:
-        stack = [compile(fh.read(), path, "exec")]
+def read(path: str) -> str | None:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def executable_lines(path: str, text: str) -> set[int]:
+    stack = [compile(text, path, "exec")]
     lines = set()
     while stack:
         code = stack.pop()
@@ -62,6 +74,7 @@ def record(ran: dict[str, set[int]]) -> None:
 
 def main() -> int:
     paths = sorted(os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    texts = {path: read(path) for path in paths}
     ran = {path: set() for path in paths}
     sys.path.insert(0, os.path.join(ROOT, "src"))
     os.chdir(ROOT)
@@ -72,13 +85,15 @@ def main() -> int:
     sys.settrace(None)
     missed = 0
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read().splitlines()
-        for number in sorted(executable_lines(path) - ran[path]):
+        text = texts[path].splitlines()
+        for number in sorted(executable_lines(path, texts[path]) - ran[path]):
             missed += 1
             print(f"{os.path.relpath(path, ROOT)}:{number}: {text[number - 1].strip()}")
     print(f"{missed} executable lines of src/snfc never ran")
-    return int(status)
+    changed = [path for path in paths if read(path) != texts[path]]
+    for path in changed:
+        print(f"{os.path.relpath(path, ROOT)} changed while the suite ran: its lines are those from before")
+    return int(status) or int(bool(changed))
 
 
 if __name__ == "__main__":

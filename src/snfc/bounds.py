@@ -17,8 +17,8 @@ single edge.  Suppose another edge e' dominates some e in W:
   the maximum flow into W is below |W| and W is not a minimum cut.
 
 So the sets of two or more edges are drawn from the primary single edges only,
-and each is still confirmed by `is_primary`: with one max-flow, or with none
-when every edge of the set leaves a source.
+and each one that can win is still confirmed by `is_primary`: with one
+max-flow, or with none when every edge of the set leaves a source.
 
 The sweep runs only the max-flows its answer needs:
 
@@ -26,15 +26,17 @@ The sweep runs only the max-flows its answer needs:
   family order, and no set leaves less than max(c_min - r, 0) (the lower bound
   on the rate is at most the upper one).  So the first set that reaches that
   floor is the witness, and the sets after it are not looked at;
-- it confirms lazily.  The family is one stream of candidates per size, each
-  in lexicographic order, merged; a candidate of two or more edges is
-  confirmed only when the sweep reaches it.  Every size is counted first, so
-  PRIMARY_SET_LIMIT refuses a family before any max-flow runs;
 - it skips the sets that cannot win: only a strictly smaller residual cut
   replaces the best.  Deleting W lowers each source's min cut c_s by at most
   |W|, and keeps every unit of the feeding flow that W does not carry.  So W
   is skipped when max c_s - |W| over its feeding sources reaches the best,
   before their flow is built, or when that flow's surviving units do;
+- it confirms last.  The candidates are the combinations of the primary
+  single edges, one lexicographic stream per size, merged; a candidate of two
+  or more edges is confirmed by `is_primary` only once both skip tests have
+  passed, since a skipped set cannot replace the best, primary or not.  Every
+  size is counted first, so PRIMARY_SET_LIMIT refuses a family before any
+  max-flow runs;
 - the residual cut of a set is cut from its feeding sources' flow to the sink,
   kept in the network's memo (`cuts.node_flow`) and shared with c_min and c_min_bar;
   every flow to a node runs on the network's one shared arc layout (`cuts._layout`).
@@ -61,10 +63,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .cuts import (
-    CutReport,
     _primary_edges,
     c_min,
     c_min_bar,
@@ -82,8 +83,8 @@ ORACLE_EDGE_LIMIT = 16
 # lifting the limit would change `exact` on large networks such as the 200-edge
 # benchmark stars, whose recorded outputs have it null
 CUT_SCAN_LIMIT = 200_000
-# candidate primary sets of one size, C(|primary edges|, k), each confirmed by
-# `is_primary`; more, in any size asked for, raise TooLarge before any set is listed
+# candidate primary sets of one size, C(|primary edges|, k); more, in any size
+# asked for, raise TooLarge before any set is listed or confirmed by `is_primary`
 PRIMARY_SET_LIMIT = 1_000_000
 
 
@@ -116,20 +117,6 @@ class BoundReport:
         }
 
 
-# -- the residual cut statistic ---------------------------------------------------
-
-def _omega_report(net: Network, wiretap: tuple[str, ...]) -> CutReport:
-    """The residual cut of a wiretap set.
-
-    Sets with the same feeding sources share one maximum flow on the intact
-    network; each set then re-augments at most |W| units of it.
-    """
-    if not wiretap:
-        # no edges removed: the smallest cut over all sources
-        return min(source_cut_reports(net), key=lambda report: report.capacity)
-    return node_flow(net, feeding_sources(net, wiretap), net.sink).cut_without(wiretap)
-
-
 # -- wiretap-set enumeration --------------------------------------------------------
 
 def _count_primary_candidates(net: Network, sizes: Iterable[int]) -> None:
@@ -139,20 +126,13 @@ def _count_primary_candidates(net: Network, sizes: Iterable[int]) -> None:
             raise TooLarge(f"{count} candidate primary sets of size {k} exceed the cap {PRIMARY_SET_LIMIT}")
 
 
-def _primary_stream(net: Network, k: int) -> Iterator[tuple[str, ...]]:
-    """The primary sets of size k in lexicographic order, confirmed as they are read.
-
-    Every edge of a primary set is a primary singleton (module docstring), so
-    sets of size 0 and 1 need no max-flow.  Count every size first.
-    """
-    for candidate in itertools.combinations(sorted(_primary_edges(net)), k):
-        if k <= 1 or is_primary(net, candidate):
-            yield candidate
-
-
 @per_network
 def _primary_sets_of_size(net: Network, k: int) -> tuple[tuple[str, ...], ...]:
-    return tuple(_primary_stream(net, k))
+    """The primary sets of size k in lexicographic order.  Every edge of a
+    primary set is a primary singleton (module docstring), so sets of size 0
+    and 1 need no max-flow.  Count every size first."""
+    candidates = itertools.combinations(sorted(_primary_edges(net)), k)
+    return tuple(c for c in candidates if k <= 1 or is_primary(net, c))
 
 
 def primary_wiretap_sets(net: Network, r: int, exact_size: bool = False) -> list[tuple[str, ...]]:
@@ -208,15 +188,20 @@ def upper_bound(net: Network, r: int) -> BoundReport:
         sizes = range(1, r + 1)
         _count_primary_candidates(net, sizes)
         floor = max(cm - r, 0)
-        # the empty set comes first in the family (module docstring)
-        best, witness = _omega_report(net, ()), ()
-        caps = {s: report.capacity for s, report in zip(net.sources, source_cut_reports(net))}
-        for wiretap in heapq.merge(*(_primary_stream(net, k) for k in sizes)):
+        # the empty set comes first in the family; it removes no edge, so its
+        # residual cut is the smallest source cut
+        reports = source_cut_reports(net)
+        best, witness = min(reports, key=lambda report: report.capacity), ()
+        caps = {s: report.capacity for s, report in zip(net.sources, reports)}
+        primary = sorted(_primary_edges(net))
+        for wiretap in heapq.merge(*(itertools.combinations(primary, k) for k in sizes)):
             feeding = feeding_sources(net, wiretap)
             if max(map(caps.get, feeding)) - len(wiretap) >= best.capacity:
                 continue
             flow = node_flow(net, feeding, net.sink)
             if flow.value - flow._carried(wiretap) >= best.capacity:
+                continue
+            if len(wiretap) > 1 and not is_primary(net, wiretap):
                 continue
             report = flow.cut_without(wiretap)
             if report.capacity < best.capacity:

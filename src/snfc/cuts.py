@@ -384,15 +384,10 @@ def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
     for floor, _, chosen in sorted((max(map(caps.get, chosen)), i, chosen) for i, chosen in enumerate(subsets)):
         if best and floor > best[0]:
             break  # no term from here on is below the best; one that ties may have a smaller cut
-        if len(chosen) == len(net.sources):
-            # the sink has no out-edges, so the frontier is its in-edges: the
-            # shared flow to the sink gives the same cut
-            report = min_cut(net, chosen, net.sink)
-        else:
-            inside = net.nodes_reachable_from([*(s for s in net.sources if s not in chosen), net.sink])
-            frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
-            flow = node_flow(net, frozenset([max(chosen, key=caps.get)]), net.sink)
-            report = flow._to_frontier(tuple(idx[s] for s in chosen), frontier).cut_without()
+        inside = net.nodes_reachable_from([*(s for s in net.sources if s not in chosen), net.sink])
+        frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
+        flow = node_flow(net, frozenset([max(chosen, key=caps.get)]), net.sink)
+        report = flow._to_frontier(tuple(idx[s] for s in chosen), frontier).cut_without()
         if not best or (report.capacity, report.cut_edges) < best:
             best = report.capacity, report.cut_edges
     return best
@@ -408,13 +403,14 @@ def c_min_bar(net: Network) -> int:
     each T the smallest one is the edge-target cut of the frontier edges, whose
     tail lies outside the set and whose head lies inside.  Sources have no
     in-edges, so T lies outside the set and the frontier edges themselves are a
-    finite cut.
+    finite cut.  When T holds every source, the set is the sink alone and the
+    frontier is the sink's in-edges.
 
     Every path to the sink crosses the frontier once, so T's term is at least
-    its floor, the largest min cut c_s of its sources, and resumes the flow of
-    that source (`ResidualFlow._to_frontier`).  The subsets run in floor order
-    and stop at the first floor above the best term; one that ties it still
-    runs, since it may have a smaller cut.
+    its floor, the largest min cut c_s of its sources, and every term resumes
+    the flow of that source (`ResidualFlow._to_frontier`).  The subsets run in
+    floor order and stop at the first floor above the best term; one that ties
+    it still runs, since it may have a smaller cut.
     """
     return _c_min_bar_report(net)[0]
 

@@ -26,11 +26,13 @@ The package has one implementation of each object; these are the independent
 - `primary_edges`: the edges that no other edge dominates, by the plain
   dominance pass that builds every node's set, against `cuts._primary_edges`,
   which skips the sets it can tell are empty;
-- `omega`: the residual cut of one wiretap set, through the production
-  `bounds._omega_report`;
-- `full_sweep`: the upper bound's witness from the residual cut of every
-  primary wiretap set, against `bounds.upper_bound`, which stops at the floor
-  and confirms candidates lazily;
+- `omega_report` and `omega`: the residual cut of one wiretap set and its
+  capacity, from a flow built from scratch on `residual(net, W)` out of the
+  sources feeding W (`reach_sets`), against the shared flow's incremental
+  `cut_without` in `bounds.upper_bound`;
+- `full_sweep`: the upper bound's witness from `omega`'s cut of every primary
+  wiretap set, against `bounds.upper_bound`, which stops at the floor, skips
+  the sets that cannot win and confirms primality last;
 - `transfer_global_vectors`: global encoding vectors from the closed-form
   transfer matrix (I - A)^-1, against the propagation in `codes.global_vectors`;
 - `multicast_attempts`: the multicast search attempt by attempt: kernels drawn
@@ -72,8 +74,8 @@ import itertools
 from collections import Counter
 from typing import Iterable, NamedTuple
 
-from snfc.bounds import _omega_report, primary_wiretap_sets
-from snfc.cuts import CutReport
+from snfc.bounds import primary_wiretap_sets
+from snfc.cuts import CutReport, min_cut, residual
 from snfc import codes
 from snfc.codes import LiftedCode, SecureCode, SumCode, _propagation_plan
 from snfc.errors import InvariantViolated
@@ -254,16 +256,27 @@ def primary_edges(net: Network) -> frozenset[str]:
 
 # -- the residual cut statistic ----------------------------------------------------
 
+def omega_report(net: Network, wiretap: Iterable[str]) -> CutReport:
+    """The origin-side minimum cut from the sources feeding the wiretap set to
+    the sink once the set is removed, each flow built from scratch on the
+    residual network.  The empty set feeds no source and removes no edge: its
+    cut is the smallest single-source cut, the first in source order on a tie."""
+    ids = net.check_edges(wiretap)
+    rest = residual(net, ids)
+    origins = [reach_sets(net, ids).feeding] if ids else [[s] for s in net.sources]
+    return min((min_cut(rest, origin, net.sink) for origin in origins), key=lambda report: report.capacity)
+
+
 def omega(net: Network, wiretap: Iterable[str]) -> int:
     """Capacity left for the sources feeding the wiretap set once it is removed."""
-    return _omega_report(net, net.check_edges(wiretap)).capacity
+    return omega_report(net, wiretap).capacity
 
 
 def full_sweep(net: Network, r: int) -> tuple[CutReport, tuple[str, ...]]:
     """The least residual cut over all primary wiretap sets of size <= r, with
     its wiretap set; the first such set in family order wins a tie."""
     family = primary_wiretap_sets(net, r)
-    return min(zip((_omega_report(net, w) for w in family), family), key=lambda pair: pair[0].capacity)
+    return min(zip((omega_report(net, w) for w in family), family), key=lambda pair: pair[0].capacity)
 
 
 # -- global encoding vectors -------------------------------------------------------

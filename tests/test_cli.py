@@ -343,6 +343,36 @@ def test_domain_error_exit_code(runner, n1_file, tmp_path):
     assert json.loads(result.output)["error"] == "RateInfeasible"
 
 
+@pytest.mark.parametrize(
+    "levels,message",
+    [
+        (["--r", "3"], "security level 3 outside [0, 2]"),
+        (["--r", "1", "--rate", "3"], "rate 3 outside [1, 2]"),
+        (["--r", "1", "--rate", "1"], "rate 1 leaves no message coordinates at security level 1"),
+        (["--r", "2"], "rate 2 leaves no message coordinates at security level 2"),
+    ],
+    ids=["level-above-c-min", "rate-above-c-min", "rate-equal-to-level", "level-equal-to-c-min"],
+)
+def test_infeasible_levels_name_their_reason(runner, butterfly_file, tmp_path, levels, message):
+    # the butterfly has c_min = 2
+    result = runner.invoke(
+        main, ["construct", "--network", butterfly_file, *levels, "--out", str(tmp_path / "x.json"), "--json"]
+    )
+    assert result.exit_code == 1
+    assert result.output == json.dumps({"error": "RateInfeasible", "message": message}, sort_keys=True) + "\n"
+
+
+def test_verify_refuses_a_code_whose_level_equals_its_rate(runner, butterfly_file, tmp_path):
+    doc = fixtures.code_dict("butterfly")
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({**doc, "r": doc["rate"]}))
+    result = runner.invoke(
+        main, ["verify", "--network", butterfly_file, "--code", str(path), "--r", "1", "--json"]
+    )
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {"error": "MalformedInput", "message": "need 0 <= r < rate, got r=2, rate=2"}
+
+
 def test_usage_error_exit_code(runner, butterfly_file):
     result = runner.invoke(main, ["bound", "--network", butterfly_file])
     assert result.exit_code == 2

@@ -35,7 +35,15 @@ from snfc import (
 import snfc
 import snfc.codes as codes_module
 from snfc import fixtures
-from snfc.codes import MULTICAST_ATTEMPTS, SCAN_CAP, MulticastCode, SecureCode, _Candidates, _walk_picks
+from snfc.codes import (
+    MULTICAST_ATTEMPTS,
+    SCAN_CAP,
+    MulticastCode,
+    SecureCode,
+    _Candidates,
+    _walk_picks,
+    as_secure,
+)
 from snfc.corpus import corpus, random_network
 from snfc.errors import (
     ConstructionFailed,
@@ -418,6 +426,14 @@ def test_secure_code_identity_mixing_keeps_vectors(butterfly):
     base = fixtures.butterfly_sum_code()
     code = secure_code(base, Matrix.identity(GF4, 2), 1)
     assert secure_vectors(code, butterfly) == global_vectors(base, butterfly)
+
+
+def test_as_secure_views_a_bare_sum_code_at_level_zero():
+    base = fixtures.butterfly_sum_code()
+    code = as_secure(base)
+    assert (code.base, code.r, code.ell) == (base, 0, 2)
+    assert code.mixing.data == Matrix.identity(GF4, 2).data
+    assert as_secure(base, 1).r == 1
 
 
 def test_secure_code_rejects_singular_mixing(butterfly):
@@ -1047,6 +1063,7 @@ def test_loader_rejects_a_document_that_is_not_json_text(butterfly, doc):
         (lambda doc: doc["global_vectors"]["e1"].__setitem__(0, True), "bad global vectors"),
         (lambda doc: doc.update(sources="s1s2"), "sources must be a JSON array"),
         (lambda doc: doc.update(sources={"s1": 0, "s2": 0}), "sources must be a JSON array"),
+        (lambda doc: doc.update(r=2), r"need 0 <= r < rate, got r=2, rate=2"),
     ],
     ids=[
         "unknown-source",
@@ -1068,6 +1085,7 @@ def test_loader_rejects_a_document_that_is_not_json_text(butterfly, doc):
         "bool-global-vector-entry",
         "string-sources",
         "object-sources",
+        "r-equal-to-rate",
     ],
 )
 def test_loader_rejects_misplaced_or_mistyped_entries(butterfly, edit, message):
