@@ -44,6 +44,39 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
+        "Kahn's order breaks ties in queue order, not by lowest position",
+        "src/snfc/network.py",
+        """            v = heapq.heappop(ready)
+            out.append(v)
+            for i in index.outs[v]:
+                h = heads[i]
+                indegree[h] -= 1
+                if not indegree[h]:
+                    heapq.heappush(ready, h)""",
+        """            v = ready.pop(0)
+            out.append(v)
+            for i in index.outs[v]:
+                h = heads[i]
+                indegree[h] -= 1
+                if not indegree[h]:
+                    ready.append(h)""",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "the validation's sink walk follows successors, not predecessors",
+        "src/snfc/network.py",
+        "reaches = index.reaching([sink])",
+        "reaches = index.reachable_from([sink])",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "the cut report takes BFS level 0 for unreachable",
+        "src/snfc/cuts.py",
+        "reached = [d >= 0 for d in level]",
+        "reached = [d > 0 for d in level]",
+        ("tests/test_cuts.py",),
+    ),
+    Mutant(
         "the int-column walk XORs a tap's column unscaled",
         "src/snfc/gf.py",
         'acc ^= from_bytes(cols[idx].translate(rows[c]), "little")',

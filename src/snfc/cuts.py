@@ -1,8 +1,11 @@
 """Unit-capacity cut machinery: minimum cuts, source-side (primary) cuts, residual
 graphs, and the two cut statistics that drive every capacity bound.
 
-Every cut comes from a max-flow on unit arcs, laid out by one builder, `_arcs`,
-by blocking flows out of the origin nodes (`_augment`).  Every flow to a node
+Everything here runs on the network's position index (`Network._index`): node
+i is `net.nodes[i]`, an edge is its position in `net.edges`, and the walks,
+the dominator pass and the flows read positions, not names.  Every cut comes
+from a max-flow on unit arcs, laid out by one builder, `_arcs`, by blocking
+flows out of the origin nodes (`_augment`).  Every flow to a node
 runs to the node itself on the network's one shared layout (`_layout`), writing
 only its own capacities; a flow to an edge set has a layout of its own, where
 each target edge's arc runs from its tail straight into a super-sink, except a
@@ -10,18 +13,19 @@ c_min_bar frontier term: a copy of a one-source flow to the sink, resumed with
 the frontier's arcs pointed at the sink (`ResidualFlow._to_frontier`).  The
 returned cut is always the unique minimum cut closest to the origin set: the
 edges leaving the set of nodes still reachable from the origin in the residual
-graph of a maximum flow.
+graph of a maximum flow, which are the nodes the flow's last (failed) BFS
+levelled.
 
 A flow to a node lives in the network's memo (`network.per_network`), one per
 (origin, target), and is only read after `node_flow` builds it: `min_cut`, c_min,
 the residual cut of every wiretap set fed by the same sources, and the c_min_bar
-terms all share it.  `cut_without` copies the capacity bytes before it
+terms all share it.  `cut_without` copies the capacities before it
 deletes an edge, so sharing is safe.  Flows to edge sets are not kept: there
 can be one per pair of edges.  The one behind an `is_primary` call holds only
 the arcs upstream of the set, and a set of source out-edges needs none.  No
 flow refers to its network, so a network and its memo are freed by reference
 counting alone.  The sources feeding an edge set are those among the nodes that
-reach its tails, one backward walk.
+reach its tails, one backward walk over the index.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from itertools import compress
 from typing import Collection, Iterable
 
 from .errors import EmptyTarget, InvariantViolated, MalformedInput, TargetInU, TooLarge, UnknownEdge
-from .network import Edge, Network, per_network
+from .network import Network, per_network
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,8 @@ class CutReport:
 @dataclass(frozen=True, eq=False)
 class ResidualNetwork(Network):
     """A network with an edge set deleted: its edges are the kept ones, in the
-    base's file order.  Connectivity rules are relaxed, so it is not validated."""
+    base's file order.  Connectivity rules are relaxed, so it is not validated:
+    its position index is built on first use."""
 
     base: Network
     removed: frozenset[str]
@@ -68,8 +73,8 @@ def residual(net: Network, edge_set: Iterable[str]) -> ResidualNetwork:
 # -- max flow -------------------------------------------------------------------
 
 def _augment(
-    adj: list[list[int]], to: list[int], cap: bytearray, origin: tuple[int, ...], sink: int
-) -> tuple[int, set[int]]:
+    adj: list[list[int]], to: list[int], cap: list[int], origin: tuple[int, ...], sink: int
+) -> tuple[int, list[int]]:
     """Blocking flows on unit arcs (Dinitz, 1970) from the origin nodes to the
     sink node, phase by phase, until the sink is out of reach.  The sink is a
     node target itself, or the super-sink of an edge-target layout.
@@ -80,8 +85,9 @@ def _augment(
     twice in a phase; a dead end, with no arc left, loses its level.  No
     search leaves the sink, so its out-edges never carry flow.
 
-    Updates cap in place.  Returns the flow added and the node set still
-    reachable from the origin, which the final (failed) BFS labels.
+    Updates cap in place.  Returns the flow added and the final (failed)
+    BFS's levels: a node is still reachable from the origin exactly when its
+    level is not -1.
     """
     value = 0
     while True:
@@ -99,7 +105,7 @@ def _augment(
                         nxt.append(v)
             queue = nxt
         if level[sink] == -1:
-            return value, {v for v, d in enumerate(level) if d != -1}
+            return value, level
         for v in queue:  # no path to the sink runs through its own level
             level[v] = -1
         level[sink] = depth
@@ -125,28 +131,29 @@ def _augment(
                     path, u = [], o
 
 
-def _arcs(nodes: Iterable[str], edges: Iterable[Edge], targets: Collection[str] = ()) -> tuple:
-    """The node index, each node's arcs and each arc's head: edge i is arc 2i,
-    from its tail to its head or, for a target edge, to the super-sink (node
-    len(nodes)); arc 2i + 1 is its reverse.  A flow on it starts from
-    `bytearray([1, 0]) * (number of edges)` as its residual capacities."""
-    idx = {n: i for i, n in enumerate(nodes)}
-    t_star = len(idx)
-    adj: list[list[int]] = [[] for _ in range(t_star + 1)]
+def _arcs(net: Network, edges: Iterable[int], targets: Collection[int] = ()) -> tuple[list[list[int]], list[int]]:
+    """Each node's arcs and each arc's head, for the given edges (positions in
+    `net.edges`; node i is `net.nodes[i]`): the k-th edge is arc 2k, from its
+    tail to its head or, for a target edge, to the super-sink (node
+    len(net.nodes)); arc 2k + 1 is its reverse.  A flow on it starts from
+    `[1, 0] * (number of edges)` as its residual capacities."""
+    index, sink = net._index, len(net.nodes)
+    tails, heads = index.tails, index.heads
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
     to: list[int] = []
-    for i, e in enumerate(edges):
-        u, v = idx[e.tail], t_star if e.id in targets else idx[e.head]
-        adj[u].append(2 * i)
-        adj[v].append(2 * i + 1)
+    for k, i in enumerate(edges):
+        u, v = tails[i], sink if i in targets else heads[i]
+        adj[u].append(2 * k)
+        adj[v].append(2 * k + 1)
         to += (v, u)
-    return idx, adj, to
+    return adj, to
 
 
 @per_network
-def _layout(net: Network) -> tuple:
+def _layout(net: Network) -> tuple[list[list[int]], list[int]]:
     """The arcs of every edge of `net.order` to its head, shared by every flow
     to a node; each flow writes only its own capacities."""
-    return _arcs(net.nodes, map(net.edge_by_id.__getitem__, net.order))
+    return _arcs(net, net._ordered)
 
 
 class ResidualFlow:
@@ -159,7 +166,7 @@ class ResidualFlow:
     straight into the super-sink, so no finite cut puts the super-sink on the
     origin side: the finite cuts and their source sides are those of the edge
     set.  Edge i of `net.order` is arc 2i and its reverse is arc 2i + 1
-    (`_arcs`), so the flow on an edge is the residual capacity (a byte, 0 or 1)
+    (`_arcs`), so the flow on an edge is the residual capacity (0 or 1)
     of its reverse.  It keeps the network's cached node and edge orders, not
     the network.
 
@@ -174,24 +181,25 @@ class ResidualFlow:
         origin = net.check_nodes(origin)
         if not origin:
             raise MalformedInput("the origin set is empty")
+        position = net._index.position
         if isinstance(target, str):
             (target,) = net.check_nodes([target])
             if target in origin:
                 raise TargetInU(f"target {target!r} is in the origin set")
-            idx, self._adj, self._to = _layout(net)
-            self._sink = idx[target]
+            self._adj, self._to = _layout(net)
+            self._sink = position[target]
         else:
-            targets = set(net.check_edges(target))
+            targets = net.check_edges(target)
             if not targets:
                 raise EmptyTarget("the target edge set is empty")
-            idx, self._adj, self._to = _arcs(net.nodes, map(net.edge_by_id.__getitem__, net.order), targets)
-            self._sink = len(idx)
+            self._adj, self._to = _arcs(net, net._ordered, {net._index.edge_position[eid] for eid in targets})
+            self._sink = len(net.nodes)
         self._nodes, self._order, self._index = net.nodes, net.order, net.order_index
-        self._origin = tuple(dict.fromkeys(idx[n] for n in origin))
-        self._cap = bytearray([1, 0]) * len(self._order)
-        self.value, self._reach = _augment(self._adj, self._to, self._cap, self._origin, self._sink)
+        self._origin = tuple(dict.fromkeys(position[n] for n in origin))
+        self._cap = [1, 0] * len(self._order)
+        self.value, self._level = _augment(self._adj, self._to, self._cap, self._origin, self._sink)
 
-    def _drain(self, cap: bytearray, x: int, parity: int) -> None:
+    def _drain(self, cap: list[int], x: int, parity: int) -> None:
         """Take one unit of flow off a path from node x back to an origin with no
         flow-carrying in-edge (parity 1: along reverse arcs) or on to the sink
         (parity 0).  The network is acyclic, so the walk ends there."""
@@ -210,7 +218,7 @@ class ResidualFlow:
     def cut_without(self, edge_set: Iterable[str] = ()) -> CutReport:
         """The origin-side minimum cut once the given edges are deleted; the
         units they carried come back, where they can, in one more `_augment`."""
-        cap, value, reach = self._cap, self.value, self._reach
+        cap, value, level = self._cap, self.value, self._level
         removed = tuple(edge_set)
         if removed:
             cap = cap.copy()
@@ -223,36 +231,38 @@ class ResidualFlow:
                     self._drain(cap, self._to[a], 0)
                     value -= 1
                 cap[a] = cap[a | 1] = 0
-            added, reach = _augment(self._adj, self._to, cap, self._origin, self._sink)
+            added, level = _augment(self._adj, self._to, cap, self._origin, self._sink)
             value += added
+        # the last BFS reached a node exactly when it gave it a level
+        reached = [d >= 0 for d in level]
         # an edge is cut when it carries flow out of the reachable set
         to = self._to
         cut = sorted(
             self._order[i]
             for i in compress(range(len(self._order)), cap[1::2])
-            if to[2 * i + 1] in reach and to[2 * i] not in reach
+            if reached[to[2 * i + 1]] and not reached[to[2 * i]]
         )
         if len(cut) != value:
             raise InvariantViolated(f"cut of {len(cut)} edges for a flow of value {value}")
-        side = tuple(sorted(n for i, n in enumerate(self._nodes) if i in reach))
-        return CutReport(value, tuple(cut), side)
+        return CutReport(value, tuple(cut), tuple(sorted(compress(self._nodes, reached))))
 
     def _carried(self, edge_set: Iterable[str]) -> int:
         """How many of the given edges carry a unit of this flow."""
         return sum(self._cap[2 * self._index[eid] + 1] for eid in edge_set)
 
-    def _to_frontier(self, origin: tuple[int, ...], frontier: Iterable[str]) -> ResidualFlow:
+    def _to_frontier(self, origin: tuple[int, ...], frontier: Iterable[int]) -> ResidualFlow:
         """This flow to the sink, resumed from a superset of its origin (node
-        indices) to a frontier: edges that every path to the sink crosses, with
-        no edge leaving the nodes past them.  Each unit crosses the frontier
-        once, so with the frontier's arcs pointed at the sink the flow still
-        holds, no node past it is reached, and the cuts are the frontier's."""
+        positions) to a frontier: edges that every path to the sink crosses,
+        with no edge leaving the nodes past them, given by their arcs.  Each
+        unit crosses the frontier once, so with the frontier's arcs pointed at
+        the sink the flow still holds, no node past it is reached, and the
+        cuts are the frontier's."""
         flow = copy.copy(self)
         flow._to = to = self._to.copy()
-        for eid in frontier:
-            to[2 * self._index[eid]] = self._sink
+        for a in frontier:
+            to[a] = self._sink
         flow._origin, flow._cap = origin, self._cap.copy()
-        added, flow._reach = _augment(self._adj, to, flow._cap, origin, self._sink)
+        added, flow._level = _augment(self._adj, to, flow._cap, origin, self._sink)
         flow.value = self.value + added
         return flow
 
@@ -305,21 +315,23 @@ def is_primary(net: Network, edge_set: Iterable[str]) -> bool:
     Primary-set enumeration calls it only for candidates of two or more edges;
     `_primary_edges` finds the primary single edges with no max-flow.
     """
-    ids = set(net.check_edges(edge_set))
-    if not ids:
+    index = net._index
+    targets = {index.edge_position[eid] for eid in net.check_edges(edge_set)}
+    if not targets:
         raise UnknownEdge("primality is defined for nonempty edge sets")
-    tails = {net.edge_by_id[eid].tail for eid in ids}
-    if tails.issubset(net.sources):
+    tails = {index.tails[i] for i in targets}
+    sources = [index.position[s] for s in net.sources]
+    if tails.issubset(sources):
         return True
-    upstream = net.nodes_reaching(tails)
-    origin = [s for s in net.sources if s in upstream]  # the feeding sources
+    upstream = index.reaching(tails)
+    origin = tuple(s for s in sources if upstream[s])  # the feeding sources
     if not origin:
         raise MalformedInput("the origin set is empty")
-    edges = [e for e in net.edges if e.head in upstream or e.id in ids]
-    idx, adj, to = _arcs((n for n in net.nodes if n in upstream), edges, ids)
-    cap = bytearray([1, 0]) * len(edges)
-    value, reach = _augment(adj, to, cap, tuple(idx[s] for s in origin), len(idx))
-    return value == len(ids) and all(idx[t] in reach for t in tails)
+    edges = [i for i, h in enumerate(index.heads) if upstream[h] or i in targets]
+    adj, to = _arcs(net, edges, targets)
+    cap = [1, 0] * len(edges)
+    value, level = _augment(adj, to, cap, origin, len(net.nodes))
+    return value == len(targets) and all(level[t] >= 0 for t in tails)
 
 
 @per_network
@@ -336,22 +348,24 @@ def _primary_edges(net: Network) -> frozenset[str]:
     two or more in-edges and one's tail has an empty set: that in-edge is the
     only candidate, and on every path to another one's tail it closes a cycle.
     """
-    dom = {s: frozenset() for s in net.sources}
-    for v in net.node_order:
-        if v not in dom:
-            ins = net.in_edges[v]
-            if len(ins) > 1 and not all(dom[e.tail] for e in ins):
-                dom[v] = frozenset()
-            else:
-                dom[v] = frozenset.intersection(*(dom[e.tail] | {e.id} for e in ins))
-    return frozenset(e.id for e in net.edges if not dom[e.tail])
+    index = net._index
+    tails, empty = index.tails, frozenset()
+    dom: list[frozenset[int]] = [empty] * len(net.nodes)  # of edge positions
+    for v in net._topo:
+        ins = index.ins[v]  # none at a source
+        if len(ins) == 1:
+            dom[v] = dom[tails[ins[0]]] | {ins[0]}
+        elif ins and all(dom[tails[i]] for i in ins):
+            dom[v] = frozenset.intersection(*(dom[tails[i]] | {i} for i in ins))
+    return frozenset(eid for eid, i in index.edge_position.items() if not dom[tails[i]])
 
 
 def feeding_sources(net: Network, edge_set: Iterable[str]) -> frozenset[str]:
     """The sources with a path to some edge of the set: those among the nodes
     reaching its tails, as in `is_primary`."""
-    upstream = net.nodes_reaching({net.edge_by_id[eid].tail for eid in net.check_edges(edge_set)})
-    return frozenset(s for s in net.sources if s in upstream)
+    index = net._index
+    upstream = index.reaching([index.tails[index.edge_position[eid]] for eid in net.check_edges(edge_set)])
+    return frozenset(s for s in net.sources if upstream[index.position[s]])
 
 
 # -- the two cut statistics --------------------------------------------------------
@@ -377,17 +391,18 @@ def _c_min_bar_report(net: Network) -> tuple[int, tuple[str, ...]]:
     if count > SOURCE_SUBSET_LIMIT:
         raise TooLarge(f"{count} source subsets exceed the cap {SOURCE_SUBSET_LIMIT}")
     caps = {s: report.capacity for s, report in zip(net.sources, source_cut_reports(net))}
-    idx = _layout(net)[0]
+    position, to = net._index.position, _layout(net)[1]
     subsets = ([s for i, s in enumerate(net.sources) if mask >> i & 1] for mask in range(1, count + 1))
     best = None
     # visit the subsets by their floor (`c_min_bar`), then by mask
     for floor, _, chosen in sorted((max(map(caps.get, chosen)), i, chosen) for i, chosen in enumerate(subsets)):
         if best and floor > best[0]:
             break  # no term from here on is below the best; one that ties may have a smaller cut
-        inside = net.nodes_reachable_from([*(s for s in net.sources if s not in chosen), net.sink])
-        frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
+        inside = net._index.reachable_from(position[s] for s in [*net.sources, net.sink] if s not in chosen)
+        # the arcs of the frontier edges: from outside the set into it
+        frontier = [a for a in range(0, len(to), 2) if not inside[to[a + 1]] and inside[to[a]]]
         flow = node_flow(net, frozenset([max(chosen, key=caps.get)]), net.sink)
-        report = flow._to_frontier(tuple(idx[s] for s in chosen), frontier).cut_without()
+        report = flow._to_frontier(tuple(position[s] for s in chosen), frontier).cut_without()
         if not best or (report.capacity, report.cut_edges) < best:
             best = report.capacity, report.cut_edges
     return best

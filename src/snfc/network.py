@@ -5,6 +5,17 @@ and a single sink (no out-edges) that every node can reach.  Parsing fixes a
 deterministic topological edge order: source out-edges come first, grouped by
 source index, and the remaining edges follow the topological order of their
 tail nodes with input-file order breaking ties.
+
+Validation records one integer index of the network (`Network._index`): each
+node's position in `nodes`, the tail and head positions of every edge, and
+each node's out- and in-edges as edge positions in file order.  One pass over
+the edges builds it and makes the per-edge checks, in file order.  Everything
+derived from the graph reads the index: the topological node order (Kahn's
+algorithm on positions: the ready node listed first in `nodes` goes first),
+the edge order, the in/out edges, the sink-reach check and the reachability
+walks, and in `cuts` the flow layouts, the dominator pass and the reports.
+The index is a cached property, so a network that is never validated, such as
+a `cuts.ResidualNetwork`, builds it on first use.
 """
 
 from __future__ import annotations
@@ -13,7 +24,8 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, NamedTuple
 
 from .errors import (
     AllZeroFunction,
@@ -29,11 +41,91 @@ from .errors import (
 from .gf import Field
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     tail: str
     head: str
+
+
+class _Index(NamedTuple):
+    """A network by position: node i is `nodes[i]` and edge i is `edges[i]`."""
+
+    position: dict[str, int]       # node -> its position in `nodes`
+    edge_position: dict[str, int]  # edge id -> its position in `edges`
+    tails: list[int]               # per edge, its tail's position
+    heads: list[int]
+    outs: list[list[int]]          # per node, its out-edges in file order
+    ins: list[list[int]]
+
+    def reachable_from(self, starts: Iterable[int]) -> list[bool]:
+        """A flag per node: reachable from a start along edges."""
+        return _walk(self.outs, self.heads, starts)
+
+    def reaching(self, targets: Iterable[int]) -> list[bool]:
+        """A flag per node: reaches a target along edges."""
+        return _walk(self.ins, self.tails, targets)
+
+
+def _walk(adjacent: list[list[int]], ends: list[int], starts: Iterable[int]) -> list[bool]:
+    """The nodes reached from `starts` through each node's `adjacent` edges to their `ends`."""
+    seen = [False] * len(adjacent)
+    stack = []
+    for v in starts:
+        if not seen[v]:
+            seen[v] = True
+            stack.append(v)
+    while stack:
+        for i in adjacent[stack.pop()]:
+            v = ends[i]
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
+
+
+def _index_of(net: Network) -> _Index:
+    """The network's index, with the checks of the node lists and then of each
+    edge in file order: a duplicate id, an unknown end, an edge into a source
+    and an edge out of the sink."""
+    position = {n: i for i, n in enumerate(net.nodes)}
+    if len(position) != len(net.nodes):
+        raise MalformedInput("duplicate node ids")
+    if not net.sources:
+        raise MalformedInput("at least one source is required")
+    for s in net.sources:
+        if s not in position:
+            raise UnknownNode(f"source {s!r} not among nodes")
+    if net.sink not in position:
+        raise UnknownNode(f"sink {net.sink!r} not among nodes")
+    if net.sink in net.sources:
+        raise MalformedInput("the sink cannot be a source")
+    if len(set(net.sources)) != len(net.sources):
+        raise MalformedInput("duplicate sources")
+    is_source = [False] * len(position)
+    for s in net.sources:
+        is_source[position[s]] = True
+    sink = position[net.sink]
+    tails: list[int] = []
+    heads: list[int] = []
+    outs: list[list[int]] = [[] for _ in position]
+    ins: list[list[int]] = [[] for _ in position]
+    edge_position: dict[str, int] = {}
+    for i, (eid, tail, head) in enumerate(net.edges):
+        if eid in edge_position:
+            raise MalformedInput(f"duplicate edge id {eid!r}")
+        edge_position[eid] = i
+        t, h = position.get(tail), position.get(head)
+        if t is None or h is None:
+            raise UnknownNode(f"edge {eid!r} references an unknown node")
+        if is_source[h]:
+            raise SourceHasInEdge(f"edge {eid!r} enters source {head!r}")
+        if t == sink:
+            raise SinkHasOutEdge(f"edge {eid!r} leaves the sink")
+        tails.append(t)
+        heads.append(h)
+        outs[t].append(i)
+        ins[h].append(i)
+    return _Index(position, edge_position, tails, heads, outs, ins)
 
 
 @dataclass(frozen=True, eq=True)
@@ -51,59 +143,69 @@ class Network:
         return {}
 
     @cached_property
+    def _index(self) -> _Index:
+        return _index_of(self)
+
+    @cached_property
     def edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
 
     @cached_property
+    def _topo(self) -> list[int]:
+        """Node positions in topological order (Kahn, 1962): each step takes
+        the ready node listed first in `nodes`."""
+        index = self._index
+        heads, indegree = index.heads, list(map(len, index.ins))
+        ready = [v for v, d in enumerate(indegree) if not d]  # a heap: ascending
+        out: list[int] = []
+        while ready:
+            v = heapq.heappop(ready)
+            out.append(v)
+            for i in index.outs[v]:
+                h = heads[i]
+                indegree[h] -= 1
+                if not indegree[h]:
+                    heapq.heappush(ready, h)
+        if len(out) != len(indegree):
+            raise Cycle("graph contains a directed cycle")
+        return out
+
+    @cached_property
     def node_order(self) -> tuple[str, ...]:
         """Topological node order: each step takes the ready node listed first in `nodes`."""
-        position = {n: i for i, n in enumerate(self.nodes)}
-        indegree = {n: 0 for n in self.nodes}
-        succ: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            indegree[e.head] += 1
-            succ[e.tail].append(e.head)
-        ready = [position[n] for n in self.nodes if indegree[n] == 0]  # a heap of positions
-        heapq.heapify(ready)
-        out: list[str] = []
-        while ready:
-            n = self.nodes[heapq.heappop(ready)]
-            out.append(n)
-            for h in succ[n]:
-                indegree[h] -= 1
-                if indegree[h] == 0:
-                    heapq.heappush(ready, position[h])
-        if len(out) != len(self.nodes):
-            raise Cycle("graph contains a directed cycle")
-        return tuple(out)
+        return tuple(map(self.nodes.__getitem__, self._topo))
+
+    @cached_property
+    def _ordered(self) -> list[int]:
+        """Edge positions in `order`: each tail's out-edges in file order, the
+        sources' in source order, then the other nodes' in topological order."""
+        position, outs = self._index.position, self._index.outs
+        first = [position[s] for s in self.sources]
+        return [i for v in [*first, *(v for v in self._topo if v not in first)] for i in outs[v]]
 
     @cached_property
     def order(self) -> tuple[str, ...]:
         """The topological edge order used to index every vector and matrix."""
-        # one stable sort keeps file order among the edges of one tail
-        first = {s: i for i, s in enumerate(self.sources)}
-        node_pos = {n: len(first) + i for i, n in enumerate(self.node_order)}
-        return tuple(e.id for e in sorted(self.edges, key=lambda e: first.get(e.tail, node_pos[e.tail])))
+        edges = self.edges
+        return tuple(edges[i].id for i in self._ordered)
 
     @cached_property
     def order_index(self) -> dict[str, int]:
-        return {eid: i for i, eid in enumerate(self.order)}
+        return dict(zip(self.order, range(len(self.order))))
 
     @cached_property
     def out_edges(self) -> dict[str, tuple[Edge, ...]]:
-        out: dict[str, list[Edge]] = {n: [] for n in self.nodes}
-        for eid in self.order:
-            e = self.edge_by_id[eid]
-            out[e.tail].append(e)
-        return {n: tuple(v) for n, v in out.items()}
+        # a tail's out-edges keep file order in `order`
+        edges = self.edges
+        return {n: tuple(edges[i] for i in out) for n, out in zip(self.nodes, self._index.outs)}
 
     @cached_property
     def in_edges(self) -> dict[str, tuple[Edge, ...]]:
-        out: dict[str, list[Edge]] = {n: [] for n in self.nodes}
-        for eid in self.order:
-            e = self.edge_by_id[eid]
-            out[e.head].append(e)
-        return {n: tuple(v) for n, v in out.items()}
+        edges, heads = self.edges, self._index.heads
+        ins: list[list[Edge]] = [[] for _ in self.nodes]
+        for i in self._ordered:
+            ins[heads[i]].append(edges[i])
+        return dict(zip(self.nodes, map(tuple, ins)))
 
     @property
     def num_sources(self) -> int:
@@ -112,41 +214,28 @@ class Network:
     def check_edges(self, ids: Iterable[str]) -> tuple[str, ...]:
         ids = tuple(ids)
         for eid in ids:
-            if eid not in self.edge_by_id:
+            if eid not in self._index.edge_position:
                 raise UnknownEdge(f"edge {eid!r} does not exist")
         return ids
 
     def check_nodes(self, ids: Iterable[str]) -> tuple[str, ...]:
         ids = tuple(ids)
-        known = set(self.nodes)
         for n in ids:
-            if n not in known:
+            if n not in self._index.position:
                 raise UnknownNode(f"node {n!r} does not exist")
         return ids
 
     # -- traversal -------------------------------------------------------------
 
+    def _positions(self, ids: Iterable[str]) -> list[int]:
+        position = self._index.position
+        return [position[n] for n in self.check_nodes(ids)]
+
     def nodes_reachable_from(self, starts: Iterable[str]) -> set[str]:
-        seen = set(starts)
-        stack = list(seen)
-        while stack:
-            n = stack.pop()
-            for e in self.out_edges[n]:
-                if e.head not in seen:
-                    seen.add(e.head)
-                    stack.append(e.head)
-        return seen
+        return set(compress(self.nodes, self._index.reachable_from(self._positions(starts))))
 
     def nodes_reaching(self, targets: Iterable[str]) -> set[str]:
-        seen = set(targets)
-        stack = list(seen)
-        while stack:
-            n = stack.pop()
-            for e in self.in_edges[n]:
-                if e.tail not in seen:
-                    seen.add(e.tail)
-                    stack.append(e.tail)
-        return seen
+        return set(compress(self.nodes, self._index.reaching(self._positions(targets))))
 
     def to_dict(self) -> dict:
         return {
@@ -173,46 +262,20 @@ def per_network(fn):
 def make_network(nodes, edges, sources, sink) -> Network:
     """Validate and build a Network; edges may be Edge objects or (id, tail, head)."""
     built = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
-    net = Network(tuple(nodes), built, tuple(sources), sink)
-    _validate(net)
+    return _validate(Network(tuple(nodes), built, tuple(sources), sink))
+
+
+def _validate(net: Network) -> Network:
+    index = net._index  # the node lists, then each edge in file order
+    net._topo  # raises Cycle on failure
+    sink = index.position[net.sink]
+    for v, ins in enumerate(index.ins):
+        if not ins and v != sink and net.nodes[v] not in net.sources:
+            raise MalformedInput(f"node {net.nodes[v]!r} has no in-edges but is not a source")
+    reaches = index.reaching([sink])
+    if not all(reaches):
+        raise UnreachableSink(f"node {net.nodes[reaches.index(False)]!r} has no path to the sink")
     return net
-
-
-def _validate(net: Network) -> None:
-    names = set(net.nodes)
-    if len(names) != len(net.nodes):
-        raise MalformedInput("duplicate node ids")
-    if not net.sources:
-        raise MalformedInput("at least one source is required")
-    for s in net.sources:
-        if s not in names:
-            raise UnknownNode(f"source {s!r} not among nodes")
-    if net.sink not in names:
-        raise UnknownNode(f"sink {net.sink!r} not among nodes")
-    if net.sink in net.sources:
-        raise MalformedInput("the sink cannot be a source")
-    if len(set(net.sources)) != len(net.sources):
-        raise MalformedInput("duplicate sources")
-    seen_ids = set()
-    for e in net.edges:
-        if e.id in seen_ids:
-            raise MalformedInput(f"duplicate edge id {e.id!r}")
-        seen_ids.add(e.id)
-        if e.tail not in names or e.head not in names:
-            raise UnknownNode(f"edge {e.id!r} references an unknown node")
-        if e.head in net.sources:
-            raise SourceHasInEdge(f"edge {e.id!r} enters source {e.head!r}")
-        if e.tail == net.sink:
-            raise SinkHasOutEdge(f"edge {e.id!r} leaves the sink")
-    net.node_order  # raises Cycle on failure
-    heads = {e.head for e in net.edges}
-    for n in net.nodes:
-        if n not in heads and n not in net.sources and n != net.sink:
-            raise MalformedInput(f"node {n!r} has no in-edges but is not a source")
-    can_reach_sink = net.nodes_reaching([net.sink])
-    for n in net.nodes:
-        if n != net.sink and n not in can_reach_sink:
-            raise UnreachableSink(f"node {n!r} has no path to the sink")
 
 
 def network_from_dict(doc: dict) -> Network:
@@ -223,10 +286,11 @@ def network_from_dict(doc: dict) -> Network:
         nodes, sources = [str(n) for n in nodes], [str(s) for s in sources]
         if not isinstance(sink, str):
             raise MalformedInput("sink must be a node id string")
-        edges = [Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in doc["edges"]]
+        # tuple.__new__ makes each Edge as Edge._make does, without its per-call overhead
+        edges = [tuple.__new__(Edge, (str(e["id"]), str(e["tail"]), str(e["head"]))) for e in doc["edges"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise MalformedInput(f"bad network document: {exc}") from None
-    return make_network(nodes, edges, sources, sink)
+    return _validate(Network(tuple(nodes), tuple(edges), tuple(sources), sink))
 
 
 def _json_object(text, kind: str) -> dict:

@@ -3,10 +3,14 @@
 The package has one implementation of each object; these are the independent
 (or plainer) versions the tests hold it against.  Nothing in `snfc` calls them.
 
+- `node_order`, `order`, `out_edges`, `in_edges` and `validate`: a network's
+  topological node order, its edge order, each node's edges in that order and
+  the validation checks, all by node name, with sets and dicts of names,
+  against the position index that `network.Network` builds once (`_index`);
 - `reachable`: plain reachability with some edges deleted, for brute-force cut
   oracles;
 - `reach_sets`: the feeding / separated / leaking source partition of an edge
-  set, by reachability;
+  set, by reachability from each source;
 - `matmul`: the matrix product entry by entry, against `Matrix.mul`, which
   takes each product row as one `Echelon.combination` in row form;
 - `reduced`: a span's reduced row echelon form as tuples, canonical for the
@@ -70,6 +74,7 @@ One test fixture lives here too, since only the tests use it:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from typing import Iterable, NamedTuple
@@ -78,11 +83,117 @@ from snfc.bounds import primary_wiretap_sets
 from snfc.cuts import CutReport, min_cut, residual
 from snfc import codes
 from snfc.codes import LiftedCode, SecureCode, SumCode, _propagation_plan
-from snfc.errors import InvariantViolated
+from snfc.errors import (
+    Cycle,
+    InvariantViolated,
+    MalformedInput,
+    SinkHasOutEdge,
+    SourceHasInEdge,
+    UnknownNode,
+    UnreachableSink,
+)
 from snfc import fixtures
 from snfc.gf import Echelon, Field, Matrix, make_field
 from snfc.network import Network
 from snfc.verify import _maximal_sets
+
+
+# -- the network's rules by node name -------------------------------------------------
+
+def node_order(net: Network) -> tuple[str, ...]:
+    """Kahn's topological order, each step taking the ready node listed first in `nodes`."""
+    position = {n: i for i, n in enumerate(net.nodes)}
+    indegree = {n: 0 for n in net.nodes}
+    succ: dict[str, list[str]] = {n: [] for n in net.nodes}
+    for e in net.edges:
+        indegree[e.head] += 1
+        succ[e.tail].append(e.head)
+    ready = [position[n] for n in net.nodes if indegree[n] == 0]  # a heap of positions
+    heapq.heapify(ready)
+    out: list[str] = []
+    while ready:
+        n = net.nodes[heapq.heappop(ready)]
+        out.append(n)
+        for h in succ[n]:
+            indegree[h] -= 1
+            if indegree[h] == 0:
+                heapq.heappush(ready, position[h])
+    if len(out) != len(net.nodes):
+        raise Cycle("graph contains a directed cycle")
+    return tuple(out)
+
+
+def order(net: Network) -> tuple[str, ...]:
+    """The edges sorted, stably, by their tail: a source by its place in
+    `sources`, any other node after every source by its place in `node_order`."""
+    first = {s: i for i, s in enumerate(net.sources)}
+    node_pos = {n: len(first) + i for i, n in enumerate(node_order(net))}
+    return tuple(e.id for e in sorted(net.edges, key=lambda e: first.get(e.tail, node_pos[e.tail])))
+
+
+def out_edges(net: Network) -> dict[str, tuple]:
+    """Each node's out-edges, in `order`."""
+    by_id = {e.id: e for e in net.edges}
+    out: dict[str, list] = {n: [] for n in net.nodes}
+    for eid in order(net):
+        out[by_id[eid].tail].append(by_id[eid])
+    return {n: tuple(v) for n, v in out.items()}
+
+
+def in_edges(net: Network) -> dict[str, tuple]:
+    """Each node's in-edges, in `order`."""
+    by_id = {e.id: e for e in net.edges}
+    out: dict[str, list] = {n: [] for n in net.nodes}
+    for eid in order(net):
+        out[by_id[eid].head].append(by_id[eid])
+    return {n: tuple(v) for n, v in out.items()}
+
+
+def validate(net: Network) -> None:
+    """Every check of a network, in this order: the node lists, then each edge
+    in file order, the cycle, orphan nodes and nodes with no path to the sink,
+    each in `nodes` order."""
+    names = set(net.nodes)
+    if len(names) != len(net.nodes):
+        raise MalformedInput("duplicate node ids")
+    if not net.sources:
+        raise MalformedInput("at least one source is required")
+    for s in net.sources:
+        if s not in names:
+            raise UnknownNode(f"source {s!r} not among nodes")
+    if net.sink not in names:
+        raise UnknownNode(f"sink {net.sink!r} not among nodes")
+    if net.sink in net.sources:
+        raise MalformedInput("the sink cannot be a source")
+    if len(set(net.sources)) != len(net.sources):
+        raise MalformedInput("duplicate sources")
+    seen_ids = set()
+    for e in net.edges:
+        if e.id in seen_ids:
+            raise MalformedInput(f"duplicate edge id {e.id!r}")
+        seen_ids.add(e.id)
+        if e.tail not in names or e.head not in names:
+            raise UnknownNode(f"edge {e.id!r} references an unknown node")
+        if e.head in net.sources:
+            raise SourceHasInEdge(f"edge {e.id!r} enters source {e.head!r}")
+        if e.tail == net.sink:
+            raise SinkHasOutEdge(f"edge {e.id!r} leaves the sink")
+    node_order(net)  # raises Cycle on failure
+    heads = {e.head for e in net.edges}
+    for n in net.nodes:
+        if n not in heads and n not in net.sources and n != net.sink:
+            raise MalformedInput(f"node {n!r} has no in-edges but is not a source")
+    can_reach_sink = {net.sink}
+    stack = [net.sink]
+    ins = in_edges(net)
+    while stack:
+        for e in ins[stack.pop()]:
+            if e.tail not in can_reach_sink:
+                can_reach_sink.add(e.tail)
+                stack.append(e.tail)
+    for n in net.nodes:
+        if n != net.sink and n not in can_reach_sink:
+            raise UnreachableSink(f"node {n!r} has no path to the sink")
 
 
 # -- reachability ----------------------------------------------------------------
@@ -91,9 +202,12 @@ def reachable(net: Network, starts: Iterable[str], removed: frozenset[str] = fro
     """Nodes reachable from `starts` without using an edge in `removed`."""
     seen = set(starts)
     stack = list(seen)
+    outs: dict[str, list] = {n: [] for n in net.nodes}
+    for e in net.edges:
+        outs[e.tail].append(e)
     while stack:
         n = stack.pop()
-        for e in net.out_edges[n]:
+        for e in outs[n]:
             if e.id not in removed and e.head not in seen:
                 seen.add(e.head)
                 stack.append(e.head)
@@ -110,8 +224,7 @@ def reach_sets(net: Network, edge_set: Iterable[str]) -> ReachSets:
     """The three source partitions induced by an edge set."""
     ids = net.check_edges(edge_set)
     tails = {net.edge_by_id[eid].tail for eid in ids}
-    upstream = net.nodes_reaching(tails) if tails else set()
-    feeding = frozenset(s for s in net.sources if s in upstream)
+    feeding = frozenset(s for s in net.sources if tails & reachable(net, [s]))
     removed = frozenset(ids)
     separated = frozenset(
         s for s in net.sources if net.sink not in reachable(net, [s], removed)

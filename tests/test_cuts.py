@@ -278,7 +278,7 @@ def test_the_shared_layout_is_only_read_and_built_once_per_network(monkeypatch):
         for flow in [node_flow(net, frozenset(net.sources), net.sink), *flows]:
             for _ in range(3):
                 flow.cut_without(rng.sample(net.order, min(2, len(net.order))))
-        assert module._layout(net) == module._arcs(net.nodes, map(net.edge_by_id.__getitem__, net.order))
+        assert module._layout(net) == module._arcs(net, [net.edges.index(net.edge_by_id[eid]) for eid in net.order])
 
     plain, built = module._arcs, []
 

@@ -26,10 +26,14 @@ from snfc.errors import (
     SourceHasInEdge,
     UnknownEdge,
     UnknownNode,
+    SnfcError,
     UnreachableSink,
     ValidationFailure,
 )
+from snfc.network import Edge, Network
+import reference
 from reference import reach_sets
+from cases import bound_large_stars, many_source_network
 
 GF2 = make_field(2, 1)
 
@@ -244,6 +248,116 @@ def test_order_follows_the_source_list_then_the_node_order():
     )
     assert net.node_order == ("s1", "s2", "v", "w", "rho")
     assert net.order == ("c", "e", "b", "d", "x", "f", "a")
+
+
+# -- the position index against the rules by node name -----------------------------------
+
+def assert_index_follows_the_name_rules(net):
+    reference.validate(net)
+    assert net.node_order == reference.node_order(net)
+    assert net.order == reference.order(net)
+    assert net.order_index == {eid: i for i, eid in enumerate(net.order)}
+    # each node's edges, each at its position in the node's tuple
+    assert net.out_edges == reference.out_edges(net)
+    assert net.in_edges == reference.in_edges(net)
+    index = net._index
+    assert index.position == {n: i for i, n in enumerate(net.nodes)}
+    assert index.edge_position == {e.id: i for i, e in enumerate(net.edges)}
+    assert [(net.nodes[t], net.nodes[h]) for t, h in zip(index.tails, index.heads)] == [(e.tail, e.head) for e in net.edges]
+    for n, v in index.position.items():
+        assert [net.edges[i] for i in index.outs[v]] == [e for e in net.edges if e.tail == n]
+        assert [net.edges[i] for i in index.ins[v]] == [e for e in net.edges if e.head == n]
+
+
+def test_the_index_follows_the_name_rules_on_the_corpus():
+    for seed in range(2000):
+        assert_index_follows_the_name_rules(random_network(seed))
+
+
+def test_the_index_follows_the_name_rules_on_many_source_networks():
+    for seed in range(500):
+        assert_index_follows_the_name_rules(many_source_network(seed, max_edges=20))
+
+
+def test_the_index_follows_the_name_rules_on_the_large_stars():
+    for net in bound_large_stars(1, 81):
+        assert_index_follows_the_name_rules(net)
+
+
+def verdict(check):
+    """None when `check()` returns, else the class and message of what it raised."""
+    try:
+        check()
+    except SnfcError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_validation_of_mutated_documents_matches_the_name_rules(data):
+    # a mutation can break several checks at once, so the error reported
+    # also shows that the checks run in the same order
+    doc = random_network(data.draw(st.integers(0, 3000))).to_dict()
+    for _ in range(data.draw(st.integers(1, 2))):
+        edges, nodes = doc["edges"], doc["nodes"]
+        mutation = data.draw(st.sampled_from(["retarget", "duplicate", "reverse", "drop_node", "duplicate_node"]))
+        i = data.draw(st.integers(0, len(edges) - 1))
+        if mutation == "retarget":
+            end = data.draw(st.sampled_from(["tail", "head"]))
+            edges[i][end] = data.draw(st.sampled_from([*nodes, "zz"]))
+        elif mutation == "duplicate":
+            copy = dict(edges[i], id=data.draw(st.sampled_from([edges[i]["id"], "x1"])))
+            edges.insert(data.draw(st.integers(0, len(edges))), copy)
+        elif mutation == "reverse":
+            edges[i]["tail"], edges[i]["head"] = edges[i]["head"], edges[i]["tail"]
+        elif mutation == "drop_node":
+            del nodes[data.draw(st.integers(0, len(nodes) - 1))]
+        else:
+            nodes.insert(data.draw(st.integers(0, len(nodes))), data.draw(st.sampled_from(nodes)))
+    plain = Network(tuple(doc["nodes"]), tuple(Edge(**e) for e in doc["edges"]), tuple(doc["sources"]), doc["sink"])
+    expected = verdict(lambda: reference.validate(plain))
+    assert verdict(lambda: parse_network(json.dumps(doc))) == expected
+    if expected is None:
+        assert_index_follows_the_name_rules(parse_network(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("walk", ["nodes_reachable_from", "nodes_reaching"])
+def test_reach_walks_refuse_an_unknown_node(butterfly, walk):
+    with pytest.raises(UnknownNode, match="node 'zz' does not exist"):
+        getattr(butterfly, walk)(["s1", "zz"])
+
+
+def test_reach_walks_name_the_nodes_they_reach(butterfly):
+    assert butterfly.nodes_reachable_from(["s1"]) == reference.reachable(butterfly, ["s1"])
+    assert butterfly.nodes_reaching(["rho"]) == set(butterfly.nodes)
+    assert butterfly.nodes_reachable_from([]) == butterfly.nodes_reaching([]) == set()
+
+
+# -- the Edge contract ----------------------------------------------------------------------
+
+def test_edge_is_an_immutable_named_triple():
+    edge = Edge("e1", "s", "v")
+    assert edge == Edge(id="e1", tail="s", head="v") == ("e1", "s", "v")
+    assert (edge.id, edge.tail, edge.head) == tuple(edge) == ("e1", "s", "v")
+    assert repr(edge) == "Edge(id='e1', tail='s', head='v')"
+    for field in ("id", "tail", "head"):
+        with pytest.raises(AttributeError):
+            setattr(edge, field, "x")
+    assert hash(edge) == hash(("e1", "s", "v"))
+    assert {edge, Edge("e1", "s", "v")} == {edge}
+    assert {edge: 1}[Edge("e1", "s", "v")] == 1
+    assert Edge("e1", "s", "v") < Edge("e2", "s", "v")
+
+
+def test_make_network_takes_edges_and_triples_alike():
+    triples = [("e1", "s", "v"), ("e2", "v", "rho")]
+    from_edges = make_network(["s", "v", "rho"], [Edge(*t) for t in triples], ["s"], "rho")
+    from_triples = make_network(["s", "v", "rho"], triples, ["s"], "rho")
+    mixed = make_network(["s", "v", "rho"], [Edge(*triples[0]), triples[1]], ["s"], "rho")
+    assert from_edges == from_triples == mixed
+    parsed = parse_network(json.dumps(from_edges.to_dict()))
+    assert all(type(e) is Edge for net in (from_edges, from_triples, mixed, parsed) for e in net.edges)
 
 
 # -- reach sets ------------------------------------------------------------------------
