@@ -20,11 +20,11 @@ digest differs, else 0.
 
 With `--against DIR`, each run of every case alternates between the tree at DIR
 and this one, each in a fresh process importing `snfc` from its own `src/`,
-for `--pairs` pairs; a line per pair gives both times, and a last line per case
+for PAIRS pairs; a line per pair gives both times, and a last line per case
 the median of each side and the pairs this tree won.
 
-Usage: PYTHONPATH=src python scripts/large_inputs.py [--repeat 3] [--case NAME ...]
-       python scripts/large_inputs.py --against DIR [--pairs 10] [--repeat 3]
+Usage: PYTHONPATH=src python scripts/large_inputs.py [--repeat 3]
+       python scripts/large_inputs.py --against DIR [--repeat 3]
 """
 
 import argparse
@@ -57,8 +57,10 @@ DIGESTS = {
     "star100-r3": "46ee558443a94eefcf7bf89318f64a6ececb4f4cc26de59188375122fd961494",
 }
 
+PAIRS = 10  # alternating runs of each tree with --against
 
-def run_cases(names, repeat: int) -> dict:
+
+def run_cases(repeat: int) -> dict:
     """{case: (best CPU seconds, sha256 of the outputs)} with `snfc` as imported."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import cases
@@ -69,8 +71,7 @@ def run_cases(names, repeat: int) -> dict:
     runner = CliRunner()
     results = {}
     with tempfile.TemporaryDirectory(prefix="large-inputs-") as workdir:
-        for name in names:
-            r, networks = CASES[name]
+        for name, (r, networks) in CASES.items():
             paths = []
             for k, net in enumerate(networks(cases)):
                 paths.append(os.path.join(workdir, f"{name}-{k}.json"))
@@ -87,10 +88,10 @@ def run_cases(names, repeat: int) -> dict:
     return results
 
 
-def run_tree(tree: str, names, repeat: int) -> dict:
+def run_tree(tree: str, repeat: int) -> dict:
     """`run_cases` in a fresh process importing `snfc` from `tree`'s src/."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    command = [sys.executable, os.path.abspath(__file__), "--repeat", str(repeat), "--json", "--case", *names]
+    command = [sys.executable, os.path.abspath(__file__), "--repeat", str(repeat), "--json"]
     proc = subprocess.run(command, env=env, capture_output=True, text=True)
     if not proc.stdout.strip():
         raise SystemExit(f"{tree}: no output (exit {proc.returncode})\n{proc.stderr}")
@@ -103,36 +104,34 @@ def verdict(name: str, digest: str) -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--case", nargs="+", choices=sorted(CASES), default=list(CASES))
     ap.add_argument("--repeat", type=int, default=3, help="runs per case; the best CPU time is kept")
     ap.add_argument("--against", metavar="DIR", help="a tree to run in alternating pairs with this one")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--json", action="store_true", help="print one JSON line of results instead")
     args = ap.parse_args()
 
     if args.against is None:
-        results = run_cases(args.case, args.repeat)
+        results = run_cases(args.repeat)
         if args.json:
             print(json.dumps(results))
             return 0
         for name, (best, digest) in results.items():
-            print(f"{name:16s} {best:8.3f} s  {digest[:16]}  {verdict(name, digest)}")
+            print(f"{name:16s} {best * 1e3:8.1f} ms  {digest[:16]}  {verdict(name, digest)}")
         return 0 if all(digest == DIGESTS[name] for name, (_, digest) in results.items()) else 1
 
     failures = 0
-    times: dict = {name: ([], []) for name in args.case}
-    for i in range(args.pairs):
-        other, this = (run_tree(tree, args.case, args.repeat) for tree in (args.against, ROOT))
-        for name in args.case:
+    times: dict = {name: ([], []) for name in CASES}
+    for i in range(PAIRS):
+        other, this = (run_tree(tree, args.repeat) for tree in (args.against, ROOT))
+        for name in CASES:
             (t_other, d_other), (t_this, d_this) = other[name], this[name]
             times[name][0].append(t_other)
             times[name][1].append(t_this)
             failures += d_other != DIGESTS[name] or d_this != DIGESTS[name]
-            print(f"pair {i}  {name:16s} {t_other:8.3f} -> {t_this:8.3f} s  "
+            print(f"pair {i}  {name:16s} {t_other * 1e3:8.1f} -> {t_this * 1e3:8.1f} ms  "
                   f"{verdict(name, d_other)} / {verdict(name, d_this)}", flush=True)
     for name, (t_other, t_this) in times.items():
         won = sum(b < a for a, b in zip(t_other, t_this))
-        print(f"{name:16s} median {statistics.median(t_other):8.3f} -> {statistics.median(t_this):8.3f} s, "
+        print(f"{name:16s} median {statistics.median(t_other) * 1e3:8.1f} -> {statistics.median(t_this) * 1e3:8.1f} ms, "
               f"this tree won {won} of {len(t_this)}")
     return 1 if failures else 0
 

@@ -286,11 +286,10 @@ def network_from_dict(doc: dict) -> Network:
         nodes, sources = [str(n) for n in nodes], [str(s) for s in sources]
         if not isinstance(sink, str):
             raise MalformedInput("sink must be a node id string")
-        # tuple.__new__ makes each Edge as Edge._make does, without its per-call overhead
-        edges = [tuple.__new__(Edge, (str(e["id"]), str(e["tail"]), str(e["head"]))) for e in doc["edges"]]
+        edges = [Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in doc["edges"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise MalformedInput(f"bad network document: {exc}") from None
-    return _validate(Network(tuple(nodes), tuple(edges), tuple(sources), sink))
+    return make_network(nodes, edges, sources, sink)
 
 
 def _json_object(text, kind: str) -> dict:
