@@ -20,7 +20,7 @@ digest differs, else 0.
 
 With `--against DIR`, each run of every case alternates between the tree at DIR
 and this one, each in a fresh process importing `snfc` from its own `src/`,
-for PAIRS pairs; a line per pair gives both times, and a last line per case
+for PAIRS pairs, the side that runs first alternating; a line per pair gives both times, and a last line per case
 the median of each side and the pairs this tree won.
 
 Usage: PYTHONPATH=src python scripts/large_inputs.py [--repeat 3]
@@ -121,7 +121,9 @@ def main() -> int:
     failures = 0
     times: dict = {name: ([], []) for name in CASES}
     for i in range(PAIRS):
-        other, this = (run_tree(tree, args.repeat) for tree in (args.against, ROOT))
+        order = (args.against, ROOT) if i % 2 == 0 else (ROOT, args.against)
+        results = [run_tree(tree, args.repeat) for tree in order]
+        other, this = results if i % 2 == 0 else results[::-1]
         for name in CASES:
             (t_other, d_other), (t_this, d_this) = other[name], this[name]
             times[name][0].append(t_other)
