@@ -20,8 +20,9 @@ digest differs, else 0.
 
 With `--against DIR`, each run of every case alternates between the tree at DIR
 and this one, each in a fresh process importing `snfc` from its own `src/`,
-for PAIRS pairs, the side that runs first alternating; a line per pair gives both times, and a last line per case
-the median of each side and the pairs this tree won.
+for PAIRS pairs, the side that runs first alternating; a line per pair gives
+both times, and a last line per case the median of each side and the pairs
+this tree won.
 
 Usage: PYTHONPATH=src python scripts/large_inputs.py [--repeat 3]
        python scripts/large_inputs.py --against DIR [--repeat 3]
