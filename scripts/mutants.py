@@ -156,6 +156,17 @@ MUTANTS = [
         ("tests/test_bounds.py",),
     ),
     Mutant(
+        "the oracle's feeding walk skips the edges into nodes it has seen",
+        "src/snfc/bounds.py",
+        """                feeders[ei] |= 1 << si
+                if head not in seen:
+""",
+        """                if head not in seen:
+                    feeders[ei] |= 1 << si
+""",
+        ("tests/test_bounds.py",),
+    ),
+    Mutant(
         "the run test accepts repeated keys",
         "src/snfc/verify.py",
         "return all(p.translate(bytes.maketrans(p, ident[: len(p)])) == ident[: len(p)] for p in pieces)",

@@ -24,13 +24,12 @@ def main() -> None:
     ap.add_argument("--count", type=int, default=200)
     ap.add_argument("--seed", type=int, default=20_000)
     ap.add_argument("--rmax", type=int, default=2)
-    ap.add_argument("--max-edges", type=int, default=12)
     args = ap.parse_args()
 
     t0 = time.monotonic()
     checked = mismatches = 0
     reasons = Counter()
-    for offset, net in enumerate(corpus(args.count, base_seed=args.seed, max_edges=args.max_edges)):
+    for offset, net in enumerate(corpus(args.count, base_seed=args.seed)):
         ids = sorted(net.edge_by_id)
         bar, brute_bar = c_min_bar(net), min(size for size, avail in _oracle_cut_stats(net) if avail == size)
         if bar != brute_bar:

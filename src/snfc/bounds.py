@@ -240,21 +240,22 @@ def upper_bound(net: Network, r: int) -> BoundReport:
 
 @per_network
 def _oracle_cut_stats(net: Network) -> tuple[tuple[int, int], ...]:
-    """For every cut set C: (|C|, number of edges of C fed only by separated sources)."""
-    ids = list(net.order)
-    n = len(ids)
-    index = {eid: i for i, eid in enumerate(ids)}
+    """For every cut set C: (|C|, number of edges of C fed only by separated
+    sources).  Edge i is `net.edges[i]`; every walk runs on the arcs built here."""
+    n = len(net.edges)
     out_arcs: dict[str, list[tuple[int, str]]] = {node: [] for node in net.nodes}
-    for eid in ids:
-        e = net.edge_by_id[eid]
-        out_arcs[e.tail].append((index[eid], e.head))
-    # per-edge bitmask of sources that can reach it
+    for ei, e in enumerate(net.edges):
+        out_arcs[e.tail].append((ei, e.head))
+    # per-edge bitmask of sources that can reach it: each out-edge of a node a source reaches
     feeders = [0] * n
     for si, s in enumerate(net.sources):
-        reach = net.nodes_reachable_from([s])
-        for eid in ids:
-            if net.edge_by_id[eid].tail in reach:
-                feeders[index[eid]] |= 1 << si
+        stack, seen = [s], {s}
+        while stack:
+            for ei, head in out_arcs[stack.pop()]:
+                feeders[ei] |= 1 << si
+                if head not in seen:
+                    seen.add(head)
+                    stack.append(head)
     stats = []
     for mask in range(1, 1 << n):
         separated = 0
@@ -286,7 +287,9 @@ def _oracle_cut_stats(net: Network) -> tuple[tuple[int, int], ...]:
 
 
 def upper_bound_oracle(net: Network, r: int) -> int:
-    """Direct minimization over all (wiretap set, cut set) pairs; exponential in |E|."""
+    """Direct minimization over all (wiretap set, cut set) pairs; exponential in |E|.
+    It reads only the network's `nodes`, `edges`, `sources` and `sink`, none of
+    the index that `upper_bound` runs on."""
     if len(net.edges) > ORACLE_EDGE_LIMIT:
         raise TooLarge(f"oracle limited to {ORACLE_EDGE_LIMIT} edges")
     return min(size - min(r, avail) for size, avail in _oracle_cut_stats(net))

@@ -10,7 +10,7 @@ key flow cancels before the sink, which no mixing-matrix construction produces.
 
 from __future__ import annotations
 
-from .codes import SecureCode, SumCode, load_code
+from .codes import SecureCode, load_code
 from .network import Network, network_from_dict
 
 _NETWORKS = {
@@ -172,10 +172,6 @@ def network(name: str) -> Network:
     return network_from_dict(_NETWORKS[name])
 
 
-def network_dict(name: str) -> dict:
-    return dict(_NETWORKS[name])
-
-
 def _code_entry(name: str) -> tuple[str, dict]:
     if name not in _CODES:
         raise KeyError(f"unknown code fixture {name!r}; have {code_names()}")
@@ -193,8 +189,3 @@ def code_dict(name: str) -> dict:
 
 def code_network_name(name: str) -> str:
     return _code_entry(name)[0]
-
-
-def butterfly_sum_code() -> SumCode:
-    """The underlying GF(4) sum code of the butterfly fixture, without mixing."""
-    return code("butterfly").base

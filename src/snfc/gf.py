@@ -464,12 +464,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(self.columns()), self.nrows)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if self.nrows != other.nrows:
-            raise DimensionMismatch(f"hstack {self.shape} | {other.shape}")
-        return Matrix(self.field, tuple(map(tuple.__add__, self.data, other.data)), self.ncols + other.ncols)
-
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:

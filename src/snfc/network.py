@@ -12,8 +12,8 @@ each node's out- and in-edges as edge positions in file order.  One pass over
 the edges builds it and makes the per-edge checks, in file order.  Everything
 derived from the graph reads the index: the topological node order (Kahn's
 algorithm on positions: the ready node listed first in `nodes` goes first),
-the edge order, the in/out edges, the sink-reach check and the reachability
-walks, and in `cuts` the flow layouts, the dominator pass and the reports.
+the edge order, the in/out edges and the sink-reach check, and in `cuts` the
+reach walks, the flow layouts, the dominator pass and the reports.
 The index is a cached property, so a network that is never validated, such as
 a `cuts.ResidualNetwork`, builds it on first use.
 """
@@ -24,7 +24,6 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -171,11 +170,6 @@ class Network:
         return out
 
     @cached_property
-    def node_order(self) -> tuple[str, ...]:
-        """Topological node order: each step takes the ready node listed first in `nodes`."""
-        return tuple(map(self.nodes.__getitem__, self._topo))
-
-    @cached_property
     def _ordered(self) -> list[int]:
         """Edge positions in `order`: each tail's out-edges in file order, the
         sources' in source order, then the other nodes' in topological order."""
@@ -224,18 +218,6 @@ class Network:
             if n not in self._index.position:
                 raise UnknownNode(f"node {n!r} does not exist")
         return ids
-
-    # -- traversal -------------------------------------------------------------
-
-    def _positions(self, ids: Iterable[str]) -> list[int]:
-        position = self._index.position
-        return [position[n] for n in self.check_nodes(ids)]
-
-    def nodes_reachable_from(self, starts: Iterable[str]) -> set[str]:
-        return set(compress(self.nodes, self._index.reachable_from(self._positions(starts))))
-
-    def nodes_reaching(self, targets: Iterable[str]) -> set[str]:
-        return set(compress(self.nodes, self._index.reaching(self._positions(targets))))
 
     def to_dict(self) -> dict:
         return {

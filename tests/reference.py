@@ -8,15 +8,17 @@ The package has one implementation of each object; these are the independent
   the validation checks, all by node name, with sets and dicts of names,
   against the position index that `network.Network` builds once (`_index`);
 - `reachable`: plain reachability with some edges deleted, for brute-force cut
-  oracles;
+  oracles and the tests' reach walks;
 - `reach_sets`: the feeding / separated / leaking source partition of an edge
   set, by reachability from each source;
 - `matmul`: the matrix product entry by entry, against `Matrix.mul`, which
   takes each product row as one `Echelon.combination` in row form;
 - `reduced`: a span's reduced row echelon form as tuples, canonical for the
   span, against `Echelon.back_substituted`, which keeps it in row form;
+- `hstack`: two matrices side by side as a tuple `Matrix`, for building
+  augmented matrices and joint spans in the tests;
 - `solve_right` and `inverse`: the augmented matrix built as a tuple `Matrix`
-  (`Matrix.hstack`, identity columns for an inverse) and read off `reduced` as
+  (`hstack`, identity columns for an inverse) and read off `reduced` as
   tuples, against `Matrix.solve_right` and `Matrix.inverse`, which reduce the
   augmented rows in `Echelon`'s row form and slice the right-hand part off each
   reduced row;
@@ -266,11 +268,18 @@ def reduced(span: Echelon) -> tuple[tuple[int, ...], ...]:
     return tuple(map(done.vector, reversed(done.rows.values())))
 
 
+def hstack(a: Matrix, b: Matrix) -> Matrix:
+    """[a | b]: each row of a followed by the same row of b."""
+    if a.field != b.field or a.nrows != b.nrows:
+        raise ValueError(f"hstack {a.shape} | {b.shape}")
+    return Matrix(a.field, tuple(map(tuple.__add__, a.data, b.data)), a.ncols + b.ncols)
+
+
 def solve_right(a: Matrix, rhs: Matrix) -> Matrix | None:
     """X with a @ X = rhs, free variables zero, or None when inconsistent: the
     reduced row echelon form of the tuple matrix [a | rhs], read row by row."""
     n = a.ncols
-    span = Echelon(a.field, a.hstack(rhs).data)
+    span = Echelon(a.field, hstack(a, rhs).data)
     if any(p >= n for p in span.rows):
         return None
     out = [(0,) * rhs.ncols] * n
@@ -361,9 +370,10 @@ def primary_edges(net: Network) -> frozenset[str]:
     v, is the intersection over v's in-edges e of dom[tail(e)] plus e, built
     for every node in topological order; e is primary when dom[tail(e)] is empty."""
     dom = {s: frozenset() for s in net.sources}
-    for v in net.node_order:
+    ins = in_edges(net)
+    for v in node_order(net):
         if v not in dom:
-            dom[v] = frozenset.intersection(*(dom[e.tail] | {e.id} for e in net.in_edges[v]))
+            dom[v] = frozenset.intersection(*(dom[e.tail] | {e.id} for e in ins[v]))
     return frozenset(e.id for e in net.edges if not dom[e.tail])
 
 
@@ -656,7 +666,7 @@ def butterfly_sum_code_gf2() -> SumCode:
     """The butterfly fixture's sum code with the same coefficients read over GF(2);
     every entry is 0 or 1."""
     gf2 = make_field(2, 1)
-    base = fixtures.butterfly_sum_code()
+    base = fixtures.code("butterfly").base
     return SumCode(
         gf2,
         base.rate,

@@ -23,14 +23,14 @@ def runner():
 @pytest.fixture
 def butterfly_file(tmp_path):
     path = tmp_path / "butterfly.json"
-    path.write_text(json.dumps(fixtures.network_dict("butterfly")))
+    path.write_text(json.dumps(fixtures.network("butterfly").to_dict()))
     return str(path)
 
 
 @pytest.fixture
 def n1_file(tmp_path):
     path = tmp_path / "n1.json"
-    path.write_text(json.dumps(fixtures.network_dict("n1")))
+    path.write_text(json.dumps(fixtures.network("n1").to_dict()))
     return str(path)
 
 
@@ -233,7 +233,13 @@ def test_example_summary(runner):
 
 def test_example_show_network(runner):
     result = runner.invoke(main, ["example", "n1", "--show", "network", "--json"])
-    assert json.loads(result.output) == fixtures.network_dict("n1")
+    ends = [("s1", "v3"), ("s1", "v3"), ("s2", "v3"), ("s2", "rho"), ("v3", "rho")]
+    assert json.loads(result.output) == {
+        "nodes": ["s1", "s2", "v3", "rho"],
+        "sources": ["s1", "s2"],
+        "sink": "rho",
+        "edges": [{"id": f"e{i}", "tail": tail, "head": head} for i, (tail, head) in enumerate(ends, 1)],
+    }
 
 
 def test_example_show_code_is_the_embedded_code(runner):
@@ -517,7 +523,7 @@ TWO_PARALLEL_EDGES = parallel_network(2).to_dict()
 )
 def test_construct_verify_round_trip_over_other_fields(runner, tmp_path, network, field, extra, error):
     net_path = tmp_path / "net.json"
-    doc = fixtures.network_dict("butterfly") if network == "butterfly" else TWO_PARALLEL_EDGES
+    doc = fixtures.network("butterfly").to_dict() if network == "butterfly" else TWO_PARALLEL_EDGES
     net_path.write_text(json.dumps(doc))
     out = str(tmp_path / "code.json")
     built = runner.invoke(
@@ -630,15 +636,23 @@ def test_embedded_code_of_another_network_is_a_usage_error(runner):
 
 
 def test_unwritable_output_path_is_a_usage_error(runner, butterfly_file, tmp_path, monkeypatch):
-    """A missing directory, or a directory as the file, exits 2 before
-    construct runs and creates nothing."""
+    """A missing directory, a directory as the file, or a directory the process
+    may not write exits 2 before construct runs and creates nothing."""
 
     def construct(*args, **kwargs):
         raise AssertionError("construct ran before --out was checked")
 
+    # a read-only directory does not stop root, so os.access refuses this one
+    locked, access = tmp_path / "locked", os.access
     monkeypatch.setattr("snfc.cli.construct", construct)
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(locked) and access(path, mode))
     (tmp_path / "a_dir").mkdir()
-    for target, message in [("missing_dir/x.json", "cannot write"), ("a_dir", "is a directory")]:
+    locked.mkdir()
+    for target, message in [
+        ("missing_dir/x.json", "cannot write"),
+        ("a_dir", "is a directory"),
+        ("locked/x.json", f"cannot write {locked / 'x.json'}: Permission denied"),
+    ]:
         out = str(tmp_path / target)
         result = runner.invoke(main, ["construct", "--network", butterfly_file, "--r", "1", "--out", out, "--json"])
         assert_clean_exit(result, 2)
@@ -646,6 +660,7 @@ def test_unwritable_output_path_is_a_usage_error(runner, butterfly_file, tmp_pat
         assert "--out" in result.output
     assert not (tmp_path / "missing_dir").exists()
     assert (tmp_path / "a_dir").is_dir()
+    assert list(locked.iterdir()) == []
 
 
 def test_failed_code_write_is_a_usage_error(runner, butterfly_file, tmp_path, monkeypatch):
@@ -687,7 +702,7 @@ def test_cli_fuzz_exits_cleanly(data):
         network_path = os.path.join(tmp, "net.json")
         code_path = os.path.join(tmp, "code.json")
         with open(network_path, "wb") as fh:
-            fh.write(_mutated_document(data, fixtures.network_dict("butterfly")))
+            fh.write(_mutated_document(data, fixtures.network("butterfly").to_dict()))
         with open(code_path, "wb") as fh:
             fh.write(_mutated_document(data, fixtures.code_dict("butterfly")))
         r = str(data.draw(st.integers(-2, 3)))

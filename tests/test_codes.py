@@ -395,14 +395,14 @@ def test_simulation_matches_global_vectors(data):
 # -- mixing matrix ------------------------------------------------------------------------
 
 def test_mixing_matrix_r0_needs_only_invertibility(butterfly):
-    base = fixtures.butterfly_sum_code()
+    base = fixtures.code("butterfly").base
     family = primary_wiretap_sets(butterfly, 0, exact_size=True)
     b = choose_mixing_matrix(base, 0, family, butterfly)
     assert b.rank() == 2
 
 
 def test_mixing_matrix_matches_shipped_butterfly_choice(butterfly):
-    base = fixtures.butterfly_sum_code()
+    base = fixtures.code("butterfly").base
     family = primary_wiretap_sets(butterfly, 1, exact_size=True)
     b = choose_mixing_matrix(base, 1, family, butterfly)
     assert b.data == ((1, 0), (2, 1))
@@ -410,7 +410,7 @@ def test_mixing_matrix_matches_shipped_butterfly_choice(butterfly):
 
 @pytest.mark.parametrize("r", [-1, 3])
 def test_mixing_matrix_refuses_a_level_outside_the_rate(butterfly, r):
-    base = fixtures.butterfly_sum_code()
+    base = fixtures.code("butterfly").base
     with pytest.raises(ShapeMismatch, match=f"security level {r} out of range for rate 2"):
         choose_mixing_matrix(base, r, primary_wiretap_sets(butterfly, 1, exact_size=True), butterfly)
 
@@ -423,13 +423,13 @@ def test_mixing_matrix_impossible_over_gf2(butterfly):
 
 
 def test_secure_code_identity_mixing_keeps_vectors(butterfly):
-    base = fixtures.butterfly_sum_code()
+    base = fixtures.code("butterfly").base
     code = secure_code(base, Matrix.identity(GF4, 2), 1)
     assert secure_vectors(code, butterfly) == global_vectors(base, butterfly)
 
 
 def test_as_secure_views_a_bare_sum_code_at_level_zero():
-    base = fixtures.butterfly_sum_code()
+    base = fixtures.code("butterfly").base
     code = as_secure(base)
     assert (code.base, code.r, code.ell) == (base, 0, 2)
     assert code.mixing.data == Matrix.identity(GF4, 2).data
@@ -437,19 +437,19 @@ def test_as_secure_views_a_bare_sum_code_at_level_zero():
 
 
 def test_secure_code_rejects_singular_mixing(butterfly):
-    base = fixtures.butterfly_sum_code()
+    base = fixtures.code("butterfly").base
     with pytest.raises(SingularB):
         secure_code(base, Matrix.build(GF4, [[0, 0]] * 2), 1)
 
 
 def test_secure_code_rejects_bad_shape(butterfly):
-    base = fixtures.butterfly_sum_code()
+    base = fixtures.code("butterfly").base
     with pytest.raises(ShapeMismatch):
         secure_code(base, Matrix.identity(GF4, 3), 1)
 
 
 def test_secure_code_rejects_mixing_over_another_field(butterfly):
-    base = fixtures.butterfly_sum_code()
+    base = fixtures.code("butterfly").base
     with pytest.raises(ShapeMismatch, match="wrong field"):
         secure_code(base, Matrix.identity(GF2, 2), 1)
 
@@ -884,7 +884,7 @@ def test_each_sum_code_builds_its_plan_and_walks_its_unit_inputs_once(monkeypatc
 
 
 def test_global_vectors_returns_a_dict_the_caller_may_change(butterfly):
-    code = fixtures.butterfly_sum_code()
+    code = fixtures.code("butterfly").base
     first = global_vectors(code, butterfly)
     expect = dict(first)
     first["e1"] = (9, 9, 9, 9)

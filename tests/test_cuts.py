@@ -22,7 +22,7 @@ from snfc.corpus import corpus, random_network
 from snfc.cuts import ResidualFlow, _c_min_bar_report, _primary_edges, feeding_sources, node_flow
 from snfc.errors import EmptyTarget, MalformedInput, TargetInU, TooLarge, UnknownEdge, UnknownNode
 from snfc.network import Network, make_network
-from reference import max_flow_cut, primary_edges, reach_sets, reachable
+from reference import max_flow_cut, node_order, primary_edges, reach_sets, reachable
 from cases import bound_large_stars, many_source_network, source_star
 
 
@@ -160,7 +160,7 @@ def test_flow_core_matches_a_reference_max_flow_from_scratch():
             assert min_cut_edge_target(net, feeding, wset) == max_flow_cut(net, feeding, wset), wset
             checked += 1
         rng = random.Random(len(net.order))
-        inner = [n for n in net.node_order if n not in net.sources and n != net.sink]
+        inner = [n for n in node_order(net) if n not in net.sources and n != net.sink]
         origin = [net.sources[0], *net.sources, *rng.sample(inner, min(2, len(inner)))]
         flow = ResidualFlow(net, origin, net.sink)
         for wset in [(), *family[:5], *(rng.sample(net.order, min(3, len(net.order))) for _ in range(5))]:
@@ -225,7 +225,7 @@ def test_blocking_flows_on_deep_networks_match_a_reference_max_flow():
             net = layered_network(seed)
             assert 60 <= len(net.edges) <= 120
             rng = random.Random(seed)
-            inner = [n for n in net.node_order if n not in net.sources and n != net.sink]
+            inner = [n for n in node_order(net) if n not in net.sources and n != net.sink]
             origins = [
                 *([s] for s in net.sources),
                 list(net.sources),
@@ -252,7 +252,7 @@ def test_flows_to_inner_nodes_match_a_reference_max_flow():
     with finishes_within(60):
         for net in [*corpus(40), *map(layered_network, range(16)), *bound_large_stars(1, 2)]:
             rng = random.Random(len(net.order))
-            for v in net.node_order:
+            for v in node_order(net):
                 if v in net.sources or v == net.sink:
                     continue
                 assert net.out_edges[v]
@@ -273,7 +273,7 @@ def test_the_shared_layout_is_only_read_and_built_once_per_network(monkeypatch):
     for net in [*corpus(40), *bound_large_stars(1, 2)]:
         upper_bound(net, 1)
         rng = random.Random(len(net.order))
-        inner = [v for v in net.node_order if v not in net.sources and v != net.sink]
+        inner = [v for v in node_order(net) if v not in net.sources and v != net.sink]
         flows = [ResidualFlow(net, net.sources, v) for v in inner[:3]]
         for flow in [node_flow(net, frozenset(net.sources), net.sink), *flows]:
             for _ in range(3):
@@ -303,7 +303,7 @@ def test_c_min_bar_all_sources_term_is_the_frontier_cut():
         for k in range(1, len(net.sources) + 1):
             for chosen in itertools.combinations(net.sources, k):
                 others = [s for s in net.sources if s not in chosen]
-                inside = net.nodes_reachable_from([*others, net.sink])
+                inside = reachable(net, [*others, net.sink])
                 frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
                 report = min_cut_edge_target(net, chosen, frontier)
                 terms.append((report.capacity, report.cut_edges))
@@ -314,7 +314,7 @@ def frontier_terms(net):
     """(capacity, cut) of every source subset's frontier cut, each from its own flow."""
     for k in range(1, len(net.sources) + 1):
         for chosen in itertools.combinations(net.sources, k):
-            inside = net.nodes_reachable_from([*(s for s in net.sources if s not in chosen), net.sink])
+            inside = reachable(net, [*(s for s in net.sources if s not in chosen), net.sink])
             frontier = [e.id for e in net.edges if e.tail not in inside and e.head in inside]
             report = min_cut_edge_target(net, chosen, frontier)
             yield report.capacity, report.cut_edges
@@ -446,6 +446,9 @@ def test_fig2_pair_not_primary(fig2):
 def test_is_primary_rejects_empty(butterfly):
     with pytest.raises(UnknownEdge):
         is_primary(butterfly, [])
+    # with e2 and e3 deleted no source reaches e5's tail, so no source feeds {e5}
+    with pytest.raises(MalformedInput, match="the origin set is empty"):
+        is_primary(residual(butterfly, ["e2", "e3"]), ["e5"])
 
 
 def primary_by_definition(net, wset) -> bool:

@@ -38,7 +38,7 @@ from snfc.verify import (
     state_cap,
     wiretap_family,
 )
-from reference import first_leak, simulate
+from reference import first_leak, hstack, simulate
 from cases import COLUMN_CASE_IDS, column_case, parallel_network, random_code, two_source_star
 
 GF2 = make_field(2, 1)
@@ -142,7 +142,7 @@ def test_negative_security_level_rejected(butterfly):
 # -- security: rank criterion ---------------------------------------------------------------
 
 def test_security_rank_r0_vacuous(butterfly):
-    code = as_secure(fixtures.butterfly_sum_code(), 0)
+    code = as_secure(fixtures.code("butterfly").base, 0)
     ok, failing = check_security_rank(code, butterfly)
     assert ok and failing is None
 
@@ -156,7 +156,7 @@ def test_butterfly_fixture_secure_for_every_edge(butterfly):
 def test_unmixed_sum_code_leaks(butterfly):
     # without mixing, a key coordinate edge is harmless but the message-carrying
     # edges e3 (message of source 2) and e8 (the sum itself) give the game away
-    code = as_secure(fixtures.butterfly_sum_code(), 1)
+    code = as_secure(fixtures.code("butterfly").base, 1)
     ok, failing = check_security_rank(code, butterfly)
     assert not ok
     assert failing == ("e3",)
@@ -181,20 +181,20 @@ def gamma_criterion(code, net, fast=False):
     gamma = gamma_selector(code, s)
     for wset in wiretap_family(net, code.r, fast):
         h_w = Matrix.from_columns(code.field, [vectors[eid] for eid in wset], nrows=code.rate * s)
-        if h_w.hstack(gamma).rank() != h_w.rank() + gamma.rank():
+        if hstack(h_w, gamma).rank() != h_w.rank() + gamma.rank():
             return False, wset
     return True, None
 
 
 def test_unmixed_sum_code_edges_case_by_case(butterfly):
-    code = as_secure(fixtures.butterfly_sum_code(), 1)
+    code = as_secure(fixtures.code("butterfly").base, 1)
     vectors = secure_vectors(code, butterfly)
     gamma = gamma_selector(code, 2)
     assert gamma.rank() == 2
 
     def edge_safe(eid):
         h_w = Matrix.from_columns(GF4, [vectors[eid]], nrows=4)
-        return h_w.hstack(gamma).rank() == h_w.rank() + gamma.rank()
+        return hstack(h_w, gamma).rank() == h_w.rank() + gamma.rank()
 
     assert edge_safe("e2")  # carries only the key coordinate of source 1
     assert not edge_safe("e3")  # carries the message coordinate of source 2
@@ -794,7 +794,7 @@ def test_verify_n1_no_penalty(n1):
 
 
 def test_verify_reports_first_failure(butterfly):
-    code = as_secure(fixtures.butterfly_sum_code(), 1)
+    code = as_secure(fixtures.code("butterfly").base, 1)
     report = verify(code, butterfly)
     assert not report.all_passed
     assert report.computable
@@ -804,7 +804,7 @@ def test_verify_reports_first_failure(butterfly):
 
 @pytest.mark.parametrize("flag", [False, True, "yes", "no", "auto", None, 0])
 def test_no_exhaustive_value_skips_the_check_under_the_cap(butterfly, flag):
-    report = verify(as_secure(fixtures.butterfly_sum_code(), 1), butterfly, exhaustive=flag)
+    report = verify(as_secure(fixtures.code("butterfly").base, 1), butterfly, exhaustive=flag)
     assert report.secure_exhaustive is False
     assert report.failing_W == ("e3",)
 
